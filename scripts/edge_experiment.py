@@ -26,6 +26,7 @@ from betahermite import (
     edge_density_closed,
     edge_rescale,
     estimate_density,
+    has_closed_edge_form,
     sample_spectrum,
 )
 
@@ -53,7 +54,7 @@ def main():
 
     centers = d_g.centers
     ref = None
-    if args.beta in (1.0, 2.0, 4.0):
+    if has_closed_edge_form(args.beta):
         ref = edge_density_closed(int(args.beta), centers).value
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)

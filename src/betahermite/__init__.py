@@ -3,7 +3,7 @@ density estimation, limiting special functions, and exact verification."""
 
 __version__ = "0.1.0"
 
-from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
+from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
 from .density import (
     DensityEstimate,
     Regime,
@@ -42,7 +42,7 @@ __all__ = [
     "EnsembleKind", "EnsembleParams", "SampleSeed", "TridiagonalSymmetric",
     "sample_half_chi", "sample_beta_hermite", "fixed_trace_rescale", "sample_ensemble",
     "Spectrum", "eigenvalues", "eigenvalues_bisect", "sample_spectrum",
-    "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed",
+    "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "QuadratureControls", "KontsevichResult", "kontsevich_k", "edge_prefactor",
     "kontsevich_edge_density",
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",

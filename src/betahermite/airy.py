@@ -33,6 +33,7 @@ __all__ = [
     "airy_ai_prime",
     "airy_tail",
     "edge_density_closed",
+    "has_closed_edge_form",
     "ai_derivatives",
 ]
 
@@ -217,6 +218,11 @@ class EdgeDensityValue:
     error: float | None = None
 
 
+def has_closed_edge_form(beta: float) -> bool:
+    """True for the beta values with a closed-form edge density: 1, 2 and 4."""
+    return beta in (1, 2, 4)
+
+
 def edge_density_closed(beta: int, x) -> EdgeDensityValue:
     """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}.
 
@@ -224,7 +230,7 @@ def edge_density_closed(beta: int, x) -> EdgeDensityValue:
     beta=2: Ai'^2 - x Ai^2
     beta=4: doubled arguments, Ai'(2x)^2 - 2x Ai(2x)^2 - Ai(2x) int_x^inf Ai(2t) dt
     """
-    if beta not in (1, 2, 4):
+    if not has_closed_edge_form(beta):
         raise ValueError(
             f"closed forms exist for beta in {{1, 2, 4}}, got {beta}; "
             "use kontsevich_edge_density for other even beta"

@@ -1,8 +1,8 @@
 """Command-line interface: sample, density, special, verify.
 
 Every output file is a pure function of its JSON sidecar; replicate streams
-are keyed by (seed, replicate), so --threads changes wall time but not
-results.  Exit status: 0 all good, 1 check failure, 2 usage error.
+are keyed by (seed, replicate).  Exit status: 0 all good, 1 check failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
+from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
 from .checks import CHECK_NAMES, run_checks
 from .density import (
     Regime,
@@ -31,7 +29,7 @@ from .density import (
     write_sidecar,
 )
 from .ensemble import EnsembleKind, EnsembleParams, SampleSeed
-from .kontsevich import QuadratureControls, kontsevich_k
+from .kontsevich import kontsevich_k
 from .tridiag import sample_spectrum
 
 USAGE_ERROR = 2
@@ -42,12 +40,8 @@ def _params(args) -> EnsembleParams:
     return EnsembleParams(n=args.n, beta=args.beta, kind=kind)
 
 
-def _spectra(params, master_seed, reps, threads):
-    seeds = [SampleSeed(master_seed, r) for r in range(reps)]
-    if threads <= 1:
-        return [sample_spectrum(params, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: sample_spectrum(params, s), seeds))
+def _spectra(params, master_seed, reps):
+    return [sample_spectrum(params, SampleSeed(master_seed, r)) for r in range(reps)]
 
 
 def _sidecar_base(args) -> dict:
@@ -57,7 +51,7 @@ def _sidecar_base(args) -> dict:
 
 def cmd_sample(args) -> int:
     params = _params(args)
-    spectra = _spectra(params, args.seed, args.reps, args.threads)
+    spectra = _spectra(params, args.seed, args.reps)
     out = Path(args.output)
     with out.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -89,11 +83,15 @@ def cmd_density(args) -> int:
     if args.grid_hi <= args.grid_lo:
         print("error: --grid-hi must exceed --grid-lo", file=sys.stderr)
         return USAGE_ERROR
+    if args.reference == "aibeta" and not has_closed_edge_form(params.beta):
+        print("error: --reference aibeta needs beta in {1,2,4}; "
+              "use `special --fn kontsevich` for other even beta", file=sys.stderr)
+        return USAGE_ERROR
     regime = Regime(args.regime)
     if args.input:
         spectra = _read_spectra(args.input, params)
     else:
-        spectra = _spectra(params, args.seed, args.reps, args.threads)
+        spectra = _spectra(params, args.seed, args.reps)
     rescale = edge_rescale if regime is Regime.EDGE else bulk_rescale
     vecs = [s.values for s in spectra] if regime is Regime.RAW else [rescale(s) for s in spectra]
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
@@ -107,10 +105,6 @@ def cmd_density(args) -> int:
             [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
         )}
     elif args.reference == "aibeta":
-        if int(params.beta) not in (1, 2, 4) or params.beta != int(params.beta):
-            print("error: --reference aibeta needs beta in {1,2,4}; "
-                  "use `special --fn kontsevich` for other even beta", file=sys.stderr)
-            return USAGE_ERROR
         ref = {"aibeta": edge_density_closed(int(params.beta), d.centers).value}
     out = Path(args.output)
     write_density_csv(d, out, reference=ref)
@@ -121,32 +115,31 @@ def cmd_density(args) -> int:
 
 
 def cmd_special(args) -> int:
+    if args.x is None and not (args.x_step > 0 and args.x_lo <= args.x_hi):
+        print("error: --x-step must be positive and --x-lo must not exceed --x-hi",
+              file=sys.stderr)
+        return USAGE_ERROR
+    if args.fn == "aibeta" and not has_closed_edge_form(args.beta):
+        print("error: --fn aibeta needs beta in {1,2,4}; "
+              "use --fn kontsevich for other even beta", file=sys.stderr)
+        return USAGE_ERROR
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
-    rows = []
-    if args.fn == "ai":
+    if args.fn == "kontsevich":
+        rows = []
         for x in xs:
-            rows.append((x, airy_ai(float(x)), None))
-    elif args.fn == "ai-prime":
-        for x in xs:
-            rows.append((x, airy_ai_prime(float(x)), None))
-    elif args.fn == "ai-tail":
-        for x in xs:
-            rows.append((x, airy_tail(float(x)), None))
-    elif args.fn == "aibeta":
-        if int(args.beta) not in (1, 2, 4) or args.beta != int(args.beta):
-            print("error: --fn aibeta needs beta in {1,2,4}; "
-                  "use --fn kontsevich for other even beta", file=sys.stderr)
-            return USAGE_ERROR
-        for x in xs:
-            rows.append((x, edge_density_closed(int(args.beta), float(x)).value, None))
-    elif args.fn == "kontsevich":
-        ctrl = QuadratureControls()
-        for x in xs:
-            r = kontsevich_k(args.kn, args.beta, float(x), ctrl=ctrl)
+            r = kontsevich_k(args.kn, args.beta, float(x))
             if not r.converged:
                 print(f"error: quadrature budget exhausted at x={x}", file=sys.stderr)
                 return 1
             rows.append((x, r.value, r.error))
+    else:
+        fn = {
+            "ai": airy_ai,
+            "ai-prime": airy_ai_prime,
+            "ai-tail": airy_tail,
+            "aibeta": lambda x: edge_density_closed(int(args.beta), x).value,
+        }[args.fn]
+        rows = [(x, fn(float(x)), None) for x in xs]
     out = Path(args.output) if args.output else None
     lines = [("x", "value", "error_estimate")]
     for x, v, e in rows:
@@ -191,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo and exact verification for beta-Hermite and "
                     "fixed-trace beta-Hermite ensembles",
     )
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("BETAHERMITE_THREADS", "1")),
-                   help="worker threads for replicate fan-out (results independent of k)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sample", help="sample spectra to CSV")

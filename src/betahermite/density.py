@@ -146,14 +146,9 @@ def bulk_rescale(s: Spectrum) -> np.ndarray:
 
 
 def edge_rescale(s: Spectrum) -> np.ndarray:
-    """Right-edge coordinates t = 2 N^(2/3) (lambda/edge_scale - 1)."""
-    if s.n == 0:
-        raise ValueError("empty spectrum")
-    if s.params is None:
-        raise ValueError("spectrum carries no ensemble parameters")
-    p = s.params
-    scale = sqrt(2.0 * p.n) if p.kind is EnsembleKind.FIXED_TRACE else sqrt(2.0 * p.beta * p.n)
-    return 2.0 * p.n ** (2.0 / 3.0) * (s.values / scale - 1.0)
+    """Right-edge coordinates t = 2 N^(2/3) (bulk_rescale(s) - 1)."""
+    u = bulk_rescale(s)
+    return 2.0 * s.params.n ** (2.0 / 3.0) * (u - 1.0)
 
 
 def estimate_density(

@@ -49,11 +49,6 @@ class EnsembleParams:
             raise ValueError(f"Dyson parameter must be > 0, got beta={self.beta}")
 
     @property
-    def n_beta(self) -> float:
-        """Effective Gaussian degrees of freedom n + beta*n*(n-1)/2."""
-        return self.n + self.beta * self.n * (self.n - 1) / 2.0
-
-    @property
     def strength_sq(self) -> float:
         """Canonical fixed-trace target n*(n-1)/2."""
         return self.n * (self.n - 1) / 2.0

@@ -23,6 +23,7 @@ import scipy.integrate
 
 from .density import DensityEstimate, Regime
 from .ensemble import EnsembleKind, TridiagonalSymmetric
+from .moments import big_l
 from .tridiag import eigenvalues
 
 __all__ = [
@@ -80,10 +81,6 @@ def _log_gamma_product(n: int, beta: float) -> float:
                  - n * lgamma(1.0 + beta / 2.0))
 
 
-def n_beta_of(n: int, beta: float) -> float:
-    return n + beta * n * (n - 1) / 2.0
-
-
 def log_z_beta_he(n: int, beta: float) -> LogValue:
     """Gaussian-ensemble normalization (2 pi)^(n/2) prod Gamma ratios."""
     if n < 1:
@@ -97,7 +94,7 @@ def log_z_fte(n: int, beta: float, strength: Strength = Strength.CANONICAL) -> L
     """Fixed-trace normalization at canonical or unit strength."""
     if n < 2:
         raise ValueError("fixed-trace partition function needs n >= 2")
-    nb = n_beta_of(n, beta)
+    nb = 2.0 * big_l(n, beta)
     la = ((n / 2.0) * log(2.0 * pi) + (1.0 - nb / 2.0) * log(2.0)
           - lgamma(nb / 2.0) + _log_gamma_product(n, beta))
     if strength is Strength.CANONICAL:
@@ -228,7 +225,7 @@ def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     """
     if n not in (2, 3):
         raise ValueError("integral equation check is implemented for n in {2, 3}")
-    nb = n_beta_of(n, beta)
+    nb = 2.0 * big_l(n, beta)
     lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
     gauss = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
 
@@ -321,7 +318,7 @@ def log_g_n_beta(n: int, beta: float) -> float:
     """log of the finite-N constant multiplying (1-x^2)^((N-2)/2) in the bound."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    nb = n_beta_of(n, beta)
+    nb = 2.0 * big_l(n, beta)
     v = np.arange(1, n + 1)
     s_vlnv = float(np.sum(v * np.log(v)))
     return ((beta / 2.0) * s_vlnv - 0.5 * log(pi) - lgamma((n - 1) / 2.0)

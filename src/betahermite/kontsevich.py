@@ -20,10 +20,12 @@ Evaluation routes:
 * quadrature (everything else): Gaussian damping exp(-eps sum t^2), a ladder
   of eps values, and polynomial extrapolation eps -> 0.  The damped integral
   is evaluated on uniform 1-D grids (step ~ eps/6 keeps the aliasing error of
-  the cubic phase at machine level); for n = 2 as a direct tensor product,
+  the cubic phase at machine level); for n <= 2 as a direct tensor product,
   for even 4/beta through separable 1-D moment products, and for even n with
-  odd-integer 4/beta through a pairing identity that turns the ordered-sector
-  integral into a Pfaffian of nested 1-D integrals.
+  4/beta = 1 through a pairing identity that turns the ordered-sector
+  integral into a Pfaffian of nested 1-D integrals.  No backend covers n >= 3
+  with any other beta.  A rung whose grid exceeds the node cap or whose
+  evaluation count exceeds the remaining budget is skipped.
 """
 
 from __future__ import annotations
@@ -46,14 +48,16 @@ __all__ = [
 ]
 
 
+GRID_STEP_FACTOR = 6.0  # grid step = eps / GRID_STEP_FACTOR
+MAX_NODES_PER_AXIS = 2_000_000
+EXTRAPOLATION_DEPTH = 8
+
+
 @dataclass(frozen=True)
 class QuadratureControls:
     """Budget knobs for the regularized-quadrature route."""
 
     eps_ladder: tuple[float, ...] = (0.32, 0.16, 0.08, 0.04)
-    grid_step_factor: float = 6.0      # grid step = eps / grid_step_factor
-    max_nodes_per_axis: int = 2_000_000
-    extrapolation_depth: int = 8
     max_evaluations: float = 5e8
 
 
@@ -105,13 +109,16 @@ def _k_reduction(n: int, beta: float, x: float) -> float:
     return sign * total
 
 
-def _grid(eps: float, poly_degree: int, ctrl: QuadratureControls):
-    """Uniform grid resolving the damped cubic phase at machine level."""
-    h = eps / ctrl.grid_step_factor
+def _grid_size(eps: float, poly_degree: int) -> tuple[float, int]:
+    """Half-width and node count of the grid resolving the damped cubic phase."""
+    h = eps / GRID_STEP_FACTOR
     t_max = sqrt((42.0 + 3.0 * poly_degree) / eps)
-    m = int(2.0 * t_max / h) + 1
-    if m > ctrl.max_nodes_per_axis:
-        m = ctrl.max_nodes_per_axis
+    return t_max, int(2.0 * t_max / h) + 1
+
+
+def _grid(eps: float, poly_degree: int) -> np.ndarray:
+    """Uniform grid resolving the damped cubic phase at machine level."""
+    t_max, m = _grid_size(eps, poly_degree)
     return np.linspace(-t_max, t_max, m)
 
 
@@ -120,44 +127,30 @@ def _damped_phase(t: np.ndarray, x: float, eps: float) -> np.ndarray:
     return np.exp(-eps * t * t) * (np.cos(phase) - 1j * np.sin(phase))
 
 
-def _k_eps_tensor(n: int, beta: float, x: float, eps: float, ctrl: QuadratureControls):
-    """Direct tensor-product evaluation of the damped integral (n <= 3)."""
+def _k_eps_tensor(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
+    """Direct tensor-product evaluation of the damped integral (n <= 2)."""
     p = 4.0 / beta
-    t = _grid(eps, int(np.ceil(p * (n - 1))), ctrl)
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
     gr, gi = g.real, g.imag
-    m = len(t)
     if n == 1:
         val = np.sum(gr) * h
-    elif n == 2:
+    else:
+        m = len(t)
         acc = 0.0
         chunk = max(1, int(4e6 // m))
         for lo in range(0, m, chunk):
             w = np.abs(t[lo : lo + chunk, None] - t[None, :]) ** p
             acc += gr[lo : lo + chunk] @ (w @ gr) - gi[lo : lo + chunk] @ (w @ gi)
         val = acc * h * h
-    elif n == 3:
-        # real part of sum g1 g2 g3 W; loop the first axis, tensor the rest
-        w12 = np.abs(t[:, None] - t[None, :]) ** p
-        acc = 0.0
-        for i in range(m):
-            wi = np.abs(t[i] - t) ** p
-            inner = w12 * (wi[:, None] * wi[None, :])
-            gg_r = np.real(g[i] * g[:, None] * g[None, :])
-            acc += np.sum(inner * gg_r)
-        val = acc * h**3
-    else:
-        raise ValueError("tensor backend supports n <= 3")
-    return (-1.0) ** n * (2.0 * pi) ** (-n) * val, float(m) ** n
+    return (-1.0) ** n * (2.0 * pi) ** (-n) * val
 
 
-def _k_eps_moments(n: int, beta: float, x: float, eps: float, ctrl: QuadratureControls):
+def _k_eps_moments(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
     """Separable evaluation through 1-D moments, for even integer 4/beta."""
     power = int(round(4.0 / beta))
     poly = _vandermonde_power_poly(n, power)
     degree = power * (n - 1)
-    t = _grid(eps, degree, ctrl)
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
     moments = np.empty(degree + 1, dtype=complex)
@@ -172,7 +165,7 @@ def _k_eps_moments(n: int, beta: float, x: float, eps: float, ctrl: QuadratureCo
             term *= moments[mm]
         total += term
     val = ((-1.0) ** n * (2.0 * pi) ** (-n)) * total
-    return val.real, float(len(t)) * (degree + 1)
+    return val.real
 
 
 def _pfaffian(a: np.ndarray) -> complex:
@@ -191,8 +184,8 @@ def _pfaffian(a: np.ndarray) -> complex:
     return total
 
 
-def _k_eps_pair(n: int, beta: float, x: float, eps: float, ctrl: QuadratureControls):
-    """Pairing (Pfaffian) evaluation for even n with 4/beta an odd integer.
+def _k_eps_pair(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
+    """Pairing (Pfaffian) evaluation for even n with 4/beta = 1.
 
     On the ordered sector the modulus of the Vandermonde power is the
     Vandermonde determinant itself, and the sector integral of a single
@@ -202,10 +195,6 @@ def _k_eps_pair(n: int, beta: float, x: float, eps: float, ctrl: QuadratureContr
     """
     if n % 2 != 0:
         raise ValueError("pairing backend needs even n")
-    power = int(round(4.0 / beta))
-    if power != 1:
-        raise ValueError("pairing backend implemented for 4/beta = 1")
-    t = _grid(eps, 3 * (n - 1), ctrl)
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
     psi = [g * t**k for k in range(n)]
@@ -222,13 +211,13 @@ def _k_eps_pair(n: int, beta: float, x: float, eps: float, ctrl: QuadratureContr
     a = b - b.T
     val = math.factorial(n) * _pfaffian(a)
     out = ((-1.0) ** n * (2.0 * pi) ** (-n)) * val
-    return out.real, float(len(t)) * (2 * n + n * n)
+    return out.real
 
 
-def _richardson(eps_values: np.ndarray, vals: np.ndarray, depth: int):
+def _richardson(eps_values: np.ndarray, vals: np.ndarray):
     """Neville extrapolation to eps = 0; error from the last corrections."""
     m = len(vals)
-    cols = min(m, depth + 1)
+    cols = min(m, EXTRAPOLATION_DEPTH + 1)
     tab = np.zeros((m, cols))
     tab[:, 0] = vals
     for j in range(1, cols):
@@ -247,37 +236,37 @@ def _richardson(eps_values: np.ndarray, vals: np.ndarray, depth: int):
 
 
 def _k_quadrature(n: int, beta: float, x: float, ctrl: QuadratureControls) -> KontsevichResult:
-    power = 4.0 / beta
-    even_int = abs(power - round(power)) < 1e-12 and int(round(power)) % 2 == 0
-    odd_int = abs(power - round(power)) < 1e-12 and int(round(power)) % 2 == 1
+    p = 4.0 / beta
+    power = int(round(p))
+    integral = abs(p - power) < 1e-12
+    # a rung on m nodes per axis costs m**axes * per_node evaluations
     if n <= 2:
         backend, name = _k_eps_tensor, "quadrature-tensor"
-    elif even_int:
+        degree, axes, per_node = int(np.ceil(p * (n - 1))), n, 1
+    elif integral and power % 2 == 0:
         backend, name = _k_eps_moments, "quadrature-moments"
-    elif odd_int and n % 2 == 0 and int(round(power)) == 1:
+        degree = power * (n - 1)
+        axes, per_node = 1, degree + 1
+    elif integral and power == 1 and n % 2 == 0:
         backend, name = _k_eps_pair, "quadrature-pair"
-    elif n == 3:
-        backend, name = _k_eps_tensor, "quadrature-tensor"
+        degree, axes, per_node = 3 * (n - 1), 1, 2 * n + n * n
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
 
     budget = float(ctrl.max_evaluations)
     eps_used, vals = [], []
     for eps in ctrl.eps_ladder:
-        h = eps / ctrl.grid_step_factor
-        t_max = sqrt(42.0 / eps)
-        m_est = 2.0 * t_max / h
-        cost = m_est**n if "tensor" in name else m_est * 4 * n
-        if cost > budget:
+        m = _grid_size(eps, degree)[1]
+        cost = float(m) ** axes * per_node
+        if m > MAX_NODES_PER_AXIS or cost > budget:
             continue
-        v, used = backend(n, beta, x, eps, ctrl)
-        budget -= used
+        vals.append(backend(n, beta, x, eps, _grid(eps, degree)))
         eps_used.append(eps)
-        vals.append(v)
+        budget -= cost
     if len(vals) < 2:
         value = vals[0] if vals else float("nan")
         return KontsevichResult(value=value, error=float("inf"), converged=False, route=name)
-    est, err = _richardson(np.asarray(eps_used), np.asarray(vals), ctrl.extrapolation_depth)
+    est, err = _richardson(np.asarray(eps_used), np.asarray(vals))
     return KontsevichResult(value=est, error=err, converged=True, route=name)
 
 
@@ -292,8 +281,10 @@ def kontsevich_k(
 
     ``route`` is one of "auto", "reduction", "quadrature".  Auto prefers the
     exact reduction when 4/beta is an even integer and n <= 4, and falls back
-    to the regularized quadrature otherwise.  A result whose requested
-    accuracy was unreachable under the controls carries converged=False.
+    to the regularized quadrature otherwise.  The quadrature covers n <= 2,
+    even 4/beta, and even n with 4/beta = 1; any other (n, beta) raises
+    ValueError.  A result whose requested accuracy was unreachable under the
+    controls carries converged=False.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -35,14 +35,6 @@ class TestSample:
         run([*args, "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_values(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["sample", "--n", "8", "--beta", "2", "--reps", "4", "--seed", "3",
-             "--output", str(a)])
-        run(["--threads", "4", "sample", "--n", "8", "--beta", "2", "--reps", "4",
-             "--seed", "3", "--output", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_fixed_trace_constraint(self, tmp_path):
         out = tmp_path / "f.csv"
         run(["sample", "--n", "10", "--beta", "2", "--kind", "fixed-trace",
@@ -107,6 +99,18 @@ class TestDensity:
         assert rc == 2
         assert "kontsevich" in capsys.readouterr().err
 
+    def test_aibeta_rejects_beta_before_sampling(self, tmp_path, monkeypatch):
+        from betahermite import cli
+
+        def no_sampling(params, seed):
+            raise AssertionError("sampled before beta was checked")
+
+        monkeypatch.setattr(cli, "sample_spectrum", no_sampling)
+        rc = run(["density", "--n", "20", "--beta", "3", "--reps", "5", "--seed", "1",
+                  "--regime", "edge", "--reference", "aibeta",
+                  "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+
 
 class TestSpecial:
     def test_ai_value(self, capsys):
@@ -134,6 +138,17 @@ class TestSpecial:
         rows = out.read_text().splitlines()
         assert rows[0] == "x,value,error_estimate"
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("bad", [["--x-step", "0"], ["--x-step", "-0.25"],
+                                     ["--x-step", "nan"], ["--x-lo", "1", "--x-hi", "0"]])
+    def test_bad_x_range_is_usage_error(self, bad, capsys):
+        assert run(["special", "--fn", "ai", *bad]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_kontsevich_without_backend_is_usage_error(self, capsys):
+        assert run(["special", "--fn", "kontsevich", "--kn", "3", "--beta", "1.5",
+                    "--x", "0"]) == 2
+        assert "no quadrature backend" in capsys.readouterr().err
 
 
 class TestVerify:

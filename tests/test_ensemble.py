@@ -13,6 +13,7 @@ from betahermite import (
     EnsembleParams,
     SampleSeed,
     TridiagonalSymmetric,
+    big_l,
     eigenvalues,
     fixed_trace_rescale,
     sample_beta_hermite,
@@ -153,7 +154,7 @@ class TestParamValidation:
 
     def test_derived_quantities(self):
         p = EnsembleParams(10, 2.0)
-        assert p.n_beta == 10 + 2.0 * 45
+        assert 2.0 * big_l(p.n, p.beta) == 10 + 2.0 * 45
         assert p.strength_sq == 45.0
 
 

@@ -12,7 +12,13 @@ from betahermite import (
     kontsevich_edge_density,
     kontsevich_k,
 )
-from betahermite.kontsevich import _k_eps_pair, _k_eps_tensor, _vandermonde_power_poly
+from betahermite.kontsevich import (
+    MAX_NODES_PER_AXIS,
+    _grid,
+    _k_eps_pair,
+    _k_eps_tensor,
+    _vandermonde_power_poly,
+)
 
 K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
 
@@ -80,10 +86,10 @@ class TestQuadratureRoute:
 
     def test_pair_vs_tensor_n2_beta4(self):
         # both backends integrate the same damped object
-        ctrl = QuadratureControls()
         for eps in (0.32, 0.16):
-            vt, _ = _k_eps_tensor(2, 4.0, 0.0, eps, ctrl)
-            vp, _ = _k_eps_pair(2, 4.0, 0.0, eps, ctrl)
+            t = _grid(eps, 3)
+            vt = _k_eps_tensor(2, 4.0, 0.0, eps, t)
+            vp = _k_eps_pair(2, 4.0, 0.0, eps, t)
             assert vp == pytest.approx(vt, abs=2e-4)
 
     def test_node_order_invariance(self):
@@ -110,6 +116,31 @@ class TestQuadratureRoute:
         ctrl = QuadratureControls(max_evaluations=10.0)
         r = kontsevich_k(2, 2.0, 0.0, ctrl=ctrl, route="quadrature")
         assert not r.converged and r.error == np.inf
+
+    def test_budget_counts_true_grid_size(self):
+        # one evaluation short of the finest rung's true cost skips that rung
+        ladder = QuadratureControls().eps_ladder
+        costs = [float(len(_grid(eps, 2))) ** 2 for eps in ladder]
+        short = QuadratureControls(max_evaluations=sum(costs) - 1.0)
+        coarse = QuadratureControls(eps_ladder=ladder[:-1])
+        full = QuadratureControls(max_evaluations=sum(costs))
+        r = kontsevich_k(2, 2.0, 0.0, ctrl=short, route="quadrature")
+        assert r == kontsevich_k(2, 2.0, 0.0, ctrl=coarse, route="quadrature")
+        assert r != kontsevich_k(2, 2.0, 0.0, ctrl=full, route="quadrature")
+
+    def test_rung_over_node_cap_is_skipped(self):
+        # n=3, beta=2 costs (degree+1) evaluations per node, so eps=1e-3 fits
+        # the budget but not the node cap
+        assert len(_grid(1e-3, 4)) > MAX_NODES_PER_AXIS
+        fine = QuadratureControls(eps_ladder=(0.32, 0.16, 0.08, 1e-3))
+        coarse = QuadratureControls(eps_ladder=(0.32, 0.16, 0.08))
+        r = kontsevich_k(3, 2.0, 0.0, ctrl=fine, route="quadrature")
+        assert r == kontsevich_k(3, 2.0, 0.0, ctrl=coarse, route="quadrature")
+
+    @pytest.mark.parametrize("beta", [1.5, 4.0])
+    def test_no_backend_for_n3_general_beta(self, beta):
+        with pytest.raises(ValueError, match="no quadrature backend"):
+            kontsevich_k(3, beta, 0.0, route="quadrature")
 
     def test_n_limits(self):
         with pytest.raises(ValueError):
