@@ -2,11 +2,11 @@
 """Soft-edge comparison: Gaussian vs fixed-trace edge histograms vs the
 closed-form limit profile.
 
-The two ensembles are sampled with independent streams, rescaled to edge
-coordinates t = 2 N^(2/3) (lambda/edge - 1), and binned as expected counts
-per unit t.  For beta in {1, 2} the closed form is the pointwise limit of
-both histograms; residual deviations are finite-N bias plus Monte Carlo
-noise.
+The two ensembles are sampled with independent streams and binned in edge
+coordinates t = 2 N^(2/3) (lambda/edge - 1) as expected counts per unit t,
+by Sturm counts at the bin edges (`betahermite.sample_density`).  For beta
+in {1, 2} the closed form is the pointwise limit of both histograms;
+residual deviations are finite-N bias plus Monte Carlo noise.
 
 Usage: python scripts/edge_experiment.py [--n 400] [--reps 2000] [--beta 2]
 """
@@ -22,19 +22,14 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     Regime,
-    SampleSeed,
     edge_density_closed,
-    edge_rescale,
-    estimate_density,
     has_closed_edge_form,
-    sample_spectrum,
+    sample_density,
 )
 
 
 def edge_density(n, beta, kind, reps, seed, grid):
-    params = EnsembleParams(n, beta, kind)
-    vecs = [edge_rescale(sample_spectrum(params, SampleSeed(seed, r))) for r in range(reps)]
-    return estimate_density(vecs, grid, Regime.EDGE, params)
+    return sample_density(EnsembleParams(n, beta, kind), seed, reps, grid, Regime.EDGE)
 
 
 def main():

@@ -19,20 +19,11 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     Regime,
-    SampleSeed,
-    bulk_rescale,
     bump,
-    estimate_density,
-    sample_spectrum,
+    sample_density,
     weak_functional,
 )
 from betahermite.density import semicircle_mass
-
-
-def run(n, beta, reps, seed, grid):
-    params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
-    vecs = [bulk_rescale(sample_spectrum(params, SampleSeed(seed, r))) for r in range(reps)]
-    return estimate_density(vecs, grid, Regime.BULK, params)
 
 
 def main():
@@ -52,7 +43,8 @@ def main():
     for beta in (1.0, 2.0, 4.0):
         for n in args.sizes:
             t0 = time.perf_counter()
-            d = run(n, beta, args.reps, args.seed, grid)
+            params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
+            d = sample_density(params, args.seed, args.reps, grid, Regime.BULK)
             l1 = float(np.sum(np.abs(d.height - ref) * d.widths))
             wf = weak_functional(d, f)
             dt = time.perf_counter() - t0

@@ -9,10 +9,13 @@ from .density import (
     Regime,
     TestFunction,
     bulk_rescale,
+    bulk_scale,
     bump,
     edge_rescale,
     estimate_density,
+    grid_to_lambda,
     raised_cosine,
+    sample_density,
     semicircle,
     triangle,
     weak_functional,
@@ -35,17 +38,18 @@ from .kontsevich import (
     kontsevich_k,
 )
 from .moments import MomentIndex, big_l, moment_mc, moment_ratio_exact, verify_moment_equivalence
-from .tridiag import Spectrum, eigenvalues, eigenvalues_bisect, sample_spectrum
+from .tridiag import Spectrum, eigenvalues, eigenvalues_bisect, sample_spectrum, sturm_count
 
 __all__ = [
     "__version__",
     "EnsembleKind", "EnsembleParams", "SampleSeed", "TridiagonalSymmetric",
     "sample_half_chi", "sample_beta_hermite", "fixed_trace_rescale", "sample_ensemble",
-    "Spectrum", "eigenvalues", "eigenvalues_bisect", "sample_spectrum",
+    "Spectrum", "eigenvalues", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "QuadratureControls", "KontsevichResult", "kontsevich_k", "edge_prefactor",
     "kontsevich_edge_density",
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
-    "bulk_rescale", "edge_rescale", "estimate_density", "semicircle", "weak_functional",
+    "bulk_scale", "bulk_rescale", "edge_rescale", "grid_to_lambda", "estimate_density",
+    "sample_density", "semicircle", "weak_functional",
     "MomentIndex", "big_l", "moment_mc", "moment_ratio_exact", "verify_moment_equivalence",
 ]

@@ -14,12 +14,11 @@ from math import sqrt
 import numpy as np
 
 from . import exact
-from .density import Regime, estimate_density
+from .density import Regime, sample_density
 from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_beta_hermite
 from .kontsevich import QuadratureControls, kontsevich_edge_density, kontsevich_k
 from .airy import edge_density_closed
 from .moments import MomentIndex, big_l, moment_ratio_exact, verify_moment_equivalence
-from .tridiag import sample_spectrum
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 
@@ -100,11 +99,8 @@ def check_bound(
     grid = np.linspace(-1.0, 1.0, 41)
     for beta in betas:
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
-        vecs = []
-        for rep in range(n_reps):
-            s = sample_spectrum(params, SampleSeed(master_seed, rep))
-            vecs.append(s.values / r)  # bulk coordinate of the bound
-        d = estimate_density(vecs, grid, Regime.RAW, params)
+        # the bound's bulk coordinate is lambda / r
+        d = sample_density(params, master_seed, n_reps, grid, Regime.BULK, scale=r)
         # d estimates rho_x(x) = r * rho_lambda(r x); the bound is on rho_lambda
         emp = d.height / r
         bound = exact.density_upper_bound(n, beta, d.centers)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
@@ -24,13 +25,14 @@ from .density import (
     density_sidecar,
     edge_rescale,
     estimate_density,
+    sample_density,
     semicircle_mass,
     write_density_csv,
     write_sidecar,
 )
 from .ensemble import EnsembleKind, EnsembleParams, SampleSeed
 from .kontsevich import kontsevich_k
-from .tridiag import sample_spectrum
+from .tridiag import Spectrum, sample_spectrum
 
 USAGE_ERROR = 2
 
@@ -46,7 +48,8 @@ def _spectra(params, master_seed, reps):
 
 def _sidecar_base(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {"config": cfg, "versions": {"betahermite": __version__, "numpy": np.__version__}}
+    versions = {"betahermite": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"config": cfg, "versions": versions}
 
 
 def cmd_sample(args) -> int:
@@ -65,15 +68,32 @@ def cmd_sample(args) -> int:
 
 
 def _read_spectra(path, params):
-    """Rebuild per-replicate spectra from a `sample` CSV."""
-    from betahermite.tridiag import Spectrum
+    """Rebuild per-replicate spectra from a `sample` CSV and its JSON sidecar.
 
+    The sidecar fixes the ensemble and the master seed; flags that disagree
+    with it are an error rather than a silently mis-scaled density.
+    """
+    sidecar = Path(str(path) + ".json")
+    if not sidecar.is_file():
+        raise ValueError(f"{sidecar}: spectra sidecar not found; "
+                         "--input takes a CSV written by `sample`")
+    try:
+        cfg = json.loads(sidecar.read_text())["config"]
+        wrote = {"n": int(cfg["n"]), "beta": float(cfg["beta"]), "kind": cfg["kind"]}
+        master_seed = int(cfg["seed"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{sidecar}: not a `sample` sidecar: {exc!r}") from exc
+    asked = {"n": params.n, "beta": params.beta, "kind": params.kind.value}
+    if wrote != asked:
+        diff = ", ".join(f"--{k} {asked[k]} (spectra: {wrote[k]})" for k in wrote
+                         if wrote[k] != asked[k])
+        raise ValueError(f"{path} was sampled with other parameters: {diff}")
     by_rep: dict[int, list[float]] = {}
     with Path(path).open() as fh:
         for row in csv.DictReader(fh):
             by_rep.setdefault(int(row["replicate"]), []).append(float(row["eigenvalue"]))
     return [
-        Spectrum(np.sort(np.array(by_rep[r])), params=params, seed=SampleSeed(0, r))
+        Spectrum(np.sort(np.array(by_rep[r])), params=params, seed=SampleSeed(master_seed, r))
         for r in sorted(by_rep)
     ]
 
@@ -88,17 +108,17 @@ def cmd_density(args) -> int:
               "use `special --fn kontsevich` for other even beta", file=sys.stderr)
         return USAGE_ERROR
     regime = Regime(args.regime)
+    grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
     if args.input:
         spectra = _read_spectra(args.input, params)
+        rescale = edge_rescale if regime is Regime.EDGE else bulk_rescale
+        vecs = [s.values if regime is Regime.RAW else rescale(s) for s in spectra]
+        d = estimate_density(vecs, grid, regime, params)
     else:
-        spectra = _spectra(params, args.seed, args.reps)
-    rescale = edge_rescale if regime is Regime.EDGE else bulk_rescale
-    vecs = [s.values for s in spectra] if regime is Regime.RAW else [rescale(s) for s in spectra]
-    grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
-    if all(np.min(v) > grid[-1] or np.max(v) < grid[0] for v in vecs):
+        d = sample_density(params, args.seed, args.reps, grid, regime)
+    if d.n_disjoint == d.n_samples:
         print("error: no samples meet the grid; adjust --grid-lo/--grid-hi", file=sys.stderr)
         return USAGE_ERROR
-    d = estimate_density(vecs, grid, regime, params)
     ref = None
     if args.reference == "semicircle":
         ref = {"semicircle": np.array(

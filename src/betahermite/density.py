@@ -10,6 +10,12 @@ Normalization conventions:
   window holds O(N^(1/3)) eigenvalues.  With t = 2 N^(2/3) (lambda/edge - 1)
   this histogram estimates exactly the scaled density whose limit is the
   Airy-type edge profile.
+
+Two routes give the same histogram.  `estimate_density` bins eigenvalue
+vectors with `np.histogram`; `sample_density` samples replicate matrices and
+never computes an eigenvalue: a bin's count is the difference of the Sturm
+counts (`tridiag.sturm_count`) at its two edges, mapped back to the
+eigenvalue axis by `grid_to_lambda`.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleKind, EnsembleParams
-from .tridiag import Spectrum
+from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_ensemble
+from .tridiag import Spectrum, sturm_count
 
 __all__ = [
     "Regime",
@@ -35,15 +41,23 @@ __all__ = [
     "bump",
     "triangle",
     "raised_cosine",
+    "bulk_scale",
     "bulk_rescale",
     "edge_rescale",
+    "grid_to_lambda",
     "estimate_density",
+    "sample_density",
     "semicircle",
     "semicircle_mass",
     "weak_functional",
     "write_density_csv",
     "read_density_csv",
 ]
+
+
+# Replicates per batched Sturm pass: the pass holds O(chunk * (n + bins)) floats,
+# so memory stays bounded at any replicate count.
+STURM_CHUNK = 512
 
 
 class Regime(str, Enum):
@@ -59,6 +73,12 @@ class DensityEstimate:
     Binned: ``grid`` holds bin edges (len = len(height)+1).  Pointwise
     (``pointwise=True``): ``grid`` holds abscissas, same length as
     ``height``; used for exact reference curves.
+
+    A binned estimate also records where its ``n_values`` values fell:
+    ``below`` the first edge, ``above`` the last one (at or above it on the
+    Sturm route, strictly above it with `np.histogram`, which closes the last
+    bin), and how many of its ``n_samples`` vectors lie wholly below or wholly
+    above the grid (``n_disjoint``).
     """
 
     grid: np.ndarray
@@ -67,6 +87,10 @@ class DensityEstimate:
     n_samples: int = 0
     params: EnsembleParams | None = None
     pointwise: bool = False
+    n_values: int = 0
+    below: int = 0
+    above: int = 0
+    n_disjoint: int = 0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -86,6 +110,11 @@ class DensityEstimate:
         if self.pointwise:
             raise ValueError("pointwise estimates have no bin widths")
         return np.diff(self.grid)
+
+    @property
+    def captured_fraction(self) -> float:
+        """Share of the binned values that fell inside the grid."""
+        return (self.n_values - self.below - self.above) / self.n_values if self.n_values else 0.0
 
     def mass(self) -> float:
         """Integral of the estimate over its grid."""
@@ -134,21 +163,65 @@ def raised_cosine(lo: float, hi: float) -> TestFunction:
     return TestFunction(lambda x: 0.5 * (1.0 + np.cos(pi * _unit_coord(x, lo, hi))), lo, hi)
 
 
+def bulk_scale(p: EnsembleParams) -> float:
+    """Spectral edge sqrt(2 beta N) (Gaussian) or sqrt(2N) (fixed-trace)."""
+    return sqrt(2.0 * p.n) if p.kind is EnsembleKind.FIXED_TRACE else sqrt(2.0 * p.beta * p.n)
+
+
+def _edge_stretch(n: int) -> float:
+    """Edge coordinates per unit of bulk coordinate, 2 N^(2/3)."""
+    return 2.0 * n ** (2.0 / 3.0)
+
+
 def bulk_rescale(s: Spectrum) -> np.ndarray:
-    """Eigenvalues over sqrt(2 beta N) (Gaussian) or sqrt(2N) (fixed-trace)."""
+    """Eigenvalues over the spectral edge `bulk_scale`."""
     if s.n == 0:
         raise ValueError("empty spectrum")
     if s.params is None:
         raise ValueError("spectrum carries no ensemble parameters")
-    p = s.params
-    scale = sqrt(2.0 * p.n) if p.kind is EnsembleKind.FIXED_TRACE else sqrt(2.0 * p.beta * p.n)
-    return s.values / scale
+    return s.values / bulk_scale(s.params)
 
 
 def edge_rescale(s: Spectrum) -> np.ndarray:
     """Right-edge coordinates t = 2 N^(2/3) (bulk_rescale(s) - 1)."""
     u = bulk_rescale(s)
-    return 2.0 * s.params.n ** (2.0 / 3.0) * (u - 1.0)
+    return _edge_stretch(s.params.n) * (u - 1.0)
+
+
+def grid_to_lambda(
+    grid, regime: Regime, params: EnsembleParams, scale: float | None = None
+) -> np.ndarray:
+    """Eigenvalue-axis positions of a grid given in the regime's coordinate.
+
+    The inverse of the regime's rescale: raw lambda = x, bulk lambda = s x,
+    edge lambda = s (1 + t / (2 N^(2/3))), with s = `bulk_scale(params)`
+    unless ``scale`` gives another unit of the bulk coordinate.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if regime is Regime.RAW:
+        return grid
+    s = bulk_scale(params) if scale is None else scale
+    if regime is Regime.BULK:
+        return s * grid
+    return s * (1.0 + grid / _edge_stretch(params.n))
+
+
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing with at least two edges")
+    return grid
+
+
+def _binned(counts, grid, regime, params, n_samples, n_values, below, n_disjoint):
+    """DensityEstimate from bin counts, normalized as the module docstring says."""
+    widths = np.diff(grid)
+    norm = n_samples if regime is Regime.EDGE else n_values
+    return DensityEstimate(
+        grid=grid, height=counts / (norm * widths), regime=regime, n_samples=n_samples,
+        params=params, n_values=n_values, below=below,
+        above=n_values - below - int(np.sum(counts)), n_disjoint=n_disjoint,
+    )
 
 
 def estimate_density(
@@ -163,26 +236,60 @@ def estimate_density(
     replicate count (edge), so values remain unbiased density estimates even
     when the grid does not cover every sample.
     """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with at least two edges")
-    samples = list(samples)
+    grid = _checked_grid(grid)
+    samples = [np.asarray(v, dtype=float) for v in samples]
     if not samples:
         raise ValueError("need at least one sample vector")
-    counts = np.zeros(len(grid) - 1)
-    total_eigs = 0
-    for v in samples:
-        v = np.asarray(v, dtype=float)
-        total_eigs += len(v)
-        c, _ = np.histogram(v, bins=grid)
-        counts += c
-    m = len(samples)
-    widths = np.diff(grid)
-    if regime is Regime.EDGE:
-        height = counts / (m * widths)
-    else:
-        height = counts / (total_eigs * widths)
-    return DensityEstimate(grid=grid, height=height, regime=regime, n_samples=m, params=params)
+    sizes = np.array([len(v) for v in samples])
+    values = np.concatenate(samples)
+    counts, _ = np.histogram(values, bins=grid)
+    # per-vector extremes; empty vectors add no segment and are disjoint
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    n_disjoint = len(samples) - len(starts)
+    if len(starts):
+        lo = np.minimum.reduceat(values, starts)
+        hi = np.maximum.reduceat(values, starts)
+        n_disjoint += int(np.count_nonzero((lo > grid[-1]) | (hi < grid[0])))
+    below = int(np.count_nonzero(values < grid[0]))
+    return _binned(counts, grid, regime, params, len(samples), len(values), below, n_disjoint)
+
+
+def sample_density(
+    params: EnsembleParams,
+    master_seed: int,
+    reps: int,
+    grid: Sequence[float],
+    regime: Regime,
+    scale: float | None = None,
+) -> DensityEstimate:
+    """Sample replicates 0..reps-1 and histogram their spectra without eigenvalues.
+
+    ``grid`` is in the regime's coordinate (``scale`` as in `grid_to_lambda`).
+    Replicates come from `sample_ensemble`, ``STURM_CHUNK`` at a time, and each
+    chunk's Sturm counts at the grid's eigenvalue-axis edges give its bin
+    counts, at O(n) per edge and replicate.  The estimate equals
+    `estimate_density` of the rescaled `stev` spectra count for count, up to
+    eigenvalues within rounding of an edge.
+    """
+    grid = _checked_grid(grid)
+    if reps < 1:
+        raise ValueError("need at least one replicate")
+    edges = grid_to_lambda(grid, regime, params, scale)
+    n = params.n
+    below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
+    n_disjoint = 0
+    for start in range(0, reps, STURM_CHUNK):
+        chunk = range(start, min(start + STURM_CHUNK, reps))
+        diag = np.empty((len(chunk), n))
+        sub = np.empty((len(chunk), n - 1))
+        for i, r in enumerate(chunk):
+            t = sample_ensemble(params, SampleSeed(master_seed, r))
+            diag[i], sub[i] = t.diag, t.subdiag
+        c = sturm_count(diag, sub * sub, edges)
+        below_edge += c.sum(axis=0)
+        n_disjoint += int(np.count_nonzero((c[:, 0] == n) | (c[:, -1] == 0)))
+    return _binned(np.diff(below_edge), grid, regime, params, reps, reps * n,
+                   int(below_edge[0]), n_disjoint)
 
 
 def semicircle(x):
@@ -248,6 +355,9 @@ def density_sidecar(d: DensityEstimate, extra: dict | None = None) -> dict:
         "grid_hi": float(d.grid[-1]),
         "bins": int(len(d.height)),
         "normalization": "per-eigenvalue" if d.regime is not Regime.EDGE else "per-replicate",
+        "eigs_below": d.below,
+        "eigs_above": d.above,
+        "captured_fraction": d.captured_fraction,
     }
     if d.params is not None:
         meta["params"] = {

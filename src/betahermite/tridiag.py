@@ -2,7 +2,9 @@
 
 Two independent routes: the production path wraps the LAPACK implicit-shift
 QL/QR solver, and a Sturm-sequence bisection solver serves as a slow oracle
-for cross-validation.
+for cross-validation.  The Sturm count itself, batched over matrices, also
+gives histograms directly: a bin's count is the difference of the counts at
+its two edges (see `density.sample_density`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import scipy.linalg
 
 from .ensemble import EnsembleParams, SampleSeed, TridiagonalSymmetric, sample_ensemble
 
-__all__ = ["Spectrum", "EigenvalueError", "eigenvalues", "eigenvalues_bisect", "sample_spectrum"]
+__all__ = [
+    "Spectrum", "EigenvalueError", "eigenvalues", "eigenvalues_bisect", "sturm_count",
+    "sample_spectrum",
+]
 
 
 class EigenvalueError(RuntimeError):
@@ -57,17 +62,26 @@ def eigenvalues(t: TridiagonalSymmetric, params=None, seed=None) -> Spectrum:
     return Spectrum(np.sort(vals), params, seed)
 
 
-def _sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each query point x."""
-    n = len(diag)
-    # relative safeguard keeps the recurrence defined when a pivot hits zero
-    scale = np.max(np.abs(diag)) + np.max(sub_sq, initial=0.0) + 1.0
-    tiny = np.finfo(float).tiny * scale + 1e-300
-    q = diag[0] - x
+def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues strictly below each query point, for a batch of matrices.
+
+    ``diag`` is (R, n) and ``sub_sq`` (R, n-1): the diagonals and squared
+    subdiagonals of R tridiagonal matrices.  ``x`` broadcasts to (R, k): one
+    row of query points per matrix, or one row shared by all.  Returns the
+    (R, k) counts, each in O(n) by the LDL^T pivot recurrence, which is
+    monotone in x in floating point (Demmel, Dhillon & Ren 1995).
+    """
+    n = diag.shape[1]
+    # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero
+    scale = np.max(np.abs(diag), axis=1) + np.max(sub_sq, axis=1, initial=0.0) + 1.0
+    tiny = (np.finfo(float).tiny * scale + 1e-300)[:, None]
+    q = diag[:, :1] - x
     count = (q < 0).astype(np.int64)
     for i in range(1, n):
-        q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-        q = diag[i] - x - sub_sq[i - 1] / q
+        small = np.abs(q) < tiny
+        if small.any():
+            q = np.where(small, np.where(q < 0, -tiny, tiny), q)
+        q = diag[:, i, None] - x - sub_sq[:, i - 1, None] / q
         count += q < 0
     return count
 
@@ -94,7 +108,7 @@ def eigenvalues_bisect(t: TridiagonalSymmetric, abs_tol: float = 1e-12) -> Spect
     max_iter = int(np.ceil(np.log2(max((hi_all - lo_all) / abs_tol, 1.0)))) + 4
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        c = _sturm_count(d, sub_sq, mid)
+        c = sturm_count(d[None], sub_sq[None], mid)[0]
         below = c <= k
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

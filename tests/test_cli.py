@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from betahermite.cli import main
 
@@ -27,6 +28,7 @@ class TestSample:
             assert ev == sorted(ev)
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         assert sidecar["config"]["seed"] == 7
+        assert sidecar["versions"]["scipy"] == scipy.__version__
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -84,6 +86,62 @@ class TestDensity:
         rows_a = list(csv.DictReader(via_file.open()))
         rows_b = list(csv.DictReader(inline.open()))
         assert [r["height"] for r in rows_a] == [r["height"] for r in rows_b]
+        # both routes account for the same eigenvalues outside the grid
+        mass = ("eigs_below", "eigs_above", "captured_fraction")
+        meta_a = json.loads(via_file.with_suffix(".csv.json").read_text())
+        meta_b = json.loads(inline.with_suffix(".csv.json").read_text())
+        assert [meta_a[k] for k in mass] == [meta_b[k] for k in mass]
+
+    def test_input_keeps_master_seed(self, tmp_path):
+        from betahermite.cli import _read_spectra
+        from betahermite.ensemble import EnsembleParams
+
+        spectra = tmp_path / "s.csv"
+        run(["sample", "--n", "5", "--beta", "1", "--reps", "2", "--seed", "13",
+             "--output", str(spectra)])
+        got = _read_spectra(spectra, EnsembleParams(5, 1.0))
+        assert [(s.seed.master_seed, s.seed.replicate) for s in got] == [(13, 0), (13, 1)]
+
+    @pytest.mark.parametrize("flags", [["--n", "400"], ["--beta", "4"],
+                                       ["--kind", "fixed-trace"]])
+    def test_input_rejects_flags_that_disagree_with_sidecar(self, tmp_path, capsys, flags):
+        spectra = tmp_path / "s.csv"
+        run(["sample", "--n", "50", "--beta", "2", "--reps", "3", "--output", str(spectra)])
+        argv = {"--n": "50", "--beta": "2", "--kind": "gaussian"}
+        argv.update(zip(flags[::2], flags[1::2]))
+        rc = run(["density", "--input", str(spectra), *[a for kv in argv.items() for a in kv],
+                  "--output", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0] in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("sidecar", [None, "{}", '{"config": {"n": 5}}'])
+    def test_input_without_valid_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
+        spectra = tmp_path / "s.csv"
+        run(["sample", "--n", "5", "--beta", "2", "--output", str(spectra)])
+        meta = tmp_path / "s.csv.json"
+        if sidecar is None:
+            meta.unlink()
+        else:
+            meta.write_text(sidecar)
+        rc = run(["density", "--input", str(spectra), "--n", "5", "--beta", "2",
+                  "--output", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_sidecar_reports_captured_mass(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["density", "--n", "100", "--beta", "2", "--kind", "fixed-trace",
+                    "--reps", "20", "--seed", "3", "--regime", "bulk",
+                    "--grid-lo", "-0.1", "--grid-hi", "0.1", "--bins", "4",
+                    "--output", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        # the semicircle puts 0.127 of the mass in the window
+        assert meta["captured_fraction"] == pytest.approx(0.127, abs=0.05)
+        captured = 2000 - meta["eigs_below"] - meta["eigs_above"]
+        assert captured == round(meta["captured_fraction"] * 2000)
+        assert meta["eigs_below"] > 500 and meta["eigs_above"] > 500
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         rc = run(["density", "--n", "20", "--beta", "2", "--reps", "5", "--seed", "1",
@@ -91,6 +149,22 @@ class TestDensity:
                   "--output", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "--grid-lo" in capsys.readouterr().err
+
+    def test_empty_grid_from_input_is_usage_error(self, tmp_path, capsys):
+        spectra = tmp_path / "s.csv"
+        run(["sample", "--n", "20", "--beta", "2", "--reps", "3", "--output", str(spectra)])
+        rc = run(["density", "--input", str(spectra), "--n", "20", "--beta", "2",
+                  "--grid-lo", "50", "--grid-hi", "60", "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--grid-lo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--reps", "-3"], ["--bins", "0"],
+                                     ["--bins", "-1"]])
+    def test_no_replicates_or_bins_is_usage_error(self, tmp_path, capsys, bad):
+        rc = run(["density", "--n", "20", "--beta", "2", *bad,
+                  "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_aibeta_rejects_general_beta(self, tmp_path, capsys):
         rc = run(["density", "--n", "20", "--beta", "3", "--reps", "5", "--seed", "1",
@@ -102,10 +176,10 @@ class TestDensity:
     def test_aibeta_rejects_beta_before_sampling(self, tmp_path, monkeypatch):
         from betahermite import cli
 
-        def no_sampling(params, seed):
+        def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before beta was checked")
 
-        monkeypatch.setattr(cli, "sample_spectrum", no_sampling)
+        monkeypatch.setattr(cli, "sample_density", no_sampling)
         rc = run(["density", "--n", "20", "--beta", "3", "--reps", "5", "--seed", "1",
                   "--regime", "edge", "--reference", "aibeta",
                   "--output", str(tmp_path / "x.csv")])

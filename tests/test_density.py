@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
@@ -15,17 +15,21 @@ from betahermite import (
     SampleSeed,
     Spectrum,
     bulk_rescale,
+    bulk_scale,
     bump,
     edge_density_closed,
     edge_rescale,
     estimate_density,
+    grid_to_lambda,
     raised_cosine,
+    sample_density,
     sample_spectrum,
     semicircle,
     triangle,
     weak_functional,
 )
 from betahermite.density import (
+    STURM_CHUNK,
     TestFunction,
     read_density_csv,
     semicircle_mass,
@@ -71,6 +75,15 @@ class TestRescale:
             x = bulk_rescale(s)
             assert np.max(np.abs(x)) <= np.sqrt((p.n - 1) / 4.0) + 1e-12
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_grid_to_lambda_inverts_rescale(self, regime, kind):
+        p = EnsembleParams(300, 2.0, kind)
+        x = np.linspace(-5.0, 2.0, 8)
+        s = Spectrum(grid_to_lambda(x, regime, p), params=p)
+        back = {Regime.RAW: s.values, Regime.BULK: bulk_rescale(s), Regime.EDGE: edge_rescale(s)}
+        assert back[regime] == pytest.approx(x, abs=1e-12)
+
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
             bulk_rescale(Spectrum(np.array([]), params=gauss(2, 1.0)))
@@ -97,6 +110,13 @@ class TestEstimateDensity:
         with pytest.raises(ValueError):
             estimate_density([np.array([0.5])], [1.0, 0.0], Regime.RAW)
 
+    def test_values_outside_the_grid(self):
+        # the last bin is closed, so 1.0 is captured; empty vectors are disjoint
+        vecs = [np.array([-3.0, 0.5]), np.array([]), np.array([5.0, 1.0]), np.array([6.0])]
+        d = estimate_density(vecs, [0.0, 1.0], Regime.RAW)
+        assert (d.n_values, d.below, d.above, d.n_disjoint) == (5, 1, 2, 2)
+        assert d.captured_fraction == pytest.approx(0.4)
+
     def test_edge_regime_counts_per_unit_t(self):
         # two replicates, three eigenvalues each in one unit-width bin
         vecs = [np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])]
@@ -119,6 +139,72 @@ class TestEstimateDensity:
         a = estimate_density(vecs, g, Regime.RAW)
         b = estimate_density(vecs[::-1], g, Regime.RAW)
         assert np.array_equal(a.height, b.height)
+
+
+def stev_density(params, seed, reps, grid, regime):
+    """The eigenvalue route: LAPACK spectra, rescaled, through np.histogram."""
+    rescale = {Regime.RAW: lambda s: s.values, Regime.BULK: bulk_rescale,
+               Regime.EDGE: edge_rescale}[regime]
+    vecs = [rescale(sample_spectrum(params, SampleSeed(seed, r))) for r in range(reps)]
+    return estimate_density(vecs, grid, regime, params)
+
+
+def assert_same_histogram(fast, slow):
+    assert np.array_equal(fast.height, slow.height)
+    assert (fast.n_samples, fast.n_values, fast.below, fast.above, fast.n_disjoint) == (
+        slow.n_samples, slow.n_values, slow.below, slow.above, slow.n_disjoint)
+
+
+class TestSampleDensity:
+    """Sturm counts at bin edges against np.histogram of stev eigenvalues."""
+
+    @given(
+        n=st.integers(1, 60),
+        beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        kind=st.sampled_from(list(EnsembleKind)),
+        regime=st.sampled_from(list(Regime)),
+        seed=st.integers(0, 2**32),
+        reps=st.integers(1, 8),
+        lo=st.floats(-1.5, 1.4),
+        width=st.floats(0.05, 1.5),
+        bins=st.integers(1, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_equal_stev_histogram(self, n, beta, kind, regime, seed, reps, lo, width,
+                                         bins):
+        assume(kind is EnsembleKind.GAUSSIAN or n >= 2)
+        p = EnsembleParams(n, beta, kind)
+        # a window in bulk units u, expressed in the regime's coordinate
+        u = np.linspace(lo, lo + width, bins + 1)
+        grid = {Regime.RAW: u * bulk_scale(p), Regime.BULK: u,
+                Regime.EDGE: 2.0 * n ** (2.0 / 3.0) * (u - 1.0)}[regime]
+        assert_same_histogram(sample_density(p, seed, reps, grid, regime),
+                              stev_density(p, seed, reps, grid, regime))
+
+    @pytest.mark.parametrize("reps", [STURM_CHUNK - 1, STURM_CHUNK, STURM_CHUNK + 1])
+    def test_chunk_boundaries(self, reps):
+        p = fixed(4, 1.0)
+        grid = np.linspace(-1.2, 1.2, 13)
+        fast = sample_density(p, 6, reps, grid, Regime.BULK)
+        assert_same_histogram(fast, stev_density(p, 6, reps, grid, Regime.BULK))
+        assert fast.n_values == 4 * reps
+
+    @pytest.mark.parametrize("grid, below", [([50.0, 55.0, 60.0], True),
+                                             ([-60.0, -50.0], False)])
+    def test_grid_missing_every_spectrum(self, grid, below):
+        p = gauss(10, 2.0)
+        d = sample_density(p, 1, 7, grid, Regime.BULK)
+        assert np.all(d.height == 0.0)
+        assert d.n_disjoint == 7
+        assert (d.below, d.above) == ((70, 0) if below else (0, 70))
+        assert d.captured_fraction == 0.0
+        assert_same_histogram(d, stev_density(p, 1, 7, grid, Regime.BULK))
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="replicate"):
+            sample_density(gauss(5, 1.0), 0, 0, [0.0, 1.0], Regime.BULK)
+        with pytest.raises(ValueError, match="grid"):
+            sample_density(gauss(5, 1.0), 0, 3, [0.0], Regime.BULK)
 
 
 class TestSemicircle:

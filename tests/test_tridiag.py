@@ -11,6 +11,7 @@ from betahermite import (
     TridiagonalSymmetric,
     eigenvalues,
     eigenvalues_bisect,
+    sturm_count,
 )
 from betahermite.tridiag import EigenvalueError
 
@@ -49,6 +50,22 @@ class TestExamples:
         a = eigenvalues(t).values
         b = eigenvalues_bisect(t, abs_tol=1e-13).values
         assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_batched_sturm_count_matches_stev():
+    rng = np.random.default_rng(17)
+    mats = [random_tridiag(rng, 15) for _ in range(6)]
+    diag = np.array([t.diag for t in mats])
+    sub_sq = np.array([t.subdiag**2 for t in mats])
+    shared = np.linspace(-8.0, 8.0, 17)
+    per_row = rng.uniform(-8.0, 8.0, size=(6, 5))
+    for x in (shared, per_row):
+        batched = sturm_count(diag, sub_sq, x)
+        rows = np.broadcast_to(x, (6, x.shape[-1]))
+        for t, c, xs in zip(mats, batched, rows):
+            assert np.array_equal(c, sturm_count(t.diag[None], t.subdiag[None] ** 2, xs)[0])
+            ev = eigenvalues(t).values
+            assert np.array_equal(c, np.searchsorted(ev, xs, side="left"))
 
 
 def test_oracle_agreement_100_random_20x20(rng):
