@@ -15,6 +15,7 @@ from .density import (
     estimate_density,
     grid_to_lambda,
     raised_cosine,
+    rescale,
     sample_density,
     semicircle,
     triangle,
@@ -27,8 +28,10 @@ from .ensemble import (
     TridiagonalSymmetric,
     fixed_trace_rescale,
     sample_beta_hermite,
+    sample_block,
     sample_ensemble,
     sample_half_chi,
+    trace_sq_rows,
 )
 from .kontsevich import (
     KontsevichResult,
@@ -38,18 +41,26 @@ from .kontsevich import (
     kontsevich_k,
 )
 from .moments import MomentIndex, big_l, moment_mc, moment_ratio_exact, verify_moment_equivalence
-from .tridiag import Spectrum, eigenvalues, eigenvalues_bisect, sample_spectrum, sturm_count
+from .tridiag import (
+    Spectrum,
+    eigenvalues,
+    eigenvalues_bisect,
+    eigenvalues_block,
+    sample_spectrum,
+    sturm_count,
+)
 
 __all__ = [
     "__version__",
     "EnsembleKind", "EnsembleParams", "SampleSeed", "TridiagonalSymmetric",
-    "sample_half_chi", "sample_beta_hermite", "fixed_trace_rescale", "sample_ensemble",
-    "Spectrum", "eigenvalues", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
+    "sample_half_chi", "sample_block", "sample_beta_hermite", "trace_sq_rows",
+    "fixed_trace_rescale", "sample_ensemble",
+    "Spectrum", "eigenvalues_block", "eigenvalues", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "QuadratureControls", "KontsevichResult", "kontsevich_k", "edge_prefactor",
     "kontsevich_edge_density",
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
-    "bulk_scale", "bulk_rescale", "edge_rescale", "grid_to_lambda", "estimate_density",
+    "bulk_scale", "rescale", "bulk_rescale", "edge_rescale", "grid_to_lambda", "estimate_density",
     "sample_density", "semicircle", "weak_functional",
     "MomentIndex", "big_l", "moment_mc", "moment_ratio_exact", "verify_moment_equivalence",
 ]

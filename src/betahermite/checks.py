@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exact
 from .density import Regime, sample_density
-from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_beta_hermite
+from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_block, trace_sq_rows
 from .kontsevich import QuadratureControls, kontsevich_edge_density, kontsevich_k
 from .airy import edge_density_closed
 from .moments import MomentIndex, big_l, moment_ratio_exact, verify_moment_equivalence
@@ -154,10 +154,7 @@ def check_moments(master_seed: int = 3, n_reps: int = 10_000) -> list[CheckResul
     # Gaussian trace moment <tr H^2> = 2L
     n, beta = 20, 1.0
     reps = 4000
-    vals = np.empty(reps)
-    for k in range(reps):
-        h = sample_beta_hermite(EnsembleParams(n, beta), SampleSeed(master_seed + 7, k))
-        vals[k] = h.trace_sq()
+    vals = trace_sq_rows(*sample_block(EnsembleParams(n, beta), master_seed + 7, 0, reps))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / sqrt(reps))
     target = 2.0 * big_l(n, beta)

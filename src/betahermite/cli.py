@@ -1,8 +1,9 @@
 """Command-line interface: sample, density, special, verify.
 
 Every output file is a pure function of its JSON sidecar; replicate streams
-are keyed by (seed, replicate).  Exit status: 0 all good, 1 check failure,
-2 usage error.
+are keyed by (seed, replicate).  `sample` and `density` work through blocks
+of ``REPLICATE_CHUNK`` replicates, so memory stays bounded at any --reps.
+Exit status: 0 all good, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,29 +23,25 @@ from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_cl
 from .checks import CHECK_NAMES, run_checks
 from .density import (
     Regime,
-    bulk_rescale,
     density_sidecar,
-    edge_rescale,
     estimate_density,
+    rescale,
     sample_density,
     semicircle_mass,
     write_density_csv,
     write_sidecar,
 )
-from .ensemble import EnsembleKind, EnsembleParams, SampleSeed
+from .ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
 from .kontsevich import kontsevich_k
-from .tridiag import Spectrum, sample_spectrum
+from .tridiag import eigenvalues_block
 
 USAGE_ERROR = 2
+SPECTRA_HEADER = "replicate,index,eigenvalue"
 
 
 def _params(args) -> EnsembleParams:
     kind = EnsembleKind(args.kind)
     return EnsembleParams(n=args.n, beta=args.beta, kind=kind)
-
-
-def _spectra(params, master_seed, reps):
-    return [sample_spectrum(params, SampleSeed(master_seed, r)) for r in range(reps)]
 
 
 def _sidecar_base(args) -> dict:
@@ -54,24 +52,30 @@ def _sidecar_base(args) -> dict:
 
 def cmd_sample(args) -> int:
     params = _params(args)
-    spectra = _spectra(params, args.seed, args.reps)
+    if args.reps < 1:
+        print("error: need at least one replicate", file=sys.stderr)
+        return USAGE_ERROR
     out = Path(args.output)
+    # rows as csv.writer would write them: "\r\n" line ends, repr'd eigenvalues
     with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "index", "eigenvalue"])
-        for s in spectra:
-            for i, lam in enumerate(s.values):
-                w.writerow([s.seed.replicate, i, repr(float(lam))])
+        fh.write(SPECTRA_HEADER + "\r\n")
+        for start in range(0, args.reps, REPLICATE_CHUNK):
+            count = min(REPLICATE_CHUNK, args.reps - start)
+            values = eigenvalues_block(*sample_block(params, args.seed, start, count))
+            for r, row in enumerate(values.tolist(), start):
+                fh.writelines(f"{r},{i},{lam!r}\r\n" for i, lam in enumerate(row))
     write_sidecar(_sidecar_base(args), out.with_suffix(out.suffix + ".json"))
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
     return 0
 
 
-def _read_spectra(path, params):
-    """Rebuild per-replicate spectra from a `sample` CSV and its JSON sidecar.
+def _read_spectra(path, params) -> tuple[np.ndarray, int]:
+    """The (replicates, n) eigenvalues of a `sample` CSV and the master seed of its sidecar.
 
     The sidecar fixes the ensemble and the master seed; flags that disagree
-    with it are an error rather than a silently mis-scaled density.
+    with it are an error rather than a silently mis-scaled density.  The CSV
+    must have the layout `sample` writes: its header, then row k holds
+    replicate k // n and index k % n.
     """
     sidecar = Path(str(path) + ".json")
     if not sidecar.is_file():
@@ -88,14 +92,27 @@ def _read_spectra(path, params):
         diff = ", ".join(f"--{k} {asked[k]} (spectra: {wrote[k]})" for k in wrote
                          if wrote[k] != asked[k])
         raise ValueError(f"{path} was sampled with other parameters: {diff}")
-    by_rep: dict[int, list[float]] = {}
+    n = params.n
     with Path(path).open() as fh:
-        for row in csv.DictReader(fh):
-            by_rep.setdefault(int(row["replicate"]), []).append(float(row["eigenvalue"]))
-    return [
-        Spectrum(np.sort(np.array(by_rep[r])), params=params, seed=SampleSeed(master_seed, r))
-        for r in sorted(by_rep)
-    ]
+        if fh.readline().strip() != SPECTRA_HEADER:
+            raise ValueError(f"{path}: header is not {SPECTRA_HEADER!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a `sample` CSV: {exc}") from exc
+    if len(table) == 0:
+        raise ValueError(f"{path}: no eigenvalue rows below the header")
+    k = np.arange(len(table))
+    if (len(table) % n or table.shape[1] != 3
+            or not np.array_equal(table[:, 0], k // n) or not np.array_equal(table[:, 1], k % n)):
+        raise ValueError(f"{path}: rows must run replicate 0, 1, ... with index 0..{n - 1} "
+                         "each, as `sample` writes them")
+    values = table[:, 2].reshape(-1, n)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: eigenvalues must be finite")
+    return values, master_seed
 
 
 def cmd_density(args) -> int:
@@ -110,10 +127,10 @@ def cmd_density(args) -> int:
     regime = Regime(args.regime)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
     if args.input:
-        spectra = _read_spectra(args.input, params)
-        rescale = edge_rescale if regime is Regime.EDGE else bulk_rescale
-        vecs = [s.values if regime is Regime.RAW else rescale(s) for s in spectra]
-        d = estimate_density(vecs, grid, regime, params)
+        values, master_seed = _read_spectra(args.input, params)
+        # the sidecar records the spectra's seed and count, not the flags
+        args.seed, args.reps = master_seed, len(values)
+        d = estimate_density(list(rescale(values, regime, params)), grid, regime, params)
     else:
         d = sample_density(params, args.seed, args.reps, grid, regime)
     if d.n_disjoint == d.n_samples:
@@ -222,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--reps", type=int, default=100)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--input", default=None, metavar="SPECTRA_CSV",
-                    help="reuse spectra from a `sample` run instead of sampling inline")
+                    help="reuse spectra from a `sample` run instead of sampling inline; "
+                         "--reps and --seed are then taken from the spectra")
     pd.add_argument("--regime", choices=[r.value for r in Regime], default="bulk")
     pd.add_argument("--grid-lo", type=float, default=-1.2)
     pd.add_argument("--grid-hi", type=float, default=1.2)

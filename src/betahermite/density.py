@@ -12,10 +12,11 @@ Normalization conventions:
   Airy-type edge profile.
 
 Two routes give the same histogram.  `estimate_density` bins eigenvalue
-vectors with `np.histogram`; `sample_density` samples replicate matrices and
-never computes an eigenvalue: a bin's count is the difference of the Sturm
-counts (`tridiag.sturm_count`) at its two edges, mapped back to the
-eigenvalue axis by `grid_to_lambda`.
+vectors with `np.histogram`; `sample_density` samples blocks of replicate
+matrices and never computes an eigenvalue: a bin's count is the difference of
+the Sturm counts (`tridiag.sturm_count`) at its two edges, mapped back to the
+eigenvalue axis by `grid_to_lambda`.  `rescale` maps eigenvalues into a
+regime's coordinate and `grid_to_lambda` maps a grid back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_ensemble
+from .ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
 from .tridiag import Spectrum, sturm_count
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "triangle",
     "raised_cosine",
     "bulk_scale",
+    "rescale",
     "bulk_rescale",
     "edge_rescale",
     "grid_to_lambda",
@@ -53,11 +55,6 @@ __all__ = [
     "write_density_csv",
     "read_density_csv",
 ]
-
-
-# Replicates per batched Sturm pass: the pass holds O(chunk * (n + bins)) floats,
-# so memory stays bounded at any replicate count.
-STURM_CHUNK = 512
 
 
 class Regime(str, Enum):
@@ -173,19 +170,35 @@ def _edge_stretch(n: int) -> float:
     return 2.0 * n ** (2.0 / 3.0)
 
 
-def bulk_rescale(s: Spectrum) -> np.ndarray:
-    """Eigenvalues over the spectral edge `bulk_scale`."""
+def rescale(values, regime: Regime, params: EnsembleParams) -> np.ndarray:
+    """Eigenvalues of any shape in the regime's coordinate.
+
+    raw x = lambda, bulk u = lambda / `bulk_scale`, edge t = 2 N^(2/3) (u - 1);
+    `grid_to_lambda` is the inverse.
+    """
+    values = np.asarray(values, dtype=float)
+    if regime is Regime.RAW:
+        return values
+    u = values / bulk_scale(params)
+    return u if regime is Regime.BULK else _edge_stretch(params.n) * (u - 1.0)
+
+
+def _spectrum_rescale(s: Spectrum, regime: Regime) -> np.ndarray:
     if s.n == 0:
         raise ValueError("empty spectrum")
     if s.params is None:
         raise ValueError("spectrum carries no ensemble parameters")
-    return s.values / bulk_scale(s.params)
+    return rescale(s.values, regime, s.params)
+
+
+def bulk_rescale(s: Spectrum) -> np.ndarray:
+    """Eigenvalues over the spectral edge `bulk_scale`."""
+    return _spectrum_rescale(s, Regime.BULK)
 
 
 def edge_rescale(s: Spectrum) -> np.ndarray:
     """Right-edge coordinates t = 2 N^(2/3) (bulk_rescale(s) - 1)."""
-    u = bulk_rescale(s)
-    return _edge_stretch(s.params.n) * (u - 1.0)
+    return _spectrum_rescale(s, Regime.EDGE)
 
 
 def grid_to_lambda(
@@ -193,7 +206,7 @@ def grid_to_lambda(
 ) -> np.ndarray:
     """Eigenvalue-axis positions of a grid given in the regime's coordinate.
 
-    The inverse of the regime's rescale: raw lambda = x, bulk lambda = s x,
+    The inverse of `rescale`: raw lambda = x, bulk lambda = s x,
     edge lambda = s (1 + t / (2 N^(2/3))), with s = `bulk_scale(params)`
     unless ``scale`` gives another unit of the bulk coordinate.
     """
@@ -265,8 +278,8 @@ def sample_density(
     """Sample replicates 0..reps-1 and histogram their spectra without eigenvalues.
 
     ``grid`` is in the regime's coordinate (``scale`` as in `grid_to_lambda`).
-    Replicates come from `sample_ensemble`, ``STURM_CHUNK`` at a time, and each
-    chunk's Sturm counts at the grid's eigenvalue-axis edges give its bin
+    Replicates come from `sample_block`, ``REPLICATE_CHUNK`` at a time, and
+    each block's Sturm counts at the grid's eigenvalue-axis edges give its bin
     counts, at O(n) per edge and replicate.  The estimate equals
     `estimate_density` of the rescaled `stev` spectra count for count, up to
     eigenvalues within rounding of an edge.
@@ -278,14 +291,10 @@ def sample_density(
     n = params.n
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
     n_disjoint = 0
-    for start in range(0, reps, STURM_CHUNK):
-        chunk = range(start, min(start + STURM_CHUNK, reps))
-        diag = np.empty((len(chunk), n))
-        sub = np.empty((len(chunk), n - 1))
-        for i, r in enumerate(chunk):
-            t = sample_ensemble(params, SampleSeed(master_seed, r))
-            diag[i], sub[i] = t.diag, t.subdiag
-        c = sturm_count(diag, sub * sub, edges)
+    for start in range(0, reps, REPLICATE_CHUNK):
+        diag, sub = sample_block(params, master_seed, start, min(REPLICATE_CHUNK, reps - start))
+        c = sturm_count(diag, np.square(sub, out=sub), edges)
+        del diag, sub  # free this block before the next one is drawn
         below_edge += c.sum(axis=0)
         n_disjoint += int(np.count_nonzero((c[:, 0] == n) | (c[:, -1] == 0)))
     return _binned(np.diff(below_edge), grid, regime, params, reps, reps * n,

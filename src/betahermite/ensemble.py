@@ -5,11 +5,16 @@ independent standard normals on the diagonal and chi_{j*beta}/sqrt(2) on the
 subdiagonal, where j counts positions from the bottom-right corner.  The
 fixed-trace ensemble is obtained by projecting Gaussian samples onto the
 sphere tr(H^2) = n(n-1)/2.
+
+`sample_block` is the one sampler.  It draws a block of consecutive
+replicates as ``diag (R, n)`` and ``sub (R, n-1)`` arrays, each row from the
+Philox stream keyed by (master seed, replicate), so a row does not depend on
+the block it was drawn in.  The one-matrix functions are blocks of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -20,13 +25,20 @@ __all__ = [
     "EnsembleParams",
     "SampleSeed",
     "TridiagonalSymmetric",
+    "REPLICATE_CHUNK",
     "sample_half_chi",
+    "sample_block",
     "sample_beta_hermite",
+    "trace_sq_rows",
     "fixed_trace_rescale",
     "sample_ensemble",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Replicates per block on every sampling path that loops over replicates: a
+# block holds O(chunk * n) floats, so memory stays bounded at any replicate count.
+REPLICATE_CHUNK = 512
 
 
 class EnsembleKind(str, Enum):
@@ -97,7 +109,12 @@ class TridiagonalSymmetric:
 
     def trace_sq(self) -> float:
         """tr(T^2) = sum(diag^2) + 2*sum(subdiag^2)."""
-        return float(np.sum(self.diag**2) + 2.0 * np.sum(self.subdiag**2))
+        return float(trace_sq_rows(self.diag, self.subdiag))
+
+
+def trace_sq_rows(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """tr(T^2) of each row of a block: sum(diag^2) + 2*sum(sub^2) over the last axis."""
+    return np.sum(diag**2, axis=-1) + 2.0 * np.sum(sub**2, axis=-1)
 
 
 def sample_half_chi(k_dof: float, seed: SampleSeed, size: int | None = None):
@@ -116,23 +133,66 @@ def sample_half_chi(k_dof: float, seed: SampleSeed, size: int | None = None):
     return float(x) if size is None else x
 
 
-def sample_beta_hermite(params: EnsembleParams, seed: SampleSeed) -> TridiagonalSymmetric:
-    """Sample the Gaussian-ensemble tridiagonal matrix H for (n, beta).
+def _rescale_rows(diag: np.ndarray, sub: np.ndarray, target: float):
+    """Scale each row of a block in place onto the trace sphere tr(T^2) = target."""
+    t2 = trace_sq_rows(diag, sub)
+    if not np.all(t2 > 0):
+        raise FloatingPointError("tr(h^2) = 0, cannot project onto the trace sphere")
+    c = np.sqrt(target / t2)[:, None]
+    diag *= c
+    sub *= c
 
-    Entries are mutually independent given the seed: diag ~ N(0,1) and the
-    j-th subdiagonal entry counted from the bottom-right corner is
-    chi_{j*beta}/sqrt(2) (stored top-to-bottom, so subdiag[i] has
-    j = n-1-i).  Draw order is fixed: the n diagonal normals first, then the
-    n-1 gamma variates top-to-bottom.
+
+def sample_block(
+    params: EnsembleParams, master_seed: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample replicates start..start+count-1 as ``diag (count, n)`` and ``sub (count, n-1)``.
+
+    Row i is the matrix of replicate start+i: diag ~ N(0,1), and the j-th
+    subdiagonal entry counted from the bottom-right corner is
+    chi_{j*beta}/sqrt(2) (stored top-to-bottom, so sub[:, i] has j = n-1-i).
+    Each row is drawn from the stream of `SampleSeed(master_seed, start+i)`
+    in a fixed order, the n diagonal normals first and then the n-1 gamma
+    variates top-to-bottom.  One Philox bit generator serves the block and
+    is rekeyed to a fresh stream per row.  A fixed-trace block is projected
+    onto the trace sphere row by row.
     """
-    rng = seed.generator()
+    if start < 0 or count < 0:
+        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
     n = params.n
-    diag = rng.standard_normal(n)
-    if n == 1:
-        return TridiagonalSymmetric(diag, np.empty(0))
-    j = np.arange(n - 1, 0, -1)  # dof index, top-to-bottom
-    subdiag = np.sqrt(rng.standard_gamma(j * params.beta / 2.0))
-    return TridiagonalSymmetric(diag, subdiag)
+    fixed = params.kind is EnsembleKind.FIXED_TRACE
+    if fixed and n < 2:
+        raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
+    diag = np.empty((count, n))
+    sub = np.empty((count, n - 1))
+    bitgen = Philox(key=[master_seed & _MASK64, start & _MASK64])
+    rng = Generator(bitgen)
+    # the state before any draw (zero counter, empty buffer, no cached 32-bit
+    # half); restoring it with another key starts that key's stream
+    state = bitgen.state
+    key = state["state"]["key"]
+    shape = np.arange(n - 1, 0, -1) * params.beta / 2.0  # dof j*beta/2, top-to-bottom
+    for i in range(count):
+        key[1] = (start + i) & _MASK64
+        bitgen.state = state
+        rng.standard_normal(out=diag[i])
+        if n > 1:
+            rng.standard_gamma(shape, out=sub[i])
+    np.sqrt(sub, out=sub)
+    if fixed:
+        _rescale_rows(diag, sub, params.strength_sq)
+    return diag, sub
+
+
+def sample_beta_hermite(params: EnsembleParams, seed: SampleSeed) -> TridiagonalSymmetric:
+    """The Gaussian-ensemble tridiagonal matrix H of one replicate, whatever ``params.kind``.
+
+    A block of one from `sample_block`; see there for the entries and the
+    draw order.
+    """
+    gaussian = replace(params, kind=EnsembleKind.GAUSSIAN)
+    diag, sub = sample_block(gaussian, seed.master_seed, seed.replicate, 1)
+    return TridiagonalSymmetric(diag[0], sub[0])
 
 
 def fixed_trace_rescale(
@@ -147,17 +207,12 @@ def fixed_trace_rescale(
     """
     if params.n < 2:
         raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
-    t2 = h.trace_sq()
-    if not t2 > 0:
-        raise FloatingPointError("tr(h^2) = 0, cannot project onto the trace sphere")
-    target = 1.0 if unit_strength else params.strength_sq
-    c = np.sqrt(target / t2)
-    return TridiagonalSymmetric(c * h.diag, c * h.subdiag)
+    diag, sub = h.diag[None].copy(), h.subdiag[None].copy()
+    _rescale_rows(diag, sub, 1.0 if unit_strength else params.strength_sq)
+    return TridiagonalSymmetric(diag[0], sub[0])
 
 
 def sample_ensemble(params: EnsembleParams, seed: SampleSeed) -> TridiagonalSymmetric:
-    """Sample one matrix of the requested kind."""
-    h = sample_beta_hermite(params, seed)
-    if params.kind is EnsembleKind.FIXED_TRACE:
-        return fixed_trace_rescale(h, params)
-    return h
+    """Sample one matrix of the requested kind: a block of one from `sample_block`."""
+    diag, sub = sample_block(params, seed.master_seed, seed.replicate, 1)
+    return TridiagonalSymmetric(diag[0], sub[0])

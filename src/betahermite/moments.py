@@ -18,12 +18,19 @@ N -> infinity.  See tests/test_moments.py for the quadrature comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lgamma, log, sqrt
 
 import numpy as np
 
-from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_beta_hermite
+from .ensemble import (
+    REPLICATE_CHUNK,
+    EnsembleKind,
+    EnsembleParams,
+    SampleSeed,
+    sample_block,
+    trace_sq_rows,
+)
 
 __all__ = [
     "MomentIndex",
@@ -99,7 +106,9 @@ def moment_mc(
     """Monte Carlo estimate of the requested entry moment.
 
     Gaussian kind averages over raw samples; fixed-trace kind rescales every
-    sample onto the tr H^2 = 2L sphere before taking the product.
+    sample onto the tr H^2 = 2L sphere before taking the product.  Replicates
+    seed.replicate, seed.replicate+1, ... are drawn ``REPLICATE_CHUNK`` at a
+    time with `sample_block`.
     """
     if n_reps < 100:
         raise ValueError("n_reps must be >= 100")
@@ -110,32 +119,44 @@ def moment_mc(
     ea = np.asarray(idx.eta_a, dtype=float)
     eb = np.asarray(idx.eta_b, dtype=float)
     fixed = params.kind is EnsembleKind.FIXED_TRACE
+    gaussian = replace(params, kind=EnsembleKind.GAUSSIAN)
     r2 = 2.0 * big_l(params.n, params.beta)
-    total = 0.0
-    total_sq = 0.0
-    comp = 0.0  # Kahan carry
-    for rep in range(n_reps):
-        h = sample_beta_hermite(params, SampleSeed(seed.master_seed, seed.replicate + rep))
-        a = h.diag
-        b = h.subdiag[::-1]  # bottom-up indexing
+    v = np.empty(n_reps)
+    for start in range(0, n_reps, REPLICATE_CHUNK):
+        count = min(REPLICATE_CHUNK, n_reps - start)
+        a, sub = sample_block(gaussian, seed.master_seed, seed.replicate + start, count)
+        b = sub[:, ::-1]  # bottom-up indexing
         if fixed:
-            c = sqrt(r2 / h.trace_sq())
+            c = np.sqrt(r2 / trace_sq_rows(a, sub))[:, None]
             a = a * c
             b = b * c
-        v = float(np.prod(a**ea) * np.prod(b**eb))
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        total_sq += v * v
-    mean = total / n_reps
-    var = max(total_sq / n_reps - mean * mean, 0.0)
+        v[start:start + count] = np.prod(a**ea, axis=1) * np.prod(b**eb, axis=1)
+    mean, std_error = _mean_and_std_error(v)
     return MomentEstimate(
         mean=mean,
-        std_error=sqrt(var / n_reps),
+        std_error=std_error,
         n_reps=n_reps,
         sign_symmetric=any(e % 2 == 1 for e in idx.eta_a),
     )
+
+
+def _mean_and_std_error(v: np.ndarray) -> tuple[float, float]:
+    """Compensated (Kahan) mean of ``v`` and its standard error sqrt(var / len(v)).
+
+    The variance is the mean squared deviation from that mean, taken in a
+    second pass, so it keeps its digits when the mean is large against the
+    spread (E[v^2] - mean^2 would cancel them).
+    """
+    total = 0.0
+    comp = 0.0  # Kahan carry
+    for x in v.tolist():
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    mean = total / len(v)
+    var = float(np.sum((v - mean) ** 2)) / len(v)
+    return mean, sqrt(var / len(v))
 
 
 def moment_ratio_exact(n: int, beta: float, s: int) -> float:

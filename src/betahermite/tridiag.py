@@ -1,10 +1,11 @@
 """Eigenvalues of real symmetric tridiagonal matrices.
 
-Two independent routes: the production path wraps the LAPACK implicit-shift
-QL/QR solver, and a Sturm-sequence bisection solver serves as a slow oracle
-for cross-validation.  The Sturm count itself, batched over matrices, also
-gives histograms directly: a bin's count is the difference of the counts at
-its two edges (see `density.sample_density`).
+Two independent routes: the production path calls the LAPACK implicit-shift
+QL/QR solver on a block of matrices (`eigenvalues_block`, one `dstev` call
+per row), and a Sturm-sequence bisection solver serves as a slow oracle for
+cross-validation.  The Sturm count itself, batched over matrices, also gives
+histograms directly: a bin's count is the difference of the counts at its
+two edges (see `density.sample_density`).
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .ensemble import EnsembleParams, SampleSeed, TridiagonalSymmetric, sample_ensemble
 
 __all__ = [
-    "Spectrum", "EigenvalueError", "eigenvalues", "eigenvalues_bisect", "sturm_count",
-    "sample_spectrum",
+    "Spectrum", "EigenvalueError", "eigenvalues_block", "eigenvalues", "eigenvalues_bisect",
+    "sturm_count", "sample_spectrum",
 ]
 
 
@@ -42,24 +43,41 @@ class Spectrum:
         return len(self.values)
 
 
-def eigenvalues(t: TridiagonalSymmetric, params=None, seed=None) -> Spectrum:
-    """All eigenvalues by implicit-shift QL/QR with Wilkinson shifts (LAPACK stev).
+def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of every matrix of a block, as an (R, n) array.
 
-    Non-convergence raises EigenvalueError naming the failing matrix rather
-    than returning silently.
+    Row r's matrix has diagonal ``diag[r]`` and subdiagonal ``sub[r]``.  Each
+    row goes through LAPACK ``dstev`` (implicit-shift QL/QR with Wilkinson
+    shifts), the routine behind scipy's ``eigh_tridiagonal(...,
+    lapack_driver="stev")``, fetched once per block; like that wrapper, the
+    block is first checked for infs and NaNs.  Non-convergence raises
+    EigenvalueError naming the failing replicate (its row) and its matrix
+    rather than returning silently.
     """
-    if t.n == 1:
-        return Spectrum(t.diag.copy(), params, seed)
-    try:
-        vals = scipy.linalg.eigh_tridiagonal(
-            t.diag, t.subdiag, eigvals_only=True, lapack_driver="stev"
-        )
-    except np.linalg.LinAlgError as exc:
-        raise EigenvalueError(
-            f"QL iteration did not converge for n={t.n}: "
-            f"diag={t.diag!r} subdiag={t.subdiag!r}"
-        ) from exc
-    return Spectrum(np.sort(vals), params, seed)
+    diag = np.asarray(diag, dtype=float)
+    sub = np.asarray(sub, dtype=float)
+    if diag.ndim != 2 or sub.shape != (len(diag), max(diag.shape[1] - 1, 0)):
+        raise ValueError(f"need diag (R, n) and sub (R, n-1), got {diag.shape} and {sub.shape}")
+    if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w = diag.copy()  # dstev overwrites its inputs: w with the eigenvalues, e with scratch
+    if w.shape[1] > 1:
+        e = sub.copy()
+        stev, = get_lapack_funcs(("stev",), (w, e))
+        for r in range(len(w)):
+            w[r], _, info = stev(w[r], e[r], compute_v=0, overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise EigenvalueError(
+                    f"QL iteration did not converge for replicate {r} of the block, n={w.shape[1]} "
+                    f"(LAPACK info={info}): diag={diag[r]!r} subdiag={sub[r]!r}"
+                )
+    w.sort(axis=1)
+    return w
+
+
+def eigenvalues(t: TridiagonalSymmetric, params=None, seed=None) -> Spectrum:
+    """All eigenvalues of one matrix: `eigenvalues_block` of a block of one."""
+    return Spectrum(eigenvalues_block(t.diag[None], t.subdiag[None])[0], params, seed)
 
 
 def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from betahermite import EnsembleParams, SampleSeed, sample_beta_hermite
+from betahermite import EnsembleKind, EnsembleParams, TridiagonalSymmetric, sample_block
 
 
 @pytest.fixture(scope="session")
@@ -10,12 +10,8 @@ def rng():
 
 
 def sample_matrices(n, beta, reps, master_seed, kind=None):
-    """Replicate matrices from the production sampler."""
-    from betahermite import EnsembleKind, fixed_trace_rescale
-
+    """Replicate matrices 0..reps-1 from the production sampler, drawn as one block."""
     params = EnsembleParams(n, beta, kind or EnsembleKind.GAUSSIAN)
-    for r in range(reps):
-        h = sample_beta_hermite(params, SampleSeed(master_seed, r))
-        if params.kind is EnsembleKind.FIXED_TRACE:
-            h = fixed_trace_rescale(h, params)
-        yield h
+    diag, sub = sample_block(params, master_seed, 0, reps)
+    for d, s in zip(diag, sub):
+        yield TridiagonalSymmetric(d, s)

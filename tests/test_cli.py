@@ -37,6 +37,32 @@ class TestSample:
         run([*args, "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_equal_csv_writer_of_per_replicate_spectra(self, tmp_path):
+        # the chunked writer against csv.writer over sample_spectrum, across a chunk boundary
+        from betahermite import EnsembleKind, EnsembleParams, SampleSeed, sample_spectrum
+        from betahermite.ensemble import REPLICATE_CHUNK
+
+        reps = REPLICATE_CHUNK + 2
+        out, want = tmp_path / "s.csv", tmp_path / "want.csv"
+        assert run(["sample", "--n", "3", "--beta", "0.5", "--kind", "fixed-trace",
+                    "--reps", str(reps), "--seed", "11", "--output", str(out)]) == 0
+        p = EnsembleParams(3, 0.5, EnsembleKind.FIXED_TRACE)
+        with want.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["replicate", "index", "eigenvalue"])
+            for r in range(reps):
+                for i, lam in enumerate(sample_spectrum(p, SampleSeed(11, r)).values):
+                    w.writerow([r, i, repr(float(lam))])
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_no_replicates_is_usage_error(self, tmp_path, capsys, reps):
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--n", "5", "--beta", "2", "--reps", reps,
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "s.csv.json").exists()
+
     def test_fixed_trace_constraint(self, tmp_path):
         out = tmp_path / "f.csv"
         run(["sample", "--n", "10", "--beta", "2", "--kind", "fixed-trace",
@@ -99,8 +125,50 @@ class TestDensity:
         spectra = tmp_path / "s.csv"
         run(["sample", "--n", "5", "--beta", "1", "--reps", "2", "--seed", "13",
              "--output", str(spectra)])
-        got = _read_spectra(spectra, EnsembleParams(5, 1.0))
-        assert [(s.seed.master_seed, s.seed.replicate) for s in got] == [(13, 0), (13, 1)]
+        values, master_seed = _read_spectra(spectra, EnsembleParams(5, 1.0))
+        assert master_seed == 13 and values.shape == (2, 5)
+
+    def test_input_sidecar_records_the_spectra_seed_and_count(self, tmp_path):
+        spectra, out = tmp_path / "s.csv", tmp_path / "d.csv"
+        run(["sample", "--n", "6", "--beta", "2", "--reps", "7", "--seed", "4",
+             "--output", str(spectra)])
+        assert run(["density", "--input", str(spectra), "--n", "6", "--beta", "2",
+                    "--output", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        assert (meta["config"]["seed"], meta["config"]["reps"], meta["n_samples"]) == (4, 7, 7)
+
+    @pytest.mark.parametrize("edit", [
+        "swap_rows", "drop_index", "non_numeric", "ragged", "header_only", "bad_header",
+        "extra_column", "nan_eigenvalue",
+    ])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, edit):
+        spectra = tmp_path / "s.csv"
+        run(["sample", "--n", "3", "--beta", "2", "--reps", "3", "--seed", "2",
+             "--output", str(spectra)])
+        lines = spectra.read_text().splitlines()
+        if edit == "swap_rows":  # replicate 1's rows ahead of replicate 0's last
+            lines[3], lines[4] = lines[4], lines[3]
+        elif edit == "drop_index":
+            del lines[5]
+        elif edit == "non_numeric":
+            lines[2] = "0,1,abc"
+        elif edit == "ragged":
+            lines[2] = "0,1"
+        elif edit == "header_only":
+            lines = lines[:1]
+        elif edit == "bad_header":
+            lines[0] = "rep,idx,value"
+        elif edit == "extra_column":
+            lines = [line + ",0" for line in lines]
+        else:
+            lines[2] = "0,1,nan"
+        spectra.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "d.csv"
+        rc = run(["density", "--input", str(spectra), "--n", "3", "--beta", "2",
+                  "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--n", "400"], ["--beta", "4"],
                                        ["--kind", "fixed-trace"]])

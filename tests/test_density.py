@@ -29,12 +29,12 @@ from betahermite import (
     weak_functional,
 )
 from betahermite.density import (
-    STURM_CHUNK,
     TestFunction,
     read_density_csv,
     semicircle_mass,
     write_density_csv,
 )
+from betahermite.ensemble import REPLICATE_CHUNK
 
 
 def gauss(n, beta):
@@ -181,7 +181,7 @@ class TestSampleDensity:
         assert_same_histogram(sample_density(p, seed, reps, grid, regime),
                               stev_density(p, seed, reps, grid, regime))
 
-    @pytest.mark.parametrize("reps", [STURM_CHUNK - 1, STURM_CHUNK, STURM_CHUNK + 1])
+    @pytest.mark.parametrize("reps", [REPLICATE_CHUNK - 1, REPLICATE_CHUNK, REPLICATE_CHUNK + 1])
     def test_chunk_boundaries(self, reps):
         p = fixed(4, 1.0)
         grid = np.linspace(-1.2, 1.2, 13)

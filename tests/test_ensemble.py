@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
@@ -15,11 +15,16 @@ from betahermite import (
     TridiagonalSymmetric,
     big_l,
     eigenvalues,
+    eigenvalues_block,
     fixed_trace_rescale,
     sample_beta_hermite,
+    sample_block,
     sample_ensemble,
     sample_half_chi,
+    trace_sq_rows,
 )
+from betahermite.ensemble import REPLICATE_CHUNK
+from conftest import sample_matrices
 
 
 def half_chi_mean_sq_oracle(k):
@@ -77,22 +82,82 @@ class TestBetaHermiteSampler:
 
     def test_trace_sq_mean(self):
         # E tr H^2 = n + beta n(n-1)/2 = 10000 at n=100, beta=2
-        p = EnsembleParams(100, 2.0)
         reps = 10_000
-        t = np.empty(reps)
-        for r in range(reps):
-            t[r] = sample_beta_hermite(p, SampleSeed(11, r)).trace_sq()
+        t = np.array([h.trace_sq() for h in sample_matrices(100, 2.0, reps, 11)])
         se = t.std(ddof=1) / np.sqrt(reps)
         assert abs(t.mean() - 10_000.0) <= 3.0 * se
 
     def test_bottom_entry_mean_n2_beta4(self):
         # single subdiagonal entry has E[b^2] = k/2 = 2
-        p = EnsembleParams(2, 4.0)
-        vals = np.array(
-            [sample_beta_hermite(p, SampleSeed(5, r)).subdiag[0] ** 2 for r in range(20_000)]
-        )
+        vals = np.array([h.subdiag[0] ** 2 for h in sample_matrices(2, 4.0, 20_000, 5)])
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0) <= 3.0 * se
+
+
+def recipe_matrix(params, seed):
+    """One replicate by the per-matrix recipe, from the seed's own generator.
+
+    The n diagonal normals first, then the n-1 half-chi entries top-to-bottom,
+    then the fixed-trace projection.
+    """
+    rng = seed.generator()
+    n = params.n
+    diag = rng.standard_normal(n)
+    sub = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1) * params.beta / 2.0))
+    if params.kind is EnsembleKind.FIXED_TRACE:
+        c = np.sqrt(params.strength_sq / (np.sum(diag**2) + 2.0 * np.sum(sub**2)))
+        diag, sub = c * diag, c * sub
+    return diag, sub
+
+
+class TestSampleBlock:
+    @given(
+        n=st.integers(1, 60),
+        beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        kind=st.sampled_from(list(EnsembleKind)),
+        master=st.integers(0, 2**32),
+        start=st.integers(0, 10**6),
+        count=st.integers(1, REPLICATE_CHUNK + 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_per_replicate_recipe(self, n, beta, kind, master, start, count):
+        assume(kind is EnsembleKind.GAUSSIAN or n >= 2)
+        p = EnsembleParams(n, beta, kind)
+        diag, sub = sample_block(p, master, start, count)
+        assert diag.shape == (count, n) and sub.shape == (count, n - 1)
+        for i in range(count):
+            d, s = recipe_matrix(p, SampleSeed(master, start + i))
+            assert np.array_equal(diag[i], d) and np.array_equal(sub[i], s)
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_one_matrix_functions_are_blocks_of_one(self, kind):
+        p = EnsembleParams(7, 1.5, kind)
+        diag, sub = sample_block(p, 3, 10, 4)
+        for i in range(4):
+            t = sample_ensemble(p, SampleSeed(3, 10 + i))
+            assert np.array_equal(t.diag, diag[i]) and np.array_equal(t.subdiag, sub[i])
+        # sample_beta_hermite is the Gaussian matrix whatever the kind
+        h = sample_beta_hermite(p, SampleSeed(3, 10))
+        d, s = recipe_matrix(EnsembleParams(7, 1.5), SampleSeed(3, 10))
+        assert np.array_equal(h.diag, d) and np.array_equal(h.subdiag, s)
+
+    def test_trace_sq_rows(self):
+        diag, sub = sample_block(EnsembleParams(9, 2.0), 1, 0, 5)
+        rows = trace_sq_rows(diag, sub)
+        assert [TridiagonalSymmetric(d, s).trace_sq() for d, s in zip(diag, sub)] == list(rows)
+
+    def test_empty_block(self):
+        diag, sub = sample_block(EnsembleParams(4, 2.0), 0, 0, 0)
+        assert diag.shape == (0, 4) and sub.shape == (0, 3)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, -1)])
+    def test_rejects_negative_range(self, start, count):
+        with pytest.raises(ValueError):
+            sample_block(EnsembleParams(4, 2.0), 0, start, count)
+
+    def test_fixed_trace_n1_rejected(self):
+        with pytest.raises(ValueError):
+            sample_block(EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE), 0, 0, 3)
 
 
 class TestFixedTrace:
@@ -173,11 +238,8 @@ def test_gap_distribution_ks():
     assert total == pytest.approx(1.0, abs=1e-12)
     p = EnsembleParams(2, 2.0)
     reps = 100_000
-    gaps = np.empty(reps)
-    for r in range(reps):
-        ev = eigenvalues(sample_beta_hermite(p, SampleSeed(77, r))).values
-        gaps[r] = ev[1] - ev[0]
-    gaps.sort()
+    ev = eigenvalues_block(*sample_block(p, 77, 0, reps))
+    gaps = np.sort(ev[:, 1] - ev[:, 0])
     emp = np.arange(1, reps + 1) / reps
     ks = np.max(np.abs(emp - gap_cdf(gaps)))
     assert ks <= 0.02

@@ -66,6 +66,45 @@ class TestMomentMc:
                       500, SampleSeed(4))
         assert m.sign_symmetric
 
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_mean_equals_per_replicate_route(self, kind):
+        # the block estimator against a replicate-by-replicate recomputation,
+        # across a chunk boundary: same products, same Kahan sum
+        from betahermite import sample_beta_hermite
+        from betahermite.ensemble import REPLICATE_CHUNK
+
+        p = EnsembleParams(6, 2.0, kind)
+        idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
+        reps = REPLICATE_CHUNK + 3
+        m = moment_mc(p, idx, reps, SampleSeed(8, 4))
+        r2 = 2.0 * big_l(6, 2.0)
+        total = comp = 0.0
+        for rep in range(reps):
+            h = sample_beta_hermite(p, SampleSeed(8, 4 + rep))
+            a, b = h.diag, h.subdiag[::-1]
+            if kind is EnsembleKind.FIXED_TRACE:
+                c = sqrt(r2 / h.trace_sq())
+                a, b = a * c, b * c
+            v = float(np.prod(a ** np.array(idx.eta_a, dtype=float))
+                      * np.prod(b ** np.array(idx.eta_b, dtype=float)))
+            y = v - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        assert m.mean == total / reps and m.n_reps == reps
+
+    def test_std_error_survives_a_large_mean(self):
+        # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
+        from betahermite.moments import _mean_and_std_error
+
+        v = 1e8 + np.random.default_rng(5).standard_normal(10_000)
+        mean, se = _mean_and_std_error(v)
+        want = np.std(v - 1e8) / sqrt(len(v))  # the spread, computed without the offset
+        assert se == pytest.approx(want, rel=1e-6)
+        assert mean == pytest.approx(1e8 + np.mean(v - 1e8), rel=1e-15)
+        one_pass = sqrt(max(np.mean(v * v) - mean * mean, 0.0) / len(v))
+        assert abs(one_pass - want) > 0.1 * want  # the formula this replaces
+
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             moment_mc(EnsembleParams(3, 1.0), MomentIndex.single_a(3, 1, 2),
@@ -166,12 +205,9 @@ class TestEquivalence:
 
     def test_trace_moment(self):
         # <tr H^2> = 2L for the Gaussian sampler
-        from betahermite import sample_beta_hermite
+        from betahermite import sample_block, trace_sq_rows
 
         n, beta = 20, 1.0
-        p = EnsembleParams(n, beta)
-        vals = np.array(
-            [sample_beta_hermite(p, SampleSeed(23, r)).trace_sq() for r in range(5000)]
-        )
+        vals = trace_sq_rows(*sample_block(EnsembleParams(n, beta), 23, 0, 5000))
         se = vals.std(ddof=1) / sqrt(len(vals))
         assert abs(vals.mean() - 2.0 * big_l(n, beta)) <= 3.0 * se

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
+    EnsembleKind,
     EnsembleParams,
     SampleSeed,
     TridiagonalSymmetric,
     eigenvalues,
     eigenvalues_bisect,
+    eigenvalues_block,
+    sample_block,
     sturm_count,
 )
 from betahermite.tridiag import EigenvalueError
@@ -66,6 +69,37 @@ def test_batched_sturm_count_matches_stev():
             assert np.array_equal(c, sturm_count(t.diag[None], t.subdiag[None] ** 2, xs)[0])
             ev = eigenvalues(t).values
             assert np.array_equal(c, np.searchsorted(ev, xs, side="left"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 150])
+def test_block_solver_equals_scipy_stev_row_by_row(rng, n):
+    import scipy.linalg
+
+    sampled = sample_block(EnsembleParams(n, 2.0), 5, 0, 40)
+    random = (2.0 * rng.standard_normal((40, n)), 2.0 * rng.standard_normal((40, n - 1)))
+    for diag, sub in (sampled, random):
+        got = eigenvalues_block(diag, sub)
+        for d, e, w in zip(diag, sub, got):
+            want = (scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="stev")
+                    if n > 1 else d)
+            assert np.array_equal(w, np.sort(want))
+            assert np.array_equal(eigenvalues(TridiagonalSymmetric(d, e)).values, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diag", "sub"])
+def test_block_solver_rejects_non_finite(bad, where):
+    diag, sub = sample_block(EnsembleParams(5, 1.0, EnsembleKind.FIXED_TRACE), 2, 0, 3)
+    (diag if where == "diag" else sub)[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigenvalues_block(diag, sub)
+
+
+def test_block_solver_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="sub"):
+        eigenvalues_block(np.zeros((3, 4)), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="sub"):
+        eigenvalues_block(np.zeros(4), np.zeros(3))
 
 
 def test_oracle_agreement_100_random_20x20(rng):
@@ -126,14 +160,14 @@ class TestInvariants:
 
 
 def test_nonconvergence_reports_matrix(monkeypatch):
-    import scipy.linalg
+    from betahermite import tridiag
 
-    def boom(*a, **k):
-        raise np.linalg.LinAlgError("simulated QL stall")
+    def stalled_stev(d, e, **kwargs):
+        return d, None, 2  # LAPACK info > 0: the QL iteration did not converge
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", boom)
+    monkeypatch.setattr(tridiag, "get_lapack_funcs", lambda names, arrays: (stalled_stev,))
     t = TridiagonalSymmetric([0.0, 0.0], [1.0])
-    with pytest.raises(EigenvalueError, match="n=2"):
+    with pytest.raises(EigenvalueError, match=r"replicate 0 .*n=2.*diag=array\(\[0\., 0\.\]\)"):
         eigenvalues(t)
 
 
