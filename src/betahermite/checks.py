@@ -50,6 +50,8 @@ def check_integral_eq(n: int = 2, beta: float = 2.0) -> list[CheckResult]:
 
 
 def check_stieltjes(n_max: int = 50, master_seed: int = 1) -> list[CheckResult]:
+    if n_max < 2:
+        raise ValueError(f"the Stieltjes check runs n = 2..n_max, got n_max={n_max}")
     out = []
     worst_rel = 0.0
     worst_sum = 0.0
@@ -222,15 +224,15 @@ def run_checks(
     for name in names:
         if name == "integral-eq":
             if n is not None or beta is not None:
-                results += check_integral_eq(n or 2, beta or 2.0)
+                results += check_integral_eq(2 if n is None else n, 2.0 if beta is None else beta)
             else:
                 for b in (1.0, 2.0, 4.0):
                     results += check_integral_eq(2, b)
                 results += check_integral_eq(3, 2.0)
         elif name == "stieltjes":
-            results += check_stieltjes(n_max=n or 50, master_seed=master_seed)
+            results += check_stieltjes(n_max=50 if n is None else n, master_seed=master_seed)
         elif name == "bound":
-            results += check_bound(n=n or 20, master_seed=master_seed + 10)
+            results += check_bound(n=20 if n is None else n, master_seed=master_seed + 10)
         elif name == "moments":
             results += check_moments(master_seed=master_seed + 20)
         elif name == "edge-remark":

@@ -117,8 +117,9 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int]:
 
 def cmd_density(args) -> int:
     params = _params(args)
-    if args.grid_hi <= args.grid_lo:
-        print("error: --grid-hi must exceed --grid-lo", file=sys.stderr)
+    if not 0 < args.grid_hi - args.grid_lo < np.inf:
+        print("error: --grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo",
+              file=sys.stderr)
         return USAGE_ERROR
     if args.reference == "aibeta" and not has_closed_edge_form(params.beta):
         print("error: --reference aibeta needs beta in {1,2,4}; "
@@ -155,6 +156,9 @@ def cmd_special(args) -> int:
     if args.x is None and not (args.x_step > 0 and args.x_lo <= args.x_hi):
         print("error: --x-step must be positive and --x-lo must not exceed --x-hi",
               file=sys.stderr)
+        return USAGE_ERROR
+    if not np.isfinite([args.x_lo, args.x_hi] if args.x is None else [args.x]).all():
+        print("error: --x, --x-lo and --x-hi must be finite", file=sys.stderr)
         return USAGE_ERROR
     if args.fn == "aibeta" and not has_closed_edge_form(args.beta):
         print("error: --fn aibeta needs beta in {1,2,4}; "

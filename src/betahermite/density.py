@@ -221,8 +221,9 @@ def grid_to_lambda(
 
 def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with at least two edges")
+    if (grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("grid must be finite and strictly increasing with at least two edges")
     return grid
 
 

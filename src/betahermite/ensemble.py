@@ -41,6 +41,16 @@ _MASK64 = (1 << 64) - 1
 REPLICATE_CHUNK = 512
 
 
+def _philox_key(master_seed: int, replicate: int) -> np.ndarray:
+    """The Philox key of (master_seed, replicate): each taken modulo 2^64, as uint64 words.
+
+    Built as a uint64 array, never a list: numpy would read a list that mixes
+    a word of 2^63 or more with a smaller one as float64, so distinct seeds
+    would share a stream.
+    """
+    return np.array([master_seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
+
+
 class EnsembleKind(str, Enum):
     GAUSSIAN = "gaussian"
     FIXED_TRACE = "fixed-trace"
@@ -57,8 +67,8 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"matrix dimension must be >= 1, got n={self.n}")
-        if not self.beta > 0:
-            raise ValueError(f"Dyson parameter must be > 0, got beta={self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"Dyson parameter must be finite and > 0, got beta={self.beta}")
 
     @property
     def strength_sq(self) -> float:
@@ -83,7 +93,7 @@ class SampleSeed:
             raise ValueError("replicate index must be non-negative")
 
     def generator(self) -> Generator:
-        return Generator(Philox(key=[self.master_seed & _MASK64, self.replicate & _MASK64]))
+        return Generator(Philox(key=_philox_key(self.master_seed, self.replicate)))
 
 
 @dataclass
@@ -165,7 +175,7 @@ def sample_block(
         raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
     diag = np.empty((count, n))
     sub = np.empty((count, n - 1))
-    bitgen = Philox(key=[master_seed & _MASK64, start & _MASK64])
+    bitgen = Philox(key=_philox_key(master_seed, start))
     rng = Generator(bitgen)
     # the state before any draw (zero counter, empty buffer, no cached 32-bit
     # half); restoring it with another key starts that key's stream

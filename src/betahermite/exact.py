@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lgamma, log, pi, sqrt
+from math import inf, lgamma, log, pi, sqrt
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
 from .density import DensityEstimate, Regime
-from .ensemble import EnsembleKind, TridiagonalSymmetric
+from .ensemble import EnsembleKind
 from .moments import big_l
-from .tridiag import eigenvalues
 
 __all__ = [
     "LogValue",
@@ -85,8 +85,8 @@ def log_z_beta_he(n: int, beta: float) -> LogValue:
     """Gaussian-ensemble normalization (2 pi)^(n/2) prod Gamma ratios."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
+    if not 0 < beta < inf:
+        raise ValueError("beta must be finite and > 0")
     return LogValue((n / 2.0) * log(2.0 * pi) + _log_gamma_product(n, beta))
 
 
@@ -269,17 +269,10 @@ def rescale_strength1(d: DensityEstimate, n: int) -> DensityEstimate:
 # Hermite zeros and the Vandermonde maximum on the trace sphere
 
 def hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of the physicists' Hermite polynomial H_n.
-
-    Eigenvalues of the Jacobi matrix with zero diagonal and subdiagonal
-    sqrt(j/2).
-    """
+    """Zeros of the physicists' Hermite polynomial H_n, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return np.zeros(1)
-    t = TridiagonalSymmetric(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
-    return eigenvalues(t).values
+    return scipy.special.roots_hermite(n)[0]
 
 
 def log_vandermonde_sq(points) -> float:

@@ -1,5 +1,5 @@
-"""Airy evaluator accuracy against closed forms, the ODE, an independent
-ODE-integrated oracle, and the scipy implementation."""
+"""Airy functions against closed forms, the ODE, an independent
+ODE-integrated oracle, and the scipy implementation they wrap."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,7 @@ import scipy.integrate as si
 import scipy.special
 
 from betahermite import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
-from betahermite.airy import (
-    AI0,
-    AIP0,
-    AiryAccuracyWarning,
-    _asymptotic_neg,
-    _asymptotic_pos,
-    _series,
-    ai_derivatives,
-)
+from betahermite.airy import AI0, AIP0, AiryAccuracyWarning, ai_derivatives
 
 AI1_AT_0 = 0.1853301684089364   # AIP0^2 + AI0/3
 AI2_AT_0 = 0.0669874837796640   # AIP0^2
@@ -102,30 +94,6 @@ class TestOde:
         )
         assert abs(sol.y[0, -1]) <= 1e-8
         assert root == pytest.approx(-2.3381074104597674, abs=1e-9)
-
-
-class TestBranchConsistency:
-    def test_overlap_positive(self):
-        xs = np.linspace(5.0, 10.0, 101)
-        a_ser, ap_ser = _series(xs)
-        a_asy, ap_asy = _asymptotic_pos(xs)
-        assert np.max(np.abs(a_ser - a_asy)) <= 1e-8
-        assert np.max(np.abs(ap_ser - ap_asy)) <= 1e-8
-
-    def test_overlap_negative(self):
-        xs = np.linspace(-10.0, -5.0, 101)
-        a_ser, ap_ser = _series(xs)
-        a_asy, ap_asy = _asymptotic_neg(xs)
-        assert np.max(np.abs(a_ser - a_asy)) <= 2e-8
-        assert np.max(np.abs(ap_ser - ap_asy)) <= 2e-7
-
-    def test_overlap_tight_near_switch(self):
-        # both branches are far inside their comfort zones around the +6.2
-        # crossover, so they must agree to near round-off there
-        xs = np.linspace(5.5, 7.5, 51)
-        a_ser, _ = _series(xs)
-        a_asy, _ = _asymptotic_pos(xs)
-        assert np.max(np.abs(a_ser - a_asy)) <= 2e-13
 
 
 class TestTail:

@@ -1,13 +1,20 @@
 """CLI surface: file formats, determinism, reference columns, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from betahermite.cli import main
 
@@ -62,6 +69,20 @@ class TestSample:
                     "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "s.csv.json").exists()
+
+    @pytest.mark.parametrize("seeds", [[-1, -7, 0], [2**63, 2**63 + 5]])
+    def test_distinct_seeds_give_distinct_spectra(self, tmp_path, seeds):
+        # each seed word keys Philox exactly: no negative seed falls onto seed 0,
+        # and no seed of 2^63 or more is rounded through float64
+        written = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in seeds:
+                out = tmp_path / f"s{seed}.csv"
+                assert run(["sample", "--n", "4", "--beta", "2", "--reps", "3",
+                            "--seed", str(seed), "--output", str(out)]) == 0
+                written.append(out.read_bytes())
+        assert len(set(written)) == len(seeds)
 
     def test_fixed_trace_constraint(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -227,12 +248,14 @@ class TestDensity:
         assert "--grid-lo" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["--reps", "0"], ["--reps", "-3"], ["--bins", "0"],
-                                     ["--bins", "-1"]])
+                                     ["--bins", "-1"], ["--beta", "inf"], ["--grid-lo", "nan"],
+                                     ["--grid-hi", "inf"]])
     def test_no_replicates_or_bins_is_usage_error(self, tmp_path, capsys, bad):
-        rc = run(["density", "--n", "20", "--beta", "2", *bad,
-                  "--output", str(tmp_path / "x.csv")])
+        out = tmp_path / "x.csv"
+        rc = run(["density", "--n", "20", "--beta", "2", *bad, "--output", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
     def test_aibeta_rejects_general_beta(self, tmp_path, capsys):
         rc = run(["density", "--n", "20", "--beta", "3", "--reps", "5", "--seed", "1",
@@ -282,7 +305,8 @@ class TestSpecial:
         assert len(rows) == 6
 
     @pytest.mark.parametrize("bad", [["--x-step", "0"], ["--x-step", "-0.25"],
-                                     ["--x-step", "nan"], ["--x-lo", "1", "--x-hi", "0"]])
+                                     ["--x-step", "nan"], ["--x-lo", "1", "--x-hi", "0"],
+                                     ["--x", "nan"], ["--x=-inf"], ["--x-hi", "inf"]])
     def test_bad_x_range_is_usage_error(self, bad, capsys):
         assert run(["special", "--fn", "ai", *bad]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -318,6 +342,18 @@ class TestVerify:
         run(["verify", "--check", "stieltjes", "--seed", "4", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("bad", [
+        ["--check", "integral-eq", "--beta", "0"], ["--check", "integral-eq", "--beta", "inf"],
+        ["--check", "stieltjes", "--n", "0"], ["--check", "stieltjes", "--n", "1"],
+        ["--check", "bound", "--n", "0"],
+    ])
+    def test_explicit_bad_flag_is_usage_error(self, tmp_path, capsys, bad):
+        # an explicit 0 is not replaced by the check's default
+        out = tmp_path / "r.json"
+        assert run(["verify", *bad, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_unknown_check_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--check", "nonsense"])
@@ -348,3 +384,59 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "value" in proc.stdout
+
+
+# 0, negatives, nan and inf, plus bounded floats: a grid or x range of a few
+# hundred points at most, so no run asks for a huge array; the narrow band
+# puts grids where the scaled spectra lie
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 4.0]),
+    st.floats(-3.0, 3.0),
+    st.floats(-50.0, 50.0),
+)
+_BETAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), _FLOATS)
+
+
+@st.composite
+def _argv(draw):
+    """Random `sample`, `density` or `special` argv (`--fn kontsevich` has its own tests)."""
+    def flt(flag, strategy=_FLOATS):
+        return f"--{flag}={draw(strategy)!r}"
+
+    command = draw(st.sampled_from(["sample", "density", "special"]))
+    if command == "special":
+        argv = ["special", "--fn", draw(st.sampled_from(["ai", "ai-prime", "ai-tail", "aibeta"])),
+                flt("beta", _BETAS)]
+        if draw(st.booleans()):
+            return [*argv, flt("x")]
+        return [*argv, flt("x-lo"), flt("x-hi"),
+                flt("x-step", st.sampled_from([0.0, -1.0, math.nan, 0.25, 1.0]))]
+    argv = [command, f"--n={draw(st.integers(-2, 12))}", flt("beta", _BETAS),
+            "--kind", draw(st.sampled_from(["gaussian", "fixed-trace"])),
+            f"--reps={draw(st.integers(-2, 20))}", f"--seed={draw(st.integers(-2**64, 2**64))}"]
+    if command == "density":
+        lo = draw(_FLOATS)
+        argv += ["--regime", draw(st.sampled_from(["bulk", "edge", "raw"])),
+                 f"--grid-lo={lo!r}", f"--grid-hi={lo + draw(_FLOATS)!r}",
+                 f"--bins={draw(st.integers(-2, 40))}"]
+        reference = draw(st.sampled_from([None, "semicircle", "aibeta"]))
+        if reference is not None:
+            argv += ["--reference", reference]
+    return argv
+
+
+@given(_argv())
+@example(["special", "--fn", "ai-tail", "--x=-inf"])
+@example(["density", "--n=4", "--beta=2.0", "--grid-hi=inf"])
+@settings(max_examples=300, deadline=None)
+def test_random_argv_exits_0_1_or_2_without_traceback(argv):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main([*argv, "--output", f"{tmp}/out.csv"])
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
