@@ -8,10 +8,8 @@ from .density import (
     DensityEstimate,
     Regime,
     TestFunction,
-    bulk_rescale,
     bulk_scale,
     bump,
-    edge_rescale,
     estimate_density,
     grid_to_lambda,
     raised_cosine,
@@ -25,12 +23,7 @@ from .ensemble import (
     EnsembleKind,
     EnsembleParams,
     SampleSeed,
-    TridiagonalSymmetric,
-    fixed_trace_rescale,
-    sample_beta_hermite,
     sample_block,
-    sample_ensemble,
-    sample_half_chi,
     trace_sq_rows,
 )
 from .kontsevich import (
@@ -43,7 +36,6 @@ from .kontsevich import (
 from .moments import MomentIndex, big_l, moment_mc, moment_ratio_exact, verify_moment_equivalence
 from .tridiag import (
     Spectrum,
-    eigenvalues,
     eigenvalues_bisect,
     eigenvalues_block,
     sample_spectrum,
@@ -52,15 +44,13 @@ from .tridiag import (
 
 __all__ = [
     "__version__",
-    "EnsembleKind", "EnsembleParams", "SampleSeed", "TridiagonalSymmetric",
-    "sample_half_chi", "sample_block", "sample_beta_hermite", "trace_sq_rows",
-    "fixed_trace_rescale", "sample_ensemble",
-    "Spectrum", "eigenvalues_block", "eigenvalues", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
+    "EnsembleKind", "EnsembleParams", "SampleSeed", "sample_block", "trace_sq_rows",
+    "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "QuadratureControls", "KontsevichResult", "kontsevich_k", "edge_prefactor",
     "kontsevich_edge_density",
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
-    "bulk_scale", "rescale", "bulk_rescale", "edge_rescale", "grid_to_lambda", "estimate_density",
+    "bulk_scale", "rescale", "grid_to_lambda", "estimate_density",
     "sample_density", "semicircle", "weak_functional",
     "MomentIndex", "big_l", "moment_mc", "moment_ratio_exact", "verify_moment_equivalence",
 ]

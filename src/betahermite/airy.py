@@ -75,9 +75,12 @@ def airy_tail(x, upper: float = 20.0):
     """Integral of Ai over (x, infinity), absolute error well under 1e-10.
 
     Composite 12-point Gauss-Legendre panels up to ``upper``; the remainder
-    beyond 20 is below 1e-26 and is dropped.
+    beyond 20 is below 1e-26 and is dropped.  The panel count grows like |x|,
+    so x below -200, outside the accuracy domain, raises ValueError.
     """
     x = float(x)
+    if x < -_X_LIMIT:
+        raise ValueError(f"airy_tail needs x >= {-_X_LIMIT:g}, got x={x:g}")
     if x >= upper:
         # deep decay: two-term exponential tail formula
         zeta = (2.0 / 3.0) * x**1.5
@@ -125,13 +128,14 @@ def edge_density_closed(beta: int, x) -> EdgeDensityValue:
         ai, aip = _ai_aip(xs)
         val = aip**2 - xs * ai**2
     elif beta == 1:
-        ai, aip = _ai_aip(xs)
+        # tails first: airy_tail rejects an x its panels cannot reach
         tails = np.array([airy_tail(t) for t in xs])
+        ai, aip = _ai_aip(xs)
         val = aip**2 - xs * ai**2 + 0.5 * ai * (1.0 - tails)
     else:
-        ai, aip = _ai_aip(2.0 * xs)
         # int_x^inf Ai(2t) dt = airy_tail(2x)/2
         tails = np.array([0.5 * airy_tail(2.0 * t) for t in xs])
+        ai, aip = _ai_aip(2.0 * xs)
         val = aip**2 - 2.0 * xs * ai**2 - ai * tails
     if np.ndim(x) == 0:
         return EdgeDensityValue(x=float(x), value=float(val[0]), beta=float(beta))

@@ -15,8 +15,10 @@ Two routes give the same histogram.  `estimate_density` bins eigenvalue
 vectors with `np.histogram`; `sample_density` samples blocks of replicate
 matrices and never computes an eigenvalue: a bin's count is the difference of
 the Sturm counts (`tridiag.sturm_count`) at its two edges, mapped back to the
-eigenvalue axis by `grid_to_lambda`.  `rescale` maps eigenvalues into a
-regime's coordinate and `grid_to_lambda` maps a grid back.
+eigenvalue axis by `grid_to_lambda`.  `rescale` is the one rescaling: it maps
+eigenvalue arrays of any shape, such as the (R, n) rows of
+`tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
+maps a grid back.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
-from .tridiag import Spectrum, sturm_count
+from .tridiag import sturm_count
 
 __all__ = [
     "Regime",
@@ -44,8 +46,6 @@ __all__ = [
     "raised_cosine",
     "bulk_scale",
     "rescale",
-    "bulk_rescale",
-    "edge_rescale",
     "grid_to_lambda",
     "estimate_density",
     "sample_density",
@@ -181,24 +181,6 @@ def rescale(values, regime: Regime, params: EnsembleParams) -> np.ndarray:
         return values
     u = values / bulk_scale(params)
     return u if regime is Regime.BULK else _edge_stretch(params.n) * (u - 1.0)
-
-
-def _spectrum_rescale(s: Spectrum, regime: Regime) -> np.ndarray:
-    if s.n == 0:
-        raise ValueError("empty spectrum")
-    if s.params is None:
-        raise ValueError("spectrum carries no ensemble parameters")
-    return rescale(s.values, regime, s.params)
-
-
-def bulk_rescale(s: Spectrum) -> np.ndarray:
-    """Eigenvalues over the spectral edge `bulk_scale`."""
-    return _spectrum_rescale(s, Regime.BULK)
-
-
-def edge_rescale(s: Spectrum) -> np.ndarray:
-    """Right-edge coordinates t = 2 N^(2/3) (bulk_rescale(s) - 1)."""
-    return _spectrum_rescale(s, Regime.EDGE)
 
 
 def grid_to_lambda(

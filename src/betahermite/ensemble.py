@@ -6,15 +6,16 @@ subdiagonal, where j counts positions from the bottom-right corner.  The
 fixed-trace ensemble is obtained by projecting Gaussian samples onto the
 sphere tr(H^2) = n(n-1)/2.
 
-`sample_block` is the one sampler.  It draws a block of consecutive
-replicates as ``diag (R, n)`` and ``sub (R, n-1)`` arrays, each row from the
-Philox stream keyed by (master seed, replicate), so a row does not depend on
-the block it was drawn in.  The one-matrix functions are blocks of one.
+`sample_block` is the one sampler, and its arrays are the one matrix
+representation.  It draws a block of consecutive replicates as
+``diag (R, n)`` and ``sub (R, n-1)`` arrays, each row from the Philox stream
+keyed by (master seed, replicate), so a row does not depend on the block it
+was drawn in; a single matrix is a block of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,14 +25,9 @@ __all__ = [
     "EnsembleKind",
     "EnsembleParams",
     "SampleSeed",
-    "TridiagonalSymmetric",
     "REPLICATE_CHUNK",
-    "sample_half_chi",
     "sample_block",
-    "sample_beta_hermite",
     "trace_sq_rows",
-    "fixed_trace_rescale",
-    "sample_ensemble",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -67,8 +63,11 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"matrix dimension must be >= 1, got n={self.n}")
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"Dyson parameter must be finite and > 0, got beta={self.beta}")
+        # 2*beta*n bounds the gamma shapes j*beta/2 and the bulk scale's square
+        if not (self.beta > 0 and np.isfinite(2.0 * float(self.beta) * self.n)):
+            raise ValueError(
+                f"Dyson parameter must be > 0 with 2*beta*n finite, got beta={self.beta}"
+            )
 
     @property
     def strength_sq(self) -> float:
@@ -96,51 +95,9 @@ class SampleSeed:
         return Generator(Philox(key=_philox_key(self.master_seed, self.replicate)))
 
 
-@dataclass
-class TridiagonalSymmetric:
-    """Real symmetric tridiagonal matrix stored as diagonal and subdiagonal."""
-
-    diag: np.ndarray
-    subdiag: np.ndarray
-
-    def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.subdiag = np.asarray(self.subdiag, dtype=float)
-        if self.diag.ndim != 1 or self.subdiag.ndim != 1:
-            raise ValueError("diag and subdiag must be one-dimensional")
-        if len(self.subdiag) != len(self.diag) - 1:
-            raise ValueError(
-                f"subdiag length {len(self.subdiag)} != diag length {len(self.diag)} - 1"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def trace_sq(self) -> float:
-        """tr(T^2) = sum(diag^2) + 2*sum(subdiag^2)."""
-        return float(trace_sq_rows(self.diag, self.subdiag))
-
-
 def trace_sq_rows(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """tr(T^2) of each row of a block: sum(diag^2) + 2*sum(sub^2) over the last axis."""
     return np.sum(diag**2, axis=-1) + 2.0 * np.sum(sub**2, axis=-1)
-
-
-def sample_half_chi(k_dof: float, seed: SampleSeed, size: int | None = None):
-    """Draw X > 0 with density 2/Gamma(k/2) * x^(k-1) * exp(-x^2), k = k_dof.
-
-    Sampled as the square root of a unit-scale gamma variate of shape k/2,
-    which is correct for every real k_dof > 0.  With ``size=None`` a single
-    float is returned, otherwise an ndarray; consecutive draws come from the
-    seed's stream in order.
-    """
-    if not k_dof > 0:
-        raise ValueError(f"k_dof must be > 0, got {k_dof}")
-    rng = seed.generator()
-    g = rng.standard_gamma(k_dof / 2.0, size=size)
-    x = np.sqrt(g)
-    return float(x) if size is None else x
 
 
 def _rescale_rows(diag: np.ndarray, sub: np.ndarray, target: float):
@@ -192,37 +149,3 @@ def sample_block(
     if fixed:
         _rescale_rows(diag, sub, params.strength_sq)
     return diag, sub
-
-
-def sample_beta_hermite(params: EnsembleParams, seed: SampleSeed) -> TridiagonalSymmetric:
-    """The Gaussian-ensemble tridiagonal matrix H of one replicate, whatever ``params.kind``.
-
-    A block of one from `sample_block`; see there for the entries and the
-    draw order.
-    """
-    gaussian = replace(params, kind=EnsembleKind.GAUSSIAN)
-    diag, sub = sample_block(gaussian, seed.master_seed, seed.replicate, 1)
-    return TridiagonalSymmetric(diag[0], sub[0])
-
-
-def fixed_trace_rescale(
-    h: TridiagonalSymmetric,
-    params: EnsembleParams,
-    unit_strength: bool = False,
-) -> TridiagonalSymmetric:
-    """Rescale h onto the trace sphere tr(F^2) = n(n-1)/2 (or 1).
-
-    F = sqrt(target) * h / sqrt(tr h^2); eigenvectors are untouched and the
-    spectrum scales by the same positive scalar.
-    """
-    if params.n < 2:
-        raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
-    diag, sub = h.diag[None].copy(), h.subdiag[None].copy()
-    _rescale_rows(diag, sub, 1.0 if unit_strength else params.strength_sq)
-    return TridiagonalSymmetric(diag[0], sub[0])
-
-
-def sample_ensemble(params: EnsembleParams, seed: SampleSeed) -> TridiagonalSymmetric:
-    """Sample one matrix of the requested kind: a block of one from `sample_block`."""
-    diag, sub = sample_block(params, seed.master_seed, seed.replicate, 1)
-    return TridiagonalSymmetric(diag[0], sub[0])

@@ -19,7 +19,7 @@ N -> infinity.  See tests/test_moments.py for the quadrature comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import lgamma, log, sqrt
+from math import fsum, lgamma, log, sqrt
 
 import numpy as np
 
@@ -141,20 +141,14 @@ def moment_mc(
 
 
 def _mean_and_std_error(v: np.ndarray) -> tuple[float, float]:
-    """Compensated (Kahan) mean of ``v`` and its standard error sqrt(var / len(v)).
+    """Mean of ``v`` from its exactly rounded sum (`math.fsum`), and its standard error.
 
-    The variance is the mean squared deviation from that mean, taken in a
-    second pass, so it keeps its digits when the mean is large against the
-    spread (E[v^2] - mean^2 would cancel them).
+    The standard error is sqrt(var / len(v)), where the variance is the mean
+    squared deviation from that mean, taken in a second pass, so it keeps its
+    digits when the mean is large against the spread (E[v^2] - mean^2 would
+    cancel them).
     """
-    total = 0.0
-    comp = 0.0  # Kahan carry
-    for x in v.tolist():
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    mean = total / len(v)
+    mean = fsum(v.tolist()) / len(v)
     var = float(np.sum((v - mean) ** 2)) / len(v)
     return mean, sqrt(var / len(v))
 

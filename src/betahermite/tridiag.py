@@ -1,11 +1,14 @@
-"""Eigenvalues of real symmetric tridiagonal matrices.
+"""Eigenvalues of real symmetric tridiagonal matrices, held as arrays.
 
-Two independent routes: the production path calls the LAPACK implicit-shift
-QL/QR solver on a block of matrices (`eigenvalues_block`, one `dstev` call
-per row), and a Sturm-sequence bisection solver serves as a slow oracle for
-cross-validation.  The Sturm count itself, batched over matrices, also gives
-histograms directly: a bin's count is the difference of the counts at its
-two edges (see `density.sample_density`).
+A block of R matrices is a ``diag (R, n)`` and a ``sub (R, n-1)`` array, as
+`ensemble.sample_block` draws it.  Two independent routes: the production
+path calls the LAPACK implicit-shift QL/QR solver on a block
+(`eigenvalues_block`, one `dstev` call per row), and a Sturm-sequence
+bisection solver on one matrix's ``(diag, sub)`` (`eigenvalues_bisect`)
+serves as a slow oracle for cross-validation.  The Sturm count itself,
+batched over matrices, also gives histograms directly: a bin's count is the
+difference of the counts at its two edges (see `density.sample_density`).
+`sample_spectrum` is one replicate's spectrum, a block of one.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .ensemble import EnsembleParams, SampleSeed, TridiagonalSymmetric, sample_ensemble
+from .ensemble import EnsembleParams, SampleSeed, sample_block
 
 __all__ = [
-    "Spectrum", "EigenvalueError", "eigenvalues_block", "eigenvalues", "eigenvalues_bisect",
-    "sturm_count", "sample_spectrum",
+    "Spectrum", "EigenvalueError", "eigenvalues_block", "eigenvalues_bisect", "sturm_count",
+    "sample_spectrum",
 ]
 
 
@@ -29,18 +32,11 @@ class EigenvalueError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Sorted eigenvalues of one replicate with sampling provenance."""
+    """Sorted eigenvalues of one replicate, with the parameters and seed that drew it."""
 
     values: np.ndarray
-    params: EnsembleParams | None = None
-    seed: SampleSeed | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+    params: EnsembleParams
+    seed: SampleSeed
 
 
 def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -75,11 +71,6 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigenvalues(t: TridiagonalSymmetric, params=None, seed=None) -> Spectrum:
-    """All eigenvalues of one matrix: `eigenvalues_block` of a block of one."""
-    return Spectrum(eigenvalues_block(t.diag[None], t.subdiag[None])[0], params, seed)
-
-
 def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Eigenvalues strictly below each query point, for a batch of matrices.
 
@@ -104,14 +95,21 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarr
     return count
 
 
-def eigenvalues_bisect(t: TridiagonalSymmetric, abs_tol: float = 1e-12) -> Spectrum:
-    """Eigenvalues by Sturm counting and bisection on Gershgorin intervals."""
+def eigenvalues_bisect(diag, sub, abs_tol: float = 1e-12) -> np.ndarray:
+    """Eigenvalues of one matrix by Sturm counting and bisection on Gershgorin intervals.
+
+    ``diag`` (n,) and ``sub`` (n-1,) hold the matrix's diagonal and
+    subdiagonal; the eigenvalues come back sorted, as an (n,) array.
+    """
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(sub, dtype=float)
+    if d.ndim != 1 or e.shape != (len(d) - 1,):
+        raise ValueError(f"need diag (n,) and sub (n-1,), got {d.shape} and {e.shape}")
     if not abs_tol > 0:
         raise ValueError("abs_tol must be > 0")
-    n = t.n
+    n = len(d)
     if n == 1:
-        return Spectrum(t.diag.copy())
-    d, e = t.diag, t.subdiag
+        return d.copy()
     r = np.zeros(n)
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
@@ -132,9 +130,10 @@ def eigenvalues_bisect(t: TridiagonalSymmetric, abs_tol: float = 1e-12) -> Spect
         hi = np.where(below, hi, mid)
         if np.max(hi - lo) <= abs_tol:
             break
-    return Spectrum(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def sample_spectrum(params: EnsembleParams, seed: SampleSeed) -> Spectrum:
-    """Sample one replicate and return its spectrum with provenance."""
-    return eigenvalues(sample_ensemble(params, seed), params=params, seed=seed)
+    """Sample one replicate and return its spectrum: a block of one."""
+    block = sample_block(params, seed.master_seed, seed.replicate, 1)
+    return Spectrum(eigenvalues_block(*block)[0], params, seed)

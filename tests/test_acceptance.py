@@ -17,24 +17,23 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     SampleSeed,
-    bulk_rescale,
     bump,
     edge_density_closed,
-    edge_rescale,
-    eigenvalues,
     eigenvalues_bisect,
+    eigenvalues_block,
     estimate_density,
     kontsevich_edge_density,
     kontsevich_k,
     moment_ratio_exact,
-    sample_beta_hermite,
+    rescale,
+    sample_block,
     semicircle,
+    trace_sq_rows,
     verify_moment_equivalence,
     weak_functional,
 )
 from betahermite.airy import AI0, AIP0, airy_ai, airy_ai_prime, airy_tail
 from betahermite.density import Regime, semicircle_mass
-from betahermite.ensemble import fixed_trace_rescale
 from betahermite.exact import (
     bound_constants,
     c_beta,
@@ -45,7 +44,6 @@ from betahermite.exact import (
     verify_integral_equation,
 )
 from betahermite.moments import MomentIndex, big_l
-from betahermite.tridiag import Spectrum
 
 BUMP_SEMICIRCLE_INTEGRAL = 0.138472435237  # int of bump[-0.5,0.5] * rho_W
 
@@ -54,16 +52,16 @@ def _ok(criterion: int, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS - {detail}")
 
 
-def _sample_checked(params: EnsembleParams, seed: SampleSeed) -> Spectrum:
-    """Sample one replicate and assert trace/Frobenius conservation."""
-    h = sample_beta_hermite(params, seed)
-    if params.kind is EnsembleKind.FIXED_TRACE:
-        h = fixed_trace_rescale(h, params)
-    s = eigenvalues(h, params=params, seed=seed)
-    scale = max(float(np.max(np.abs(s.values))), 1.0)
-    assert abs(np.sum(s.values) - np.sum(h.diag)) <= 1e-10 * params.n * scale
-    assert abs(np.sum(s.values**2) - h.trace_sq()) <= 1e-9 * h.trace_sq()
-    return s
+def _sample_checked(params: EnsembleParams, master: int, reps: int) -> np.ndarray:
+    """Spectra (reps, n) of replicates 0..reps-1; asserts trace/Frobenius conservation per row."""
+    diag, sub = sample_block(params, master, 0, reps)
+    values = eigenvalues_block(diag, sub)
+    scale = np.maximum(np.max(np.abs(values), axis=1), 1.0)
+    t2 = trace_sq_rows(diag, sub)
+    assert np.all(np.abs(np.sum(values, axis=1) - np.sum(diag, axis=1))
+                  <= 1e-10 * params.n * scale)
+    assert np.all(np.abs(np.sum(values**2, axis=1) - t2) <= 1e-9 * t2)
+    return values
 
 
 def test_criterion_1_semicircle_law():
@@ -76,9 +74,8 @@ def test_criterion_1_semicircle_law():
     details = []
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(200, beta, EnsembleKind.FIXED_TRACE)
-        vecs = [bulk_rescale(_sample_checked(params, SampleSeed(1000 + bi, r)))
-                for r in range(500)]
-        d = estimate_density(vecs, grid, Regime.BULK, params)
+        values = rescale(_sample_checked(params, 1000 + bi, 500), Regime.BULK, params)
+        d = estimate_density(list(values), grid, Regime.BULK, params)
         l1 = float(np.sum(np.abs(d.height - ref) * d.widths))
         weak = weak_functional(d, f)
         assert l1 <= 0.05, f"beta={beta}: L1 {l1:.4f} > 0.05"
@@ -98,10 +95,9 @@ def test_criterion_2_edge_agreement():
 
     def edge_histogram(kind, master):
         params = EnsembleParams(n, 2.0, kind)
-        counts = np.empty((m_reps, len(grid) - 1))
-        for r in range(m_reps):
-            t = edge_rescale(_sample_checked(params, SampleSeed(master, r)))
-            counts[r], _ = np.histogram(t, bins=grid)
+        # the oracle: each replicate's stev spectrum through np.histogram
+        t = rescale(_sample_checked(params, master, m_reps), Regime.EDGE, params)
+        counts = np.array([np.histogram(row, bins=grid)[0] for row in t], dtype=float)
         height = counts.mean(axis=0) / width
         se = counts.std(axis=0, ddof=1) / (sqrt(m_reps) * width)
         return height, se
@@ -191,11 +187,8 @@ def test_criterion_6_density_upper_bound():
     details = []
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
-        vecs = []
-        for rep in range(reps):
-            h = fixed_trace_rescale(sample_beta_hermite(params, SampleSeed(3000 + bi, rep)), params)
-            vecs.append(eigenvalues(h).values / r)
-        d = estimate_density(vecs, grid, Regime.RAW, params)
+        values = eigenvalues_block(*sample_block(params, 3000 + bi, 0, reps)) / r
+        d = estimate_density(list(values), grid, Regime.RAW, params)
         emp = d.height / r  # bound is stated for the unscaled-argument density
         bound = density_upper_bound(n, beta, d.centers)
         margin = float(np.max(emp - bound))
@@ -234,21 +227,15 @@ def test_criterion_7_moment_equivalence():
 
 def test_criterion_8_eigensolver_oracles():
     rng = np.random.default_rng(808)
-    worst = 0.0
-    from betahermite import TridiagonalSymmetric
-
-    for _ in range(100):
-        t = TridiagonalSymmetric(
-            2.0 * rng.standard_normal(20), np.abs(2.0 * rng.standard_normal(19)) + 1e-3
-        )
-        a = eigenvalues(t).values
-        b = eigenvalues_bisect(t, abs_tol=1e-13).values
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    mats = [(2.0 * rng.standard_normal(20), np.abs(2.0 * rng.standard_normal(19)) + 1e-3)
+            for _ in range(100)]
+    diag, sub = (np.array(m) for m in zip(*mats))
+    ql = eigenvalues_block(diag, sub)
+    worst = max(float(np.max(np.abs(a - eigenvalues_bisect(d, e, abs_tol=1e-13))))
+                for a, d, e in zip(ql, diag, sub))
     assert worst <= 1e-10, f"QL vs bisection disagreement {worst:.2e}"
     # conservation on sampled replicates (also enforced inline in criteria 1-2)
-    for rep in range(50):
-        _sample_checked(EnsembleParams(100, 2.0, EnsembleKind.FIXED_TRACE),
-                        SampleSeed(8088, rep))
+    _sample_checked(EnsembleParams(100, 2.0, EnsembleKind.FIXED_TRACE), 8088, 50)
     _ok(8, f"QL-vs-bisection max |diff| {worst:.1e} over 100 random 20x20; "
            "conservation holds on sampled replicates")
 

@@ -119,6 +119,13 @@ class TestTail:
             oracle = si.quad(lambda t: scipy.special.airy(t)[0], x, 30, limit=500)[0]
             assert airy_tail(x) == pytest.approx(oracle, abs=1e-10)
 
+    def test_rejects_x_below_accuracy_domain(self):
+        # the panel count grows like |x|: -200 is the last x it integrates
+        assert abs(airy_tail(-200.0) - 1.0) <= 0.05
+        for x in (-200.5, -1e9, -1e300):
+            with pytest.raises(ValueError, match="x >= -200"):
+                airy_tail(x)
+
 
 class TestEdgeDensityClosed:
     def test_beta2_at_zero(self):

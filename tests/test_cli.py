@@ -84,6 +84,15 @@ class TestSample:
                 written.append(out.read_bytes())
         assert len(set(written)) == len(seeds)
 
+    def test_huge_finite_beta_is_usage_error(self, tmp_path, capsys):
+        # 2*beta*n overflows, so the gamma shapes and the bulk scale would too
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--n", "4", "--beta", "1e308", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "s.csv.json").exists()
+
     def test_fixed_trace_constraint(self, tmp_path):
         out = tmp_path / "f.csv"
         run(["sample", "--n", "10", "--beta", "2", "--kind", "fixed-trace",
@@ -249,12 +258,23 @@ class TestDensity:
 
     @pytest.mark.parametrize("bad", [["--reps", "0"], ["--reps", "-3"], ["--bins", "0"],
                                      ["--bins", "-1"], ["--beta", "inf"], ["--grid-lo", "nan"],
-                                     ["--grid-hi", "inf"]])
+                                     ["--grid-hi", "inf"], ["--beta", "1e308"]])
     def test_no_replicates_or_bins_is_usage_error(self, tmp_path, capsys, bad):
         out = tmp_path / "x.csv"
-        rc = run(["density", "--n", "20", "--beta", "2", *bad, "--output", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["density", "--n", "20", "--beta", "2", *bad, "--output", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "x.csv.json").exists()
+
+    def test_aibeta_reference_below_airy_tail_domain_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["density", "--n", "20", "--beta", "1", "--reps", "5", "--regime", "edge",
+                  "--grid-lo=-1e9", "--grid-hi", "2", "--reference", "aibeta",
+                  "--output", str(out)])
+        assert rc == 2
+        assert "x >= -200" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
     def test_aibeta_rejects_general_beta(self, tmp_path, capsys):
@@ -310,6 +330,11 @@ class TestSpecial:
     def test_bad_x_range_is_usage_error(self, bad, capsys):
         assert run(["special", "--fn", "ai", *bad]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("fn", [["ai-tail"], ["aibeta", "--beta", "1"]])
+    def test_x_below_airy_tail_domain_is_usage_error(self, fn, capsys):
+        assert run(["special", "--fn", *fn, "--x=-1e9"]) == 2
+        assert "x >= -200" in capsys.readouterr().err
 
     def test_kontsevich_without_backend_is_usage_error(self, capsys):
         assert run(["special", "--fn", "kontsevich", "--kn", "3", "--beta", "1.5",
@@ -395,7 +420,7 @@ _FLOATS = st.one_of(
     st.floats(-3.0, 3.0),
     st.floats(-50.0, 50.0),
 )
-_BETAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), _FLOATS)
+_BETAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0, 1e308]), _FLOATS)
 
 
 @st.composite

@@ -12,18 +12,16 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     Regime,
-    SampleSeed,
-    Spectrum,
-    bulk_rescale,
     bulk_scale,
     bump,
     edge_density_closed,
-    edge_rescale,
+    eigenvalues_block,
     estimate_density,
     grid_to_lambda,
     raised_cosine,
+    rescale,
+    sample_block,
     sample_density,
-    sample_spectrum,
     semicircle,
     triangle,
     weak_functional,
@@ -45,48 +43,43 @@ def fixed(n, beta):
     return EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
 
 
+def spectra(params, seed, reps, regime=Regime.RAW):
+    """Rows 0..reps-1 of the `stev` spectra of seed's block, in the regime's coordinate."""
+    return rescale(eigenvalues_block(*sample_block(params, seed, 0, reps)), regime, params)
+
+
 class TestRescale:
     def test_bulk_gaussian(self):
-        s = Spectrum([10.0], params=gauss(50, 2.0))
-        assert bulk_rescale(s)[0] == pytest.approx(10.0 / np.sqrt(200.0))
+        assert rescale([10.0], Regime.BULK, gauss(50, 2.0))[0] == pytest.approx(
+            10.0 / np.sqrt(200.0))
 
     def test_bulk_fixed_trace(self):
-        s = Spectrum([10.0], params=fixed(50, 2.0))
-        assert bulk_rescale(s)[0] == pytest.approx(1.0)
+        assert rescale([10.0], Regime.BULK, fixed(50, 2.0))[0] == pytest.approx(1.0)
 
     def test_edge_gaussian_points(self):
         p = gauss(1000, 2.0)
         edge = np.sqrt(2 * 2.0 * 1000)
-        s = Spectrum([edge, edge * (1 + 1 / (2 * 1000 ** (2 / 3)))], params=p)
-        t = edge_rescale(s)
+        t = rescale([edge, edge * (1 + 1 / (2 * 1000 ** (2 / 3)))], Regime.EDGE, p)
         assert t[0] == pytest.approx(0.0, abs=1e-10)
         assert t[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_edge_fixed_trace_point(self):
         p = fixed(1000, 2.0)
-        s = Spectrum([np.sqrt(2000.0) * 0.999], params=p)
-        assert edge_rescale(s)[0] == pytest.approx(-0.2, abs=1e-9)
+        assert rescale([np.sqrt(2000.0) * 0.999], Regime.EDGE, p)[0] == pytest.approx(
+            -0.2, abs=1e-9)
 
     def test_fixed_trace_hard_support(self):
         # a single eigenvalue can carry at most the whole trace budget
         p = fixed(40, 1.0)
-        for rep in range(20):
-            s = sample_spectrum(p, SampleSeed(3, rep))
-            x = bulk_rescale(s)
-            assert np.max(np.abs(x)) <= np.sqrt((p.n - 1) / 4.0) + 1e-12
+        x = spectra(p, 3, 20, Regime.BULK)
+        assert np.max(np.abs(x)) <= np.sqrt((p.n - 1) / 4.0) + 1e-12
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_grid_to_lambda_inverts_rescale(self, regime, kind):
         p = EnsembleParams(300, 2.0, kind)
         x = np.linspace(-5.0, 2.0, 8)
-        s = Spectrum(grid_to_lambda(x, regime, p), params=p)
-        back = {Regime.RAW: s.values, Regime.BULK: bulk_rescale(s), Regime.EDGE: edge_rescale(s)}
-        assert back[regime] == pytest.approx(x, abs=1e-12)
-
-    def test_empty_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            bulk_rescale(Spectrum(np.array([]), params=gauss(2, 1.0)))
+        assert rescale(grid_to_lambda(x, regime, p), regime, p) == pytest.approx(x, abs=1e-12)
 
 
 class TestEstimateDensity:
@@ -143,10 +136,7 @@ class TestEstimateDensity:
 
 def stev_density(params, seed, reps, grid, regime):
     """The eigenvalue route: LAPACK spectra, rescaled, through np.histogram."""
-    rescale = {Regime.RAW: lambda s: s.values, Regime.BULK: bulk_rescale,
-               Regime.EDGE: edge_rescale}[regime]
-    vecs = [rescale(sample_spectrum(params, SampleSeed(seed, r))) for r in range(reps)]
-    return estimate_density(vecs, grid, regime, params)
+    return estimate_density(list(spectra(params, seed, reps, regime)), grid, regime, params)
 
 
 def assert_same_histogram(fast, slow):
@@ -261,8 +251,7 @@ class TestWeakFunctional:
 class TestStatisticalShape:
     def test_bulk_symmetry(self):
         p = fixed(60, 2.0)
-        vecs = [bulk_rescale(sample_spectrum(p, SampleSeed(21, r))) for r in range(150)]
-        d = estimate_density(vecs, np.linspace(-1.2, 1.2, 25), Regime.BULK, p)
+        d = estimate_density(list(spectra(p, 21, 150, Regime.BULK)), np.linspace(-1.2, 1.2, 25), Regime.BULK, p)
         left = d.height[:12][::-1]
         right = d.height[12:]
         counts = d.height * (60 * 150) * d.widths[0]
@@ -273,8 +262,7 @@ class TestStatisticalShape:
     def test_l1_shrinks_with_n(self):
         def l1(n, reps, seed):
             p = fixed(n, 2.0)
-            vecs = [bulk_rescale(sample_spectrum(p, SampleSeed(seed, r))) for r in range(reps)]
-            d = estimate_density(vecs, np.linspace(-1.2, 1.2, 61), Regime.BULK, p)
+            d = estimate_density(list(spectra(p, seed, reps, Regime.BULK)), np.linspace(-1.2, 1.2, 61), Regime.BULK, p)
             ref = np.array([semicircle_mass(a, b) / (b - a)
                             for a, b in zip(d.grid[:-1], d.grid[1:])])
             return float(np.sum(np.abs(d.height - ref) * d.widths))
@@ -285,9 +273,8 @@ class TestStatisticalShape:
         # the riskiest bookkeeping step: per-unit-t counts converge to the
         # closed beta=2 edge profile
         p = gauss(500, 2.0)
-        vecs = [edge_rescale(sample_spectrum(p, SampleSeed(41, r))) for r in range(400)]
         grid = np.linspace(-4.0, 1.0, 11)
-        d = estimate_density(vecs, grid, Regime.EDGE, p)
+        d = estimate_density(list(spectra(p, 41, 400, Regime.EDGE)), grid, Regime.EDGE, p)
         ref = edge_density_closed(2, d.centers).value
         # finite-N bias O(N^(-2/3)) ~ 0.016 plus MC noise
         assert np.max(np.abs(d.height - ref)) <= 0.12

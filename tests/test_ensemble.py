@@ -12,19 +12,13 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     SampleSeed,
-    TridiagonalSymmetric,
     big_l,
-    eigenvalues,
     eigenvalues_block,
-    fixed_trace_rescale,
-    sample_beta_hermite,
     sample_block,
-    sample_ensemble,
-    sample_half_chi,
+    sample_spectrum,
     trace_sq_rows,
 )
-from betahermite.ensemble import REPLICATE_CHUNK
-from conftest import sample_matrices
+from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows
 
 
 def half_chi_mean_sq_oracle(k):
@@ -36,60 +30,68 @@ def half_chi_mean_sq_oracle(k):
     return val
 
 
+def bottom_entry(beta, master, start, count, n=2):
+    """The bottom subdiagonal entries b_1 ~ chi_beta/sqrt(2) of a sampled block."""
+    return sample_block(EnsembleParams(n, beta), master, start, count)[1][:, -1]
+
+
 class TestHalfChi:
+    """The bottom subdiagonal entry has the half-chi density with k = beta."""
+
     def test_determinism(self):
-        s = SampleSeed(123, 5)
-        assert sample_half_chi(2.0, s) == sample_half_chi(2.0, s)
+        assert np.array_equal(bottom_entry(2.0, 123, 5, 1), bottom_entry(2.0, 123, 5, 1))
 
     def test_distinct_replicates_differ(self):
-        assert sample_half_chi(2.0, SampleSeed(1, 0)) != sample_half_chi(2.0, SampleSeed(1, 1))
+        x = bottom_entry(2.0, 1, 0, 2)
+        assert x[0] != x[1]
 
     def test_bad_dof(self):
+        # the entry j rows from the bottom has k = j*beta degrees of freedom
         with pytest.raises(ValueError):
-            sample_half_chi(0.0, SampleSeed(0))
+            EnsembleParams(2, 0.0)
         with pytest.raises(ValueError):
-            sample_half_chi(-1.0, SampleSeed(0))
+            EnsembleParams(2, -1.0)
 
     @pytest.mark.parametrize("k,expected", [(2.0, 1.0), (4.0, 2.0)])
     def test_mean_square(self, k, expected):
         # oracle first: quadrature of the stated density agrees with the
         # gamma-mean closed form
         assert half_chi_mean_sq_oracle(k) == pytest.approx(expected, abs=1e-10)
-        x = sample_half_chi(k, SampleSeed(7, 0), size=100_000)
+        x = bottom_entry(k, 7, 0, 100_000)
         m = np.mean(x**2)
         se = np.std(x**2, ddof=1) / np.sqrt(len(x))
         assert abs(m - expected) <= 3.0 * se
 
     def test_positive(self):
-        x = sample_half_chi(0.5, SampleSeed(3, 0), size=1000)
+        x = bottom_entry(0.5, 3, 0, 1000)
         assert np.all(x > 0)
 
 
 class TestBetaHermiteSampler:
     def test_n1_degenerate(self):
-        h = sample_beta_hermite(EnsembleParams(1, 2.0), SampleSeed(0, 0))
-        assert h.n == 1 and len(h.subdiag) == 0
+        diag, sub = sample_block(EnsembleParams(1, 2.0), 0, 0, 1)
+        assert diag.shape == (1, 1) and sub.shape == (1, 0)
 
     def test_determinism_bit_identical(self):
         p = EnsembleParams(20, 2.5)
-        a = sample_beta_hermite(p, SampleSeed(42, 3))
-        b = sample_beta_hermite(p, SampleSeed(42, 3))
-        assert np.array_equal(a.diag, b.diag) and np.array_equal(a.subdiag, b.subdiag)
+        a = sample_block(p, 42, 3, 1)
+        b = sample_block(p, 42, 3, 1)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_subdiag_positive(self):
-        h = sample_beta_hermite(EnsembleParams(50, 0.3), SampleSeed(1, 0))
-        assert np.all(h.subdiag > 0)
+        _, sub = sample_block(EnsembleParams(50, 0.3), 1, 0, 1)
+        assert np.all(sub > 0)
 
     def test_trace_sq_mean(self):
         # E tr H^2 = n + beta n(n-1)/2 = 10000 at n=100, beta=2
         reps = 10_000
-        t = np.array([h.trace_sq() for h in sample_matrices(100, 2.0, reps, 11)])
+        t = trace_sq_rows(*sample_block(EnsembleParams(100, 2.0), 11, 0, reps))
         se = t.std(ddof=1) / np.sqrt(reps)
         assert abs(t.mean() - 10_000.0) <= 3.0 * se
 
     def test_bottom_entry_mean_n2_beta4(self):
         # single subdiagonal entry has E[b^2] = k/2 = 2
-        vals = np.array([h.subdiag[0] ** 2 for h in sample_matrices(2, 4.0, 20_000, 5)])
+        vals = bottom_entry(4.0, 5, 0, 20_000) ** 2
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0) <= 3.0 * se
 
@@ -131,20 +133,16 @@ class TestSampleBlock:
 
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_one_matrix_functions_are_blocks_of_one(self, kind):
+        # sample_spectrum is row r - start of the block's eigenvalues
         p = EnsembleParams(7, 1.5, kind)
-        diag, sub = sample_block(p, 3, 10, 4)
-        for i in range(4):
-            t = sample_ensemble(p, SampleSeed(3, 10 + i))
-            assert np.array_equal(t.diag, diag[i]) and np.array_equal(t.subdiag, sub[i])
-        # sample_beta_hermite is the Gaussian matrix whatever the kind
-        h = sample_beta_hermite(p, SampleSeed(3, 10))
-        d, s = recipe_matrix(EnsembleParams(7, 1.5), SampleSeed(3, 10))
-        assert np.array_equal(h.diag, d) and np.array_equal(h.subdiag, s)
+        values = eigenvalues_block(*sample_block(p, 3, 10, 4))
+        for r in range(10, 14):
+            assert np.array_equal(sample_spectrum(p, SampleSeed(3, r)).values, values[r - 10])
 
     def test_trace_sq_rows(self):
         diag, sub = sample_block(EnsembleParams(9, 2.0), 1, 0, 5)
         rows = trace_sq_rows(diag, sub)
-        assert [TridiagonalSymmetric(d, s).trace_sq() for d, s in zip(diag, sub)] == list(rows)
+        assert [np.sum(d**2) + 2.0 * np.sum(s**2) for d, s in zip(diag, sub)] == list(rows)
 
     def test_empty_block(self):
         diag, sub = sample_block(EnsembleParams(4, 2.0), 0, 0, 0)
@@ -162,35 +160,23 @@ class TestSampleBlock:
 
 class TestFixedTrace:
     def test_direct_arithmetic(self):
-        h = TridiagonalSymmetric([1.0, 1.0], [0.0])
-        f = fixed_trace_rescale(h, EnsembleParams(2, 1.0, EnsembleKind.FIXED_TRACE))
-        assert f.diag == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert f.trace_sq() == pytest.approx(1.0)
+        diag, sub = np.array([[1.0, 1.0]]), np.array([[0.0]])
+        _rescale_rows(diag, sub, EnsembleParams(2, 1.0, EnsembleKind.FIXED_TRACE).strength_sq)
+        assert diag[0] == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert trace_sq_rows(diag, sub)[0] == pytest.approx(1.0)
 
     def test_sampled_trace(self):
         p = EnsembleParams(50, 1.0, EnsembleKind.FIXED_TRACE)
-        f = sample_ensemble(p, SampleSeed(9, 0))
-        assert abs(f.trace_sq() - 1225.0) / 1225.0 < 1e-12
-
-    def test_unit_strength(self):
-        p = EnsembleParams(50, 1.0)
-        h = sample_beta_hermite(p, SampleSeed(9, 1))
-        f = fixed_trace_rescale(h, p, unit_strength=True)
-        assert f.trace_sq() == pytest.approx(1.0, rel=1e-12)
-
-    def test_n1_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_trace_rescale(
-                TridiagonalSymmetric([1.0], []), EnsembleParams(1, 2.0)
-            )
+        t = trace_sq_rows(*sample_block(p, 9, 0, 1))[0]
+        assert abs(t - 1225.0) / 1225.0 < 1e-12
 
     def test_eigenvalue_scale_relation(self):
         p = EnsembleParams(30, 2.0)
-        h = sample_beta_hermite(p, SampleSeed(4, 2))
-        f = fixed_trace_rescale(h, p)
-        c = np.sqrt(p.strength_sq / h.trace_sq())
-        ev_h = eigenvalues(h).values
-        ev_f = eigenvalues(f).values
+        h = sample_block(p, 4, 2, 1)
+        f = sample_block(EnsembleParams(30, 2.0, EnsembleKind.FIXED_TRACE), 4, 2, 1)
+        c = np.sqrt(p.strength_sq / trace_sq_rows(*h)[0])
+        ev_h = eigenvalues_block(*h)[0]
+        ev_f = eigenvalues_block(*f)[0]
         assert np.max(np.abs(ev_f - c * ev_h)) <= 1e-12 * np.max(np.abs(ev_f))
 
     @given(
@@ -202,10 +188,10 @@ class TestFixedTrace:
         subdiag = sub.draw(
             st.lists(st.floats(0.01, 5), min_size=len(diag) - 1, max_size=len(diag) - 1)
         )
-        h = TridiagonalSymmetric(diag, subdiag)
+        d, s = np.array([diag]), np.array([subdiag])
         p = EnsembleParams(len(diag), 1.0)
-        f = fixed_trace_rescale(h, p)
-        assert f.trace_sq() == pytest.approx(p.strength_sq, rel=1e-12)
+        _rescale_rows(d, s, p.strength_sq)
+        assert trace_sq_rows(d, s)[0] == pytest.approx(p.strength_sq, rel=1e-12)
 
 
 class TestParamValidation:

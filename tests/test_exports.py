@@ -1,0 +1,55 @@
+"""Public names: every export resolves, and so does every betahermite name the
+benchmark imports, so a stale export or a broken benchmark contract fails here
+rather than in a benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+SUBMODULES = ("airy", "checks", "density", "ensemble", "exact", "kontsevich", "moments",
+              "tridiag")  # cli exports nothing: it is the command line
+
+
+@pytest.mark.parametrize("module", ["betahermite", *(f"betahermite.{m}" for m in SUBMODULES)])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def _load(path: Path, monkeypatch):
+    """Import a benchmark file by path, without putting its directory on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{path.stem}", path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _betahermite_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every `from betahermite... import name` in a file, at any depth."""
+    tree = ast.parse(path.read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "betahermite"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("name", ["workloads", "spans"])
+def test_benchmark_imports_resolve(name, monkeypatch):
+    path = BENCHMARK / f"{name}.py"
+    mod = _load(path, monkeypatch)
+    imports = _betahermite_imports(path)
+    missing = [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert not missing, f"{path.name} imports names betahermite lacks: {missing}"
+    # spans.py wraps the functions of these modules, imported by name
+    for layer in getattr(mod, "LAYERS", ()):
+        importlib.import_module(f"betahermite.{layer}")
+    if name == "workloads":
+        assert ("betahermite.tridiag", "sample_spectrum") in imports
+

@@ -1,7 +1,7 @@
 """Entry moments: Monte Carlo against closed forms, the finite-N ratio, and
 the sphere-sampling validity guard at n=2."""
 
-from math import log, sqrt
+from math import fsum, log, sqrt
 
 import mpmath
 import numpy as np
@@ -16,6 +16,8 @@ from betahermite import (
     big_l,
     moment_mc,
     moment_ratio_exact,
+    sample_block,
+    trace_sq_rows,
     verify_moment_equivalence,
 )
 
@@ -69,29 +71,25 @@ class TestMomentMc:
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_mean_equals_per_replicate_route(self, kind):
         # the block estimator against a replicate-by-replicate recomputation,
-        # across a chunk boundary: same products, same Kahan sum
-        from betahermite import sample_beta_hermite
+        # across a chunk boundary: same products, same exactly rounded sum
         from betahermite.ensemble import REPLICATE_CHUNK
 
         p = EnsembleParams(6, 2.0, kind)
+        gaussian = EnsembleParams(6, 2.0)
         idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
         reps = REPLICATE_CHUNK + 3
         m = moment_mc(p, idx, reps, SampleSeed(8, 4))
         r2 = 2.0 * big_l(6, 2.0)
-        total = comp = 0.0
+        products = []
         for rep in range(reps):
-            h = sample_beta_hermite(p, SampleSeed(8, 4 + rep))
-            a, b = h.diag, h.subdiag[::-1]
+            diag, sub = sample_block(gaussian, 8, 4 + rep, 1)
+            a, b = diag[0], sub[0, ::-1]
             if kind is EnsembleKind.FIXED_TRACE:
-                c = sqrt(r2 / h.trace_sq())
+                c = sqrt(r2 / trace_sq_rows(diag, sub)[0])
                 a, b = a * c, b * c
-            v = float(np.prod(a ** np.array(idx.eta_a, dtype=float))
-                      * np.prod(b ** np.array(idx.eta_b, dtype=float)))
-            y = v - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        assert m.mean == total / reps and m.n_reps == reps
+            products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
+                                  * np.prod(b ** np.array(idx.eta_b, dtype=float))))
+        assert m.mean == fsum(products) / reps and m.n_reps == reps
 
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
