@@ -165,6 +165,11 @@ class TestFixedTrace:
         assert diag[0] == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert trace_sq_rows(diag, sub)[0] == pytest.approx(1.0)
 
+    def test_n1_rejected(self):
+        # the projection onto tr H^2 = n(n-1)/2 = 0 degenerates at n = 1
+        with pytest.raises(ValueError):
+            sample_spectrum(EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE), SampleSeed(0, 0))
+
     def test_sampled_trace(self):
         p = EnsembleParams(50, 1.0, EnsembleKind.FIXED_TRACE)
         t = trace_sq_rows(*sample_block(p, 9, 0, 1))[0]
