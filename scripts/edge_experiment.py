@@ -50,7 +50,7 @@ def main():
     centers = d_g.centers
     ref = None
     if has_closed_edge_form(args.beta):
-        ref = edge_density_closed(int(args.beta), centers).value
+        ref = edge_density_closed(int(args.beta), centers)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["t", "gaussian", "fixed_trace"] + (["closed_form"] if ref is not None else [])

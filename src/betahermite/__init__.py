@@ -28,7 +28,6 @@ from .ensemble import (
 )
 from .kontsevich import (
     KontsevichResult,
-    QuadratureControls,
     edge_prefactor,
     kontsevich_edge_density,
     kontsevich_k,
@@ -47,8 +46,7 @@ __all__ = [
     "EnsembleKind", "EnsembleParams", "SampleSeed", "sample_block", "trace_sq_rows",
     "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
-    "QuadratureControls", "KontsevichResult", "kontsevich_k", "edge_prefactor",
-    "kontsevich_edge_density",
+    "KontsevichResult", "kontsevich_k", "edge_prefactor", "kontsevich_edge_density",
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
     "bulk_scale", "rescale", "grid_to_lambda", "estimate_density",
     "sample_density", "semicircle", "weak_functional",

@@ -5,7 +5,8 @@ Gauss-Legendre panels, and ``ai_derivatives`` extends the pair to higher
 orders through the Airy equation.
 
 Edge densities: ``edge_density_closed`` evaluates the classical closed forms
-for beta in {1, 2, 4}.  Note a units caveat for beta=4: the closed form is
+for beta in {1, 2, 4} and, like ``airy_ai``, returns a float for a scalar and
+an ndarray for an array.  Note a units caveat for beta=4: the closed form is
 written in the doubled-argument convention, while edge histograms produced by
 this package's scaling follow the rescaled profile
 (beta/2)^(-1/3) * Ai_beta((beta/2)^(-1/3) t); the two agree for beta in
@@ -16,7 +17,6 @@ route, which is normalized to agree with the closed forms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "AI0",
     "AIP0",
     "AiryAccuracyWarning",
-    "EdgeDensityValue",
     "airy_ai",
     "airy_ai_prime",
     "airy_tail",
@@ -96,23 +95,14 @@ def airy_tail(x, upper: float = 20.0):
     return float(np.sum(vals @ weights * half))
 
 
-@dataclass
-class EdgeDensityValue:
-    """Edge-density value at one scaled coordinate."""
-
-    x: float
-    value: float
-    beta: float
-    error: float | None = None
-
-
 def has_closed_edge_form(beta: float) -> bool:
     """True for the beta values with a closed-form edge density: 1, 2 and 4."""
     return beta in (1, 2, 4)
 
 
-def edge_density_closed(beta: int, x) -> EdgeDensityValue:
-    """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}.
+def edge_density_closed(beta: int, x):
+    """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}; scalar in,
+    float out; ndarray in, ndarray out.
 
     beta=1: Ai'^2 - x Ai^2 + Ai/2 * (1 - int_x^inf Ai)
     beta=2: Ai'^2 - x Ai^2
@@ -137,9 +127,7 @@ def edge_density_closed(beta: int, x) -> EdgeDensityValue:
         tails = np.array([0.5 * airy_tail(2.0 * t) for t in xs])
         ai, aip = _ai_aip(2.0 * xs)
         val = aip**2 - 2.0 * xs * ai**2 - ai * tails
-    if np.ndim(x) == 0:
-        return EdgeDensityValue(x=float(x), value=float(val[0]), beta=float(beta))
-    return EdgeDensityValue(x=np.asarray(x, dtype=float), value=val, beta=float(beta))
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def ai_derivatives(x: float, m_max: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .tridiag import eigenvalues_block
 
 USAGE_ERROR = 2
 SPECTRA_HEADER = "replicate,index,eigenvalue"
+MAX_SPECIAL_POINTS = 1_000_000  # points one `special` table may hold
 
 
 def _params(args) -> EnsembleParams:
@@ -127,6 +128,14 @@ def cmd_density(args) -> int:
         return USAGE_ERROR
     regime = Regime(args.regime)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
+    # the reference first: a grid it cannot be evaluated on is refused before sampling
+    ref = None
+    if args.reference == "semicircle":
+        ref = {"semicircle": np.array(
+            [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
+        )}
+    elif args.reference == "aibeta":
+        ref = {"aibeta": edge_density_closed(int(params.beta), 0.5 * (grid[1:] + grid[:-1]))}
     if args.input:
         values, master_seed = _read_spectra(args.input, params)
         # the sidecar records the spectra's seed and count, not the flags
@@ -137,13 +146,6 @@ def cmd_density(args) -> int:
     if d.n_disjoint == d.n_samples:
         print("error: no samples meet the grid; adjust --grid-lo/--grid-hi", file=sys.stderr)
         return USAGE_ERROR
-    ref = None
-    if args.reference == "semicircle":
-        ref = {"semicircle": np.array(
-            [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
-        )}
-    elif args.reference == "aibeta":
-        ref = {"aibeta": edge_density_closed(int(params.beta), d.centers).value}
     out = Path(args.output)
     write_density_csv(d, out, reference=ref)
     meta = density_sidecar(d, extra=_sidecar_base(args))
@@ -164,13 +166,20 @@ def cmd_special(args) -> int:
         print("error: --fn aibeta needs beta in {1,2,4}; "
               "use --fn kontsevich for other even beta", file=sys.stderr)
         return USAGE_ERROR
+    if args.x is None:
+        # the length np.arange gives, counted before anything is allocated
+        count = np.ceil((args.x_hi + 1e-12 - args.x_lo) / args.x_step)
+        if not count <= MAX_SPECIAL_POINTS:
+            print(f"error: --x-lo, --x-hi and --x-step give {count:g} points, "
+                  f"over the cap of {MAX_SPECIAL_POINTS}", file=sys.stderr)
+            return USAGE_ERROR
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
     if args.fn == "kontsevich":
         rows = []
         for x in xs:
             r = kontsevich_k(args.kn, args.beta, float(x))
             if not r.converged:
-                print(f"error: quadrature budget exhausted at x={x}", file=sys.stderr)
+                print(f"error: quadrature did not converge at x={x}", file=sys.stderr)
                 return 1
             rows.append((x, r.value, r.error))
     else:
@@ -178,7 +187,7 @@ def cmd_special(args) -> int:
             "ai": airy_ai,
             "ai-prime": airy_ai_prime,
             "ai-tail": airy_tail,
-            "aibeta": lambda x: edge_density_closed(int(args.beta), x).value,
+            "aibeta": lambda x: edge_density_closed(int(args.beta), x),
         }[args.fn]
         rows = [(x, fn(float(x)), None) for x in xs]
     out = Path(args.output) if args.output else None

@@ -65,13 +65,10 @@ class Regime(str, Enum):
 
 @dataclass
 class DensityEstimate:
-    """Binned (or pointwise) density on a grid.
+    """Binned density on a grid: ``grid`` holds the bin edges
+    (len = len(height)+1).
 
-    Binned: ``grid`` holds bin edges (len = len(height)+1).  Pointwise
-    (``pointwise=True``): ``grid`` holds abscissas, same length as
-    ``height``; used for exact reference curves.
-
-    A binned estimate also records where its ``n_values`` values fell:
+    The estimate also records where its ``n_values`` values fell:
     ``below`` the first edge, ``above`` the last one (at or above it on the
     Sturm route, strictly above it with `np.histogram`, which closes the last
     bin), and how many of its ``n_samples`` vectors lie wholly below or wholly
@@ -83,7 +80,6 @@ class DensityEstimate:
     regime: Regime
     n_samples: int = 0
     params: EnsembleParams | None = None
-    pointwise: bool = False
     n_values: int = 0
     below: int = 0
     above: int = 0
@@ -92,20 +88,15 @@ class DensityEstimate:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.height = np.asarray(self.height, dtype=float)
-        expected = len(self.grid) if self.pointwise else len(self.grid) - 1
-        if len(self.height) != expected:
+        if len(self.height) != len(self.grid) - 1:
             raise ValueError("height length does not match grid")
 
     @property
     def centers(self) -> np.ndarray:
-        if self.pointwise:
-            return self.grid
         return 0.5 * (self.grid[1:] + self.grid[:-1])
 
     @property
     def widths(self) -> np.ndarray:
-        if self.pointwise:
-            raise ValueError("pointwise estimates have no bin widths")
         return np.diff(self.grid)
 
     @property
@@ -115,14 +106,14 @@ class DensityEstimate:
 
     def mass(self) -> float:
         """Integral of the estimate over its grid."""
-        if self.pointwise:
-            return float(np.trapezoid(self.height, self.grid))
         return float(np.sum(self.height * self.widths))
 
 
 @dataclass
 class TestFunction:
     """Continuous test function with compact support [lo, hi]."""
+
+    __test__ = False  # not a pytest class, though its name starts with "Test"
 
     fn: Callable[[np.ndarray], np.ndarray]
     lo: float
@@ -303,12 +294,6 @@ def semicircle_mass(lo: float, hi: float) -> float:
 
 def weak_functional(d: DensityEstimate, f: TestFunction) -> float:
     """Integral of f against the estimate: sum f(center) * height * width."""
-    if d.pointwise:
-        lo, hi = d.grid[0], d.grid[-1]
-        if f.hi <= lo or f.lo >= hi:
-            warnings.warn("test-function support does not meet the grid; returning 0")
-            return 0.0
-        return float(np.trapezoid(f(d.grid) * d.height, d.grid))
     if f.hi <= d.grid[0] or f.lo >= d.grid[-1]:
         warnings.warn("test-function support does not meet the grid; returning 0")
         return 0.0

@@ -2,77 +2,42 @@
 the Gaussian/fixed-trace integral equation, the Vandermonde maximum on the
 trace sphere, and the finite-N density upper bound.
 
-All partition-function and bound arithmetic runs in the log domain; the
-partition values overflow doubles well before N = 100.
+All partition-function and bound arithmetic runs in the log domain, and
+those functions return the plain float log; the partition values overflow
+doubles well before N = 100.
 
 Fixed-trace normalization convention: the partition functions equal the
 integral of |Delta|^beta over the trace sphere with respect to the surface
 measure, so the one-point marginal carries the sphere-slice Jacobian 1/y
-with y = sqrt(1 - x^2) (unit strength).  With that pairing the density
-integrates to one and the radial integral equation is an identity.
+with y = sqrt(1 - x^2) (unit strength, the sphere of radius 1).  With that
+pairing the density integrates to one and the radial integral equation is
+an identity.  `exact_density_small_n` rescales to the sampler's radius
+sqrt(n(n-1)/2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from math import inf, lgamma, log, pi, sqrt
 
 import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .density import DensityEstimate, Regime
 from .ensemble import EnsembleKind
 from .moments import big_l
 
 __all__ = [
-    "LogValue",
-    "Strength",
-    "BoundConstants",
     "log_z_beta_he",
     "log_z_fte",
     "exact_density_small_n",
     "verify_integral_equation",
-    "rescale_strength1",
     "hermite_zeros",
     "log_vandermonde_sq",
     "log_vandermonde_sq_max",
     "c_beta",
     "log_g_n_beta",
-    "bound_constants",
     "density_upper_bound",
 ]
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """sign * exp(log_abs), for quantities that overflow doubles."""
-
-    log_abs: float
-    sign: int = 1
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogValue":
-        if v == 0:
-            return cls(float("-inf"), 0)
-        return cls(log(abs(v)), 1 if v > 0 else -1)
-
-    def value(self) -> float:
-        return self.sign * np.exp(self.log_abs)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.log_abs + other.log_abs, self.sign * other.sign)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by exact zero")
-        return LogValue(self.log_abs - other.log_abs, self.sign * other.sign)
-
-
-class Strength(str, Enum):
-    CANONICAL = "canonical"  # r^2 = n(n-1)/2
-    UNIT = "unit"            # r^2 = 1
 
 
 def _log_gamma_product(n: int, beta: float) -> float:
@@ -81,32 +46,33 @@ def _log_gamma_product(n: int, beta: float) -> float:
                  - n * lgamma(1.0 + beta / 2.0))
 
 
-def log_z_beta_he(n: int, beta: float) -> LogValue:
-    """Gaussian-ensemble normalization (2 pi)^(n/2) prod Gamma ratios."""
+def log_z_beta_he(n: int, beta: float) -> float:
+    """log of the Gaussian-ensemble normalization (2 pi)^(n/2) prod Gamma ratios."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < beta < inf:
         raise ValueError("beta must be finite and > 0")
-    return LogValue((n / 2.0) * log(2.0 * pi) + _log_gamma_product(n, beta))
+    return (n / 2.0) * log(2.0 * pi) + _log_gamma_product(n, beta)
 
 
-def log_z_fte(n: int, beta: float, strength: Strength = Strength.CANONICAL) -> LogValue:
-    """Fixed-trace normalization at canonical or unit strength."""
+def log_z_fte(n: int, beta: float) -> float:
+    """log of the fixed-trace normalization Z_1 on the unit trace sphere.
+
+    On the sphere of radius r the normalization is Z_r = r^(N_beta - 1) Z_1,
+    with N_beta = 2L; the sampler's canonical radius is r^2 = n(n-1)/2.
+    """
     if n < 2:
         raise ValueError("fixed-trace partition function needs n >= 2")
     nb = 2.0 * big_l(n, beta)
-    la = ((n / 2.0) * log(2.0 * pi) + (1.0 - nb / 2.0) * log(2.0)
-          - lgamma(nb / 2.0) + _log_gamma_product(n, beta))
-    if strength is Strength.CANONICAL:
-        la += ((nb - 1.0) / 2.0) * log(n * (n - 1) / 2.0)
-    return LogValue(la)
+    return ((n / 2.0) * log(2.0 * pi) + (1.0 - nb / 2.0) * log(2.0)
+            - lgamma(nb / 2.0) + _log_gamma_product(n, beta))
 
 
 # ---------------------------------------------------------------------------
 # small-n exact densities
 
 def _rho_gauss_n2(beta: float, x1: float) -> float:
-    lz = log_z_beta_he(2, beta).log_abs
+    lz = log_z_beta_he(2, beta)
 
     def f(y):
         return np.abs(x1 - y) ** beta * np.exp(-y * y / 2.0)
@@ -122,7 +88,7 @@ _GL220 = np.polynomial.legendre.leggauss(220)
 def _rho_gauss_n3(beta: float, x1: float) -> float:
     # tensor Gauss-Legendre on [-12, 12]^2; geometric convergence for even
     # beta, slower (kinked |Delta|) otherwise
-    lz = log_z_beta_he(3, beta).log_abs
+    lz = log_z_beta_he(3, beta)
     nodes, wts = _GL220
     y = nodes * 12.0
     w = wts * 12.0
@@ -136,7 +102,7 @@ def _rho_gauss_n3(beta: float, x1: float) -> float:
 def _rho_fte1_n2(beta: float, s: float) -> float:
     if abs(s) >= 1.0:
         return 0.0
-    lz = log_z_fte(2, beta, Strength.UNIT).log_abs
+    lz = log_z_fte(2, beta)
     y = sqrt(1.0 - s * s)
     return float((abs(s - y) ** beta + abs(s + y) ** beta) / y * np.exp(-lz))
 
@@ -157,7 +123,7 @@ _GL20 = np.polynomial.legendre.leggauss(20)
 def _rho_fte1_n3(beta: float, s: float) -> float:
     if abs(s) >= 1.0:
         return 0.0
-    lz = log_z_fte(3, beta, Strength.UNIT).log_abs
+    lz = log_z_fte(3, beta)
     y = sqrt(1.0 - s * s)
 
     def integrand(phi):
@@ -186,19 +152,15 @@ def _rho_fte1(n: int, beta: float, s: float) -> float:
     return _rho_fte1_n2(beta, s) if n == 2 else _rho_fte1_n3(beta, s)
 
 
-def exact_density_small_n(
-    n: int,
-    beta: float,
-    kind: EnsembleKind,
-    x_grid,
-    strength: Strength = Strength.CANONICAL,
-) -> DensityEstimate:
-    """Pointwise one-point density at n = 2 or 3 by direct quadrature.
+def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
+    """One-point density at n = 2 or 3 by direct quadrature.
 
-    For the fixed-trace kind the delta constraint is eliminated analytically
-    on the circle (n=2) or the 2-sphere (n=3); `strength` selects the
-    canonical or unit trace sphere.  Intended accuracy ~1e-8 (even beta at
-    n=3; the kinked odd-beta integrands at n=3 converge more slowly).
+    Returns the ndarray of heights at the points of ``x_grid``.  For the
+    fixed-trace kind the delta constraint is eliminated
+    analytically on the circle (n=2) or the 2-sphere (n=3) of the canonical
+    radius sqrt(n(n-1)/2), the one the sampler draws.  Intended accuracy
+    ~1e-8 (even beta at n=3; the kinked odd-beta integrands at n=3 converge
+    more slowly).
     """
     if n not in (2, 3):
         raise ValueError("exact densities are implemented for n in {2, 3}")
@@ -207,12 +169,9 @@ def exact_density_small_n(
         f = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
         vals = np.array([f(beta, x) for x in xs])
     else:
-        if strength is Strength.UNIT:
-            vals = np.array([_rho_fte1(n, beta, x) for x in xs])
-        else:
-            r = sqrt(n * (n - 1) / 2.0)
-            vals = np.array([_rho_fte1(n, beta, x / r) / r for x in xs])
-    return DensityEstimate(grid=xs, height=vals, regime=Regime.RAW, n_samples=0, pointwise=True)
+        r = sqrt(n * (n - 1) / 2.0)
+        vals = np.array([_rho_fte1(n, beta, x / r) / r for x in xs])
+    return vals
 
 
 def verify_integral_equation(n: int, beta: float, x_grid) -> float:
@@ -248,23 +207,6 @@ def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     return worst
 
 
-def rescale_strength1(d: DensityEstimate, n: int) -> DensityEstimate:
-    """Map a canonical-strength fixed-trace density to unit strength.
-
-    Pure change of variables: grid shrinks by r = sqrt(n(n-1)/2), heights
-    grow by r; mass is preserved exactly.
-    """
-    r = sqrt(n * (n - 1) / 2.0)
-    return DensityEstimate(
-        grid=d.grid / r,
-        height=d.height * r,
-        regime=d.regime,
-        n_samples=d.n_samples,
-        params=d.params,
-        pointwise=d.pointwise,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hermite zeros and the Vandermonde maximum on the trace sphere
 
@@ -285,8 +227,8 @@ def log_vandermonde_sq(points) -> float:
     return float(2.0 * np.sum(np.log(diffs)))
 
 
-def log_vandermonde_sq_max(n: int) -> LogValue:
-    """Maximum of the squared Vandermonde over sum x^2 <= n(n-1)/2.
+def log_vandermonde_sq_max(n: int) -> float:
+    """log of the maximum of the squared Vandermonde over sum x^2 <= n(n-1)/2.
 
     Attained at the Hermite zeros; the closed form is
     2^(-n(n-1)/2) prod_v exp(v ln v).
@@ -294,7 +236,7 @@ def log_vandermonde_sq_max(n: int) -> LogValue:
     if n < 2:
         raise ValueError("n must be >= 2")
     v = np.arange(1, n + 1)
-    return LogValue(-(n * (n - 1) / 2.0) * log(2.0) + float(np.sum(v * np.log(v))))
+    return -(n * (n - 1) / 2.0) * log(2.0) + float(np.sum(v * np.log(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +260,6 @@ def log_g_n_beta(n: int, beta: float) -> float:
             + ((n - 2.0) / 2.0) * log(n * (n - 1) / 2.0)
             + lgamma(nb / 2.0) - ((nb - 1.0) / 2.0) * log(n * (n - 1) / 2.0)
             - _log_gamma_product(n, beta))
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Finite-N bound constants and their limit."""
-
-    c_beta: float
-    w_n_beta: float          # (1/N) ln g_{N beta}
-    g_n_beta: LogValue
-
-
-def bound_constants(n: int, beta: float) -> BoundConstants:
-    lg = log_g_n_beta(n, beta)
-    return BoundConstants(c_beta=c_beta(beta), w_n_beta=lg / n, g_n_beta=LogValue(lg))
 
 
 def density_upper_bound(n: int, beta: float, x) -> np.ndarray | float:

@@ -16,31 +16,34 @@ Evaluation routes:
 * reduction (4/beta an even integer): expand the Vandermonde power as a
   polynomial; each monomial integrates to a product of Airy derivatives,
   which reduce to Ai and Ai' through the Airy equation.  Exact up to the
-  Airy evaluator, error ~1e-12.
-* quadrature (everything else): Gaussian damping exp(-eps sum t^2), a ladder
-  of eps values, and polynomial extrapolation eps -> 0.  The damped integral
-  is evaluated on uniform 1-D grids (step ~ eps/6 keeps the aliasing error of
-  the cubic phase at machine level); for n <= 2 as a direct tensor product,
+  Airy evaluator, error ~1e-12.  An expansion that may exceed
+  ``MAX_MONOMIALS`` monomials, or whose coefficients or sum leave the double
+  range (small beta), raises ValueError.
+* quadrature (everything else): Gaussian damping exp(-eps sum t^2), the
+  ladder ``EPS_LADDER`` of eps values, and polynomial extrapolation
+  eps -> 0.  The damped integral is evaluated on uniform 1-D grids (step ~
+  eps/6 keeps the aliasing error of the cubic phase at machine level); for n <= 2 as a direct tensor product,
   for even 4/beta through separable 1-D moment products, and for even n with
   4/beta = 1 through a pairing identity that turns the ordered-sector
   integral into a Pfaffian of nested 1-D integrals.  No backend covers n >= 3
-  with any other beta.  A rung whose grid exceeds the node cap or whose
-  evaluation count exceeds the remaining budget is skipped.
+  with any other beta.  A rung is skipped when its grid exceeds
+  ``MAX_NODES_PER_AXIS``, when its evaluation count exceeds what remains of
+  ``MAX_EVALUATIONS``, or when its largest kernel value overflows a double.
+  The constants are read at each call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import lgamma, pi, sqrt
 
 import numpy as np
 
-from .airy import EdgeDensityValue, ai_derivatives, airy_ai
+from .airy import ai_derivatives, airy_ai
 
 __all__ = [
-    "QuadratureControls",
     "KontsevichResult",
     "kontsevich_k",
     "edge_prefactor",
@@ -49,16 +52,12 @@ __all__ = [
 
 
 GRID_STEP_FACTOR = 6.0  # grid step = eps / GRID_STEP_FACTOR
+EPS_LADDER = (0.32, 0.16, 0.08, 0.04)  # damping values of the quadrature rungs
+MAX_EVALUATIONS = 5e8  # integrand evaluations one quadrature may spend
 MAX_NODES_PER_AXIS = 2_000_000
+MAX_MONOMIALS = 500_000  # monomials the reduction route may expand
 EXTRAPOLATION_DEPTH = 8
-
-
-@dataclass(frozen=True)
-class QuadratureControls:
-    """Budget knobs for the regularized-quadrature route."""
-
-    eps_ladder: tuple[float, ...] = (0.32, 0.16, 0.08, 0.04)
-    max_evaluations: float = 5e8
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -96,14 +95,25 @@ def _k_reduction(n: int, beta: float, x: float) -> float:
     if abs(p - power) > 1e-12 or power % 2 != 0:
         raise ValueError(f"reduction route needs 4/beta an even integer, got 4/beta={p}")
     degree = power * n * (n - 1) // 2
-    poly = _vandermonde_power_poly(n, power)
-    derivs = ai_derivatives(x, degree)
+    # the expansion has at most as many monomials as there are of its degree
+    bound = math.comb(degree + n - 1, n - 1)
+    if bound > MAX_MONOMIALS:
+        raise ValueError(f"reduction route at n={n}, beta={beta} may expand {bound} monomials, "
+                         f"over the cap of {MAX_MONOMIALS}")
+    try:
+        poly = _vandermonde_power_poly(n, power)
+    except OverflowError as exc:
+        raise ValueError(f"reduction route at n={n}, beta={beta}: a coefficient of the "
+                         "Vandermonde power overflows a double") from exc
+    derivs = ai_derivatives(x, degree).tolist()
     total = 0.0
     for expo, coeff in poly.items():
         term = coeff
         for m in expo:
             term *= derivs[m]
         total += term
+    if not math.isfinite(total):
+        raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum is not finite")
     # each contour moment contributes i^m Ai^(m); total phase i^degree is real
     sign = (-1.0) ** n * (-1.0) ** ((degree // 2) % 2)
     return sign * total
@@ -235,7 +245,7 @@ def _richardson(eps_values: np.ndarray, vals: np.ndarray):
     return float(est), float(err)
 
 
-def _k_quadrature(n: int, beta: float, x: float, ctrl: QuadratureControls) -> KontsevichResult:
+def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
     p = 4.0 / beta
     power = int(round(p))
     integral = abs(p - power) < 1e-12
@@ -253,46 +263,44 @@ def _k_quadrature(n: int, beta: float, x: float, ctrl: QuadratureControls) -> Ko
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
 
-    budget = float(ctrl.max_evaluations)
+    budget = float(MAX_EVALUATIONS)
     eps_used, vals = [], []
-    for eps in ctrl.eps_ladder:
-        m = _grid_size(eps, degree)[1]
+    for eps in EPS_LADDER:
+        t_max, m = _grid_size(eps, degree)
         cost = float(m) ** axes * per_node
-        if m > MAX_NODES_PER_AXIS or cost > budget:
+        # the kernel |t_k - t_l|^p peaks at (2 t_max)^p, which must be a double
+        overflows = n > 1 and p * math.log(2.0 * t_max) > _LOG_FLOAT_MAX
+        if m > MAX_NODES_PER_AXIS or cost > budget or overflows:
             continue
         vals.append(backend(n, beta, x, eps, _grid(eps, degree)))
         eps_used.append(eps)
         budget -= cost
     if len(vals) < 2:
-        value = vals[0] if vals else float("nan")
-        return KontsevichResult(value=value, error=float("inf"), converged=False, route=name)
-    est, err = _richardson(np.asarray(eps_used), np.asarray(vals))
-    return KontsevichResult(value=est, error=err, converged=True, route=name)
+        est, err = (vals[0] if vals else float("nan")), float("inf")
+    else:
+        est, err = _richardson(np.asarray(eps_used), np.asarray(vals))
+    converged = math.isfinite(est) and math.isfinite(err)
+    return KontsevichResult(value=est, error=err if converged else float("inf"),
+                            converged=converged, route=name)
 
 
-def kontsevich_k(
-    n: int,
-    beta: float,
-    x: float,
-    ctrl: QuadratureControls | None = None,
-    route: str = "auto",
-) -> KontsevichResult:
+def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> KontsevichResult:
     """Evaluate K_{n,beta}(x) with an explicit error estimate.
 
     ``route`` is one of "auto", "reduction", "quadrature".  Auto prefers the
     exact reduction when 4/beta is an even integer and n <= 4, and falls back
     to the regularized quadrature otherwise.  The quadrature covers n <= 2,
     even 4/beta, and even n with 4/beta = 1; any other (n, beta) raises
-    ValueError.  A result whose requested accuracy was unreachable under the
-    controls carries converged=False.
+    ValueError.  A quadrature that cannot run two rungs of ``EPS_LADDER``
+    within ``MAX_EVALUATIONS``, ``MAX_NODES_PER_AXIS`` and the double range, or
+    whose extrapolation is not finite, carries converged=False.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 4:
         raise ValueError("direct evaluation is limited to n <= 4")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    ctrl = ctrl or QuadratureControls()
+    if not beta > 0 or math.isinf(4.0 / beta):
+        raise ValueError("beta must be > 0, with 4/beta finite")
     if n == 1 and route in ("auto", "reduction"):
         return KontsevichResult(
             value=-float(airy_ai(float(x))), error=1e-13, converged=True, route="closed"
@@ -305,7 +313,7 @@ def kontsevich_k(
         )
     if route not in ("auto", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
-    return _k_quadrature(n, beta, float(x), ctrl)
+    return _k_quadrature(n, beta, float(x))
 
 
 def edge_prefactor(beta: int) -> float:
@@ -321,25 +329,19 @@ def edge_prefactor(beta: int) -> float:
     )
 
 
-def kontsevich_edge_density(
-    beta: int,
-    x: float,
-    ctrl: QuadratureControls | None = None,
-    route: str = "auto",
-) -> EdgeDensityValue:
+def kontsevich_edge_density(beta: int, x: float) -> KontsevichResult:
     """Edge density for even beta from the multiple-integral representation.
 
-    Returns s * prefactor * K_{beta,beta}(s x) with s = (beta/2)^(1/3); the
-    edge-variable rescale puts the integral representation in the same units
-    as the closed forms (s = 1 for beta = 2, so that case is the plain
-    prefactor * K).  Convergence failures of the quadrature propagate through
-    the error field.
+    Returns `kontsevich_k` of K_{beta,beta}(s x) with its value and error
+    scaled by s * prefactor, where s = (beta/2)^(1/3); the edge-variable
+    rescale puts the integral representation in the same units as the closed
+    forms (s = 1 for beta = 2, so that case is the plain prefactor * K).  A
+    quadrature that did not converge keeps converged=False and an infinite
+    error.
     """
     if beta % 2 != 0 or beta < 2:
         raise ValueError("kontsevich_edge_density needs even beta >= 2")
     s = (beta / 2.0) ** (1.0 / 3.0)
-    res = kontsevich_k(beta, float(beta), s * float(x), ctrl=ctrl, route=route)
+    res = kontsevich_k(beta, float(beta), s * float(x))
     c = s * edge_prefactor(beta)
-    if not res.converged:
-        return EdgeDensityValue(x=float(x), value=c * res.value, beta=float(beta), error=float("inf"))
-    return EdgeDensityValue(x=float(x), value=c * res.value, beta=float(beta), error=c * res.error)
+    return replace(res, value=c * res.value, error=c * res.error)

@@ -129,13 +129,13 @@ class TestTail:
 
 class TestEdgeDensityClosed:
     def test_beta2_at_zero(self):
-        assert edge_density_closed(2, 0.0).value == pytest.approx(AI2_AT_0, abs=1e-12)
+        assert edge_density_closed(2, 0.0) == pytest.approx(AI2_AT_0, abs=1e-12)
 
     def test_beta1_at_zero(self):
-        assert edge_density_closed(1, 0.0).value == pytest.approx(AI1_AT_0, abs=1e-9)
+        assert edge_density_closed(1, 0.0) == pytest.approx(AI1_AT_0, abs=1e-9)
 
     def test_beta4_at_zero(self):
-        assert edge_density_closed(4, 0.0).value == pytest.approx(AI4_AT_0, abs=1e-9)
+        assert edge_density_closed(4, 0.0) == pytest.approx(AI4_AT_0, abs=1e-9)
 
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="kontsevich"):
@@ -144,18 +144,18 @@ class TestEdgeDensityClosed:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_nonnegative(self, beta):
         xs = np.arange(-10.0, 5.0, 0.1)
-        v = edge_density_closed(beta, xs).value
+        v = edge_density_closed(beta, xs)
         assert np.min(v) >= -1e-12
 
     def test_beta2_decay(self):
         xs = np.arange(1.0, 8.0, 0.25)
-        v = edge_density_closed(2, xs).value
+        v = edge_density_closed(2, xs)
         assert np.all(np.diff(v) < 0)
 
     def test_beta2_semicircle_asymptote(self):
         # Ai_2(x) ~ sqrt(-x)/pi toward the bulk
         x = -30.0
-        ratio = edge_density_closed(2, x).value / (np.sqrt(-x) / np.pi)
+        ratio = edge_density_closed(2, x) / (np.sqrt(-x) / np.pi)
         assert abs(ratio - 1.0) <= 0.05
 
 

@@ -268,7 +268,14 @@ class TestDensity:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
-    def test_aibeta_reference_below_airy_tail_domain_is_usage_error(self, tmp_path, capsys):
+    def test_aibeta_reference_below_airy_tail_domain_is_usage_error(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        from betahermite import cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the reference was evaluated")
+
+        monkeypatch.setattr(cli, "sample_density", no_sampling)
         out = tmp_path / "x.csv"
         rc = run(["density", "--n", "20", "--beta", "1", "--reps", "5", "--regime", "edge",
                   "--grid-lo=-1e9", "--grid-hi", "2", "--reference", "aibeta",
@@ -326,15 +333,43 @@ class TestSpecial:
 
     @pytest.mark.parametrize("bad", [["--x-step", "0"], ["--x-step", "-0.25"],
                                      ["--x-step", "nan"], ["--x-lo", "1", "--x-hi", "0"],
-                                     ["--x", "nan"], ["--x=-inf"], ["--x-hi", "inf"]])
+                                     ["--x", "nan"], ["--x=-inf"], ["--x-hi", "inf"],
+                                     ["--x-lo=-1e9"], ["--x-step", "1e-300"],
+                                     ["--x-lo=-1e308", "--x-hi=1e308"]])
     def test_bad_x_range_is_usage_error(self, bad, capsys):
         assert run(["special", "--fn", "ai", *bad]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("cap, rc", [(5, 0), (4, 2)])
+    def test_point_cap_counts_the_table(self, monkeypatch, capsys, cap, rc):
+        # -2, -1, 0, 1, 2: five points
+        from betahermite import cli
+
+        monkeypatch.setattr(cli, "MAX_SPECIAL_POINTS", cap)
+        assert run(["special", "--fn", "ai", "--x-lo=-2", "--x-hi", "2", "--x-step", "1"]) == rc
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == (6 if rc == 0 else 0)
+        assert captured.err.startswith("error:") == (rc == 2)
 
     @pytest.mark.parametrize("fn", [["ai-tail"], ["aibeta", "--beta", "1"]])
     def test_x_below_airy_tail_domain_is_usage_error(self, fn, capsys):
         assert run(["special", "--fn", *fn, "--x=-1e9"]) == 2
         assert "x >= -200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kn, beta", [("2", "0.001"), ("2", "0.01"), ("4", "0.1"),
+                                          ("2", "1e-320")])
+    def test_kontsevich_small_beta_is_usage_error(self, capsys, kn, beta):
+        # a coefficient overflows, the sum is not finite, too many monomials, 4/beta overflows
+        assert run(["special", "--fn", "kontsevich", "--kn", kn, "--beta", beta,
+                    "--x", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_kontsevich_overflowing_quadrature_fails(self, capsys):
+        assert run(["special", "--fn", "kontsevich", "--kn", "2", "--beta", "0.021",
+                    "--x", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "nan" not in captured.out
 
     def test_kontsevich_without_backend_is_usage_error(self, capsys):
         assert run(["special", "--fn", "kontsevich", "--kn", "3", "--beta", "1.5",
@@ -411,14 +446,14 @@ def test_console_entry_point():
     assert "value" in proc.stdout
 
 
-# 0, negatives, nan and inf, plus bounded floats: a grid or x range of a few
-# hundred points at most, so no run asks for a huge array; the narrow band
-# puts grids where the scaled spectra lie
+# 0, negatives, nan and inf, plus floats up to 1e12 in size, whose x ranges
+# `special` must refuse; the narrow band puts grids where the scaled spectra lie
 _FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 4.0]),
     st.floats(-3.0, 3.0),
     st.floats(-50.0, 50.0),
+    st.floats(-1e12, 1e12),
 )
 _BETAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0, 1e308]), _FLOATS)
 

@@ -275,7 +275,7 @@ class TestStatisticalShape:
         p = gauss(500, 2.0)
         grid = np.linspace(-4.0, 1.0, 11)
         d = estimate_density(list(spectra(p, 41, 400, Regime.EDGE)), grid, Regime.EDGE, p)
-        ref = edge_density_closed(2, d.centers).value
+        ref = edge_density_closed(2, d.centers)
         # finite-N bias O(N^(-2/3)) ~ 0.016 plus MC noise
         assert np.max(np.abs(d.height - ref)) <= 0.12
 

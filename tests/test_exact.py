@@ -10,31 +10,28 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betahermite import EnsembleKind
+from betahermite import EnsembleKind, exact
 from betahermite.exact import (
-    LogValue,
-    Strength,
-    bound_constants,
     c_beta,
     density_upper_bound,
     exact_density_small_n,
     hermite_zeros,
+    log_g_n_beta,
     log_vandermonde_sq,
     log_vandermonde_sq_max,
     log_z_beta_he,
     log_z_fte,
-    rescale_strength1,
     verify_integral_equation,
 )
 
 
 class TestPartitionFunctions:
     def test_n1(self):
-        assert log_z_beta_he(1, 3.3).log_abs == pytest.approx(log(sqrt(2 * pi)), abs=1e-14)
+        assert log_z_beta_he(1, 3.3) == pytest.approx(log(sqrt(2 * pi)), abs=1e-14)
 
     def test_n2_beta2_value(self):
         # (2 pi) * Gamma(3)/Gamma(2) = 4 pi
-        assert log_z_beta_he(2, 2.0).value() == pytest.approx(4 * pi, rel=1e-13)
+        assert np.exp(log_z_beta_he(2, 2.0)) == pytest.approx(4 * pi, rel=1e-13)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_n2_against_quadrature(self, beta):
@@ -44,16 +41,10 @@ class TestPartitionFunctions:
                     + si.quad(f, x1, np.inf, limit=200)[0]) * np.exp(-x1 * x1 / 2)
 
         q = si.quad(inner, -np.inf, np.inf, limit=200)[0]
-        assert q == pytest.approx(log_z_beta_he(2, beta).value(), rel=1e-8)
-
-    def test_fte_strength_difference(self):
-        for n, beta in [(2, 2.0), (5, 1.0), (8, 4.0)]:
-            nb = n + beta * n * (n - 1) / 2
-            d = log_z_fte(n, beta, Strength.CANONICAL).log_abs - log_z_fte(n, beta, Strength.UNIT).log_abs
-            assert d == pytest.approx(((nb - 1) / 2) * log(n * (n - 1) / 2), abs=1e-10)
+        assert q == pytest.approx(np.exp(log_z_beta_he(2, beta)), rel=1e-8)
 
     def test_fte_n2_beta2_unit(self):
-        assert log_z_fte(2, 2.0, Strength.UNIT).value() == pytest.approx(2 * pi, rel=1e-13)
+        assert np.exp(log_z_fte(2, 2.0)) == pytest.approx(2 * pi, rel=1e-13)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_fte_n2_circle_quadrature(self, beta):
@@ -62,7 +53,7 @@ class TestPartitionFunctions:
             return np.abs(np.cos(theta) - np.sin(theta)) ** beta
 
         q = si.quad(f, 0, 2 * pi, limit=400, points=[pi / 4, 5 * pi / 4])[0]
-        assert q == pytest.approx(log_z_fte(2, beta, Strength.UNIT).value(), rel=1e-8)
+        assert q == pytest.approx(np.exp(log_z_fte(2, beta)), rel=1e-8)
 
     def test_n1_fte_rejected(self):
         with pytest.raises(ValueError):
@@ -71,19 +62,18 @@ class TestPartitionFunctions:
 
 class TestSmallNDensities:
     def test_fte_n2_unit_closed_reduction(self):
-        # rho(x) = (|x-y|^b + |x+y|^b) / (y * Z), y = sqrt(1-x^2)
+        # rho(x) = (|x-y|^b + |x+y|^b) / (y * Z), y = sqrt(1-x^2); at n=2 the
+        # canonical radius is 1, so the canonical density is the unit one
         beta = 3.0
-        z = log_z_fte(2, beta, Strength.UNIT).value()
-        d = exact_density_small_n(2, beta, EnsembleKind.FIXED_TRACE, [0.0],
-                                  strength=Strength.UNIT)
-        assert d.height[0] == pytest.approx(2.0 / z, rel=1e-12)
+        z = np.exp(log_z_fte(2, beta))
+        d = exact_density_small_n(2, beta, EnsembleKind.FIXED_TRACE, [0.0])
+        assert d[0] == pytest.approx(2.0 / z, rel=1e-12)
 
     def test_fte_n2_unit_mass(self):
         # adaptive quadrature handles the integrable 1/sqrt(1-x^2)-type
         # endpoint singularity that a plain trapezoid misses
         def rho(x):
-            return exact_density_small_n(2, 2.0, EnsembleKind.FIXED_TRACE, [x],
-                                         strength=Strength.UNIT).height[0]
+            return exact_density_small_n(2, 2.0, EnsembleKind.FIXED_TRACE, [x])[0]
 
         mass = si.quad(rho, -1, 1, limit=400, points=[-1 / sqrt(2), 1 / sqrt(2)])[0]
         assert mass == pytest.approx(1.0, abs=1e-8)
@@ -93,23 +83,23 @@ class TestSmallNDensities:
         xs = np.linspace(-3.0, 3.0, 25)
         d = exact_density_small_n(2, 2.0, EnsembleKind.GAUSSIAN, xs)
         oracle = np.exp(-xs**2 / 2) * (1 + xs**2) / (2 * sqrt(2 * pi))
-        assert np.max(np.abs(d.height - oracle)) <= 1e-8
+        assert np.max(np.abs(d - oracle)) <= 1e-8
 
     def test_symmetry(self):
         xs = np.array([-1.5, -0.5, 0.5, 1.5])
         d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
-        assert d.height[0] == pytest.approx(d.height[3], rel=1e-12)
-        assert d.height[1] == pytest.approx(d.height[2], rel=1e-12)
+        assert d[0] == pytest.approx(d[3], rel=1e-12)
+        assert d[1] == pytest.approx(d[2], rel=1e-12)
 
     def test_fte_canonical_strength_support(self):
         # canonical n=2 support is |x| < 1 * sqrt(n(n-1)/2) = 1
         d = exact_density_small_n(2, 2.0, EnsembleKind.FIXED_TRACE, [0.5, 1.5])
-        assert d.height[0] > 0 and d.height[1] == 0.0
+        assert d[0] > 0 and d[1] == 0.0
 
     def test_gaussian_n3_unit_mass(self):
         xs = np.linspace(-6, 6, 121)
         d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
-        assert d.mass() == pytest.approx(1.0, abs=1e-4)
+        assert np.trapezoid(d, xs) == pytest.approx(1.0, abs=1e-4)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -128,32 +118,13 @@ class TestIntegralEquation:
 
 
 class TestStrengthRescale:
-    def test_roundtrip_and_mass(self):
-        xs = np.linspace(-0.99, 0.99, 301)
-        d1 = exact_density_small_n(2, 2.0, EnsembleKind.FIXED_TRACE, xs,
-                                   strength=Strength.UNIT)
-        # map to canonical and back
-        r = sqrt(1.0)  # n=2: r^2 = 1, the two strengths coincide
-        d2 = rescale_strength1(d1, 2)
-        assert np.allclose(d2.height, d1.height) and np.allclose(d2.grid, d1.grid)
-
-    def test_n3_mass_preserved(self):
-        xs = np.linspace(-1.7, 1.7, 401)
-        dc = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs,
-                                   strength=Strength.CANONICAL)
-        du = rescale_strength1(dc, 3)
-        assert du.mass() == pytest.approx(dc.mass(), rel=1e-12)
-        assert du.grid[-1] == pytest.approx(xs[-1] / sqrt(3.0))
-
     def test_unit_matches_directly_computed(self):
+        # the canonical density, rescaled to the unit sphere, is the unit-strength one
         xs = np.linspace(-0.9, 0.9, 7)
         r = sqrt(3.0)  # n=3 canonical radius
-        dc = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r,
-                                   strength=Strength.CANONICAL)
-        du = rescale_strength1(dc, 3)
-        direct = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs,
-                                       strength=Strength.UNIT)
-        assert np.max(np.abs(du.height - direct.height)) <= 1e-10
+        du = r * exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r)
+        direct = np.array([exact._rho_fte1(3, 2.0, x) for x in xs])
+        assert np.max(np.abs(du - direct)) <= 1e-10
 
 
 class TestHermiteZeros:
@@ -172,18 +143,18 @@ class TestHermiteZeros:
 class TestStieltjesMax:
     def test_n2_direct_optimum(self):
         # max of (x1-x2)^2 on x1^2+x2^2 <= 1 is 2, and the formula gives 2
-        assert log_vandermonde_sq_max(2).value() == pytest.approx(2.0, rel=1e-14)
+        assert np.exp(log_vandermonde_sq_max(2)) == pytest.approx(2.0, rel=1e-14)
         z = hermite_zeros(2)
         assert exp(log_vandermonde_sq(z)) == pytest.approx(2.0, rel=1e-12)
 
     def test_zeros_attain_formula(self):
         for n in (3, 10, 30, 50):
             lv = log_vandermonde_sq(hermite_zeros(n))
-            lm = log_vandermonde_sq_max(n).log_abs
+            lm = log_vandermonde_sq_max(n)
             assert abs(lv - lm) / abs(lm) <= 1e-10
 
     def test_monotone_in_n(self):
-        vals = [log_vandermonde_sq_max(n).log_abs for n in range(2, 20)]
+        vals = [log_vandermonde_sq_max(n) for n in range(2, 20)]
         assert np.all(np.diff(vals) > 0)
 
     @given(st.integers(0, 10_000))
@@ -193,7 +164,7 @@ class TestStieltjesMax:
         n = int(rng.integers(2, 12))
         d = rng.standard_normal(n)
         pt = d / np.linalg.norm(d) * sqrt(n * (n - 1) / 2 * rng.uniform(0, 1))
-        assert log_vandermonde_sq(pt) <= log_vandermonde_sq_max(n).log_abs + 1e-12
+        assert log_vandermonde_sq(pt) <= log_vandermonde_sq_max(n) + 1e-12
 
 
 class TestBound:
@@ -208,7 +179,7 @@ class TestBound:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_w_ladder_monotone(self, beta):
-        diffs = [abs(bound_constants(n, beta).w_n_beta - log(c_beta(beta)))
+        diffs = [abs(log_g_n_beta(n, beta) / n - log(c_beta(beta)))
                  for n in (50, 200, 800)]
         assert diffs[0] > diffs[1] > diffs[2]
 
@@ -224,21 +195,7 @@ class TestBound:
         # n=3 exact canonical density against the bound, on the bound's axis
         r = sqrt(3.0)
         xs = np.linspace(-0.95, 0.95, 39)
-        d = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r,
-                                  strength=Strength.CANONICAL)
+        d = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r)
         b = density_upper_bound(3, 2.0, xs)
-        assert np.all(d.height <= b + 1e-12)
+        assert np.all(d <= b + 1e-12)
 
-
-class TestLogValue:
-    def test_roundtrip(self):
-        v = LogValue.from_value(-12.5)
-        assert v.value() == pytest.approx(-12.5)
-        assert LogValue.from_value(0.0).sign == 0
-
-    @given(st.floats(0.01, 1e6), st.floats(0.01, 1e6))
-    @settings(max_examples=50, deadline=None)
-    def test_mul_div(self, a, b):
-        va, vb = LogValue.from_value(a), LogValue.from_value(b)
-        assert (va * vb).value() == pytest.approx(a * b, rel=1e-10)
-        assert (va / vb).value() == pytest.approx(a / b, rel=1e-10)

@@ -6,13 +6,15 @@ import pytest
 import scipy.special
 
 from betahermite import (
-    QuadratureControls,
     edge_density_closed,
     edge_prefactor,
     kontsevich_edge_density,
     kontsevich_k,
 )
+from betahermite import kontsevich
 from betahermite.kontsevich import (
+    EPS_LADDER,
+    MAX_EVALUATIONS,
     MAX_NODES_PER_AXIS,
     _grid,
     _k_eps_pair,
@@ -45,6 +47,15 @@ class TestReduction:
 
     def test_auto_prefers_reduction(self):
         assert kontsevich_k(2, 2.0, 0.0).route == "reduction"
+
+    def test_monomial_cap(self, monkeypatch):
+        # n=3, beta=2 expands a degree-6 polynomial in 3 variables: at most C(8, 2) = 28 monomials
+        monkeypatch.setattr(kontsevich, "MAX_MONOMIALS", 28)
+        r = kontsevich_k(3, 2.0, 0.0)
+        monkeypatch.setattr(kontsevich, "MAX_MONOMIALS", 27)
+        with pytest.raises(ValueError, match="28 monomials"):
+            kontsevich_k(3, 2.0, 0.0)
+        assert r.route == "reduction"
 
     def test_reduction_rejects_odd_power(self):
         with pytest.raises(ValueError, match="even integer"):
@@ -112,30 +123,37 @@ class TestQuadratureRoute:
         assert abs(v_rows - v_cols) <= 1e-12 * scale
         assert abs(v_rows - v_shuf) <= 1e-10 * scale
 
-    def test_budget_flag(self):
-        ctrl = QuadratureControls(max_evaluations=10.0)
-        r = kontsevich_k(2, 2.0, 0.0, ctrl=ctrl, route="quadrature")
+    def test_budget_flag(self, monkeypatch):
+        monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", 10.0)
+        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
         assert not r.converged and r.error == np.inf
 
-    def test_budget_counts_true_grid_size(self):
+    def test_budget_counts_true_grid_size(self, monkeypatch):
         # one evaluation short of the finest rung's true cost skips that rung
-        ladder = QuadratureControls().eps_ladder
-        costs = [float(len(_grid(eps, 2))) ** 2 for eps in ladder]
-        short = QuadratureControls(max_evaluations=sum(costs) - 1.0)
-        coarse = QuadratureControls(eps_ladder=ladder[:-1])
-        full = QuadratureControls(max_evaluations=sum(costs))
-        r = kontsevich_k(2, 2.0, 0.0, ctrl=short, route="quadrature")
-        assert r == kontsevich_k(2, 2.0, 0.0, ctrl=coarse, route="quadrature")
-        assert r != kontsevich_k(2, 2.0, 0.0, ctrl=full, route="quadrature")
+        costs = [float(len(_grid(eps, 2))) ** 2 for eps in EPS_LADDER]
 
-    def test_rung_over_node_cap_is_skipped(self):
+        def k22(ladder, budget):
+            monkeypatch.setattr(kontsevich, "EPS_LADDER", ladder)
+            monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", budget)
+            return kontsevich_k(2, 2.0, 0.0, route="quadrature")
+
+        r = k22(EPS_LADDER, sum(costs) - 1.0)
+        assert r == k22(EPS_LADDER[:-1], MAX_EVALUATIONS)
+        assert r != k22(EPS_LADDER, sum(costs))
+
+    def test_rung_over_node_cap_is_skipped(self, monkeypatch):
         # n=3, beta=2 costs (degree+1) evaluations per node, so eps=1e-3 fits
         # the budget but not the node cap
         assert len(_grid(1e-3, 4)) > MAX_NODES_PER_AXIS
-        fine = QuadratureControls(eps_ladder=(0.32, 0.16, 0.08, 1e-3))
-        coarse = QuadratureControls(eps_ladder=(0.32, 0.16, 0.08))
-        r = kontsevich_k(3, 2.0, 0.0, ctrl=fine, route="quadrature")
-        assert r == kontsevich_k(3, 2.0, 0.0, ctrl=coarse, route="quadrature")
+        monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08, 1e-3))
+        r = kontsevich_k(3, 2.0, 0.0, route="quadrature")
+        monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08))
+        assert r == kontsevich_k(3, 2.0, 0.0, route="quadrature")
+
+    def test_overflowing_kernel_is_not_converged(self):
+        # p = 4/0.021 ~ 190: (2 t_max)^p overflows on every rung, so none runs
+        r = kontsevich_k(2, 0.021, 0.0, route="quadrature")
+        assert not r.converged and r.error == np.inf
 
     @pytest.mark.parametrize("beta", [1.5, 4.0])
     def test_no_backend_for_n3_general_beta(self, beta):
@@ -164,26 +182,28 @@ class TestEdgeDensity:
         xs = np.arange(-5.0, 3.01, 0.25)
         worst = 0.0
         for x in xs:
-            v = kontsevich_edge_density(2, float(x), route="reduction").value
-            worst = max(worst, abs(v - edge_density_closed(2, float(x)).value))
+            r = kontsevich_edge_density(2, float(x))
+            assert r.route == "reduction"
+            worst = max(worst, abs(r.value - edge_density_closed(2, float(x))))
         assert worst <= 1e-8
 
     def test_beta4_matches_closed_within_error(self):
         r = kontsevich_edge_density(4, 0.0)
-        closed = edge_density_closed(4, 0.0).value
+        closed = edge_density_closed(4, 0.0)
         assert r.error <= 5e-2
         assert abs(r.value - closed) <= max(r.error, 1e-6)
 
     def test_beta4_second_point(self):
         r = kontsevich_edge_density(4, -1.0)
-        closed = edge_density_closed(4, -1.0).value
+        closed = edge_density_closed(4, -1.0)
         assert abs(r.value - closed) <= max(3.0 * r.error, 5e-2)
 
     def test_odd_beta_rejected(self):
         with pytest.raises(ValueError):
             kontsevich_edge_density(3, 0.0)
 
-    def test_convergence_failure_propagates(self):
-        ctrl = QuadratureControls(max_evaluations=10.0)
-        r = kontsevich_edge_density(2, 0.0, ctrl=ctrl, route="quadrature")
-        assert r.error == np.inf
+    def test_convergence_failure_propagates(self, monkeypatch):
+        # beta=4 takes the quadrature route, which cannot run on this budget
+        monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", 10.0)
+        r = kontsevich_edge_density(4, 0.0)
+        assert not r.converged and r.error == np.inf
