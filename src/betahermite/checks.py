@@ -185,15 +185,17 @@ def check_edge_remark() -> list[CheckResult]:
         details="max |prefactor*K_22(x) - (Ai'^2 - x Ai^2)|",
     ))
     worst_q = 0.0
+    runs = []
     for x in (-2.0, 0.0, 2.0):
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         kr = kontsevich_k(2, 2.0, x, route="reduction")
         worst_q = max(worst_q, abs(kq.value - kr.value))
+        runs.append(f"x={x:g}: eps {list(kq.eps_used)}, {kq.evaluations} evaluations")
     out.append(CheckResult(
         check_name="edge-remark-quadrature",
         params={"beta": 2, "x": [-2.0, 0.0, 2.0], "eps_ladder": list(EPS_LADDER)},
         metric=worst_q, tolerance=1e-3, passed=bool(worst_q <= 1e-3),
-        details="regularized quadrature vs Airy-derivative reduction",
+        details="regularized quadrature vs Airy-derivative reduction; " + "; ".join(runs),
     ))
     k4 = kontsevich_edge_density(4, 0.0)
     closed4 = edge_density_closed(4, 0.0)
@@ -204,7 +206,8 @@ def check_edge_remark() -> list[CheckResult]:
         params={"beta": 4, "x": 0.0, "eps_ladder": list(EPS_LADDER)},
         metric=diff, tolerance=min(max(err_bar, 1e-6), 5e-2),
         passed=bool(diff <= max(err_bar, 1e-6) and err_bar <= 5e-2),
-        details=f"multiple-integral {k4.value:.7f} +- {err_bar:.1e} vs closed {closed4:.7f}",
+        details=(f"multiple-integral {k4.value:.7f} +- {err_bar:.1e} vs closed {closed4:.7f}; "
+                 f"eps {list(k4.eps_used)}, {k4.evaluations} evaluations"),
     ))
     return out
 

@@ -16,20 +16,29 @@ Evaluation routes:
 * reduction (4/beta an even integer): expand the Vandermonde power as a
   polynomial; each monomial integrates to a product of Airy derivatives,
   which reduce to Ai and Ai' through the Airy equation.  Exact up to the
-  Airy evaluator, error ~1e-12.  An expansion that may exceed
-  ``MAX_MONOMIALS`` monomials, or whose coefficients or sum leave the double
-  range (small beta), raises ValueError.
+  Airy evaluator and the rounding of the sum: the error is
+  max(1e-10, 2 N u sum|term|) for N monomials and u = 2^-53.  An expansion
+  that may exceed ``MAX_MONOMIALS`` monomials, whose coefficients or sum
+  leave the double range, or whose rounding bound reaches the value itself
+  (small beta) raises ValueError.
 * quadrature (everything else): Gaussian damping exp(-eps sum t^2), the
-  ladder ``EPS_LADDER`` of eps values, and polynomial extrapolation
-  eps -> 0.  The damped integral is evaluated on uniform 1-D grids (step ~
-  eps/6 keeps the aliasing error of the cubic phase at machine level); for n <= 2 as a direct tensor product,
-  for even 4/beta through separable 1-D moment products, and for even n with
-  4/beta = 1 through a pairing identity that turns the ordered-sector
-  integral into a Pfaffian of nested 1-D integrals.  No backend covers n >= 3
-  with any other beta.  A rung is skipped when its grid exceeds
-  ``MAX_NODES_PER_AXIS``, when its evaluation count exceeds what remains of
-  ``MAX_EVALUATIONS``, or when its largest kernel value overflows a double.
-  The constants are read at each call.
+  ladder ``EPS_LADDER`` = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01) of eps
+  values, and polynomial extrapolation eps -> 0.  The damped integral is
+  evaluated on uniform 1-D grids (step eps/6 keeps the aliasing error of the
+  cubic phase at machine level for low polynomial degree).  For n <= 2 it is
+  a tensor product: for n = 2 the kernel |t_i - t_j|^p = (h |i - j|)^p is
+  Toeplitz, so the double sum is one FFT convolution, O(m log m) on m nodes
+  where the sum itself is O(m^2).  For even 4/beta the integral is a sum of
+  separable 1-D moment products, and for even n with 4/beta = 1 a pairing
+  identity turns the ordered-sector integral into a Pfaffian of nested 1-D
+  integrals.  No backend covers n >= 3 with any other beta.  A rung is
+  skipped when its grid exceeds ``MAX_NODES_PER_AXIS``, when its cost (see
+  `_k_quadrature`) exceeds what remains of ``MAX_EVALUATIONS``, or when its
+  largest kernel value overflows a double.  Of the extrapolations over the
+  leading 2, 3, ... rungs the one with the smallest error estimate is
+  reported, since below some eps aliasing or rounding overtakes the damping
+  error; its error is at least the change the next rung makes to it.  The
+  constants are read at each call.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from itertools import combinations
 from math import lgamma, pi, sqrt
 
 import numpy as np
+import scipy.fft
 
 from .airy import ai_derivatives, airy_ai
 
@@ -52,20 +62,31 @@ __all__ = [
 
 
 GRID_STEP_FACTOR = 6.0  # grid step = eps / GRID_STEP_FACTOR
-EPS_LADDER = (0.32, 0.16, 0.08, 0.04)  # damping values of the quadrature rungs
-MAX_EVALUATIONS = 5e8  # integrand evaluations one quadrature may spend
+EPS_LADDER = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01)  # damping values of the quadrature rungs
+MAX_EVALUATIONS = 5e8  # cost one quadrature may spend, in the units of `_k_quadrature`
 MAX_NODES_PER_AXIS = 2_000_000
 MAX_MONOMIALS = 500_000  # monomials the reduction route may expand
 EXTRAPOLATION_DEPTH = 8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass
 class KontsevichResult:
+    """A value of K_{n,beta} with its error estimate and the route that gave it.
+
+    ``eps_used`` lists the quadrature rungs the value is extrapolated from and
+    ``evaluations`` the cost charged against ``MAX_EVALUATIONS`` by every rung
+    that ran, finer rungs left out of the extrapolation included.  Both are
+    empty (``()``, 0) on the closed and reduction routes.
+    """
+
     value: float
     error: float
     converged: bool
     route: str
+    eps_used: tuple[float, ...] = ()
+    evaluations: int = 0
 
 
 def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
@@ -88,8 +109,14 @@ def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
     return poly
 
 
-def _k_reduction(n: int, beta: float, x: float) -> float:
-    """Exact Airy-derivative reduction, valid when 4/beta is an even integer."""
+def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
+    """Exact Airy-derivative reduction, valid when 4/beta is an even integer.
+
+    Returns the value and its error, max(1e-10, 2 N u sum|term|) for the N
+    monomials of the expansion: the Airy evaluator's floor, or the rounding
+    bound of the sum where it cancels.  A sum whose rounding bound reaches its
+    own size carries no digit and raises ValueError.
+    """
     p = 4.0 / beta
     power = int(round(p))
     if abs(p - power) > 1e-12 or power % 2 != 0:
@@ -106,17 +133,22 @@ def _k_reduction(n: int, beta: float, x: float) -> float:
         raise ValueError(f"reduction route at n={n}, beta={beta}: a coefficient of the "
                          "Vandermonde power overflows a double") from exc
     derivs = ai_derivatives(x, degree).tolist()
-    total = 0.0
+    total = magnitude = 0.0
     for expo, coeff in poly.items():
         term = coeff
         for m in expo:
             term *= derivs[m]
         total += term
-    if not math.isfinite(total):
+        magnitude += abs(term)
+    if not math.isfinite(magnitude):
         raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum is not finite")
+    rounding = 2.0 * len(poly) * _UNIT_ROUNDOFF * magnitude
+    if rounding >= abs(total):
+        raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum {total:.3g} "
+                         f"cancels below its rounding bound {rounding:.3g}")
     # each contour moment contributes i^m Ai^(m); total phase i^degree is real
     sign = (-1.0) ** n * (-1.0) ** ((degree // 2) % 2)
-    return sign * total
+    return sign * total, max(1e-10, rounding)
 
 
 def _grid_size(eps: float, poly_degree: int) -> tuple[float, int]:
@@ -137,22 +169,43 @@ def _damped_phase(t: np.ndarray, x: float, eps: float) -> np.ndarray:
     return np.exp(-eps * t * t) * (np.cos(phase) - 1j * np.sin(phase))
 
 
+def _fft_size(m: int) -> int:
+    """Circulant length that holds the linear convolution of two m-vectors."""
+    return scipy.fft.next_fast_len(2 * m - 1)
+
+
+def _fft_cost(m: int) -> int:
+    """Cost an n = 2 rung on m nodes charges: size * ceil(log2 size)."""
+    size = _fft_size(m)
+    return size * (size - 1).bit_length()
+
+
 def _k_eps_tensor(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Direct tensor-product evaluation of the damped integral (n <= 2)."""
-    p = 4.0 / beta
+    """Tensor-product evaluation of the damped integral on a uniform grid (n <= 2).
+
+    For n = 2 the double sum Re(g^T W g), W_ij = |t_i - t_j|^p = (h |i - j|)^p,
+    is a Toeplitz product, 2 Re sum_{i>j} g_i (h (i - j))^p g_j, which one FFT
+    convolution on a circulant of length `_fft_size` evaluates.  The kernel
+    is tilted, (h d)^p = e^{a h d} (h d)^p e^{-a h d} with the e^{a h d} =
+    e^{a t_i} e^{-a t_j} moved onto g: at a = sqrt(p eps) the tilted kernel
+    and the tilted g's peak at the scale of the pairs that carry the sum, so
+    the FFT's rounding stays at u * sum_ij |g_i| W_ij |g_j| for every p
+    instead of growing with the kernel's largest entry (2 t_max)^p.
+    """
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
-    gr, gi = g.real, g.imag
     if n == 1:
-        val = np.sum(gr) * h
+        val = np.sum(g.real) * h
     else:
-        m = len(t)
-        acc = 0.0
-        chunk = max(1, int(4e6 // m))
-        for lo in range(0, m, chunk):
-            w = np.abs(t[lo : lo + chunk, None] - t[None, :]) ** p
-            acc += gr[lo : lo + chunk] @ (w @ gr) - gi[lo : lo + chunk] @ (w @ gi)
-        val = acc * h * h
+        p = 4.0 / beta
+        a = sqrt(p * eps)
+        m, size = len(t), _fft_size(len(t))
+        d = h * np.arange(1, m)
+        kernel = np.zeros(size)
+        kernel[1:m] = np.exp(p * np.log(d) - a * d)
+        tilt = np.exp(a * t)
+        lower = scipy.fft.ifft(scipy.fft.fft(kernel) * scipy.fft.fft(g / tilt, size))[:m]
+        val = 2.0 * float(np.real((g * tilt) @ lower)) * h * h
     return (-1.0) ** n * (2.0 * pi) ** (-n) * val
 
 
@@ -246,42 +299,61 @@ def _richardson(eps_values: np.ndarray, vals: np.ndarray):
 
 
 def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
+    """Damped quadrature down ``EPS_LADDER``, extrapolated to eps = 0.
+
+    A rung on m grid nodes charges its cost against ``MAX_EVALUATIONS``: m for
+    n = 1; size * ceil(log2 size) for the FFT of n = 2, with size =
+    next_fast_len(2m - 1); m * (degree + 1) for the moments backend; and
+    m * (2n + n^2) for the pairing backend.
+    """
     p = 4.0 / beta
     power = int(round(p))
     integral = abs(p - power) < 1e-12
-    # a rung on m nodes per axis costs m**axes * per_node evaluations
     if n <= 2:
         backend, name = _k_eps_tensor, "quadrature-tensor"
-        degree, axes, per_node = int(np.ceil(p * (n - 1))), n, 1
+        degree, per_node = int(np.ceil(p * (n - 1))), 1
     elif integral and power % 2 == 0:
         backend, name = _k_eps_moments, "quadrature-moments"
         degree = power * (n - 1)
-        axes, per_node = 1, degree + 1
+        per_node = degree + 1
     elif integral and power == 1 and n % 2 == 0:
         backend, name = _k_eps_pair, "quadrature-pair"
-        degree, axes, per_node = 3 * (n - 1), 1, 2 * n + n * n
+        degree, per_node = 3 * (n - 1), 2 * n + n * n
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
 
-    budget = float(MAX_EVALUATIONS)
-    eps_used, vals = [], []
+    spent = 0
+    eps_run, vals = [], []
     for eps in EPS_LADDER:
         t_max, m = _grid_size(eps, degree)
-        cost = float(m) ** axes * per_node
+        cost = _fft_cost(m) if n == 2 else m * per_node
         # the kernel |t_k - t_l|^p peaks at (2 t_max)^p, which must be a double
         overflows = n > 1 and p * math.log(2.0 * t_max) > _LOG_FLOAT_MAX
-        if m > MAX_NODES_PER_AXIS or cost > budget or overflows:
+        if m > MAX_NODES_PER_AXIS or spent + cost > MAX_EVALUATIONS or overflows:
             continue
         vals.append(backend(n, beta, x, eps, _grid(eps, degree)))
-        eps_used.append(eps)
-        budget -= cost
-    if len(vals) < 2:
-        est, err = (vals[0] if vals else float("nan")), float("inf")
+        eps_run.append(eps)
+        spent += cost
+    # extrapolations over the leading 2, 3, ... rungs; the one with the smallest
+    # error estimate wins, because a fine rung can be limited by aliasing or
+    # rounding rather than by the damping, and then it spoils the extrapolation
+    fits = [_richardson(np.asarray(eps_run[:j]), np.asarray(vals[:j]))
+            for j in range(2, len(vals) + 1)]
+    finite = [j for j, fit in enumerate(fits) if all(map(math.isfinite, fit))]
+    if finite:
+        best = min(finite, key=lambda j: fits[j][1])
+        est, err = fits[best]
+        if best + 1 < len(fits):
+            # the next rung moved the extrapolation by this much: no less is known
+            err = max(err, abs(fits[best + 1][0] - est))
+        used = best + 2
     else:
-        est, err = _richardson(np.asarray(eps_used), np.asarray(vals))
+        est, err = (vals[0] if vals else float("nan")), float("inf")
+        used = len(vals)
     converged = math.isfinite(est) and math.isfinite(err)
     return KontsevichResult(value=est, error=err if converged else float("inf"),
-                            converged=converged, route=name)
+                            converged=converged, route=name, eps_used=tuple(eps_run[:used]),
+                            evaluations=spent)
 
 
 def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> KontsevichResult:
@@ -289,9 +361,16 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
 
     ``route`` is one of "auto", "reduction", "quadrature".  Auto prefers the
     exact reduction when 4/beta is an even integer and n <= 4, and falls back
-    to the regularized quadrature otherwise.  The quadrature covers n <= 2,
-    even 4/beta, and even n with 4/beta = 1; any other (n, beta) raises
-    ValueError.  A quadrature that cannot run two rungs of ``EPS_LADDER``
+    to the regularized quadrature otherwise.  The reduction's error is the
+    larger of 1e-10 and the rounding bound of its sum, and a sum that cancels
+    below that bound raises ValueError.  The quadrature covers n <= 2 (for
+    n = 2 by one FFT convolution per rung), even 4/beta, and even n with
+    4/beta = 1; any other (n, beta) raises ValueError.  It runs the rungs of
+    ``EPS_LADDER``, charging each one's cost (for n = 2, size * ceil(log2
+    size) with size the FFT length) against ``MAX_EVALUATIONS``, and reports
+    the extrapolation over the leading rungs whose error estimate is
+    smallest; the result's ``eps_used`` and ``evaluations`` say which rungs
+    it used and what it spent.  A quadrature that cannot run two rungs
     within ``MAX_EVALUATIONS``, ``MAX_NODES_PER_AXIS`` and the double range, or
     whose extrapolation is not finite, carries converged=False.
     """
@@ -308,9 +387,8 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
     p = 4.0 / beta
     reducible = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
     if route == "reduction" or (route == "auto" and reducible):
-        return KontsevichResult(
-            value=_k_reduction(n, beta, float(x)), error=1e-10, converged=True, route="reduction"
-        )
+        value, error = _k_reduction(n, beta, float(x))
+        return KontsevichResult(value=value, error=error, converged=True, route="reduction")
     if route not in ("auto", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
     return _k_quadrature(n, beta, float(x))

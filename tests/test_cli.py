@@ -357,9 +357,10 @@ class TestSpecial:
         assert "x >= -200" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kn, beta", [("2", "0.001"), ("2", "0.01"), ("4", "0.1"),
-                                          ("2", "1e-320")])
+                                          ("2", "1e-320"), ("2", "0.02")])
     def test_kontsevich_small_beta_is_usage_error(self, capsys, kn, beta):
-        # a coefficient overflows, the sum is not finite, too many monomials, 4/beta overflows
+        # a coefficient overflows, the sum is not finite, too many monomials, 4/beta
+        # overflows, the sum cancels below its rounding bound
         assert run(["special", "--fn", "kontsevich", "--kn", kn, "--beta", beta,
                     "--x", "0"]) == 2
         err = capsys.readouterr().err
@@ -444,6 +445,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "value" in proc.stdout
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal costs about as much to import as everything else together,
+    # and every command pays for the import
+    code = "import sys, betahermite.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # 0, negatives, nan and inf, plus floats up to 1e12 in size, whose x ranges

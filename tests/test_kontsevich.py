@@ -1,8 +1,11 @@
 """Multiple Airy integrals: reduction identities, quadrature cross-checks,
 and the even-beta edge-density normalization."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 from betahermite import (
@@ -12,10 +15,12 @@ from betahermite import (
     kontsevich_k,
 )
 from betahermite import kontsevich
+from betahermite.airy import ai_derivatives
 from betahermite.kontsevich import (
     EPS_LADDER,
     MAX_EVALUATIONS,
     MAX_NODES_PER_AXIS,
+    _damped_phase,
     _grid,
     _k_eps_pair,
     _k_eps_tensor,
@@ -28,6 +33,31 @@ K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
 def k22_closed(x):
     ai, aip, _, _ = scipy.special.airy(x)
     return 2.0 * (aip**2 - x * ai**2)
+
+
+def k2_eps_double_sum(beta, x, eps, t):
+    """O(m^2) oracle for the n = 2 damped sum: (-1)^2 (2 pi)^-2 h^2 Re(g^T W g)
+    with W_ij = |t_i - t_j|^(4/beta) formed block by block.  Also returns the
+    scale S = h^2 (2 pi)^-2 |g|^T W |g| that bounds the sum's rounding."""
+    p = 4.0 / beta
+    h = t[1] - t[0]
+    g = _damped_phase(t, x, eps)
+    gr, gi, ga = g.real, g.imag, np.abs(g)
+    m = len(t)
+    acc = scale = 0.0
+    chunk = max(1, int(4e6 // m))
+    for lo in range(0, m, chunk):
+        w = np.abs(t[lo : lo + chunk, None] - t[None, :]) ** p
+        acc += gr[lo : lo + chunk] @ (w @ gr) - gi[lo : lo + chunk] @ (w @ gi)
+        scale += ga[lo : lo + chunk] @ (w @ ga)
+    c = h * h / (2.0 * np.pi) ** 2
+    return acc * c, scale * c
+
+
+def fft_rung_cost(m):
+    """The cost model of an n = 2 rung: size * ceil(log2 size) for the FFT length."""
+    size = scipy.fft.next_fast_len(2 * m - 1)
+    return size * math.ceil(math.log2(size))
 
 
 class TestReduction:
@@ -66,6 +96,23 @@ class TestReduction:
         poly = _vandermonde_power_poly(2, 2)
         assert poly == {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}
 
+    def test_error_bounds_the_rounding_of_the_sum(self):
+        # n=4, beta=1 cancels: its sum of |terms| is far above the value, and
+        # the error is 2 N u sum|term| for the N monomials, not the 1e-10 floor
+        poly = _vandermonde_power_poly(4, 4)
+        derivs = ai_derivatives(0.0, 24)
+        magnitude = sum(abs(c * np.prod(derivs[list(e)])) for e, c in poly.items())
+        r = kontsevich_k(4, 1.0, 0.0)
+        assert r.route == "reduction"
+        assert r.error == pytest.approx(2.0 * len(poly) * 2.0**-53 * magnitude, rel=1e-12)
+        assert 1e-8 < r.error < 1e-6 and r.error < abs(r.value)
+        assert kontsevich_k(2, 2.0, 0.0).error == 1e-10
+
+    def test_cancelled_sum_is_refused(self):
+        # n=2, beta=0.02 sums 201 terms of size up to 5e162 to about 5e145
+        with pytest.raises(ValueError, match="rounding bound"):
+            kontsevich_k(2, 0.02, 0.0)
+
     def test_vandermonde_expansion_degree(self):
         poly = _vandermonde_power_poly(3, 2)
         assert all(sum(e) == 6 for e in poly)
@@ -82,6 +129,43 @@ class TestQuadratureRoute:
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         assert kq.converged and kq.route == "quadrature-tensor"
         assert abs(kq.value - k22_closed(x)) <= 1e-3
+
+    @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
+    def test_matches_closed_form_to_1e6(self, x):
+        kq = kontsevich_k(2, 2.0, x, route="quadrature")
+        assert abs(kq.value - k22_closed(x)) <= 1e-6
+
+    @pytest.mark.parametrize("eps", [0.32, 0.16])
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.8, 3.0, 1.0 / 3.0])  # p = 2, 4, 5, 4/3, 12
+    @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
+    def test_fft_matches_double_sum(self, eps, beta, x):
+        t = _grid(eps, math.ceil(4.0 / beta))
+        direct, scale = k2_eps_double_sum(beta, x, eps, t)
+        assert abs(_k_eps_tensor(2, beta, x, eps, t) - direct) <= 1e-11 * scale
+
+    def test_reports_the_rungs_it_ran(self):
+        kq = kontsevich_k(2, 2.0, 0.0, route="quadrature")
+        assert kq.eps_used == EPS_LADDER
+        assert kq.evaluations == sum(fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER)
+        for r in (kontsevich_k(2, 2.0, 0.0), kontsevich_k(1, 2.0, 0.0)):
+            assert r.route in ("reduction", "closed")
+            assert r.eps_used == () and r.evaluations == 0
+
+    def test_extrapolation_leaves_out_a_rung_that_spoils_it(self, monkeypatch):
+        # a smooth damping error, e^eps, on five rungs; the finest is thrown off
+        def backend(n, beta, x, eps, t):
+            return math.exp(eps) + (0.5 if eps == EPS_LADDER[-1] else 0.0)
+
+        monkeypatch.setattr(kontsevich, "_k_eps_tensor", backend)
+        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
+        assert r.converged and r.eps_used == EPS_LADDER[:-1]
+        assert r.evaluations == sum(fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER)
+        assert abs(r.value - 1.0) <= 1e-5
+        # the error still owns up to how far the left-out rung moved the value
+        ladder = np.asarray(EPS_LADDER)
+        full, _ = kontsevich._richardson(ladder, np.asarray([backend(2, 2.0, 0.0, e, None)
+                                                            for e in ladder]))
+        assert r.error >= abs(full - r.value) > 1.0
 
     @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
     def test_error_estimate_honest(self, x):
@@ -129,8 +213,8 @@ class TestQuadratureRoute:
         assert not r.converged and r.error == np.inf
 
     def test_budget_counts_true_grid_size(self, monkeypatch):
-        # one evaluation short of the finest rung's true cost skips that rung
-        costs = [float(len(_grid(eps, 2))) ** 2 for eps in EPS_LADDER]
+        # one evaluation short of the finest rung's true FFT cost skips that rung
+        costs = [fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER]
 
         def k22(ladder, budget):
             monkeypatch.setattr(kontsevich, "EPS_LADDER", ladder)
