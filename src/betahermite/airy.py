@@ -22,6 +22,8 @@ from math import gamma, pi, sqrt
 import numpy as np
 import scipy.special
 
+from .quadrature import legendre
+
 __all__ = [
     "AI0",
     "AIP0",
@@ -84,7 +86,7 @@ def airy_tail(x, upper: float = 20.0):
         # deep decay: two-term exponential tail formula
         zeta = (2.0 / 3.0) * x**1.5
         return float(np.exp(-zeta) / (2.0 * sqrt(pi) * x**0.75) * (1.0 - 41.0 / (72.0 * zeta)))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes, weights = legendre(12)
     width = 0.2
     n_panels = int(np.ceil((upper - x) / width))
     edges = np.linspace(x, upper, n_panels + 1)

@@ -17,14 +17,15 @@ sqrt(n(n-1)/2).
 
 from __future__ import annotations
 
-from math import inf, lgamma, log, pi, sqrt
+from functools import lru_cache
+from math import ceil, inf, lgamma, log, pi, sqrt
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .ensemble import EnsembleKind
 from .moments import big_l
+from .quadrature import gauss_panels, legendre
 
 __all__ = [
     "log_z_beta_he",
@@ -71,40 +72,46 @@ def log_z_fte(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # small-n exact densities
 
-def _rho_gauss_n2(beta: float, x1: float) -> float:
+def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
+    # y = x -+ v^2 on each side of the |x - y|^beta kink: the integrand
+    # 2 v^(2 beta + 1) e^{-(x -+ v^2)^2/2} is smooth for half-integer beta, and
+    # past v^2 = |x| + 12 + beta its Gaussian factor is below e^-72
     lz = log_z_beta_he(2, beta)
-
-    def f(y):
-        return np.abs(x1 - y) ** beta * np.exp(-y * y / 2.0)
-
-    v = (scipy.integrate.quad(f, -np.inf, x1, limit=200)[0]
-         + scipy.integrate.quad(f, x1, np.inf, limit=200)[0])
-    return float(np.exp(-x1 * x1 / 2.0 - lz) * v)
-
-
-_GL220 = np.polynomial.legendre.leggauss(220)
+    top = sqrt(float(np.max(np.abs(xs), initial=0.0)) + 12.0 + beta)
+    v, w = gauss_panels(np.linspace(0.0, top, ceil(top / 0.5) + 1), 20)
+    v2 = v * v
+    x = xs[:, None]
+    f = 2.0 * v ** (2.0 * beta + 1.0) * (np.exp(-(x - v2) ** 2 / 2.0)
+                                         + np.exp(-(x + v2) ** 2 / 2.0))
+    return np.exp(-xs * xs / 2.0 - lz) * (f @ w)
 
 
-def _rho_gauss_n3(beta: float, x1: float) -> float:
+def _rho_gauss_n3(beta: float, xs: np.ndarray) -> np.ndarray:
     # tensor Gauss-Legendre on [-12, 12]^2; geometric convergence for even
     # beta, slower (kinked |Delta|) otherwise
     lz = log_z_beta_he(3, beta)
-    nodes, wts = _GL220
+    nodes, wts = legendre(220)
     y = nodes * 12.0
     w = wts * 12.0
     yy, zz = np.meshgrid(y, y, indexing="ij")
     ww = np.outer(w, w)
-    d = (np.abs((x1 - yy) * (x1 - zz) * (yy - zz))) ** beta
     e = np.exp(-(yy**2 + zz**2) / 2.0)
-    return float(np.exp(-x1 * x1 / 2.0 - lz) * np.sum(d * e * ww))
+    dyz = yy - zz
+    out = np.empty(len(xs))
+    for i, x1 in enumerate(xs):
+        d = (np.abs((x1 - yy) * (x1 - zz) * dyz)) ** beta
+        out[i] = np.exp(-x1 * x1 / 2.0 - lz) * np.sum(d * e * ww)
+    return out
 
 
-def _rho_fte1_n2(beta: float, s: float) -> float:
-    if abs(s) >= 1.0:
-        return 0.0
+def _rho_fte1_n2(beta: float, s: np.ndarray) -> np.ndarray:
     lz = log_z_fte(2, beta)
-    y = sqrt(1.0 - s * s)
-    return float((abs(s - y) ** beta + abs(s + y) ** beta) / y * np.exp(-lz))
+    inside = np.abs(s) < 1.0
+    s_in = s[inside]
+    y = np.sqrt(1.0 - s_in * s_in)
+    out = np.zeros(s.shape)
+    out[inside] = (np.abs(s_in - y) ** beta + np.abs(s_in + y) ** beta) / y * np.exp(-lz)
+    return out
 
 
 def _phi_kinks(s: float, y: float) -> list[float]:
@@ -117,39 +124,45 @@ def _phi_kinks(s: float, y: float) -> list[float]:
     return sorted(k for k in ks if 0.0 < k < 2.0 * pi)
 
 
-_GL20 = np.polynomial.legendre.leggauss(20)
+def _circle_vandermonde(beta: float, s, y, cos_phi, sin_phi):
+    x2 = y * cos_phi
+    x3 = y * sin_phi
+    return (np.abs((s - x2) * (s - x3) * (x2 - x3))) ** beta
 
 
-def _rho_fte1_n3(beta: float, s: float) -> float:
-    if abs(s) >= 1.0:
-        return 0.0
+_TRAPEZOID_NODES = 4096
+_TRAPEZOID_ROWS = 64  # rows of s per (rows, 4096) block, to bound memory
+
+
+def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
     lz = log_z_fte(3, beta)
-    y = sqrt(1.0 - s * s)
-
-    def integrand(phi):
-        x2 = y * np.cos(phi)
-        x3 = y * np.sin(phi)
-        return (np.abs((s - x2) * (s - x3) * (x2 - x3))) ** beta
-
+    inside = np.flatnonzero(np.abs(s) < 1.0)
+    y = np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    out = np.zeros(s.shape)
     if float(beta).is_integer() and int(beta) % 2 == 0:
         # smooth periodic integrand, trapezoid is spectral
-        phi = np.linspace(0.0, 2.0 * pi, 4096, endpoint=False)
-        val = integrand(phi).mean() * 2.0 * pi
+        phi = np.linspace(0.0, 2.0 * pi, _TRAPEZOID_NODES, endpoint=False)
+        c, sn = np.cos(phi), np.sin(phi)
+        for lo in range(0, len(inside), _TRAPEZOID_ROWS):
+            rows = inside[lo : lo + _TRAPEZOID_ROWS]
+            vals = _circle_vandermonde(beta, s[rows, None], y[rows, None], c, sn)
+            out[rows] = vals.mean(axis=1) * 2.0 * pi
     else:
-        # split at the |.| kinks, Gauss panels on each analytic piece
-        pts = [0.0, *_phi_kinks(s, y), 2.0 * pi]
-        nodes, wts = _GL20
-        val = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            sub = np.linspace(a, b, 9)
-            for aa, bb in zip(sub[:-1], sub[1:]):
-                mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
-                val += float(np.sum(integrand(mid + half * nodes) * wts) * half)
-    return float(val * np.exp(-lz))
+        # split at the |.| kinks, 8 Gauss panels on each analytic piece
+        for i in inside:
+            pts = [0.0, *_phi_kinks(s[i], y[i]), 2.0 * pi]
+            edges = np.concatenate([np.linspace(a, b, 9)[:-1] for a, b in zip(pts[:-1], pts[1:])]
+                                   + [[2.0 * pi]])
+            phi, w = gauss_panels(edges, 20)
+            out[i] = w @ _circle_vandermonde(beta, s[i], y[i], np.cos(phi), np.sin(phi))
+    return out * np.exp(-lz)
 
 
-def _rho_fte1(n: int, beta: float, s: float) -> float:
-    return _rho_fte1_n2(beta, s) if n == 2 else _rho_fte1_n3(beta, s)
+def _rho_fte1(n: int, beta: float, s) -> np.ndarray:
+    """Unit-sphere fixed-trace density at the points of ``s``."""
+    s = np.asarray(s, dtype=float)
+    out = (_rho_fte1_n2 if n == 2 else _rho_fte1_n3)(beta, s.ravel())
+    return out.reshape(s.shape)
 
 
 def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
@@ -158,53 +171,80 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     Returns the ndarray of heights at the points of ``x_grid``.  For the
     fixed-trace kind the delta constraint is eliminated
     analytically on the circle (n=2) or the 2-sphere (n=3) of the canonical
-    radius sqrt(n(n-1)/2), the one the sampler draws.  Intended accuracy
-    ~1e-8 (even beta at n=3; the kinked odd-beta integrands at n=3 converge
-    more slowly).
+    radius sqrt(n(n-1)/2), the one the sampler draws.  Accuracy: ~1e-13 for
+    the Gaussian n = 2 density at half-integer beta (~1e-9 at beta = 0.3,
+    where the integrand has a fractional power at the kink), and for even
+    beta at n = 3; the kinked odd-beta integrands at n = 3 converge more
+    slowly (~1e-4 for the Gaussian density at beta = 1).
     """
     if n not in (2, 3):
         raise ValueError("exact densities are implemented for n in {2, 3}")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if kind is EnsembleKind.GAUSSIAN:
-        f = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
-        vals = np.array([f(beta, x) for x in xs])
-    else:
-        r = sqrt(n * (n - 1) / 2.0)
-        vals = np.array([_rho_fte1(n, beta, x / r) / r for x in xs])
-    return vals
+        return (_rho_gauss_n2 if n == 2 else _rho_gauss_n3)(beta, xs)
+    r = sqrt(n * (n - 1) / 2.0)
+    return _rho_fte1(n, beta, xs / r) / r
+
+
+_RHS_PANELS = 3  # on each side of the kink, 20 nodes each
+_GRADE_RATIO = 0.25
+_GRADE_LEVELS = 12
+
+
+def _kink_panel_edges(kink: float, top: float, graded: bool) -> np.ndarray:
+    """Edges of `_RHS_PANELS` equal panels on each side of the kink in [0, top].
+
+    With `graded`, the panel on each side of the kink is refined geometrically
+    toward it, for the |w - kink|^beta singularity of a non-integer beta.
+    """
+    left = np.linspace(0.0, kink, _RHS_PANELS + 1)
+    right = np.linspace(kink, top, _RHS_PANELS + 1)
+    if graded:
+        steps = _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1)
+        left = np.concatenate([left[:-2], kink - (kink - left[-2]) * steps, [kink]])
+        right = np.concatenate([[kink], kink + (right[1] - kink) * steps[::-1], right[2:]])
+    return np.concatenate([left[:-1], right]) if kink > 0.0 else right
+
+
+def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
+    """(1/C) Int_|x| e^{-r^2/2} r^(Nb-2) rho_fte1(x/r) dr at each x, on Gauss panels.
+
+    r = |x| + w^2 removes the endpoint square-root singularity, and the range
+    of w splits at the n = 2 density's kink, x/r = 1/sqrt(2), that is at
+    w = sqrt((sqrt 2 - 1)|x|).  All nodes of all x go through one density call.
+    """
+    nb = 2.0 * big_l(n, beta)
+    lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
+    graded = not float(beta).is_integer()
+    ws, wts, rows = [], [], []
+    for i, ax in enumerate(np.abs(xs)):
+        top = sqrt(max(40.0 - ax, 1.0))
+        kink = min(sqrt((sqrt(2.0) - 1.0) * ax), top)
+        w, wt = gauss_panels(_kink_panel_edges(kink, top, graded), 20)
+        ws.append(w)
+        wts.append(wt)
+        rows.append(np.full(len(w), i))
+    w, wt, rows = np.concatenate(ws), np.concatenate(wts), np.concatenate(rows)
+    r = np.abs(xs)[rows] + w * w
+    f = (np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc)
+         * _rho_fte1(n, beta, xs[rows] / r) * 2.0 * w)
+    return np.bincount(rows, weights=f * wt, minlength=len(xs))
 
 
 def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     """Max |LHS - RHS| of the radial identity linking the two densities.
 
     LHS: Gaussian density at n.  RHS: (1/C) Int_|x| e^{-r^2/2} r^(Nb-2)
-    rho_fte1(x/r) dr with C = Gamma(Nb/2) 2^(Nb/2-1).  The endpoint
-    square-root singularity of the unit-strength density is removed by the
-    substitution r = |x| + w^2.
+    rho_fte1(x/r) dr with C = Gamma(Nb/2) 2^(Nb/2-1), on Gauss-Legendre
+    panels in w, r = |x| + w^2.
     """
     if n not in (2, 3):
         raise ValueError("integral equation check is implemented for n in {2, 3}")
-    nb = 2.0 * big_l(n, beta)
-    lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if xs.size == 0:
+        return 0.0
     gauss = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
-
-    def rhs(x1: float) -> float:
-        ax = abs(x1)
-        if ax < 1e-12:
-            f = lambda r: np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc) * _rho_fte1(n, beta, 0.0)
-            return scipy.integrate.quad(f, 1e-300, 40.0, limit=300)[0]
-
-        def fw(w):
-            r = ax + w * w
-            return (np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc)
-                    * _rho_fte1(n, beta, x1 / r) * 2.0 * w)
-
-        return scipy.integrate.quad(fw, 0.0, sqrt(max(40.0 - ax, 1.0)), limit=300)[0]
-
-    worst = 0.0
-    for x1 in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-        worst = max(worst, abs(gauss(beta, float(x1)) - rhs(float(x1))))
-    return worst
+    return float(np.max(np.abs(gauss(beta, xs) - _radial_rhs(n, beta, xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +257,18 @@ def hermite_zeros(n: int) -> np.ndarray:
     return scipy.special.roots_hermite(n)[0]
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs j < k, in `np.triu_indices` order."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def log_vandermonde_sq(points) -> float:
     """log prod_{j<k} (x_j - x_k)^2."""
     x = np.asarray(points, dtype=float)
-    n = len(x)
-    diffs = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
+    diffs = np.abs(x[:, None] - x[None, :])[_upper_pairs(len(x))]
     if np.any(diffs == 0.0):
         return float("-inf")
     return float(2.0 * np.sum(np.log(diffs)))

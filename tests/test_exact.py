@@ -1,6 +1,9 @@
 """Exact-reference machinery: partition functions against quadrature, small-n
 densities against independent oracles, the integral equation, the Stieltjes
-maximum, and the density upper bound."""
+maximum, and the density upper bound.
+
+`scipy.integrate.quad` is a test-only oracle here: the package's Gauss panel
+routes are held to it."""
 
 from math import exp, lgamma, log, pi, sqrt
 
@@ -10,7 +13,7 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betahermite import EnsembleKind, exact
+from betahermite import EnsembleKind, airy, exact
 from betahermite.exact import (
     c_beta,
     density_upper_bound,
@@ -23,6 +26,34 @@ from betahermite.exact import (
     log_z_fte,
     verify_integral_equation,
 )
+from betahermite.moments import big_l
+
+
+def quad_gauss_n2(beta, x1):
+    """Gaussian n = 2 density at x1, by adaptive quadrature on each side of the kink."""
+    f = lambda y: np.abs(x1 - y) ** beta * np.exp(-y * y / 2.0)
+    v = si.quad(f, -np.inf, x1, limit=200)[0] + si.quad(f, x1, np.inf, limit=200)[0]
+    return float(np.exp(-x1 * x1 / 2.0 - log_z_beta_he(2, beta)) * v)
+
+
+def quad_radial_rhs(n, beta, x1):
+    """(1/C) Int_|x| e^{-r^2/2} r^(Nb-2) rho_fte1(x/r) dr by adaptive quadrature in
+    w, r = |x| + w^2, broken at the n = 2 kink x/r = 1/sqrt(2), and in r itself
+    at x = 0."""
+    nb = 2.0 * big_l(n, beta)
+    lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
+    rho = lambda s: float(exact._rho_fte1(n, beta, s))
+    ax = abs(x1)
+    if ax == 0.0:
+        f = lambda r: np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc) * rho(0.0)
+        return si.quad(f, 1e-300, 40.0, limit=300)[0]
+
+    def fw(w):
+        r = ax + w * w
+        return np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc) * rho(x1 / r) * 2.0 * w
+
+    top = sqrt(max(40.0 - ax, 1.0))
+    return si.quad(fw, 0.0, top, points=[sqrt((sqrt(2.0) - 1.0) * ax)], limit=300)[0]
 
 
 class TestPartitionFunctions:
@@ -116,6 +147,44 @@ class TestIntegralEquation:
         res = verify_integral_equation(3, 2.0, np.arange(-3.0, 3.01, 1.0))
         assert res <= 1e-5
 
+    def test_n2_fractional_beta(self):
+        # |s - y|^0.5 at the kink is a square-root singularity: the graded panels
+        # keep the identity at the oracle's level
+        assert verify_integral_equation(2, 0.5, np.arange(-3.0, 3.01, 0.25)) <= 1e-10
+
+    def test_empty_grid(self):
+        assert verify_integral_equation(2, 2.0, []) == 0.0
+
+
+class TestPanelRoutesAgainstQuad:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 4.0])
+    def test_gaussian_n2_density(self, beta):
+        xs = np.linspace(-3.0, 3.0, 25)
+        d = exact_density_small_n(2, beta, EnsembleKind.GAUSSIAN, xs)
+        oracle = np.array([quad_gauss_n2(beta, x) for x in xs])
+        assert np.max(np.abs(d - oracle)) <= 1e-10
+
+    # 0, and 1/sqrt(2), where the n = 2 fixed-trace density's kink sits at r = 1
+    @pytest.mark.parametrize("n, beta", [(2, 1.0), (2, 2.0), (2, 4.0), (2, 0.5), (3, 2.0)])
+    def test_radial_rhs(self, n, beta):
+        xs = np.array([-2.5, -1.0, 0.0, 1.0 / sqrt(2.0), 0.3, 2.0])
+        rhs = exact._radial_rhs(n, beta, xs)
+        oracle = np.array([quad_radial_rhs(n, beta, x) for x in xs])
+        assert np.max(np.abs(rhs - oracle)) <= 1e-10
+
+    def test_airy_tail_bit_identical_on_the_cached_table(self):
+        # the panel sum of the fresh 12-point table, operation for operation
+        def fresh(x, upper=20.0):
+            nodes, weights = np.polynomial.legendre.leggauss(12)
+            edges = np.linspace(x, upper, int(np.ceil((upper - x) / 0.2)) + 1)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            pts = mid[:, None] + half[:, None] * nodes[None, :]
+            vals = airy.airy_ai(pts.ravel()).reshape(pts.shape)
+            return float(np.sum(vals @ weights * half))
+
+        for x in (-150.0, -7.3, 0.0, 1.1, 19.95):
+            assert airy.airy_tail(x) == fresh(x)
+
 
 class TestStrengthRescale:
     def test_unit_matches_directly_computed(self):
@@ -123,7 +192,7 @@ class TestStrengthRescale:
         xs = np.linspace(-0.9, 0.9, 7)
         r = sqrt(3.0)  # n=3 canonical radius
         du = r * exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r)
-        direct = np.array([exact._rho_fte1(3, 2.0, x) for x in xs])
+        direct = exact._rho_fte1(3, 2.0, xs)
         assert np.max(np.abs(du - direct)) <= 1e-10
 
 
@@ -152,6 +221,14 @@ class TestStieltjesMax:
             lv = log_vandermonde_sq(hermite_zeros(n))
             lm = log_vandermonde_sq_max(n)
             assert abs(lv - lm) / abs(lm) <= 1e-10
+
+    def test_cached_pairs_keep_the_sum(self):
+        # the per-n pair cache must give the same pairs in the same order
+        rng = np.random.default_rng(3)
+        for n in (2, 7, 31):
+            x = rng.standard_normal(n)
+            diffs = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
+            assert log_vandermonde_sq(x) == float(2.0 * np.sum(np.log(diffs)))
 
     def test_monotone_in_n(self):
         vals = [log_vandermonde_sq_max(n) for n in range(2, 20)]

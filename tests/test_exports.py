@@ -12,7 +12,7 @@ import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SUBMODULES = ("airy", "checks", "density", "ensemble", "exact", "kontsevich", "moments",
-              "tridiag")  # cli exports nothing: it is the command line
+              "quadrature", "tridiag")  # cli exports nothing: it is the command line
 
 
 @pytest.mark.parametrize("module", ["betahermite", *(f"betahermite.{m}" for m in SUBMODULES)])
