@@ -20,7 +20,7 @@ from .kontsevich import EPS_LADDER, kontsevich_edge_density, kontsevich_k
 from .airy import edge_density_closed
 from .moments import MomentIndex, big_l, moment_ratio_exact, verify_moment_equivalence
 
-__all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
+__all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "validate_flags"]
 
 
 @dataclass
@@ -64,11 +64,11 @@ def check_stieltjes(n_max: int = 50, master_seed: int = 1) -> list[CheckResult]:
         worst_rel = max(worst_rel, abs(lv - lmax) / abs(lmax))
         worst_sum = max(worst_sum, abs(np.sum(z**2) - n * (n - 1) / 2.0))
         r2 = n * (n - 1) / 2.0
-        for _ in range(100):
+        pts = np.empty((100, n))
+        for pt in pts:
             d = rng.standard_normal(n)
-            pt = d / np.linalg.norm(d) * sqrt(r2 * rng.uniform(0.0, 1.0))
-            if exact.log_vandermonde_sq(pt) > lmax:
-                exceeded += 1
+            pt[:] = d / np.linalg.norm(d) * sqrt(r2 * rng.uniform(0.0, 1.0))
+        exceeded += int(np.count_nonzero(exact.log_vandermonde_sq(pts) > lmax))
     out.append(CheckResult(
         check_name="stieltjes",
         params={"n_max": n_max}, metric=worst_rel, tolerance=1e-10,
@@ -212,7 +212,29 @@ def check_edge_remark() -> list[CheckResult]:
     return out
 
 
-CHECK_NAMES = ("integral-eq", "stieltjes", "bound", "moments", "edge-remark")
+# the arguments of `run_checks` each check reads
+_CHECK_FLAGS = {
+    "integral-eq": ("n", "beta"),
+    "stieltjes": ("n",),
+    "bound": ("n",),
+    "moments": (),
+    "edge-remark": (),
+}
+CHECK_NAMES = tuple(_CHECK_FLAGS)
+
+
+def validate_flags(names, n: int | None = None, beta: float | None = None) -> None:
+    """Raise ValueError for an unknown check, or for n or beta given to a check that ignores it."""
+    given = {"n": n, "beta": beta}
+    for name in names:
+        if name not in _CHECK_FLAGS:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+        unread = [f"{k}={v}" for k, v in given.items()
+                  if v is not None and k not in _CHECK_FLAGS[name]]
+        if unread:
+            reads = " and ".join(_CHECK_FLAGS[name]) or "neither n nor beta"
+            raise ValueError(f"check {name!r} reads {reads}, so {', '.join(unread)} "
+                             "would be ignored")
 
 
 def run_checks(
@@ -221,7 +243,12 @@ def run_checks(
     n: int | None = None,
     beta: float | None = None,
 ) -> list[CheckResult]:
-    """Run the named checks (or all) and return their results."""
+    """Run the named checks (or all) and return their results.
+
+    Refuses, before running any check, an unknown name and an n or beta that
+    a named check does not read (`validate_flags`).
+    """
+    validate_flags(names, n, beta)
     results: list[CheckResult] = []
     for name in names:
         if name == "integral-eq":
@@ -237,8 +264,6 @@ def run_checks(
             results += check_bound(n=20 if n is None else n, master_seed=master_seed + 10)
         elif name == "moments":
             results += check_moments(master_seed=master_seed + 20)
-        elif name == "edge-remark":
-            results += check_edge_remark()
         else:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+            results += check_edge_remark()
     return results

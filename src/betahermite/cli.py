@@ -14,13 +14,14 @@ import json
 import sys
 import warnings
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
-from .checks import CHECK_NAMES, run_checks
+from .checks import CHECK_NAMES, run_checks, validate_flags
 from .density import (
     Regime,
     density_sidecar,
@@ -206,8 +207,14 @@ def cmd_special(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(CHECK_NAMES) if args.check == "all" else [args.check]
+    results = []
     try:
-        results = run_checks(names, master_seed=args.seed, n=args.n, beta=args.beta)
+        validate_flags(names, n=args.n, beta=args.beta)
+        # seconds go to stderr only: the report is a pure function of its flags
+        for name in names:
+            t0 = perf_counter()
+            results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
+            print(f"[time] {name} {perf_counter() - t0:.3f} s", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

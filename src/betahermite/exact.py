@@ -130,8 +130,7 @@ def _circle_vandermonde(beta: float, s, y, cos_phi, sin_phi):
     return (np.abs((s - x2) * (s - x3) * (x2 - x3))) ** beta
 
 
-_TRAPEZOID_NODES = 4096
-_TRAPEZOID_ROWS = 64  # rows of s per (rows, 4096) block, to bound memory
+_TRAPEZOID_BLOCK = 1 << 18  # elements of one (rows of s, nodes) block, to bound memory
 
 
 def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
@@ -140,11 +139,17 @@ def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
     y = np.sqrt(np.maximum(1.0 - s * s, 0.0))
     out = np.zeros(s.shape)
     if float(beta).is_integer() and int(beta) % 2 == 0:
-        # smooth periodic integrand, trapezoid is spectral
-        phi = np.linspace(0.0, 2.0 * pi, _TRAPEZOID_NODES, endpoint=False)
+        # the integrand is a trigonometric polynomial of degree 3*beta in phi,
+        # which the (3*beta + 1)-point trapezoid integrates exactly
+        nodes = 3 * int(beta) + 1
+        if nodes > _TRAPEZOID_BLOCK:
+            raise ValueError(f"the n=3 fixed-trace density at even beta takes 3*beta + 1 "
+                             f"trapezoid nodes, over {_TRAPEZOID_BLOCK} at beta={beta}")
+        phi = np.linspace(0.0, 2.0 * pi, nodes, endpoint=False)
         c, sn = np.cos(phi), np.sin(phi)
-        for lo in range(0, len(inside), _TRAPEZOID_ROWS):
-            rows = inside[lo : lo + _TRAPEZOID_ROWS]
+        step = max(1, _TRAPEZOID_BLOCK // nodes)
+        for lo in range(0, len(inside), step):
+            rows = inside[lo : lo + step]
             vals = _circle_vandermonde(beta, s[rows, None], y[rows, None], c, sn)
             out[rows] = vals.mean(axis=1) * 2.0 * pi
     else:
@@ -265,13 +270,18 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def log_vandermonde_sq(points) -> float:
-    """log prod_{j<k} (x_j - x_k)^2."""
+def log_vandermonde_sq(points) -> float | np.ndarray:
+    """log prod_{j<k} (x_j - x_k)^2 over the last axis, -inf where two coordinates tie.
+
+    A float for one point set, an array of one value per row for a stack of them.
+    """
     x = np.asarray(points, dtype=float)
-    diffs = np.abs(x[:, None] - x[None, :])[_upper_pairs(len(x))]
-    if np.any(diffs == 0.0):
-        return float("-inf")
-    return float(2.0 * np.sum(np.log(diffs)))
+    rows, cols = _upper_pairs(x.shape[-1])
+    diffs = np.abs(x[..., rows] - x[..., cols])
+    with np.errstate(divide="ignore"):
+        out = 2.0 * np.sum(np.log(diffs), axis=-1)
+    out = np.where(np.any(diffs == 0.0, axis=-1), -inf, out)
+    return float(out) if x.ndim == 1 else out
 
 
 def log_vandermonde_sq_max(n: int) -> float:

@@ -29,6 +29,7 @@ from .ensemble import (
     EnsembleParams,
     SampleSeed,
     sample_block,
+    sample_diag_block,
     trace_sq_rows,
 )
 
@@ -108,7 +109,9 @@ def moment_mc(
     Gaussian kind averages over raw samples; fixed-trace kind rescales every
     sample onto the tr H^2 = 2L sphere before taking the product.  Replicates
     seed.replicate, seed.replicate+1, ... are drawn ``REPLICATE_CHUNK`` at a
-    time with `sample_block`.
+    time with `sample_block`; a Gaussian index with no subdiagonal exponent
+    reads only the diagonal, which `sample_diag_block` draws bit for bit
+    without the subdiagonal's gamma variates.
     """
     if n_reps < 100:
         raise ValueError("n_reps must be >= 100")
@@ -119,12 +122,19 @@ def moment_mc(
     ea = np.asarray(idx.eta_a, dtype=float)
     eb = np.asarray(idx.eta_b, dtype=float)
     fixed = params.kind is EnsembleKind.FIXED_TRACE
+    diag_only = not fixed and not any(idx.eta_b)
     gaussian = replace(params, kind=EnsembleKind.GAUSSIAN)
     r2 = 2.0 * big_l(params.n, params.beta)
     v = np.empty(n_reps)
     for start in range(0, n_reps, REPLICATE_CHUNK):
         count = min(REPLICATE_CHUNK, n_reps - start)
-        a, sub = sample_block(gaussian, seed.master_seed, seed.replicate + start, count)
+        first = seed.replicate + start
+        if diag_only:
+            # the product of b**0 is exactly 1, so this is the full route's value
+            a = sample_diag_block(gaussian, seed.master_seed, first, count)
+            v[start:start + count] = np.prod(a**ea, axis=1)
+            continue
+        a, sub = sample_block(gaussian, seed.master_seed, first, count)
         b = sub[:, ::-1]  # bottom-up indexing
         if fixed:
             c = np.sqrt(r2 / trace_sq_rows(a, sub))[:, None]

@@ -415,6 +415,27 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("unread", [
+        ["--check", "moments", "--n", "5", "--beta", "3"], ["--check", "moments", "--n", "10"],
+        ["--check", "bound", "--beta", "3"], ["--check", "stieltjes", "--beta", "2"],
+        ["--check", "edge-remark", "--beta", "4"], ["--check", "all", "--n", "2"],
+    ])
+    def test_flag_a_check_ignores_is_usage_error(self, tmp_path, capsys, unread):
+        out = tmp_path / "r.json"
+        assert run(["verify", *unread, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "would be ignored" in err
+        assert not out.exists()
+
+    def test_seconds_per_check_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "stieltjes", "--n", "5", "--output", str(out)]) == 0
+        times = [line.split() for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("[time]")]
+        assert len(times) == 1 and times[0][1] == "stieltjes" and times[0][3] == "s"
+        assert float(times[0][2]) >= 0.0
+        assert "time" not in out.read_text()
+
     def test_unknown_check_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--check", "nonsense"])

@@ -186,6 +186,26 @@ class TestPanelRoutesAgainstQuad:
             assert airy.airy_tail(x) == fresh(x)
 
 
+class TestEvenBetaTrapezoid:
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 6.0])
+    def test_matches_4096_points(self, beta):
+        # the integrand is a trigonometric polynomial of degree 3*beta, so the
+        # (3*beta + 1)-point rule is exact; what is left is the rounding of the
+        # integrand values, ~1.6e-15 here (a 3*beta-point rule at beta=4 is off
+        # by 6e-2)
+        s = np.linspace(-0.99, 0.99, 199)
+        y = np.sqrt(1.0 - s * s)[:, None]
+        phi = np.linspace(0.0, 2.0 * pi, 4096, endpoint=False)
+        vals = np.abs((s[:, None] - y * np.cos(phi)) * (s[:, None] - y * np.sin(phi))
+                      * y * (np.cos(phi) - np.sin(phi))) ** beta
+        oracle = vals.mean(axis=1) * 2.0 * pi * exp(-exact.log_z_fte(3, beta))
+        assert np.max(np.abs(exact._rho_fte1(3, beta, s) / oracle - 1.0)) <= 4e-15
+
+    def test_node_count_bounded(self):
+        with pytest.raises(ValueError, match="trapezoid nodes"):
+            exact._rho_fte1(3, 1e6, np.array([0.1]))
+
+
 class TestStrengthRescale:
     def test_unit_matches_directly_computed(self):
         # the canonical density, rescaled to the unit sphere, is the unit-strength one
@@ -229,6 +249,18 @@ class TestStieltjesMax:
             x = rng.standard_normal(n)
             diffs = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
             assert log_vandermonde_sq(x) == float(2.0 * np.sum(np.log(diffs)))
+
+    def test_rows_equal_per_point_set(self):
+        # one call on the stack of a Stieltjes check's feasible points, ties included
+        rng = np.random.default_rng(4)
+        for n in range(2, 51):
+            d = rng.standard_normal((100, n))
+            pts = d / np.linalg.norm(d, axis=1)[:, None] * sqrt(n * (n - 1) / 2.0)
+            pts[7, -1] = pts[7, 0]
+            rows = log_vandermonde_sq(pts)
+            each = np.array([log_vandermonde_sq(pt) for pt in pts])
+            assert rows[7] == each[7] == -np.inf
+            assert np.allclose(rows, each, rtol=1e-12, atol=0.0)
 
     def test_monotone_in_n(self):
         vals = [log_vandermonde_sq_max(n) for n in range(2, 20)]

@@ -68,15 +68,19 @@ class TestMomentMc:
                       500, SampleSeed(4))
         assert m.sign_symmetric
 
-    @pytest.mark.parametrize("kind", list(EnsembleKind))
-    def test_mean_equals_per_replicate_route(self, kind):
+    # a Gaussian index with no b exponent takes the diagonal-only route
+    @pytest.mark.parametrize("kind, idx", [
+        (kind, MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))) for kind in EnsembleKind
+    ] + [
+        (kind, MomentIndex((2, 0, 1, 0, 0, 4), (0, 0, 0, 0, 0))) for kind in EnsembleKind
+    ], ids=[k.value for k in EnsembleKind] + [f"{k.value}-diagonal-only" for k in EnsembleKind])
+    def test_mean_equals_per_replicate_route(self, kind, idx):
         # the block estimator against a replicate-by-replicate recomputation,
         # across a chunk boundary: same products, same exactly rounded sum
         from betahermite.ensemble import REPLICATE_CHUNK
 
         p = EnsembleParams(6, 2.0, kind)
         gaussian = EnsembleParams(6, 2.0)
-        idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
         reps = REPLICATE_CHUNK + 3
         m = moment_mc(p, idx, reps, SampleSeed(8, 4))
         r2 = 2.0 * big_l(6, 2.0)
@@ -90,6 +94,17 @@ class TestMomentMc:
             products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
         assert m.mean == fsum(products) / reps and m.n_reps == reps
+
+    def test_diagonal_index_draws_no_subdiagonal(self, monkeypatch):
+        # a Gaussian index with no b exponent takes its rows from sample_diag_block
+        from betahermite import moments
+
+        def refuse(*args):
+            raise AssertionError("sample_block called for a diagonal-only index")
+
+        monkeypatch.setattr(moments, "sample_block", refuse)
+        m = moment_mc(EnsembleParams(5, 2.0), MomentIndex.single_a(5, 2, 2), 1000, SampleSeed(6))
+        assert abs(m.mean - 1.0) <= 4.0 * m.std_error
 
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
