@@ -32,7 +32,8 @@ from .kontsevich import (
     kontsevich_edge_density,
     kontsevich_k,
 )
-from .moments import MomentIndex, big_l, moment_mc, moment_ratio_exact, verify_moment_equivalence
+from .moments import (MomentIndex, big_l, gaussian_moment_exact, moment_mc, moment_ratio_exact,
+                      moment_ratio_sphere, verify_moment_equivalence)
 from .tridiag import (
     Spectrum,
     eigenvalues_bisect,
@@ -50,5 +51,6 @@ __all__ = [
     "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
     "bulk_scale", "rescale", "grid_to_lambda", "estimate_density",
     "sample_density", "semicircle", "weak_functional",
-    "MomentIndex", "big_l", "moment_mc", "moment_ratio_exact", "verify_moment_equivalence",
+    "MomentIndex", "big_l", "gaussian_moment_exact", "moment_mc", "moment_ratio_exact",
+    "moment_ratio_sphere", "verify_moment_equivalence",
 ]

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import exact
 from .density import Regime, sample_density
-from .ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_block, trace_sq_rows
+from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, sample_block, trace_sphere,
+                       trace_sq_rows)
 from .kontsevich import EPS_LADDER, kontsevich_edge_density, kontsevich_k
 from .airy import edge_density_closed
 from .moments import MomentIndex, big_l, moment_ratio_exact, verify_moment_equivalence
@@ -62,8 +63,8 @@ def check_stieltjes(n_max: int = 50, master_seed: int = 1) -> list[CheckResult]:
         lv = exact.log_vandermonde_sq(z)
         lmax = exact.log_vandermonde_sq_max(n)
         worst_rel = max(worst_rel, abs(lv - lmax) / abs(lmax))
-        worst_sum = max(worst_sum, abs(np.sum(z**2) - n * (n - 1) / 2.0))
-        r2 = n * (n - 1) / 2.0
+        r2 = trace_sphere(n)
+        worst_sum = max(worst_sum, abs(np.sum(z**2) - r2))
         pts = np.empty((100, n))
         for pt in pts:
             d = rng.standard_normal(n)
@@ -97,16 +98,15 @@ def check_bound(
     master_seed: int = 2,
 ) -> list[CheckResult]:
     out = []
-    r = sqrt(n * (n - 1) / 2.0)
+    r = sqrt(trace_sphere(n))
     grid = np.linspace(-1.0, 1.0, 41)
+    centers = 0.5 * (grid[1:] + grid[:-1])
     for beta in betas:
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
-        # the bound's bulk coordinate is lambda / r
-        d = sample_density(params, master_seed, n_reps, grid, Regime.BULK, scale=r)
-        # d estimates rho_x(x) = r * rho_lambda(r x); the bound is on rho_lambda
-        emp = d.height / r
-        bound = exact.density_upper_bound(n, beta, d.centers)
-        margin = float(np.max(emp - bound))
+        # the bound is on rho_lambda at lambda = r x, in the bulk coordinate x
+        d = sample_density(params, master_seed, n_reps, r * grid, Regime.RAW)
+        bound = exact.density_upper_bound(n, beta, centers)
+        margin = float(np.max(d.height - bound))
         out.append(CheckResult(
             check_name="bound-dominance",
             params={"n": n, "beta": beta, "n_reps": n_reps, "seed": master_seed},
@@ -143,7 +143,7 @@ def check_moments(master_seed: int = 3, n_reps: int = 10_000) -> list[CheckResul
             details=f"mc_ratio={rep.mc_ratio:.5f} exact={rep.exact_ratio:.5f} "
                     f"distance from unity {rep.distance_from_unity:.2e}",
         ))
-    # exact-ratio ladder is monotone toward 1
+    # the bounded-trace ratio ladder is monotone toward 1
     ratios = [moment_ratio_exact(n, 2.0, 2) for n in (10, 40, 160)]
     mono = ratios[0] < ratios[1] < ratios[2] < 1.0 + 1e-15
     out.append(CheckResult(

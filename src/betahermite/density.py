@@ -174,19 +174,16 @@ def rescale(values, regime: Regime, params: EnsembleParams) -> np.ndarray:
     return u if regime is Regime.BULK else _edge_stretch(params.n) * (u - 1.0)
 
 
-def grid_to_lambda(
-    grid, regime: Regime, params: EnsembleParams, scale: float | None = None
-) -> np.ndarray:
+def grid_to_lambda(grid, regime: Regime, params: EnsembleParams) -> np.ndarray:
     """Eigenvalue-axis positions of a grid given in the regime's coordinate.
 
     The inverse of `rescale`: raw lambda = x, bulk lambda = s x,
-    edge lambda = s (1 + t / (2 N^(2/3))), with s = `bulk_scale(params)`
-    unless ``scale`` gives another unit of the bulk coordinate.
+    edge lambda = s (1 + t / (2 N^(2/3))), with s = `bulk_scale(params)`.
     """
     grid = np.asarray(grid, dtype=float)
     if regime is Regime.RAW:
         return grid
-    s = bulk_scale(params) if scale is None else scale
+    s = bulk_scale(params)
     if regime is Regime.BULK:
         return s * grid
     return s * (1.0 + grid / _edge_stretch(params.n))
@@ -247,11 +244,10 @@ def sample_density(
     reps: int,
     grid: Sequence[float],
     regime: Regime,
-    scale: float | None = None,
 ) -> DensityEstimate:
     """Sample replicates 0..reps-1 and histogram their spectra without eigenvalues.
 
-    ``grid`` is in the regime's coordinate (``scale`` as in `grid_to_lambda`).
+    ``grid`` is in the regime's coordinate.
     Replicates come from `sample_block`, ``REPLICATE_CHUNK`` at a time, and
     each block's Sturm counts at the grid's eigenvalue-axis edges give its bin
     counts, at O(n) per edge and replicate.  The estimate equals
@@ -261,7 +257,7 @@ def sample_density(
     grid = _checked_grid(grid)
     if reps < 1:
         raise ValueError("need at least one replicate")
-    edges = grid_to_lambda(grid, regime, params, scale)
+    edges = grid_to_lambda(grid, regime, params)
     n = params.n
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
     n_disjoint = 0

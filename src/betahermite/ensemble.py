@@ -4,15 +4,13 @@ The Gaussian ensemble is realized directly by the tridiagonal matrix model:
 independent standard normals on the diagonal and chi_{j*beta}/sqrt(2) on the
 subdiagonal, where j counts positions from the bottom-right corner.  The
 fixed-trace ensemble is obtained by projecting Gaussian samples onto the
-sphere tr(H^2) = n(n-1)/2.
+sphere tr(H^2) = n(n-1)/2, `trace_sphere`.
 
 `sample_block` is the one sampler, and its arrays are the one matrix
 representation.  It draws a block of consecutive replicates as
 ``diag (R, n)`` and ``sub (R, n-1)`` arrays, each row from the Philox stream
 keyed by (master seed, replicate), so a row does not depend on the block it
-was drawn in; a single matrix is a block of one.  A row's diagonal is the
-first draw of its stream, so `sample_diag_block` returns the same Gaussian
-``diag`` without drawing the subdiagonal.
+was drawn in; a single matrix is a block of one.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ __all__ = [
     "SampleSeed",
     "REPLICATE_CHUNK",
     "sample_block",
-    "sample_diag_block",
+    "trace_sphere",
     "trace_sq_rows",
 ]
 
@@ -48,6 +46,11 @@ def _philox_key(master_seed: int, replicate: int) -> np.ndarray:
     would share a stream.
     """
     return np.array([master_seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
+
+
+def trace_sphere(n: int) -> float:
+    """tr(H^2) = n(n-1)/2 of the sphere the fixed-trace sampler projects onto."""
+    return n * (n - 1) / 2.0
 
 
 class EnsembleKind(str, Enum):
@@ -74,8 +77,8 @@ class EnsembleParams:
 
     @property
     def strength_sq(self) -> float:
-        """Canonical fixed-trace target n*(n-1)/2."""
-        return self.n * (self.n - 1) / 2.0
+        """Canonical fixed-trace target `trace_sphere(n)`."""
+        return trace_sphere(self.n)
 
 
 @dataclass(frozen=True)
@@ -113,28 +116,6 @@ def _rescale_rows(diag: np.ndarray, sub: np.ndarray, target: float):
     sub *= c
 
 
-def _check_range(start: int, count: int) -> None:
-    if start < 0 or count < 0:
-        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
-
-
-def _row_streams(master_seed: int, start: int, count: int):
-    """Yield (i, rng) for i < count, with rng at the start of replicate start+i's stream.
-
-    One Philox bit generator serves every row and is rekeyed per row: the
-    state before any draw (zero counter, empty buffer, no cached 32-bit
-    half), restored with another key, starts that key's stream.
-    """
-    bitgen = Philox(key=_philox_key(master_seed, start))
-    rng = Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
-    for i in range(count):
-        key[1] = (start + i) & _MASK64
-        bitgen.state = state
-        yield i, rng
-
-
 def sample_block(
     params: EnsembleParams, master_seed: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,18 +126,28 @@ def sample_block(
     chi_{j*beta}/sqrt(2) (stored top-to-bottom, so sub[:, i] has j = n-1-i).
     Each row is drawn from the stream of `SampleSeed(master_seed, start+i)`
     in a fixed order, the n diagonal normals first and then the n-1 gamma
-    variates top-to-bottom.  A fixed-trace block is projected onto the trace
-    sphere row by row.
+    variates top-to-bottom.  One Philox bit generator serves the block and
+    is rekeyed to a fresh stream per row.  A fixed-trace block is projected
+    onto the trace sphere row by row.
     """
-    _check_range(start, count)
+    if start < 0 or count < 0:
+        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
     n = params.n
     fixed = params.kind is EnsembleKind.FIXED_TRACE
     if fixed and n < 2:
         raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
     diag = np.empty((count, n))
     sub = np.empty((count, n - 1))
+    bitgen = Philox(key=_philox_key(master_seed, start))
+    rng = Generator(bitgen)
+    # the state before any draw (zero counter, empty buffer, no cached 32-bit
+    # half); restoring it with another key starts that key's stream
+    state = bitgen.state
+    key = state["state"]["key"]
     shape = np.arange(n - 1, 0, -1) * params.beta / 2.0  # dof j*beta/2, top-to-bottom
-    for i, rng in _row_streams(master_seed, start, count):
+    for i in range(count):
+        key[1] = (start + i) & _MASK64
+        bitgen.state = state
         rng.standard_normal(out=diag[i])
         if n > 1:
             rng.standard_gamma(shape, out=sub[i])
@@ -164,22 +155,3 @@ def sample_block(
     if fixed:
         _rescale_rows(diag, sub, params.strength_sq)
     return diag, sub
-
-
-def sample_diag_block(
-    params: EnsembleParams, master_seed: int, start: int, count: int
-) -> np.ndarray:
-    """The Gaussian ``diag (count, n)`` of `sample_block`, bit for bit, without its ``sub``.
-
-    Each row's n diagonal normals are the first draws of its stream, so the
-    gamma variates after them are never drawn.  A fixed-trace diagonal
-    depends on the whole row's trace, so fixed-trace params are refused.
-    """
-    if params.kind is not EnsembleKind.GAUSSIAN:
-        raise ValueError("a fixed-trace diagonal needs the subdiagonal's trace; "
-                         "use sample_block")
-    _check_range(start, count)
-    diag = np.empty((count, params.n))
-    for i, rng in _row_streams(master_seed, start, count):
-        rng.standard_normal(out=diag[i])
-    return diag

@@ -23,7 +23,7 @@ from math import ceil, inf, lgamma, log, pi, sqrt
 import numpy as np
 import scipy.special
 
-from .ensemble import EnsembleKind
+from .ensemble import EnsembleKind, trace_sphere
 from .moments import big_l
 from .quadrature import gauss_panels, legendre
 
@@ -187,7 +187,7 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if kind is EnsembleKind.GAUSSIAN:
         return (_rho_gauss_n2 if n == 2 else _rho_gauss_n3)(beta, xs)
-    r = sqrt(n * (n - 1) / 2.0)
+    r = sqrt(trace_sphere(n))
     return _rho_fte1(n, beta, xs / r) / r
 
 
@@ -249,7 +249,12 @@ def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     if xs.size == 0:
         return 0.0
     gauss = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
-    return float(np.max(np.abs(gauss(beta, xs) - _radial_rhs(n, beta, xs))))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lhs, rhs = gauss(beta, xs), _radial_rhs(n, beta, xs)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"the integral equation at n={n}, beta={beta} overflows the "
+                         "double range; its sides are not finite")
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +318,10 @@ def log_g_n_beta(n: int, beta: float) -> float:
     nb = 2.0 * big_l(n, beta)
     v = np.arange(1, n + 1)
     s_vlnv = float(np.sum(v * np.log(v)))
+    log_r2 = log(trace_sphere(n))
     return ((beta / 2.0) * s_vlnv - 0.5 * log(pi) - lgamma((n - 1) / 2.0)
-            + ((n - 2.0) / 2.0) * log(n * (n - 1) / 2.0)
-            + lgamma(nb / 2.0) - ((nb - 1.0) / 2.0) * log(n * (n - 1) / 2.0)
+            + ((n - 2.0) / 2.0) * log_r2
+            + lgamma(nb / 2.0) - ((nb - 1.0) / 2.0) * log_r2
             - _log_gamma_product(n, beta))
 
 

@@ -1,45 +1,42 @@
-"""Entry-moment comparison between the Gaussian and fixed-trace ensembles.
+"""Entry moments of the fixed-trace sampler against the Gaussian ensemble.
 
 Moments are taken over the tridiagonal model entries a_1..a_n (diagonal) and
 b_1..b_{n-1} (subdiagonal, indexed from the bottom-right corner so that b_j
-has chi_{j beta}/sqrt(2) statistics).  Fixed-trace averages rescale each
-Gaussian sample onto the sphere tr H^2 = 2L with L = n/2 + beta n(n-1)/4,
-the Gaussian mean of tr H^2; the radial-angular factorization of the
-Gaussian measure makes that rescaling an exact sampler of the constrained
-ensemble (the n=2 quadrature guard in the test suite checks it).
+has chi_{j beta}/sqrt(2) statistics).  The entries are independent, so every
+Gaussian moment has a closed form (`gaussian_moment_exact`).  Fixed-trace
+moments are Monte Carlo averages over `sample_block`, the sampler `sample`
+ships, on the sphere tr H^2 = 2L with L = n/2 + beta n(n-1)/4, the Gaussian
+mean of tr H^2.
 
-``moment_ratio_exact`` evaluates the finite-N ratio
-L^(s/2) Gamma(L+1)/Gamma(L+s/2+1).  Its N -> infinity limit is 1 with
-log-ratio ~ -s(s+2)/(8L).  Caution for small n: direct sphere averages
-(quadrature or high-precision Monte Carlo) follow L^(s/2) Gamma(L)/Gamma(L+s/2)
-instead, which differs by the factor L/(L+s/2); the two coincide as
-N -> infinity.  See tests/test_moments.py for the quadrature comparison.
+Under the Gaussian measure R^2 = tr H^2 has R^2/2 ~ Gamma(L), independent of
+the direction, so a degree-s moment over its Gaussian value is
+``moment_ratio_sphere``, L^(s/2) Gamma(L)/Gamma(L+s/2), on the sphere the
+sampler obeys (exactly 1 at s = 2).  ``moment_ratio_exact``,
+L^(s/2) Gamma(L+1)/Gamma(L+s/2+1), is the ratio of the bounded-trace
+ensemble tr H^2 <= 2L instead.  They differ by the factor L/(L+s/2) and
+share the N -> infinity limit 1, with log-ratio ~ -s(s+2)/(8L).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import fsum, lgamma, log, sqrt
+from dataclasses import dataclass
+from math import fsum, lgamma, log, prod, sqrt
 
 import numpy as np
+from scipy.special import poch
 
-from .ensemble import (
-    REPLICATE_CHUNK,
-    EnsembleKind,
-    EnsembleParams,
-    SampleSeed,
-    sample_block,
-    sample_diag_block,
-    trace_sq_rows,
-)
+from .ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed, sample_block,
+                       trace_sphere)
 
 __all__ = [
     "MomentIndex",
     "MomentEstimate",
     "EquivalenceReport",
     "big_l",
+    "gaussian_moment_exact",
     "moment_mc",
     "moment_ratio_exact",
+    "moment_ratio_sphere",
     "verify_moment_equivalence",
 ]
 
@@ -104,14 +101,13 @@ def moment_mc(
     n_reps: int,
     seed: SampleSeed,
 ) -> MomentEstimate:
-    """Monte Carlo estimate of the requested entry moment.
+    """Monte Carlo estimate of the requested entry moment in the params' ensemble.
 
-    Gaussian kind averages over raw samples; fixed-trace kind rescales every
-    sample onto the tr H^2 = 2L sphere before taking the product.  Replicates
-    seed.replicate, seed.replicate+1, ... are drawn ``REPLICATE_CHUNK`` at a
-    time with `sample_block`; a Gaussian index with no subdiagonal exponent
-    reads only the diagonal, which `sample_diag_block` draws bit for bit
-    without the subdiagonal's gamma variates.
+    Replicates seed.replicate, seed.replicate+1, ... are drawn
+    ``REPLICATE_CHUNK`` at a time with `sample_block` of the params' kind.  A
+    fixed-trace row lies on the sampler's sphere tr H^2 = `trace_sphere`(n);
+    its entries are multiplied by the constant sqrt(2L / trace_sphere(n)), so
+    the moment is the one on the sphere tr H^2 = 2L.
     """
     if n_reps < 100:
         raise ValueError("n_reps must be >= 100")
@@ -121,25 +117,15 @@ def moment_mc(
         return MomentEstimate(mean=1.0, std_error=0.0, n_reps=n_reps)
     ea = np.asarray(idx.eta_a, dtype=float)
     eb = np.asarray(idx.eta_b, dtype=float)
-    fixed = params.kind is EnsembleKind.FIXED_TRACE
-    diag_only = not fixed and not any(idx.eta_b)
-    gaussian = replace(params, kind=EnsembleKind.GAUSSIAN)
-    r2 = 2.0 * big_l(params.n, params.beta)
+    # sample_block refuses a fixed-trace n = 1, whose sphere is the point 0
+    fixed = params.kind is EnsembleKind.FIXED_TRACE and params.n > 1
+    c = sqrt(2.0 * big_l(params.n, params.beta) / trace_sphere(params.n)) if fixed else 1.0
     v = np.empty(n_reps)
     for start in range(0, n_reps, REPLICATE_CHUNK):
         count = min(REPLICATE_CHUNK, n_reps - start)
-        first = seed.replicate + start
-        if diag_only:
-            # the product of b**0 is exactly 1, so this is the full route's value
-            a = sample_diag_block(gaussian, seed.master_seed, first, count)
-            v[start:start + count] = np.prod(a**ea, axis=1)
-            continue
-        a, sub = sample_block(gaussian, seed.master_seed, first, count)
-        b = sub[:, ::-1]  # bottom-up indexing
-        if fixed:
-            c = np.sqrt(r2 / trace_sq_rows(a, sub))[:, None]
-            a = a * c
-            b = b * c
+        a, sub = sample_block(params, seed.master_seed, seed.replicate + start, count)
+        a *= c
+        b = sub[:, ::-1] * c  # bottom-up indexing
         v[start:start + count] = np.prod(a**ea, axis=1) * np.prod(b**eb, axis=1)
     mean, std_error = _mean_and_std_error(v)
     return MomentEstimate(
@@ -163,16 +149,50 @@ def _mean_and_std_error(v: np.ndarray) -> tuple[float, float]:
     return mean, sqrt(var / len(v))
 
 
-def moment_ratio_exact(n: int, beta: float, s: int) -> float:
-    """Finite-N fixed-trace/Gaussian moment ratio L^(s/2) G(L+1)/G(L+s/2+1)."""
+def _check_degree(n: int, s: int) -> None:
     if n < 2:
         raise ValueError("n must be >= 2")
     if s < 0 or s % 2 != 0:
         raise ValueError("total degree s must be a non-negative even integer")
+
+
+def moment_ratio_exact(n: int, beta: float, s: int) -> float:
+    """Finite-N bounded-trace/Gaussian moment ratio L^(s/2) G(L+1)/G(L+s/2+1).
+
+    The ratio of the ensemble uniform in the ball tr H^2 <= 2L, not of the
+    sampler's sphere; `moment_ratio_sphere` is the sampler's.
+    """
+    _check_degree(n, s)
     if s == 0:
         return 1.0
     L = big_l(n, beta)
     return float(np.exp((s / 2.0) * log(L) + lgamma(L + 1.0) - lgamma(L + s / 2.0 + 1.0)))
+
+
+def moment_ratio_sphere(n: int, beta: float, s: int) -> float:
+    """Finite-N fixed-trace/Gaussian moment ratio L^(s/2) G(L)/G(L+s/2) on tr H^2 = 2L.
+
+    The ratio the fixed-trace sampler obeys, taken as the product of
+    L/(L+i) over i < s/2: exactly 1 at s = 2 and L/(L+1) at s = 4.
+    """
+    _check_degree(n, s)
+    L = big_l(n, beta)
+    return float(np.prod(L / (L + np.arange(s // 2))))
+
+
+def gaussian_moment_exact(params: EnsembleParams, idx: MomentIndex) -> float:
+    """Closed-form entry moment of the Gaussian ensemble with the params' n and beta.
+
+    The entries are independent: E a^k = (k-1)!! for even k and 0 for odd k,
+    and b_j^2 ~ Gamma(j beta/2) gives E b_j^k = Gamma(j beta/2 + k/2)/Gamma(j beta/2).
+    """
+    if idx.n != params.n:
+        raise ValueError("moment index dimension does not match params")
+    if any(k % 2 == 1 for k in idx.eta_a):
+        return 0.0
+    a = prod(prod(range(k - 1, 0, -2)) for k in idx.eta_a)
+    shape = np.arange(1, params.n) * params.beta / 2.0  # j beta/2 of b_1..b_{n-1}
+    return float(a * np.prod(poch(shape, np.asarray(idx.eta_b) / 2.0)))
 
 
 @dataclass
@@ -194,40 +214,27 @@ def verify_moment_equivalence(
     n_reps: int,
     seed: SampleSeed,
 ) -> EquivalenceReport:
-    """Compare the MC fixed-trace/Gaussian ratio with the exact ratio.
+    """Compare the fixed-trace sampler's moment over the Gaussian one with `moment_ratio_sphere`.
 
-    Uses independent replicate streams for the two ensembles and the delta
-    method for the ratio's standard error.  Odd moments (both sides ~ 0)
-    are skipped with a reason instead of producing an ill-conditioned ratio.
+    One Monte Carlo estimate, `moment_mc` of the fixed-trace ensemble with the
+    params' n and beta keyed by ``seed``, is divided by the closed-form
+    `gaussian_moment_exact`, so the ratio's standard error is the estimate's
+    over that constant.  An odd diagonal exponent (the Gaussian moment
+    vanishes) or an odd degree is skipped with a reason.
     """
-    exact = moment_ratio_exact(params.n, params.beta, idx.s) if idx.s % 2 == 0 else float("nan")
-    base = EnsembleParams(params.n, params.beta, EnsembleKind.GAUSSIAN)
-    if any(e % 2 == 1 for e in idx.eta_a) or idx.s % 2 == 1:
+    n, beta, s = params.n, params.beta, idx.s
+    exact = moment_ratio_sphere(n, beta, s) if s % 2 == 0 else float("nan")
+    if s % 2 == 1 or any(e % 2 == 1 for e in idx.eta_a):
         return EquivalenceReport(
-            n=params.n, beta=params.beta, s=idx.s,
-            mc_ratio=None, std_error=None,
-            exact_ratio=exact if exact == exact else 0.0,
-            distance_from_unity=abs(1.0 - exact) if exact == exact else float("nan"),
-            within_3_sigma=None,
-            skipped="odd moment vanishes in both ensembles; ratio is degenerate",
+            n=n, beta=beta, s=s, mc_ratio=None, std_error=None,
+            exact_ratio=exact, distance_from_unity=abs(1.0 - exact), within_3_sigma=None,
+            skipped="odd diagonal exponent or odd degree; no ratio is compared",
         )
-    fixed = EnsembleParams(params.n, params.beta, EnsembleKind.FIXED_TRACE)
-    m_gauss = moment_mc(base, idx, n_reps, SampleSeed(seed.master_seed, seed.replicate))
-    m_fixed = moment_mc(fixed, idx, n_reps, SampleSeed(seed.master_seed + 0x9E3779B9, seed.replicate))
-    if abs(m_gauss.mean) < 5.0 * m_gauss.std_error:
-        return EquivalenceReport(
-            n=params.n, beta=params.beta, s=idx.s,
-            mc_ratio=None, std_error=None, exact_ratio=exact,
-            distance_from_unity=abs(1.0 - exact), within_3_sigma=None,
-            skipped="denominator moment indistinguishable from zero",
-        )
-    ratio = m_fixed.mean / m_gauss.mean
-    se = abs(ratio) * sqrt(
-        (m_fixed.std_error / m_fixed.mean) ** 2 + (m_gauss.std_error / m_gauss.mean) ** 2
-    )
+    m = moment_mc(EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE), idx, n_reps, seed)
+    gauss = gaussian_moment_exact(params, idx)
+    ratio, se = m.mean / gauss, m.std_error / gauss
     return EquivalenceReport(
-        n=params.n, beta=params.beta, s=idx.s,
-        mc_ratio=ratio, std_error=se, exact_ratio=exact,
+        n=n, beta=beta, s=s, mc_ratio=ratio, std_error=se, exact_ratio=exact,
         distance_from_unity=abs(1.0 - exact),
         within_3_sigma=bool(abs(ratio - exact) <= 3.0 * se),
     )

@@ -397,6 +397,25 @@ class TestVerify:
         data = json.loads(rep.read_text())
         assert data["checks"][0]["metric"] <= 1e-6
 
+    @pytest.mark.parametrize("n, beta", [("3", "100"), ("3", "1000"), ("2", "400")])
+    def test_integral_eq_overflow_is_usage_error(self, tmp_path, capsys, n, beta):
+        # either side overflowing to inf or nan would print Infinity/NaN, which is not JSON
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "integral-eq", "--n", n, "--beta", beta,
+                    "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n={n}" in err and f"beta={float(beta)}" in err
+        assert not out.exists()
+
+    def test_moments_check(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "moments", "--seed", "1", "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert [c["check_name"] for c in data["checks"]] == [
+            "moments-equivalence", "moments-equivalence", "moments-ratio-ladder",
+            "moments-trace"]
+        assert data["all_passed"] and all(c["passed"] for c in data["checks"])
+
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["verify", "--check", "stieltjes", "--seed", "4", "--output", str(a)])

@@ -18,7 +18,7 @@ from betahermite import (
     sample_spectrum,
     trace_sq_rows,
 )
-from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows, sample_diag_block
+from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows
 
 
 def half_chi_mean_sq_oracle(k):
@@ -156,35 +156,6 @@ class TestSampleBlock:
     def test_fixed_trace_n1_rejected(self):
         with pytest.raises(ValueError):
             sample_block(EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE), 0, 0, 3)
-
-
-class TestSampleDiagBlock:
-    @given(
-        n=st.integers(1, 60),
-        beta=st.floats(0.05, 20.0),
-        master=st.one_of(st.integers(-2**70, -1), st.integers(0, 2**32),
-                         st.integers(2**63, 2**70)),
-        start=st.integers(REPLICATE_CHUNK - 8, REPLICATE_CHUNK - 1),
-        count=st.integers(9, 24),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_equals_sample_block_diag(self, n, beta, master, start, count):
-        # the block runs across a REPLICATE_CHUNK boundary
-        p = EnsembleParams(n, beta)
-        diag = sample_diag_block(p, master, start, count)
-        assert np.array_equal(diag, sample_block(p, master, start, count)[0])
-
-    def test_fixed_trace_refused(self):
-        with pytest.raises(ValueError, match="fixed-trace"):
-            sample_diag_block(EnsembleParams(5, 2.0, EnsembleKind.FIXED_TRACE), 0, 0, 3)
-
-    def test_empty_block(self):
-        assert sample_diag_block(EnsembleParams(4, 2.0), 0, 0, 0).shape == (0, 4)
-
-    @pytest.mark.parametrize("start, count", [(-1, 2), (0, -1)])
-    def test_rejects_negative_range(self, start, count):
-        with pytest.raises(ValueError):
-            sample_diag_block(EnsembleParams(4, 2.0), 0, start, count)
 
 
 class TestFixedTrace:

@@ -1,4 +1,4 @@
-"""Entry moments: Monte Carlo against closed forms, the finite-N ratio, and
+"""Entry moments: Monte Carlo against closed forms, the finite-N ratios, and
 the sphere-sampling validity guard at n=2."""
 
 from math import fsum, log, sqrt
@@ -14,10 +14,11 @@ from betahermite import (
     MomentIndex,
     SampleSeed,
     big_l,
+    gaussian_moment_exact,
     moment_mc,
     moment_ratio_exact,
+    moment_ratio_sphere,
     sample_block,
-    trace_sq_rows,
     verify_moment_equivalence,
 )
 
@@ -68,43 +69,26 @@ class TestMomentMc:
                       500, SampleSeed(4))
         assert m.sign_symmetric
 
-    # a Gaussian index with no b exponent takes the diagonal-only route
-    @pytest.mark.parametrize("kind, idx", [
-        (kind, MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))) for kind in EnsembleKind
-    ] + [
-        (kind, MomentIndex((2, 0, 1, 0, 0, 4), (0, 0, 0, 0, 0))) for kind in EnsembleKind
-    ], ids=[k.value for k in EnsembleKind] + [f"{k.value}-diagonal-only" for k in EnsembleKind])
-    def test_mean_equals_per_replicate_route(self, kind, idx):
+    @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
+    def test_mean_equals_per_replicate_route(self, kind):
         # the block estimator against a replicate-by-replicate recomputation,
-        # across a chunk boundary: same products, same exactly rounded sum
+        # across a chunk boundary: same products, same exactly rounded sum.
+        # A fixed-trace row of sample_block is on tr H^2 = n(n-1)/2, scaled to 2L.
         from betahermite.ensemble import REPLICATE_CHUNK
 
         p = EnsembleParams(6, 2.0, kind)
-        gaussian = EnsembleParams(6, 2.0)
+        idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
         reps = REPLICATE_CHUNK + 3
         m = moment_mc(p, idx, reps, SampleSeed(8, 4))
-        r2 = 2.0 * big_l(6, 2.0)
+        # the sampler's sphere at n = 6 is tr H^2 = 15
+        c = sqrt(2.0 * big_l(6, 2.0) / 15.0) if kind is EnsembleKind.FIXED_TRACE else 1.0
         products = []
         for rep in range(reps):
-            diag, sub = sample_block(gaussian, 8, 4 + rep, 1)
-            a, b = diag[0], sub[0, ::-1]
-            if kind is EnsembleKind.FIXED_TRACE:
-                c = sqrt(r2 / trace_sq_rows(diag, sub)[0])
-                a, b = a * c, b * c
+            diag, sub = sample_block(p, 8, 4 + rep, 1)
+            a, b = diag[0] * c, sub[0, ::-1] * c
             products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
         assert m.mean == fsum(products) / reps and m.n_reps == reps
-
-    def test_diagonal_index_draws_no_subdiagonal(self, monkeypatch):
-        # a Gaussian index with no b exponent takes its rows from sample_diag_block
-        from betahermite import moments
-
-        def refuse(*args):
-            raise AssertionError("sample_block called for a diagonal-only index")
-
-        monkeypatch.setattr(moments, "sample_block", refuse)
-        m = moment_mc(EnsembleParams(5, 2.0), MomentIndex.single_a(5, 2, 2), 1000, SampleSeed(6))
-        assert abs(m.mean - 1.0) <= 4.0 * m.std_error
 
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
@@ -117,6 +101,11 @@ class TestMomentMc:
         assert mean == pytest.approx(1e8 + np.mean(v - 1e8), rel=1e-15)
         one_pass = sqrt(max(np.mean(v * v) - mean * mean, 0.0) / len(v))
         assert abs(one_pass - want) > 0.1 * want  # the formula this replaces
+
+    def test_fixed_trace_n1_rejected(self):
+        with pytest.raises(ValueError):
+            moment_mc(EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE),
+                      MomentIndex.single_a(1, 1, 2), 100, SampleSeed(0))
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
@@ -146,6 +135,8 @@ class TestExactRatio:
     def test_odd_s_rejected(self):
         with pytest.raises(ValueError):
             moment_ratio_exact(5, 2.0, 3)
+        with pytest.raises(ValueError):
+            moment_ratio_sphere(5, 2.0, 3)
 
     def test_stirling_slope(self):
         # log ratio ~ -s(s+2)/(8L); confirmed in high precision before use
@@ -158,6 +149,68 @@ class TestExactRatio:
                 assert abs(float(lr - predicted)) <= float(s**3 / L**2)
         lr64 = log(moment_ratio_exact(800, 2.0, 4))
         assert lr64 == pytest.approx(-4 * 6 / (8 * big_l(800, 2.0)), rel=1e-2)
+
+
+class TestSphereRatio:
+    def test_s2_is_exactly_one(self):
+        for n, beta in ((2, 2.0), (3, 0.7), (40, 4.0), (1000, 1.0)):
+            assert moment_ratio_sphere(n, beta, 2) == 1.0
+            assert moment_ratio_sphere(n, beta, 0) == 1.0
+
+    def test_s4(self):
+        L = big_l(100, 2.0)
+        assert moment_ratio_sphere(100, 2.0, 4) == L / (L + 1.0)
+
+    def test_mpmath_gamma_form(self):
+        # L^(s/2) G(L)/G(L+s/2), and the bounded-trace ratio times (L+s/2)/L
+        mpmath.mp.dps = 40
+        for n, beta in ((2, 2.0), (5, 0.7), (30, 3.0)):
+            for s in (4, 6, 10):
+                L = mpmath.mpf(big_l(n, beta))
+                want = mpmath.exp((s / 2) * mpmath.log(L) + mpmath.loggamma(L)
+                                  - mpmath.loggamma(L + s / 2))
+                got = moment_ratio_sphere(n, beta, s)
+                assert got == pytest.approx(float(want), rel=1e-14)
+                assert got == pytest.approx(
+                    moment_ratio_exact(n, beta, s) * float((L + s / 2) / L), rel=1e-12)
+
+
+class TestGaussianMomentExact:
+    def test_diagonal(self):
+        p = EnsembleParams(3, 1.3)
+        assert gaussian_moment_exact(p, MomentIndex.single_a(3, 2, 2)) == 1.0
+        assert gaussian_moment_exact(p, MomentIndex.single_a(3, 1, 4)) == 3.0
+        assert gaussian_moment_exact(p, MomentIndex.single_a(3, 3, 6)) == 15.0
+        assert gaussian_moment_exact(p, MomentIndex((2, 4, 0), (0, 0))) == 3.0
+
+    def test_odd_diagonal_exponent_vanishes(self):
+        p = EnsembleParams(4, 2.0)
+        assert gaussian_moment_exact(p, MomentIndex.single_a(4, 1, 1)) == 0.0
+        assert gaussian_moment_exact(p, MomentIndex((2, 3, 0, 0), (0, 2, 0))) == 0.0
+
+    @pytest.mark.parametrize("n, beta", [(4, 2.0), (5, 0.7), (3, 3.0)])
+    def test_subdiagonal(self, n, beta):
+        # b_j^2 ~ Gamma(j beta/2): E b_j^2 = j beta/2, E b_j^4 = (j beta/2)(j beta/2 + 1)
+        p = EnsembleParams(n, beta)
+        for j in range(1, n):
+            k = j * beta / 2.0
+            assert gaussian_moment_exact(p, MomentIndex.single_b(n, j, 2)) == pytest.approx(
+                k, rel=1e-14)
+            assert gaussian_moment_exact(p, MomentIndex.single_b(n, j, 4)) == pytest.approx(
+                k * (k + 1.0), rel=1e-14)
+        # odd powers of the positive b_j do not vanish: E b_1 = G(beta/2 + 1/2)/G(beta/2)
+        want = float(mpmath.gamma(beta / 2 + 0.5) / mpmath.gamma(beta / 2))
+        assert gaussian_moment_exact(p, MomentIndex.single_b(n, 1, 1)) == pytest.approx(
+            want, rel=1e-13)
+
+    def test_product_of_independent_entries(self):
+        p = EnsembleParams(5, 3.0)
+        idx = MomentIndex((2, 2, 0, 0, 0), (0, 0, 0, 2))
+        assert gaussian_moment_exact(p, idx) == pytest.approx(1.0 * 1.0 * 4 * 3.0 / 2, rel=1e-14)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            gaussian_moment_exact(EnsembleParams(4, 2.0), MomentIndex.single_a(3, 1, 2))
 
 
 def fixed_trace_a1_sq_quadrature(beta: float) -> float:
@@ -207,7 +260,26 @@ class TestEquivalence:
             10_000, SampleSeed(21),
         )
         assert rep.within_3_sigma
-        assert rep.exact_ratio == pytest.approx(moment_ratio_exact(10, 2.0, 2))
+        assert rep.exact_ratio == moment_ratio_sphere(10, 2.0, 2)
+
+    @pytest.mark.parametrize("n, beta", [(n, b) for n in (2, 3) for b in (1.0, 2.0, 4.0)])
+    def test_small_n_obeys_the_sphere_ratio(self, n, beta):
+        # at n = 2, 3 the sphere ratio (1) and the bounded-trace one (L/(L+1))
+        # are many standard errors apart at 4e4 replicates
+        rep = verify_moment_equivalence(
+            EnsembleParams(n, beta), MomentIndex.single_a(n, 1, 2), 40_000, SampleSeed(5, 0),
+        )
+        assert rep.within_3_sigma, (rep.mc_ratio, rep.std_error)
+        assert abs(rep.mc_ratio - moment_ratio_exact(n, beta, 2)) > 3.0 * rep.std_error
+
+    def test_mixed_degree(self):
+        # a_1^2 a_2^2 b_4^2 at n = 5, beta = 3: degree 6, the top subdiagonal entry
+        rep = verify_moment_equivalence(
+            EnsembleParams(5, 3.0), MomentIndex((2, 2, 0, 0, 0), (0, 0, 0, 2)),
+            40_000, SampleSeed(7, 0),
+        )
+        assert rep.s == 6 and rep.exact_ratio == moment_ratio_sphere(5, 3.0, 6)
+        assert rep.within_3_sigma, (rep.mc_ratio, rep.exact_ratio, rep.std_error)
 
     def test_skips_odd_moment(self):
         rep = verify_moment_equivalence(
