@@ -106,12 +106,14 @@ def check_bound(
         # the bound is on rho_lambda at lambda = r x, in the bulk coordinate x
         d = sample_density(params, master_seed, n_reps, r * grid, Regime.RAW)
         bound = exact.density_upper_bound(n, beta, centers)
-        margin = float(np.max(d.height - bound))
+        # a ratio, so the bins that hold mass set it rather than the empty outer ones
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float(np.max(np.where(d.height > 0.0, d.height / bound, 0.0)))
         out.append(CheckResult(
             check_name="bound-dominance",
             params={"n": n, "beta": beta, "n_reps": n_reps, "seed": master_seed},
-            metric=margin, tolerance=0.0, passed=bool(margin <= 0.0),
-            details="max (empirical density - upper bound) over bin centers",
+            metric=ratio, tolerance=1.0, passed=bool(ratio <= 1.0),
+            details="max (empirical density / upper bound) over bin centers",
         ))
     for beta in betas:
         diffs = [abs(exact.log_g_n_beta(m, beta) / m - np.log(exact.c_beta(beta)))

@@ -12,7 +12,8 @@ measure, so the one-point marginal carries the sphere-slice Jacobian 1/y
 with y = sqrt(1 - x^2) (unit strength, the sphere of radius 1).  With that
 pairing the density integrates to one and the radial integral equation is
 an identity.  `exact_density_small_n` rescales to the sampler's radius
-sqrt(n(n-1)/2).
+sqrt(n(n-1)/2).  At n = 3 both densities take Gauss-Jacobi(beta, beta) on the
+pieces between coinciding coordinates, in the log domain.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import scipy.special
 
 from .ensemble import EnsembleKind, trace_sphere
 from .moments import big_l
-from .quadrature import gauss_panels, legendre
+from .quadrature import gauss_panels
 
 __all__ = [
     "log_z_beta_he",
@@ -86,22 +87,40 @@ def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
     return np.exp(-xs * xs / 2.0 - lz) * (f @ w)
 
 
+_N3_BETA_MAX = 113.0  # Gamma(3 beta/2 + 1) in the Laguerre weights overflows past beta ~ 113.7
+
+
+@lru_cache(maxsize=8)
+def _n3_rules(beta: float):
+    """(nodes, log weights) of the n = 3 rules: Jacobi(beta, beta) with 30 nodes and
+    generalized Laguerre(3 beta/2) with 40 for the Gaussian side, and Jacobi(beta,
+    beta) with 20 + ceil(3 sqrt beta) nodes (the arc integrand's peak narrows as
+    1/sqrt beta), divided by (1 - xi^2)^beta, for the arcs."""
+    if not beta <= _N3_BETA_MAX:
+        raise ValueError(f"the n=3 exact rules hold beta <= {_N3_BETA_MAX:g}, where their "
+                         f"Gauss-Laguerre weights stay finite; got n=3, beta={beta}")
+    xi, wj = scipy.special.roots_jacobi(30, beta, beta)
+    t, wl = scipy.special.roots_genlaguerre(40, 1.5 * beta)
+    arc, wa = scipy.special.roots_jacobi(20 + ceil(3.0 * sqrt(beta)), beta, beta)
+    rules = ((xi, np.log(wj)), (t, np.log(wl)), (arc, np.log(wa) - beta * np.log1p(-arc * arc)))
+    for arr in (a for rule in rules for a in rule):
+        arr.flags.writeable = False
+    return rules
+
+
 def _rho_gauss_n3(beta: float, xs: np.ndarray) -> np.ndarray:
-    # tensor Gauss-Legendre on [-12, 12]^2; geometric convergence for even
-    # beta, slower (kinked |Delta|) otherwise
-    lz = log_z_beta_he(3, beta)
-    nodes, wts = legendre(220)
-    y = nodes * 12.0
-    w = wts * 12.0
-    yy, zz = np.meshgrid(y, y, indexing="ij")
-    ww = np.outer(w, w)
-    e = np.exp(-(yy**2 + zz**2) / 2.0)
-    dyz = yy - zz
-    out = np.empty(len(xs))
-    for i, x1 in enumerate(xs):
-        d = (np.abs((x1 - yy) * (x1 - zz) * dyz)) ** beta
-        out[i] = np.exp(-x1 * x1 / 2.0 - lz) * np.sum(d * e * ww)
-    return out
+    # x lowest, middle or highest of x, y < z (times 2 for y <-> z): the gaps
+    # u = r w, v = r (1 - w) of the ordered triple give |Delta| = r^3 w (1 - w)
+    # and e^{-x^2 - b x r - a r^2}; Jacobi in w, Laguerre in t = a r^2.
+    (xi, lw), (t, lt), _ = _n3_rules(beta)
+    w = 0.5 * (1.0 + xi)
+    v = 1.0 - w
+    a = np.stack([1.0 + w * w, w * w + v * v, 1.0 + v * v]) / 2.0
+    b = np.stack([1.0 + w, 1.0 - 2.0 * w, -1.0 - v])
+    br = (b[..., None] * np.sqrt(t / a[..., None])).ravel()
+    lc = (lw[:, None] + lt - (1.5 * beta + 1.0) * np.log(a)[..., None]).ravel()
+    lsum = scipy.special.logsumexp(lc - xs[:, None] * br, axis=1)
+    return np.exp(lsum - (2.0 * beta + 1.0) * log(2.0) - 1.5 * xs * xs - log_z_beta_he(3, beta))
 
 
 def _rho_fte1_n2(beta: float, s: np.ndarray) -> np.ndarray:
@@ -114,53 +133,29 @@ def _rho_fte1_n2(beta: float, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_kinks(s: float, y: float) -> list[float]:
-    """Angles where a pair of the three circle coordinates coincides."""
-    ks = [pi / 4.0, 5.0 * pi / 4.0]
-    if y > 0 and abs(s / y) <= 1.0:
-        a = float(np.arccos(s / y))
-        b = float(np.arcsin(np.clip(s / y, -1, 1)))
-        ks += [a, 2.0 * pi - a, b % (2.0 * pi), (pi - b) % (2.0 * pi)]
-    return sorted(k for k in ks if 0.0 < k < 2.0 * pi)
-
-
-def _circle_vandermonde(beta: float, s, y, cos_phi, sin_phi):
-    x2 = y * cos_phi
-    x3 = y * sin_phi
-    return (np.abs((s - x2) * (s - x3) * (x2 - x3))) ** beta
-
-
-_TRAPEZOID_BLOCK = 1 << 18  # elements of one (rows of s, nodes) block, to bound memory
-
-
 def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
-    lz = log_z_fte(3, beta)
-    inside = np.flatnonzero(np.abs(s) < 1.0)
-    y = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    out = np.zeros(s.shape)
-    if float(beta).is_integer() and int(beta) % 2 == 0:
-        # the integrand is a trigonometric polynomial of degree 3*beta in phi,
-        # which the (3*beta + 1)-point trapezoid integrates exactly
-        nodes = 3 * int(beta) + 1
-        if nodes > _TRAPEZOID_BLOCK:
-            raise ValueError(f"the n=3 fixed-trace density at even beta takes 3*beta + 1 "
-                             f"trapezoid nodes, over {_TRAPEZOID_BLOCK} at beta={beta}")
-        phi = np.linspace(0.0, 2.0 * pi, nodes, endpoint=False)
-        c, sn = np.cos(phi), np.sin(phi)
-        step = max(1, _TRAPEZOID_BLOCK // nodes)
-        for lo in range(0, len(inside), step):
-            rows = inside[lo : lo + step]
-            vals = _circle_vandermonde(beta, s[rows, None], y[rows, None], c, sn)
-            out[rows] = vals.mean(axis=1) * 2.0 * pi
-    else:
-        # split at the |.| kinks, 8 Gauss panels on each analytic piece
-        for i in inside:
-            pts = [0.0, *_phi_kinks(s[i], y[i]), 2.0 * pi]
-            edges = np.concatenate([np.linspace(a, b, 9)[:-1] for a, b in zip(pts[:-1], pts[1:])]
-                                   + [[2.0 * pi]])
-            phi, w = gauss_panels(edges, 20)
-            out[i] = w @ _circle_vandermonde(beta, s[i], y[i], np.cos(phi), np.sin(phi))
-    return out * np.exp(-lz)
+    # On the circle y = sqrt(1 - s^2) in the plane x1 = s, |Delta|^beta vanishes
+    # like |phi - kink|^beta at the <= 6 angles where two coordinates meet, so a
+    # Jacobi(beta, beta) rule per arc sees a smooth integrand.  Each |s| runs once.
+    _, _, (xi, lw) = _n3_rules(beta)
+    u, back = np.unique(np.abs(s), return_inverse=True)
+    u = u[u < 1.0, None]
+    y = np.sqrt(1.0 - u * u)
+    alpha = np.arccos(np.minimum(u / y, 1.0))
+    meet = np.where(u <= y, np.hstack([alpha, 2.0 * pi - alpha, pi / 2.0 - alpha,
+                                       pi / 2.0 + alpha]), pi / 4.0)
+    kinks = np.sort(np.hstack([meet, np.tile([pi / 4.0, 5.0 * pi / 4.0], (len(u), 1))]))
+    lo, hi = kinks, np.hstack([kinks[:, 1:], kinks[:, :1] + 2.0 * pi])
+    half = (0.5 * (hi - lo))[..., None]
+    phi = 0.5 * (hi + lo)[..., None] + half * xi
+    x2, x3 = y[..., None] * np.cos(phi), y[..., None] * np.sin(phi)
+    with np.errstate(divide="ignore"):  # empty arcs and nodes on a kink weigh nothing
+        lf = beta * np.log(np.abs((u[..., None] - x2) * (u[..., None] - x3) * (x2 - x3)))
+        lsum = scipy.special.logsumexp(lf + np.log(half) + lw, axis=(1, 2))
+    out = np.zeros(back.size)
+    inside = back < u.size
+    out[inside] = np.exp(lsum - log_z_fte(3, beta))[back[inside]]
+    return out.reshape(s.shape)
 
 
 def _rho_fte1(n: int, beta: float, s) -> np.ndarray:
@@ -178,9 +173,10 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     analytically on the circle (n=2) or the 2-sphere (n=3) of the canonical
     radius sqrt(n(n-1)/2), the one the sampler draws.  Accuracy: ~1e-13 for
     the Gaussian n = 2 density at half-integer beta (~1e-9 at beta = 0.3,
-    where the integrand has a fractional power at the kink), and for even
-    beta at n = 3; the kinked odd-beta integrands at n = 3 converge more
-    slowly (~1e-4 for the Gaussian density at beta = 1).
+    where the integrand has a fractional power at the kink); ~1e-15 at n = 3,
+    but for the fixed-trace density at non-integer beta just above |x|/r =
+    1/sqrt(2), where two kinks have just left the circle (~3e-4 at beta = 0.5).
+    n = 3 refuses beta > 113 (`_N3_BETA_MAX`) before building any array.
     """
     if n not in (2, 3):
         raise ValueError("exact densities are implemented for n in {2, 3}")
@@ -191,19 +187,18 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     return _rho_fte1(n, beta, xs / r) / r
 
 
-_RHS_PANELS = 3  # on each side of the kink, 20 nodes each
 _GRADE_RATIO = 0.25
 _GRADE_LEVELS = 12
 
 
-def _kink_panel_edges(kink: float, top: float, graded: bool) -> np.ndarray:
-    """Edges of `_RHS_PANELS` equal panels on each side of the kink in [0, top].
+def _kink_panel_edges(kink: float, top: float, graded: bool, panels: int) -> np.ndarray:
+    """Edges of `panels` equal panels on each side of the kink in [0, top].
 
     With `graded`, the panel on each side of the kink is refined geometrically
-    toward it, for the |w - kink|^beta singularity of a non-integer beta.
+    toward it, for a fractional power of |w - kink|.
     """
-    left = np.linspace(0.0, kink, _RHS_PANELS + 1)
-    right = np.linspace(kink, top, _RHS_PANELS + 1)
+    left = np.linspace(0.0, kink, panels + 1)
+    right = np.linspace(kink, top, panels + 1)
     if graded:
         steps = _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1)
         left = np.concatenate([left[:-2], kink - (kink - left[-2]) * steps, [kink]])
@@ -214,18 +209,22 @@ def _kink_panel_edges(kink: float, top: float, graded: bool) -> np.ndarray:
 def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
     """(1/C) Int_|x| e^{-r^2/2} r^(Nb-2) rho_fte1(x/r) dr at each x, on Gauss panels.
 
-    r = |x| + w^2 removes the endpoint square-root singularity, and the range
-    of w splits at the n = 2 density's kink, x/r = 1/sqrt(2), that is at
-    w = sqrt((sqrt 2 - 1)|x|).  All nodes of all x go through one density call.
+    r = |x| + w^2 removes the endpoint square-root singularity; the range of w
+    splits at the n = 2 kink x/r = 1/sqrt(2), w = sqrt((sqrt 2 - 1)|x|), into
+    max(3, ceil(sqrt Nb)) panels a side, as the peak of r^(Nb-2) e^{-r^2/2}
+    narrows in w.  All nodes of all x go through one density call.
     """
     nb = 2.0 * big_l(n, beta)
+    panels = max(3, ceil(sqrt(nb)))  # 20 nodes each
     lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
-    graded = not float(beta).is_integer()
+    # rho_fte1 carries |s - 1/sqrt 2|^beta at n = 2 and |s - 1/sqrt 2|^(beta + 1/2) at
+    # n = 3 (where two kinks merge): smooth only for integer, respectively even, beta
+    graded = not float(beta / (n - 1)).is_integer()
     ws, wts, rows = [], [], []
     for i, ax in enumerate(np.abs(xs)):
         top = sqrt(max(40.0 - ax, 1.0))
         kink = min(sqrt((sqrt(2.0) - 1.0) * ax), top)
-        w, wt = gauss_panels(_kink_panel_edges(kink, top, graded), 20)
+        w, wt = gauss_panels(_kink_panel_edges(kink, top, graded, panels), 20)
         ws.append(w)
         wts.append(wt)
         rows.append(np.full(len(w), i))
@@ -239,18 +238,17 @@ def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
 def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     """Max |LHS - RHS| of the radial identity linking the two densities.
 
-    LHS: Gaussian density at n.  RHS: (1/C) Int_|x| e^{-r^2/2} r^(Nb-2)
-    rho_fte1(x/r) dr with C = Gamma(Nb/2) 2^(Nb/2-1), on Gauss-Legendre
-    panels in w, r = |x| + w^2.
+    LHS: the Gaussian `exact_density_small_n`, which refuses an n outside
+    {2, 3} and the n = 3 beta cap before the RHS is built.  RHS: (1/C)
+    Int_|x| e^{-r^2/2} r^(Nb-2) rho_fte1(x/r) dr with C = Gamma(Nb/2)
+    2^(Nb/2-1), on Gauss-Legendre panels in w, r = |x| + w^2.
     """
-    if n not in (2, 3):
-        raise ValueError("integral equation check is implemented for n in {2, 3}")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if xs.size == 0:
-        return 0.0
-    gauss = _rho_gauss_n2 if n == 2 else _rho_gauss_n3
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        lhs, rhs = gauss(beta, xs), _radial_rhs(n, beta, xs)
+        lhs = exact_density_small_n(n, beta, EnsembleKind.GAUSSIAN, xs)
+        if xs.size == 0:
+            return 0.0
+        rhs = _radial_rhs(n, beta, xs)
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise ValueError(f"the integral equation at n={n}, beta={beta} overflows the "
                          "double range; its sides are not finite")

@@ -397,15 +397,37 @@ class TestVerify:
         data = json.loads(rep.read_text())
         assert data["checks"][0]["metric"] <= 1e-6
 
-    @pytest.mark.parametrize("n, beta", [("3", "100"), ("3", "1000"), ("2", "400")])
+    @pytest.mark.parametrize("beta", ["1", "30"])
+    def test_integral_eq_n3_passes(self, tmp_path, beta):
+        # odd beta (kinked |Delta|) and large even beta on the default n=3 grid
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--check", "integral-eq", "--n", "3", "--beta", beta,
+                    "--output", str(rep)]) == 0
+        assert json.loads(rep.read_text())["checks"][0]["metric"] <= 1e-5
+
+    @pytest.mark.parametrize("n, beta", [("3", "114"), ("3", "1000"), ("2", "400")])
     def test_integral_eq_overflow_is_usage_error(self, tmp_path, capsys, n, beta):
-        # either side overflowing to inf or nan would print Infinity/NaN, which is not JSON
+        # either side overflowing to inf or nan would print Infinity/NaN, which is not
+        # JSON; at n=3 a beta above the rules' cap is refused before they are built
         out = tmp_path / "r.json"
         assert run(["verify", "--check", "integral-eq", "--n", n, "--beta", beta,
                     "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"n={n}" in err and f"beta={float(beta)}" in err
         assert not out.exists()
+
+    def test_bound_dominance_is_the_largest_ratio(self, tmp_path):
+        # density over bound in the bins that hold mass: a figure in (0, 1] that
+        # moves with the seed, not the bound at an empty outer bin
+        metrics = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"r{seed}.json"
+            assert run(["verify", "--check", "bound", "--n", "10", "--seed", seed,
+                        "--output", str(out)]) == 0
+            checks = json.loads(out.read_text())["checks"]
+            metrics.append([c["metric"] for c in checks if c["check_name"] == "bound-dominance"])
+        assert all(0.0 < m <= 1.0 for m in metrics[0] + metrics[1])
+        assert all(a != b for a, b in zip(*metrics))
 
     def test_moments_check(self, tmp_path):
         out = tmp_path / "r.json"

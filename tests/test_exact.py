@@ -5,11 +5,12 @@ maximum, and the density upper bound.
 `scipy.integrate.quad` is a test-only oracle here: the package's Gauss panel
 routes are held to it."""
 
-from math import exp, lgamma, log, pi, sqrt
+from math import exp, factorial, lgamma, log, pi, sqrt
 
 import numpy as np
 import pytest
 import scipy.integrate as si
+from numpy.polynomial.hermite_e import hermeval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,15 @@ class TestSmallNDensities:
         d = exact_density_small_n(2, 2.0, EnsembleKind.FIXED_TRACE, [0.5, 1.5])
         assert d[0] > 0 and d[1] == 0.0
 
+    def test_gaussian_n3_beta2_hermite_function_oracle(self):
+        # the finite-n GUE density (1/n) sum_{k<n} phi_k^2, phi_k the Hermite
+        # functions orthonormal under e^{-x^2/2} (Mehta, Random Matrices)
+        xs = np.linspace(-8.0, 8.0, 161)
+        phi2 = [hermeval(xs, [0] * k + [1]) ** 2 * np.exp(-xs**2 / 2)
+                / (sqrt(2 * pi) * factorial(k)) for k in range(3)]
+        d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
+        assert np.max(np.abs(d - sum(phi2) / 3.0)) <= 1e-14
+
     def test_gaussian_n3_unit_mass(self):
         xs = np.linspace(-6, 6, 121)
         d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
@@ -147,6 +157,16 @@ class TestIntegralEquation:
         res = verify_integral_equation(3, 2.0, np.arange(-3.0, 3.01, 1.0))
         assert res <= 1e-5
 
+    # kinked odd and fractional beta, and large even beta, where the log domain
+    # and the radial panels that grow with N_beta matter
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 3.0, 4.0, 30.0, 100.0])
+    def test_n3_default_grid(self, beta):
+        assert verify_integral_equation(3, beta, np.arange(-3.0, 3.25, 0.5)) <= 1e-5
+
+    def test_n3_beta_cap(self):
+        with pytest.raises(ValueError, match=r"beta <= 113.*beta=114\.0"):
+            verify_integral_equation(3, 114.0, [0.0])
+
     def test_n2_fractional_beta(self):
         # |s - y|^0.5 at the kink is a square-root singularity: the graded panels
         # keep the identity at the oracle's level
@@ -165,7 +185,8 @@ class TestPanelRoutesAgainstQuad:
         assert np.max(np.abs(d - oracle)) <= 1e-10
 
     # 0, and 1/sqrt(2), where the n = 2 fixed-trace density's kink sits at r = 1
-    @pytest.mark.parametrize("n, beta", [(2, 1.0), (2, 2.0), (2, 4.0), (2, 0.5), (3, 2.0)])
+    @pytest.mark.parametrize("n, beta", [(2, 1.0), (2, 2.0), (2, 4.0), (2, 0.5), (3, 2.0),
+                                         (3, 1.0), (3, 30.0)])
     def test_radial_rhs(self, n, beta):
         xs = np.array([-2.5, -1.0, 0.0, 1.0 / sqrt(2.0), 0.3, 2.0])
         rhs = exact._radial_rhs(n, beta, xs)
@@ -189,10 +210,9 @@ class TestPanelRoutesAgainstQuad:
 class TestEvenBetaTrapezoid:
     @pytest.mark.parametrize("beta", [2.0, 4.0, 6.0])
     def test_matches_4096_points(self, beta):
-        # the integrand is a trigonometric polynomial of degree 3*beta, so the
-        # (3*beta + 1)-point rule is exact; what is left is the rounding of the
-        # integrand values, ~1.6e-15 here (a 3*beta-point rule at beta=4 is off
-        # by 6e-2)
+        # at even beta the integrand is a trigonometric polynomial of degree
+        # 3*beta, so the 4096-point trapezoid is exact up to rounding; the
+        # package's Gauss-Jacobi arcs must agree to the rounding
         s = np.linspace(-0.99, 0.99, 199)
         y = np.sqrt(1.0 - s * s)[:, None]
         phi = np.linspace(0.0, 2.0 * pi, 4096, endpoint=False)
@@ -202,7 +222,8 @@ class TestEvenBetaTrapezoid:
         assert np.max(np.abs(exact._rho_fte1(3, beta, s) / oracle - 1.0)) <= 4e-15
 
     def test_node_count_bounded(self):
-        with pytest.raises(ValueError, match="trapezoid nodes"):
+        # the arcs take 20 + ceil(beta) nodes; the cap refuses beta first
+        with pytest.raises(ValueError, match="beta <= 113"):
             exact._rho_fte1(3, 1e6, np.array([0.1]))
 
 

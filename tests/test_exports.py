@@ -5,10 +5,13 @@ rather than in a benchmark run."""
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from betahermite.cli import main
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SUBMODULES = ("airy", "checks", "density", "ensemble", "exact", "kontsevich", "moments",
@@ -53,3 +56,15 @@ def test_benchmark_imports_resolve(name, monkeypatch):
     if name == "workloads":
         assert ("betahermite.tridiag", "sample_spectrum") in imports
 
+
+
+def test_verify_all_writes_the_benchmark_check_count(tmp_path, monkeypatch):
+    # the verify-all workload wants exactly VERIFY_CHECKS passing entries, so a
+    # check added to `verify --check all` breaks the benchmark
+    mod = _load(BENCHMARK / "workloads.py", monkeypatch)
+    (cmd,) = mod.verify_all(0)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(cmd.argv)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["checks"]) == mod.VERIFY_CHECKS == 20
+    assert cmd.check(tmp_path, 0) is None
