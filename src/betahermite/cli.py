@@ -1,8 +1,9 @@
 """Command-line interface: sample, density, special, verify.
 
-Every output file is a pure function of its JSON sidecar; replicate streams
-are keyed by (seed, replicate).  `sample` and `density` work through blocks
-of ``REPLICATE_CHUNK`` replicates, so memory stays bounded at any --reps.
+Every output file is a pure function of its JSON sidecar; replicate r comes
+from the stream keyed by (seed, r // REPLICATE_CHUNK), the layout the `sample`
+and `density` sidecars record as "stream".  `sample` and `density` work through
+blocks of ``REPLICATE_CHUNK`` replicates, so memory stays bounded at any --reps.
 Exit status: 0 all good, 1 check failure, 2 usage error.
 """
 
@@ -32,7 +33,8 @@ from .density import (
     write_density_csv,
     write_sidecar,
 )
-from .ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
+from .ensemble import (REPLICATE_CHUNK, STREAM_LAYOUT, EnsembleKind, EnsembleParams,
+                       sample_block)
 from .kontsevich import kontsevich_k
 from .tridiag import eigenvalues_block
 
@@ -52,27 +54,38 @@ def _sidecar_base(args) -> dict:
     return {"config": cfg, "versions": versions}
 
 
+def _spectra_lines(start: int, values: np.ndarray) -> str:
+    """The CSV lines of a block's (R, n) eigenvalues, replicates start..start+R-1.
+
+    Each line is "replicate,index,repr(eigenvalue)" ending in "\r\n", as
+    csv.writer writes it; the "r,i," prefixes are built once per block.
+    """
+    cols = [f",{i}," for i in range(values.shape[1])]
+    prefixes = [f"{r}{c}" for r in range(start, start + len(values)) for c in cols]
+    return "\r\n".join(map(str.__add__, prefixes, map(repr, values.ravel().tolist()))) + "\r\n"
+
+
 def cmd_sample(args) -> int:
     params = _params(args)
     if args.reps < 1:
         print("error: need at least one replicate", file=sys.stderr)
         return USAGE_ERROR
     out = Path(args.output)
-    # rows as csv.writer would write them: "\r\n" line ends, repr'd eigenvalues
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
         for start in range(0, args.reps, REPLICATE_CHUNK):
             count = min(REPLICATE_CHUNK, args.reps - start)
             values = eigenvalues_block(*sample_block(params, args.seed, start, count))
-            for r, row in enumerate(values.tolist(), start):
-                fh.writelines(f"{r},{i},{lam!r}\r\n" for i, lam in enumerate(row))
-    write_sidecar(_sidecar_base(args), out.with_suffix(out.suffix + ".json"))
+            fh.write(_spectra_lines(start, values))
+    write_sidecar({**_sidecar_base(args), "stream": STREAM_LAYOUT},
+                  out.with_suffix(out.suffix + ".json"))
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
     return 0
 
 
-def _read_spectra(path, params) -> tuple[np.ndarray, int]:
-    """The (replicates, n) eigenvalues of a `sample` CSV and the master seed of its sidecar.
+def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
+    """The (replicates, n) eigenvalues of a `sample` CSV, and its sidecar's master seed and
+    stream layout (None for a sidecar that records none).
 
     The sidecar fixes the ensemble and the master seed; flags that disagree
     with it are an error rather than a silently mis-scaled density.  The CSV
@@ -84,7 +97,9 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int]:
         raise ValueError(f"{sidecar}: spectra sidecar not found; "
                          "--input takes a CSV written by `sample`")
     try:
-        cfg = json.loads(sidecar.read_text())["config"]
+        meta = json.loads(sidecar.read_text())
+        cfg = meta["config"]
+        stream = meta.get("stream")
         wrote = {"n": int(cfg["n"]), "beta": float(cfg["beta"]), "kind": cfg["kind"]}
         master_seed = int(cfg["seed"])
     except (KeyError, TypeError) as exc:
@@ -114,7 +129,7 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int]:
     values = table[:, 2].reshape(-1, n)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: eigenvalues must be finite")
-    return values, master_seed
+    return values, master_seed, stream
 
 
 def cmd_density(args) -> int:
@@ -137,9 +152,10 @@ def cmd_density(args) -> int:
         )}
     elif args.reference == "aibeta":
         ref = {"aibeta": edge_density_closed(int(params.beta), 0.5 * (grid[1:] + grid[:-1]))}
+    stream = STREAM_LAYOUT
     if args.input:
-        values, master_seed = _read_spectra(args.input, params)
-        # the sidecar records the spectra's seed and count, not the flags
+        values, master_seed, stream = _read_spectra(args.input, params)
+        # the sidecar records the spectra's seed, count and layout, not the flags
         args.seed, args.reps = master_seed, len(values)
         d = estimate_density(list(rescale(values, regime, params)), grid, regime, params)
     else:
@@ -149,7 +165,10 @@ def cmd_density(args) -> int:
         return USAGE_ERROR
     out = Path(args.output)
     write_density_csv(d, out, reference=ref)
-    meta = density_sidecar(d, extra=_sidecar_base(args))
+    extra = _sidecar_base(args)
+    if stream is not None:
+        extra["stream"] = stream
+    meta = density_sidecar(d, extra=extra)
     write_sidecar(meta, out.with_suffix(out.suffix + ".json"))
     print(f"wrote {regime.value} density ({args.bins} bins, {d.n_samples} replicates) to {out}")
     return 0

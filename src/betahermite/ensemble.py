@@ -7,16 +7,19 @@ fixed-trace ensemble is obtained by projecting Gaussian samples onto the
 sphere tr(H^2) = n(n-1)/2, `trace_sphere`.
 
 `sample_block` is the one sampler, and its arrays are the one matrix
-representation.  It draws a block of consecutive replicates as
-``diag (R, n)`` and ``sub (R, n-1)`` arrays, each row from the Philox stream
-keyed by (master seed, replicate), so a row does not depend on the block it
-was drawn in; a single matrix is a block of one.
+representation.  It draws consecutive replicates as ``diag (R, n)`` and
+``sub (R, n-1)`` arrays.  The replicates fall into aligned blocks of
+``REPLICATE_CHUNK``, and the rows of block b = replicate // REPLICATE_CHUNK
+come from one Philox stream keyed by (master seed, b) (`STREAM_LAYOUT`), so a
+row does not depend on the range it was requested in; a single matrix is a
+range of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,6 +29,7 @@ __all__ = [
     "EnsembleParams",
     "SampleSeed",
     "REPLICATE_CHUNK",
+    "STREAM_LAYOUT",
     "sample_block",
     "trace_sphere",
     "trace_sq_rows",
@@ -33,19 +37,23 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Replicates per block on every sampling path that loops over replicates: a
-# block holds O(chunk * n) floats, so memory stays bounded at any replicate count.
+# Replicates per stream block, and per block on every sampling path that loops
+# over replicates: a block holds O(chunk * n) floats, so memory stays bounded at
+# any replicate count.
 REPLICATE_CHUNK = 512
 
+# The stream layout that `sample_block` draws; `sample` and `density` sidecars record it.
+STREAM_LAYOUT = f"philox key (seed, replicate // {REPLICATE_CHUNK})"
 
-def _philox_key(master_seed: int, replicate: int) -> np.ndarray:
-    """The Philox key of (master_seed, replicate): each taken modulo 2^64, as uint64 words.
+
+def _philox_key(master_seed: int, block: int) -> np.ndarray:
+    """The Philox key of (master_seed, block): each taken modulo 2^64, as uint64 words.
 
     Built as a uint64 array, never a list: numpy would read a list that mixes
     a word of 2^63 or more with a smaller one as float64, so distinct seeds
     would share a stream.
     """
-    return np.array([master_seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
+    return np.array([master_seed & _MASK64, block & _MASK64], dtype=np.uint64)
 
 
 def trace_sphere(n: int) -> float:
@@ -83,11 +91,10 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class SampleSeed:
-    """Key of one deterministic replicate stream.
+    """Key of one deterministic replicate: (master_seed, replicate).
 
-    (master_seed, replicate) keys a counter-based Philox generator, so
-    distinct replicates give independent streams and any replicate can be
-    regenerated in isolation.
+    The replicate is a pure function of this key (see `sample_block`), so any
+    replicate can be regenerated in isolation.
     """
 
     master_seed: int
@@ -96,9 +103,6 @@ class SampleSeed:
     def __post_init__(self):
         if self.replicate < 0:
             raise ValueError("replicate index must be non-negative")
-
-    def generator(self) -> Generator:
-        return Generator(Philox(key=_philox_key(self.master_seed, self.replicate)))
 
 
 def trace_sq_rows(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -116,6 +120,37 @@ def _rescale_rows(diag: np.ndarray, sub: np.ndarray, target: float):
     sub *= c
 
 
+# Values per draw when a block's stream is advanced past rows outside the range
+_SKIP_VALUES = 1 << 16
+
+
+def _skip_rows(draw, rows: int, width: int):
+    """Advance a stream past ``rows`` rows of ``width`` values through a bounded buffer."""
+    step = max(1, _SKIP_VALUES // width)
+    scratch = np.empty((min(rows, step), width))
+    for done in range(0, rows, step):
+        draw(out=scratch[:min(step, rows - done)])
+
+
+def _draw_block(master_seed: int, block: int, shape: np.ndarray, lo: int, hi: int,
+                diag: np.ndarray, sub: np.ndarray):
+    """Rows lo..hi-1 of stream block ``block``: normals into ``diag``, gammas into ``sub``.
+
+    The block's stream holds its (REPLICATE_CHUNK, n) normals and then its
+    (REPLICATE_CHUNK, n-1) gammas, row-major.  Rows outside lo..hi-1 are
+    drawn into a bounded buffer and dropped, and the gammas stop at row hi.
+    """
+    rng = Generator(Philox(key=_philox_key(master_seed, block)))
+    n = diag.shape[1]
+    _skip_rows(rng.standard_normal, lo, n)
+    rng.standard_normal(out=diag)
+    _skip_rows(rng.standard_normal, REPLICATE_CHUNK - hi, n)
+    if shape.size:
+        gamma = partial(rng.standard_gamma, shape)
+        _skip_rows(gamma, lo, n - 1)
+        gamma(out=sub)
+
+
 def sample_block(
     params: EnsembleParams, master_seed: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +159,15 @@ def sample_block(
     Row i is the matrix of replicate start+i: diag ~ N(0,1), and the j-th
     subdiagonal entry counted from the bottom-right corner is
     chi_{j*beta}/sqrt(2) (stored top-to-bottom, so sub[:, i] has j = n-1-i).
-    Each row is drawn from the stream of `SampleSeed(master_seed, start+i)`
-    in a fixed order, the n diagonal normals first and then the n-1 gamma
-    variates top-to-bottom.  One Philox bit generator serves the block and
-    is rekeyed to a fresh stream per row.  A fixed-trace block is projected
-    onto the trace sphere row by row.
+    Replicate r is row r % REPLICATE_CHUNK of block b = r // REPLICATE_CHUNK,
+    whose rows come from the Philox stream keyed by (master_seed, b): the
+    block's (REPLICATE_CHUNK, n) diagonal normals first, then its
+    (REPLICATE_CHUNK, n-1) gamma variates of shape j*beta/2, both in row-major
+    order, so a row does not depend on start and count.  Each block the range
+    overlaps is drawn straight into the output with one normal and one gamma
+    call; the rows of a partial block outside the range are drawn through a
+    bounded buffer and dropped, so memory is O(count * n) whatever the range.
+    A fixed-trace block is projected onto the trace sphere row by row.
     """
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
@@ -136,21 +175,14 @@ def sample_block(
     fixed = params.kind is EnsembleKind.FIXED_TRACE
     if fixed and n < 2:
         raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
-    diag = np.empty((count, n))
-    sub = np.empty((count, n - 1))
-    bitgen = Philox(key=_philox_key(master_seed, start))
-    rng = Generator(bitgen)
-    # the state before any draw (zero counter, empty buffer, no cached 32-bit
-    # half); restoring it with another key starts that key's stream
-    state = bitgen.state
-    key = state["state"]["key"]
+    chunk = REPLICATE_CHUNK
+    end = start + count
     shape = np.arange(n - 1, 0, -1) * params.beta / 2.0  # dof j*beta/2, top-to-bottom
-    for i in range(count):
-        key[1] = (start + i) & _MASK64
-        bitgen.state = state
-        rng.standard_normal(out=diag[i])
-        if n > 1:
-            rng.standard_gamma(shape, out=sub[i])
+    diag, sub = np.empty((count, n)), np.empty((count, n - 1))
+    for b in range(start // chunk, (end - 1) // chunk + 1) if count else ():
+        lo, hi = max(start, b * chunk), min(end, (b + 1) * chunk)
+        rows = slice(lo - start, hi - start)
+        _draw_block(master_seed, b, shape, lo - b * chunk, hi - b * chunk, diag[rows], sub[rows])
     np.sqrt(sub, out=sub)
     if fixed:
         _rescale_rows(diag, sub, params.strength_sq)

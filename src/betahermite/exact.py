@@ -73,10 +73,17 @@ def log_z_fte(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # small-n exact densities
 
+# v^(2 beta + 1) in the n = 2 panel sum overflows past beta = 140 on the default grid |x| <= 3
+_N2_BETA_MAX = 140.0
+
+
 def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
     # y = x -+ v^2 on each side of the |x - y|^beta kink: the integrand
     # 2 v^(2 beta + 1) e^{-(x -+ v^2)^2/2} is smooth for half-integer beta, and
     # past v^2 = |x| + 12 + beta its Gaussian factor is below e^-72
+    if not beta <= _N2_BETA_MAX:
+        raise ValueError(f"the n=2 exact density holds beta <= {_N2_BETA_MAX:g}, where its "
+                         f"panel sums stay finite; got n=2, beta={beta}")
     lz = log_z_beta_he(2, beta)
     top = sqrt(float(np.max(np.abs(xs), initial=0.0)) + 12.0 + beta)
     v, w = gauss_panels(np.linspace(0.0, top, ceil(top / 0.5) + 1), 20)
@@ -176,7 +183,8 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     where the integrand has a fractional power at the kink); ~1e-15 at n = 3,
     but for the fixed-trace density at non-integer beta just above |x|/r =
     1/sqrt(2), where two kinks have just left the circle (~3e-4 at beta = 0.5).
-    n = 3 refuses beta > 113 (`_N3_BETA_MAX`) before building any array.
+    The Gaussian n = 2 density refuses beta > 140 (`_N2_BETA_MAX`), and n = 3
+    refuses beta > 113 (`_N3_BETA_MAX`), before building any array.
     """
     if n not in (2, 3):
         raise ValueError("exact densities are implemented for n in {2, 3}")
@@ -239,7 +247,7 @@ def verify_integral_equation(n: int, beta: float, x_grid) -> float:
     """Max |LHS - RHS| of the radial identity linking the two densities.
 
     LHS: the Gaussian `exact_density_small_n`, which refuses an n outside
-    {2, 3} and the n = 3 beta cap before the RHS is built.  RHS: (1/C)
+    {2, 3} and the n = 2 and n = 3 beta caps before the RHS is built.  RHS: (1/C)
     Int_|x| e^{-r^2/2} r^(Nb-2) rho_fte1(x/r) dr with C = Gamma(Nb/2)
     2^(Nb/2-1), on Gauss-Legendre panels in w, r = |x| + w^2.
     """

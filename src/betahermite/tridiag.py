@@ -8,7 +8,7 @@ bisection solver on one matrix's ``(diag, sub)`` (`eigenvalues_bisect`)
 serves as a slow oracle for cross-validation.  The Sturm count itself,
 batched over matrices, also gives histograms directly: a bin's count is the
 difference of the counts at its two edges (see `density.sample_density`).
-`sample_spectrum` is one replicate's spectrum, a block of one.
+`sample_spectrum` is one replicate's spectrum, a range of one.
 """
 
 from __future__ import annotations
@@ -134,6 +134,6 @@ def eigenvalues_bisect(diag, sub, abs_tol: float = 1e-12) -> np.ndarray:
 
 
 def sample_spectrum(params: EnsembleParams, seed: SampleSeed) -> Spectrum:
-    """Sample one replicate and return its spectrum: a block of one."""
+    """Sample one replicate and return its spectrum: `sample_block` of a range of one."""
     block = sample_block(params, seed.master_seed, seed.replicate, 1)
     return Spectrum(eigenvalues_block(*block)[0], params, seed)

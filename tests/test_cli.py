@@ -62,6 +62,33 @@ class TestSample:
                     w.writerow([r, i, repr(float(lam))])
         assert out.read_bytes() == want.read_bytes()
 
+    def test_block_writer_bytes_equal_per_line_format(self):
+        # signed zero, exponent forms and a subnormal, written the way repr writes them
+        from betahermite.cli import _spectra_lines
+
+        values = np.array([[-0.0, 1e-05, 1e+16], [5e-324, -2.5, 0.1]])
+        want = "".join(f"{r},{i},{lam!r}\r\n"
+                       for r, row in enumerate(values.tolist(), 1024) for i, lam in enumerate(row))
+        assert _spectra_lines(1024, values) == want
+        assert want.startswith("1024,0,-0.0\r\n1024,1,1e-05\r\n1024,2,1e+16\r\n1025,0,5e-324")
+
+    def test_replicate_lines_do_not_depend_on_reps(self, tmp_path):
+        # replicate 0 is row 0 of stream block 0 whether one or 600 replicates are drawn
+        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+        for out, reps in ((one, "1"), (many, "600")):
+            assert run(["sample", "--n", "5", "--beta", "2", "--kind", "fixed-trace",
+                        "--reps", reps, "--seed", "21", "--output", str(out)]) == 0
+        lines = one.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 6 and many.read_bytes().startswith(b"".join(lines))
+
+    def test_sidecar_records_the_stream_layout(self, tmp_path):
+        from betahermite.ensemble import STREAM_LAYOUT
+
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--n", "3", "--beta", "2", "--output", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        assert meta["stream"] == STREAM_LAYOUT == "philox key (seed, replicate // 512)"
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_no_replicates_is_usage_error(self, tmp_path, capsys, reps):
         out = tmp_path / "s.csv"
@@ -150,13 +177,13 @@ class TestDensity:
 
     def test_input_keeps_master_seed(self, tmp_path):
         from betahermite.cli import _read_spectra
-        from betahermite.ensemble import EnsembleParams
+        from betahermite.ensemble import STREAM_LAYOUT, EnsembleParams
 
         spectra = tmp_path / "s.csv"
         run(["sample", "--n", "5", "--beta", "1", "--reps", "2", "--seed", "13",
              "--output", str(spectra)])
-        values, master_seed = _read_spectra(spectra, EnsembleParams(5, 1.0))
-        assert master_seed == 13 and values.shape == (2, 5)
+        values, master_seed, stream = _read_spectra(spectra, EnsembleParams(5, 1.0))
+        assert master_seed == 13 and values.shape == (2, 5) and stream == STREAM_LAYOUT
 
     def test_input_sidecar_records_the_spectra_seed_and_count(self, tmp_path):
         spectra, out = tmp_path / "s.csv", tmp_path / "d.csv"
@@ -166,6 +193,29 @@ class TestDensity:
                     "--output", str(out)]) == 0
         meta = json.loads(out.with_suffix(".csv.json").read_text())
         assert (meta["config"]["seed"], meta["config"]["reps"], meta["n_samples"]) == (4, 7, 7)
+
+    @pytest.mark.parametrize("layout", ["philox key (seed, replicate // 512)", "other", None])
+    def test_input_sidecar_keeps_the_spectra_stream_layout(self, tmp_path, layout):
+        # the layout of the spectra read, not the one `density` would sample with;
+        # None stands for a spectra sidecar that records no layout
+        spectra, out = tmp_path / "s.csv", tmp_path / "d.csv"
+        run(["sample", "--n", "6", "--beta", "2", "--reps", "3", "--output", str(spectra)])
+        sidecar = tmp_path / "s.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta.pop("stream")
+        if layout is not None:
+            meta["stream"] = layout
+        sidecar.write_text(json.dumps(meta))
+        assert run(["density", "--input", str(spectra), "--n", "6", "--beta", "2",
+                    "--output", str(out)]) == 0
+        assert json.loads(out.with_suffix(".csv.json").read_text()).get("stream") == layout
+
+    def test_sampled_density_sidecar_records_the_stream_layout(self, tmp_path):
+        from betahermite.ensemble import STREAM_LAYOUT
+
+        out = tmp_path / "d.csv"
+        assert run(["density", "--n", "6", "--beta", "2", "--reps", "3", "--output", str(out)]) == 0
+        assert json.loads(out.with_suffix(".csv.json").read_text())["stream"] == STREAM_LAYOUT
 
     @pytest.mark.parametrize("edit", [
         "swap_rows", "drop_index", "non_numeric", "ragged", "header_only", "bad_header",
@@ -415,6 +465,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"n={n}" in err and f"beta={float(beta)}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["1e6", "1e300"])
+    def test_integral_eq_n2_beta_cap_is_usage_error(self, tmp_path, capsys, beta):
+        # refused by the cap before any panel sized by beta is built
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "integral-eq", "--n", "2", "--beta", beta,
+                    "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beta <= 140" in err and not out.exists()
 
     def test_bound_dominance_is_the_largest_ratio(self, tmp_path):
         # density over bound in the bins that hold mass: a figure in (0, 1] that

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special
-from hypothesis import assume, given, settings
+from numpy.random import Generator, Philox
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
@@ -96,20 +97,29 @@ class TestBetaHermiteSampler:
         assert abs(vals.mean() - 2.0) <= 3.0 * se
 
 
-def recipe_matrix(params, seed):
-    """One replicate by the per-matrix recipe, from the seed's own generator.
+def recipe_rows(params, master, start, count):
+    """Replicates start..start+count-1 by the stream-block recipe, from fresh generators.
 
-    The n diagonal normals first, then the n-1 half-chi entries top-to-bottom,
-    then the fixed-trace projection.
+    Replicate r is row r % C of block b = r // C (C = REPLICATE_CHUNK), drawn
+    from Generator(Philox(key=[master, b])): the block's (C, n) diagonal
+    normals, then its (C, n-1) half-chi entries top-to-bottom, then the
+    fixed-trace projection of each row.
     """
-    rng = seed.generator()
-    n = params.n
-    diag = rng.standard_normal(n)
-    sub = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1) * params.beta / 2.0))
-    if params.kind is EnsembleKind.FIXED_TRACE:
-        c = np.sqrt(params.strength_sq / (np.sum(diag**2) + 2.0 * np.sum(sub**2)))
-        diag, sub = c * diag, c * sub
-    return diag, sub
+    n, c = params.n, REPLICATE_CHUNK
+    diags, subs = [], []
+    for b in range(start // c, (start + count - 1) // c + 1):
+        rng = Generator(Philox(key=[master, b]))
+        diag = rng.standard_normal((c, n))
+        sub = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1) * params.beta / 2.0,
+                                         size=(c, n - 1)))
+        for i in range(max(start - b * c, 0), min(start + count - b * c, c)):
+            d, s = diag[i], sub[i]
+            if params.kind is EnsembleKind.FIXED_TRACE:
+                scale = np.sqrt(params.strength_sq / (np.sum(d**2) + 2.0 * np.sum(s**2)))
+                d, s = scale * d, scale * s
+            diags.append(d)
+            subs.append(s)
+    return diags, subs
 
 
 class TestSampleBlock:
@@ -119,17 +129,52 @@ class TestSampleBlock:
         kind=st.sampled_from(list(EnsembleKind)),
         master=st.integers(0, 2**32),
         start=st.integers(0, 10**6),
-        count=st.integers(1, REPLICATE_CHUNK + 1),
+        count=st.integers(1, 2 * REPLICATE_CHUNK + 2),
     )
+    @example(n=5, beta=1.0, kind=EnsembleKind.FIXED_TRACE, master=3,
+             start=REPLICATE_CHUNK - 1, count=REPLICATE_CHUNK + 2)  # three blocks
+    @example(n=5, beta=2.0, kind=EnsembleKind.GAUSSIAN, master=3,
+             start=7, count=REPLICATE_CHUNK)  # two partial blocks
+    @example(n=5, beta=2.0, kind=EnsembleKind.GAUSSIAN, master=3,
+             start=REPLICATE_CHUNK, count=REPLICATE_CHUNK)  # one whole block
     @settings(max_examples=40, deadline=None)
     def test_rows_equal_per_replicate_recipe(self, n, beta, kind, master, start, count):
         assume(kind is EnsembleKind.GAUSSIAN or n >= 2)
         p = EnsembleParams(n, beta, kind)
         diag, sub = sample_block(p, master, start, count)
         assert diag.shape == (count, n) and sub.shape == (count, n - 1)
+        want_diag, want_sub = recipe_rows(p, master, start, count)
         for i in range(count):
-            d, s = recipe_matrix(p, SampleSeed(master, start + i))
-            assert np.array_equal(diag[i], d) and np.array_equal(sub[i], s)
+            assert np.array_equal(diag[i], want_diag[i]) and np.array_equal(sub[i], want_sub[i])
+
+    @given(
+        kind=st.sampled_from(list(EnsembleKind)),
+        start=st.integers(0, 4 * REPLICATE_CHUNK),
+        count=st.integers(1, 3 * REPLICATE_CHUNK),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_one_row_equals_its_row_in_any_range(self, kind, start, count, data):
+        p = EnsembleParams(4, 1.5, kind)
+        r = data.draw(st.integers(start, start + count - 1))
+        diag, sub = sample_block(p, 17, start, count)
+        one_diag, one_sub = sample_block(p, 17, r, 1)
+        assert np.array_equal(one_diag[0], diag[r - start])
+        assert np.array_equal(one_sub[0], sub[r - start])
+
+    def test_range_inside_one_block_does_not_hold_the_block(self):
+        # one replicate at n = 2000: its block's buffers would take 16 MB
+        import tracemalloc
+
+        p = EnsembleParams(2000, 2.0)
+        tracemalloc.start()
+        try:
+            diag, sub = sample_block(p, 1, REPLICATE_CHUNK + 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.shape == (1, 2000) and peak < 2_000_000
+        assert np.array_equal(diag[0], sample_block(p, 1, REPLICATE_CHUNK, 8)[0][3])
 
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_one_matrix_functions_are_blocks_of_one(self, kind):

@@ -167,6 +167,13 @@ class TestIntegralEquation:
         with pytest.raises(ValueError, match=r"beta <= 113.*beta=114\.0"):
             verify_integral_equation(3, 114.0, [0.0])
 
+    def test_n2_beta_cap(self):
+        # the largest beta whose sides stay finite on the default grid; above it the
+        # cap refuses even a grid where the panel sum would still be finite
+        assert verify_integral_equation(2, 140.0, np.arange(-3.0, 3.05, 0.1)) <= 1e-6
+        with pytest.raises(ValueError, match=r"beta <= 140.*beta=140\.5"):
+            verify_integral_equation(2, 140.5, [0.0])
+
     def test_n2_fractional_beta(self):
         # |s - y|^0.5 at the kink is a square-root singularity: the graded panels
         # keep the identity at the oracle's level
