@@ -144,6 +144,10 @@ def cmd_density(args) -> int:
         return USAGE_ERROR
     regime = Regime(args.regime)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
+    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        print("error: --bins must be at least 1, and the bins it makes of "
+              "[--grid-lo, --grid-hi] must have nonzero width", file=sys.stderr)
+        return USAGE_ERROR
     # the reference first: a grid it cannot be evaluated on is refused before sampling
     ref = None
     if args.reference == "semicircle":

@@ -318,6 +318,18 @@ class TestDensity:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
+    def test_bins_narrower_than_float_spacing_is_usage_error(self, tmp_path, capsys):
+        # 8 bins over a span of one ulp: linspace repeats edges, giving zero-width bins
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["density", "--n", "4", "--beta", "2", "--grid-lo", "1.414518371259585e-42",
+                      "--grid-hi", "1.4145183712595861e-42", "--bins", "8",
+                      "--reference", "semicircle", "--output", str(out)])
+        assert rc == 2
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aibeta_reference_below_airy_tail_domain_is_usage_error(self, tmp_path, capsys,
                                                                     monkeypatch):
         from betahermite import cli
@@ -622,6 +634,8 @@ def _argv(draw):
 @given(_argv())
 @example(["special", "--fn", "ai-tail", "--x=-inf"])
 @example(["density", "--n=4", "--beta=2.0", "--grid-hi=inf"])
+@example(["density", "--n=1", "--beta=0.5", "--reps=0", "--grid-lo=1.414518371259585e-42",
+          "--grid-hi=1.4145183712595861e-42", "--bins=8", "--reference", "semicircle"])
 @settings(max_examples=300, deadline=None)
 def test_random_argv_exits_0_1_or_2_without_traceback(argv):
     stderr = io.StringIO()
