@@ -22,7 +22,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 import scipy.special
 
-from .quadrature import legendre
+from .quadrature import gauss_panels
 
 __all__ = [
     "AI0",
@@ -75,9 +75,10 @@ def airy_ai_prime(x):
 def airy_tail(x, upper: float = 20.0):
     """Integral of Ai over (x, infinity), absolute error well under 1e-10.
 
-    Composite 12-point Gauss-Legendre panels up to ``upper``; the remainder
-    beyond 20 is below 1e-26 and is dropped.  The panel count grows like |x|,
-    so x below -200, outside the accuracy domain, raises ValueError.
+    Composite 12-point Gauss-Legendre panels (`quadrature.gauss_panels`) of
+    width at most 0.2 up to ``upper``; the remainder beyond 20 is below 1e-26
+    and is dropped.  The panel count grows like |x|, so x below -200, outside
+    the accuracy domain, raises ValueError.
     """
     x = float(x)
     if x < -_X_LIMIT:
@@ -86,15 +87,8 @@ def airy_tail(x, upper: float = 20.0):
         # deep decay: two-term exponential tail formula
         zeta = (2.0 / 3.0) * x**1.5
         return float(np.exp(-zeta) / (2.0 * sqrt(pi) * x**0.75) * (1.0 - 41.0 / (72.0 * zeta)))
-    nodes, weights = legendre(12)
-    width = 0.2
-    n_panels = int(np.ceil((upper - x) / width))
-    edges = np.linspace(x, upper, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = airy_ai(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(vals @ weights * half))
+    pts, weights = gauss_panels(np.linspace(x, upper, int(np.ceil((upper - x) / 0.2)) + 1), 12)
+    return float(airy_ai(pts) @ weights)
 
 
 def has_closed_edge_form(beta: float) -> bool:

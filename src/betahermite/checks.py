@@ -37,7 +37,7 @@ class CheckResult:
         return asdict(self)
 
 
-def check_integral_eq(n: int = 2, beta: float = 2.0) -> list[CheckResult]:
+def check_integral_eq(n: int, beta: float) -> list[CheckResult]:
     tol = 1e-6 if n == 2 else 1e-5
     step = 0.1 if n == 2 else 0.5
     grid = np.arange(-3.0, 3.0 + step / 2, step)
@@ -50,7 +50,7 @@ def check_integral_eq(n: int = 2, beta: float = 2.0) -> list[CheckResult]:
     )]
 
 
-def check_stieltjes(n_max: int = 50, master_seed: int = 1) -> list[CheckResult]:
+def check_stieltjes(n_max: int, master_seed: int) -> list[CheckResult]:
     if n_max < 2:
         raise ValueError(f"the Stieltjes check runs n = 2..n_max, got n_max={n_max}")
     out = []
@@ -91,31 +91,30 @@ def check_stieltjes(n_max: int = 50, master_seed: int = 1) -> list[CheckResult]:
     return out
 
 
-def check_bound(
-    n: int = 20,
-    betas=(1.0, 2.0, 4.0),
-    n_reps: int = 10_000,
-    master_seed: int = 2,
-) -> list[CheckResult]:
+_BOUND_BETAS = (1.0, 2.0, 4.0)
+_MC_REPS = 10_000  # replicates of the bound and moment-equivalence Monte Carlo
+
+
+def check_bound(n: int, master_seed: int) -> list[CheckResult]:
     out = []
     r = sqrt(trace_sphere(n))
     grid = np.linspace(-1.0, 1.0, 41)
     centers = 0.5 * (grid[1:] + grid[:-1])
-    for beta in betas:
+    for beta in _BOUND_BETAS:
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
         # the bound is on rho_lambda at lambda = r x, in the bulk coordinate x
-        d = sample_density(params, master_seed, n_reps, r * grid, Regime.RAW)
+        d = sample_density(params, master_seed, _MC_REPS, r * grid, Regime.RAW)
         bound = exact.density_upper_bound(n, beta, centers)
         # a ratio, so the bins that hold mass set it rather than the empty outer ones
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = float(np.max(np.where(d.height > 0.0, d.height / bound, 0.0)))
         out.append(CheckResult(
             check_name="bound-dominance",
-            params={"n": n, "beta": beta, "n_reps": n_reps, "seed": master_seed},
+            params={"n": n, "beta": beta, "n_reps": _MC_REPS, "seed": master_seed},
             metric=ratio, tolerance=1.0, passed=bool(ratio <= 1.0),
             details="max (empirical density / upper bound) over bin centers",
         ))
-    for beta in betas:
+    for beta in _BOUND_BETAS:
         diffs = [abs(exact.log_g_n_beta(m, beta) / m - np.log(exact.c_beta(beta)))
                  for m in (50, 200, 800)]
         mono = diffs[0] > diffs[1] > diffs[2]
@@ -129,16 +128,17 @@ def check_bound(
     return out
 
 
-def check_moments(master_seed: int = 3, n_reps: int = 10_000) -> list[CheckResult]:
+def check_moments(master_seed: int) -> list[CheckResult]:
     out = []
     for n in (10, 40):
         rep = verify_moment_equivalence(
-            EnsembleParams(n, 2.0), MomentIndex.single_a(n, 1, 2), n_reps,
+            EnsembleParams(n, 2.0), MomentIndex.single_a(n, 1, 2), _MC_REPS,
             SampleSeed(master_seed, 0),
         )
         out.append(CheckResult(
             check_name="moments-equivalence",
-            params={"n": n, "beta": 2.0, "moment": "a1^2", "n_reps": n_reps, "seed": master_seed},
+            params={"n": n, "beta": 2.0, "moment": "a1^2", "n_reps": _MC_REPS,
+                    "seed": master_seed},
             metric=abs((rep.mc_ratio or 0.0) - rep.exact_ratio),
             tolerance=3.0 * (rep.std_error or 0.0),
             passed=bool(rep.within_3_sigma),

@@ -83,11 +83,6 @@ class EnsembleParams:
                 f"Dyson parameter must be > 0 with 2*beta*n finite, got beta={self.beta}"
             )
 
-    @property
-    def strength_sq(self) -> float:
-        """Canonical fixed-trace target `trace_sphere(n)`."""
-        return trace_sphere(self.n)
-
 
 @dataclass(frozen=True)
 class SampleSeed:
@@ -185,5 +180,5 @@ def sample_block(
         _draw_block(master_seed, b, shape, lo - b * chunk, hi - b * chunk, diag[rows], sub[rows])
     np.sqrt(sub, out=sub)
     if fixed:
-        _rescale_rows(diag, sub, params.strength_sq)
+        _rescale_rows(diag, sub, trace_sphere(n))
     return diag, sub

@@ -140,13 +140,12 @@ def _rho_fte1_n2(beta: float, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
-    # On the circle y = sqrt(1 - s^2) in the plane x1 = s, |Delta|^beta vanishes
-    # like |phi - kink|^beta at the <= 6 angles where two coordinates meet, so a
-    # Jacobi(beta, beta) rule per arc sees a smooth integrand.  Each |s| runs once.
-    _, _, (xi, lw) = _n3_rules(beta)
-    u, back = np.unique(np.abs(s), return_inverse=True)
-    u = u[u < 1.0, None]
+# arc-node elements per block of |s| values in `_rho_fte1_n3`, which bounds its working set
+_ARC_BLOCK = 1 << 18
+
+
+def _log_arc_sums(beta: float, u: np.ndarray, xi: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """log of the circle integral of |Delta|^beta at each |s| of the column ``u``."""
     y = np.sqrt(1.0 - u * u)
     alpha = np.arccos(np.minimum(u / y, 1.0))
     meet = np.where(u <= y, np.hstack([alpha, 2.0 * pi - alpha, pi / 2.0 - alpha,
@@ -158,7 +157,21 @@ def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
     x2, x3 = y[..., None] * np.cos(phi), y[..., None] * np.sin(phi)
     with np.errstate(divide="ignore"):  # empty arcs and nodes on a kink weigh nothing
         lf = beta * np.log(np.abs((u[..., None] - x2) * (u[..., None] - x3) * (x2 - x3)))
-        lsum = scipy.special.logsumexp(lf + np.log(half) + lw, axis=(1, 2))
+        return scipy.special.logsumexp(lf + np.log(half) + lw, axis=(1, 2))
+
+
+def _rho_fte1_n3(beta: float, s: np.ndarray) -> np.ndarray:
+    # On the circle y = sqrt(1 - s^2) in the plane x1 = s, |Delta|^beta vanishes
+    # like |phi - kink|^beta at the <= 6 angles where two coordinates meet, so a
+    # Jacobi(beta, beta) rule per arc sees a smooth integrand.  Each |s| runs
+    # once, in blocks of about `_ARC_BLOCK` arc nodes.
+    _, _, (xi, lw) = _n3_rules(beta)
+    u, back = np.unique(np.abs(s), return_inverse=True)
+    u = u[u < 1.0, None]
+    rows = max(1, _ARC_BLOCK // (6 * xi.size))
+    lsum = np.empty(u.size)
+    for lo in range(0, u.size, rows):
+        lsum[lo:lo + rows] = _log_arc_sums(beta, u[lo:lo + rows], xi, lw)
     out = np.zeros(back.size)
     inside = back < u.size
     out[inside] = np.exp(lsum - log_z_fte(3, beta))[back[inside]]

@@ -9,7 +9,7 @@ even-beta edge densities come out nonnegative:
                     prod_{k<l} |t_k - t_l|^{4/beta} dt
 
 which leaves the single-variable case with a leading minus,
-K_{1,beta} = -Ai.
+K_{1,beta} = -Ai; n = 1 returns it in closed form on every route.
 
 Evaluation routes:
 
@@ -21,24 +21,24 @@ Evaluation routes:
   that may exceed ``MAX_MONOMIALS`` monomials, whose coefficients or sum
   leave the double range, or whose rounding bound reaches the value itself
   (small beta) raises ValueError.
-* quadrature (everything else): Gaussian damping exp(-eps sum t^2), the
-  ladder ``EPS_LADDER`` = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01) of eps
-  values, and polynomial extrapolation eps -> 0.  The damped integral is
-  evaluated on uniform 1-D grids (step eps/6 keeps the aliasing error of the
-  cubic phase at machine level for low polynomial degree).  For n <= 2 it is
-  a tensor product: for n = 2 the kernel |t_i - t_j|^p = (h |i - j|)^p is
-  Toeplitz, so the double sum is one FFT convolution, O(m log m) on m nodes
-  where the sum itself is O(m^2).  For even 4/beta the integral is a sum of
-  separable 1-D moment products, and for even n with 4/beta = 1 a pairing
-  identity turns the ordered-sector integral into a Pfaffian of nested 1-D
-  integrals.  No backend covers n >= 3 with any other beta.  A rung is
-  skipped when its grid exceeds ``MAX_NODES_PER_AXIS``, when its cost (see
-  `_k_quadrature`) exceeds what remains of ``MAX_EVALUATIONS``, or when its
-  largest kernel value overflows a double.  Of the extrapolations over the
-  leading 2, 3, ... rungs the one with the smallest error estimate is
-  reported, since below some eps aliasing or rounding overtakes the damping
-  error; its error is at least the change the next rung makes to it.  The
-  constants are read at each call.
+* quadrature (n = 2 at any beta, and n = 4 at beta = 4): Gaussian damping
+  exp(-eps sum t^2), the ladder ``EPS_LADDER`` = (0.32, 0.16, 0.08, 0.04,
+  0.02, 0.01) of eps values, and polynomial extrapolation eps -> 0.  The
+  damped integral is evaluated on uniform 1-D grids (step eps/6 keeps the
+  aliasing error of the cubic phase at machine level for low polynomial
+  degree).  For n = 2 the kernel |t_i - t_j|^p = (h |i - j|)^p is Toeplitz,
+  so the double sum is one FFT convolution, O(m log m) on m nodes where the
+  sum itself is O(m^2).  For n = 4 with 4/beta = 1 a pairing identity turns
+  the ordered-sector integral into the Pfaffian of nested 1-D integrals.
+  Any other n >= 2 and beta raises ValueError before a grid is built; auto
+  sends an even 4/beta to the reduction.  A rung is skipped when its grid
+  exceeds ``MAX_NODES_PER_AXIS``, when its cost (see `_k_quadrature`)
+  exceeds what remains of ``MAX_EVALUATIONS``, or when its largest kernel
+  value overflows a double.  Of the extrapolations over the leading 2, 3,
+  ... rungs the one with the smallest error estimate is reported, since
+  below some eps aliasing or rounding overtakes the damping error; its
+  error is at least the change the next rung makes to it.  The constants
+  are read at each call.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ EPS_LADDER = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01)  # damping values of the quadr
 MAX_EVALUATIONS = 5e8  # cost one quadrature may spend, in the units of `_k_quadrature`
 MAX_NODES_PER_AXIS = 2_000_000
 MAX_MONOMIALS = 500_000  # monomials the reduction route may expand
-EXTRAPOLATION_DEPTH = 8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -181,10 +180,10 @@ def _fft_cost(m: int) -> int:
 
 
 def _k_eps_tensor(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Tensor-product evaluation of the damped integral on a uniform grid (n <= 2).
+    """Tensor-product evaluation of the damped n = 2 integral on a uniform grid.
 
-    For n = 2 the double sum Re(g^T W g), W_ij = |t_i - t_j|^p = (h |i - j|)^p,
-    is a Toeplitz product, 2 Re sum_{i>j} g_i (h (i - j))^p g_j, which one FFT
+    The double sum Re(g^T W g), W_ij = |t_i - t_j|^p = (h |i - j|)^p, is a
+    Toeplitz product, 2 Re sum_{i>j} g_i (h (i - j))^p g_j, which one FFT
     convolution on a circulant of length `_fft_size` evaluates.  The kernel
     is tilted, (h d)^p = e^{a h d} (h d)^p e^{-a h d} with the e^{a h d} =
     e^{a t_i} e^{-a t_j} moved onto g: at a = sqrt(p eps) the tilted kernel
@@ -194,61 +193,20 @@ def _k_eps_tensor(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> f
     """
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
-    if n == 1:
-        val = np.sum(g.real) * h
-    else:
-        p = 4.0 / beta
-        a = sqrt(p * eps)
-        m, size = len(t), _fft_size(len(t))
-        d = h * np.arange(1, m)
-        kernel = np.zeros(size)
-        kernel[1:m] = np.exp(p * np.log(d) - a * d)
-        tilt = np.exp(a * t)
-        lower = scipy.fft.ifft(scipy.fft.fft(kernel) * scipy.fft.fft(g / tilt, size))[:m]
-        val = 2.0 * float(np.real((g * tilt) @ lower)) * h * h
-    return (-1.0) ** n * (2.0 * pi) ** (-n) * val
-
-
-def _k_eps_moments(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Separable evaluation through 1-D moments, for even integer 4/beta."""
-    power = int(round(4.0 / beta))
-    poly = _vandermonde_power_poly(n, power)
-    degree = power * (n - 1)
-    h = t[1] - t[0]
-    g = _damped_phase(t, x, eps)
-    moments = np.empty(degree + 1, dtype=complex)
-    tm = np.ones_like(t)
-    for mm in range(degree + 1):
-        moments[mm] = np.sum(g * tm) * h
-        tm = tm * t
-    total = 0.0 + 0.0j
-    for expo, coeff in poly.items():
-        term = complex(coeff)
-        for mm in expo:
-            term *= moments[mm]
-        total += term
-    val = ((-1.0) ** n * (2.0 * pi) ** (-n)) * total
-    return val.real
-
-
-def _pfaffian(a: np.ndarray) -> complex:
-    """Pfaffian of a small even-dimensional antisymmetric matrix."""
-    m = a.shape[0]
-    if m == 0:
-        return 1.0 + 0.0j
-    if m == 2:
-        return a[0, 1]
-    total = 0.0 + 0.0j
-    rest = list(range(1, m))
-    for idx, j in enumerate(rest):
-        keep = [r for r in rest if r != j]
-        sub = a[np.ix_(keep, keep)]
-        total += (-1.0) ** idx * a[0, j] * _pfaffian(sub)
-    return total
+    p = 4.0 / beta
+    a = sqrt(p * eps)
+    m, size = len(t), _fft_size(len(t))
+    d = h * np.arange(1, m)
+    kernel = np.zeros(size)
+    kernel[1:m] = np.exp(p * np.log(d) - a * d)
+    tilt = np.exp(a * t)
+    lower = scipy.fft.ifft(scipy.fft.fft(kernel) * scipy.fft.fft(g / tilt, size))[:m]
+    val = 2.0 * float(np.real((g * tilt) @ lower)) * h * h
+    return (2.0 * pi) ** (-2) * val
 
 
 def _k_eps_pair(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Pairing (Pfaffian) evaluation for even n with 4/beta = 1.
+    """Pairing (Pfaffian) evaluation for n = 2 or 4 with 4/beta = 1.
 
     On the ordered sector the modulus of the Vandermonde power is the
     Vandermonde determinant itself, and the sector integral of a single
@@ -256,8 +214,6 @@ def _k_eps_pair(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> flo
     A_kl = Int_{s<t} (s^k t^l - s^l t^k) g(s) g(t) ds dt,
     each computable from cumulative 1-D integrals.
     """
-    if n % 2 != 0:
-        raise ValueError("pairing backend needs even n")
     h = t[1] - t[0]
     g = _damped_phase(t, x, eps)
     psi = [g * t**k for k in range(n)]
@@ -272,53 +228,40 @@ def _k_eps_pair(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> flo
         for l in range(n):
             b[k, l] = np.sum(psi[l] * cum[k]) * h
     a = b - b.T
-    val = math.factorial(n) * _pfaffian(a)
-    out = ((-1.0) ** n * (2.0 * pi) ** (-n)) * val
+    pf = a[0, 1] if n == 2 else a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+    out = ((-1.0) ** n * (2.0 * pi) ** (-n)) * (math.factorial(n) * pf)
     return out.real
 
 
 def _richardson(eps_values: np.ndarray, vals: np.ndarray):
-    """Neville extrapolation to eps = 0; error from the last corrections."""
+    """Neville extrapolation of two or more rungs to eps = 0; error from the last corrections."""
     m = len(vals)
-    cols = min(m, EXTRAPOLATION_DEPTH + 1)
-    tab = np.zeros((m, cols))
+    tab = np.zeros((m, m))
     tab[:, 0] = vals
-    for j in range(1, cols):
+    for j in range(1, m):
         for i in range(m - j):
             tab[i, j] = (
                 eps_values[i] * tab[i + 1, j - 1] - eps_values[i + j] * tab[i, j - 1]
             ) / (eps_values[i] - eps_values[i + j])
-    est = tab[0, cols - 1]
-    if cols >= 2:
-        err = abs(tab[0, cols - 1] - tab[0, cols - 2]) + abs(
-            tab[0, cols - 1] - tab[1, cols - 2]
-        )
-    else:
-        err = abs(est)
+    est = tab[0, m - 1]
+    err = abs(tab[0, m - 1] - tab[0, m - 2]) + abs(tab[0, m - 1] - tab[1, m - 2])
     return float(est), float(err)
 
 
 def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
     """Damped quadrature down ``EPS_LADDER``, extrapolated to eps = 0.
 
-    A rung on m grid nodes charges its cost against ``MAX_EVALUATIONS``: m for
-    n = 1; size * ceil(log2 size) for the FFT of n = 2, with size =
-    next_fast_len(2m - 1); m * (degree + 1) for the moments backend; and
-    m * (2n + n^2) for the pairing backend.
+    The backends are the n = 2 FFT tensor rule (any beta) and the n = 4
+    pairing rule (beta = 4); any other (n, beta) raises ValueError before a
+    grid is built.  A rung on m grid nodes charges its cost against
+    ``MAX_EVALUATIONS``: size * ceil(log2 size) for the FFT of n = 2, with
+    size = next_fast_len(2m - 1), and m * (2n + n^2) for the pairing rule.
     """
     p = 4.0 / beta
-    power = int(round(p))
-    integral = abs(p - power) < 1e-12
-    if n <= 2:
-        backend, name = _k_eps_tensor, "quadrature-tensor"
-        degree, per_node = int(np.ceil(p * (n - 1))), 1
-    elif integral and power % 2 == 0:
-        backend, name = _k_eps_moments, "quadrature-moments"
-        degree = power * (n - 1)
-        per_node = degree + 1
-    elif integral and power == 1 and n % 2 == 0:
-        backend, name = _k_eps_pair, "quadrature-pair"
-        degree, per_node = 3 * (n - 1), 2 * n + n * n
+    if n == 2:
+        backend, name, degree = _k_eps_tensor, "quadrature-tensor", int(np.ceil(p))
+    elif n == 4 and abs(p - 1.0) < 1e-12:
+        backend, name, degree = _k_eps_pair, "quadrature-pair", 3 * (n - 1)
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
 
@@ -326,9 +269,9 @@ def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
     eps_run, vals = [], []
     for eps in EPS_LADDER:
         t_max, m = _grid_size(eps, degree)
-        cost = _fft_cost(m) if n == 2 else m * per_node
+        cost = _fft_cost(m) if n == 2 else m * (2 * n + n * n)
         # the kernel |t_k - t_l|^p peaks at (2 t_max)^p, which must be a double
-        overflows = n > 1 and p * math.log(2.0 * t_max) > _LOG_FLOAT_MAX
+        overflows = p * math.log(2.0 * t_max) > _LOG_FLOAT_MAX
         if m > MAX_NODES_PER_AXIS or spent + cost > MAX_EVALUATIONS or overflows:
             continue
         vals.append(backend(n, beta, x, eps, _grid(eps, degree)))
@@ -359,13 +302,14 @@ def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
 def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> KontsevichResult:
     """Evaluate K_{n,beta}(x) with an explicit error estimate.
 
-    ``route`` is one of "auto", "reduction", "quadrature".  Auto prefers the
-    exact reduction when 4/beta is an even integer and n <= 4, and falls back
-    to the regularized quadrature otherwise.  The reduction's error is the
-    larger of 1e-10 and the rounding bound of its sum, and a sum that cancels
-    below that bound raises ValueError.  The quadrature covers n <= 2 (for
-    n = 2 by one FFT convolution per rung), even 4/beta, and even n with
-    4/beta = 1; any other (n, beta) raises ValueError.  It runs the rungs of
+    ``route`` is one of "auto", "reduction", "quadrature".  K_{1,beta} = -Ai
+    is closed, and n = 1 returns it on every route.  Auto takes the exact
+    reduction when 4/beta is an even integer and the regularized quadrature
+    otherwise.  The reduction's error is the larger of 1e-10 and the
+    rounding bound of its sum, and a sum that cancels below that bound raises
+    ValueError.  The quadrature covers n = 2 at any beta (one FFT
+    convolution per rung) and n = 4 at beta = 4 (the pairing rule); any
+    other (n, beta) raises ValueError.  It runs the rungs of
     ``EPS_LADDER``, charging each one's cost (for n = 2, size * ceil(log2
     size) with size the FFT length) against ``MAX_EVALUATIONS``, and reports
     the extrapolation over the leading rungs whose error estimate is
@@ -380,7 +324,9 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
         raise ValueError("direct evaluation is limited to n <= 4")
     if not beta > 0 or math.isinf(4.0 / beta):
         raise ValueError("beta must be > 0, with 4/beta finite")
-    if n == 1 and route in ("auto", "reduction"):
+    if route not in ("auto", "reduction", "quadrature"):
+        raise ValueError(f"unknown route {route!r}")
+    if n == 1:
         return KontsevichResult(
             value=-float(airy_ai(float(x))), error=1e-13, converged=True, route="closed"
         )
@@ -389,8 +335,6 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
     if route == "reduction" or (route == "auto" and reducible):
         value, error = _k_reduction(n, beta, float(x))
         return KontsevichResult(value=value, error=error, converged=True, route="reduction")
-    if route not in ("auto", "quadrature"):
-        raise ValueError(f"unknown route {route!r}")
     return _k_quadrature(n, beta, float(x))
 
 

@@ -19,7 +19,7 @@ from betahermite import (
     sample_spectrum,
     trace_sq_rows,
 )
-from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows
+from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows, trace_sphere
 
 
 def half_chi_mean_sq_oracle(k):
@@ -115,7 +115,7 @@ def recipe_rows(params, master, start, count):
         for i in range(max(start - b * c, 0), min(start + count - b * c, c)):
             d, s = diag[i], sub[i]
             if params.kind is EnsembleKind.FIXED_TRACE:
-                scale = np.sqrt(params.strength_sq / (np.sum(d**2) + 2.0 * np.sum(s**2)))
+                scale = np.sqrt(trace_sphere(params.n) / (np.sum(d**2) + 2.0 * np.sum(s**2)))
                 d, s = scale * d, scale * s
             diags.append(d)
             subs.append(s)
@@ -206,7 +206,7 @@ class TestSampleBlock:
 class TestFixedTrace:
     def test_direct_arithmetic(self):
         diag, sub = np.array([[1.0, 1.0]]), np.array([[0.0]])
-        _rescale_rows(diag, sub, EnsembleParams(2, 1.0, EnsembleKind.FIXED_TRACE).strength_sq)
+        _rescale_rows(diag, sub, trace_sphere(2))
         assert diag[0] == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert trace_sq_rows(diag, sub)[0] == pytest.approx(1.0)
 
@@ -224,7 +224,7 @@ class TestFixedTrace:
         p = EnsembleParams(30, 2.0)
         h = sample_block(p, 4, 2, 1)
         f = sample_block(EnsembleParams(30, 2.0, EnsembleKind.FIXED_TRACE), 4, 2, 1)
-        c = np.sqrt(p.strength_sq / trace_sq_rows(*h)[0])
+        c = np.sqrt(trace_sphere(p.n) / trace_sq_rows(*h)[0])
         ev_h = eigenvalues_block(*h)[0]
         ev_f = eigenvalues_block(*f)[0]
         assert np.max(np.abs(ev_f - c * ev_h)) <= 1e-12 * np.max(np.abs(ev_f))
@@ -240,8 +240,8 @@ class TestFixedTrace:
         )
         d, s = np.array([diag]), np.array([subdiag])
         p = EnsembleParams(len(diag), 1.0)
-        _rescale_rows(d, s, p.strength_sq)
-        assert trace_sq_rows(d, s)[0] == pytest.approx(p.strength_sq, rel=1e-12)
+        _rescale_rows(d, s, trace_sphere(p.n))
+        assert trace_sq_rows(d, s)[0] == pytest.approx(trace_sphere(p.n), rel=1e-12)
 
 
 class TestParamValidation:
@@ -256,7 +256,7 @@ class TestParamValidation:
     def test_derived_quantities(self):
         p = EnsembleParams(10, 2.0)
         assert 2.0 * big_l(p.n, p.beta) == 10 + 2.0 * 45
-        assert p.strength_sq == 45.0
+        assert trace_sphere(p.n) == 45.0
 
 
 def gap_cdf(g):

@@ -5,6 +5,7 @@ maximum, and the density upper bound.
 `scipy.integrate.quad` is a test-only oracle here: the package's Gauss panel
 routes are held to it."""
 
+import tracemalloc
 from math import exp, factorial, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -206,9 +207,8 @@ class TestPanelRoutesAgainstQuad:
             nodes, weights = np.polynomial.legendre.leggauss(12)
             edges = np.linspace(x, upper, int(np.ceil((upper - x) / 0.2)) + 1)
             mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-            pts = mid[:, None] + half[:, None] * nodes[None, :]
-            vals = airy.airy_ai(pts.ravel()).reshape(pts.shape)
-            return float(np.sum(vals @ weights * half))
+            pts = (mid[:, None] + half[:, None] * nodes).ravel()
+            return float(airy.airy_ai(pts) @ (half[:, None] * weights).ravel())
 
         for x in (-150.0, -7.3, 0.0, 1.1, 19.95):
             assert airy.airy_tail(x) == fresh(x)
@@ -232,6 +232,27 @@ class TestEvenBetaTrapezoid:
         # the arcs take 20 + ceil(beta) nodes; the cap refuses beta first
         with pytest.raises(ValueError, match="beta <= 113"):
             exact._rho_fte1(3, 1e6, np.array([0.1]))
+
+    @pytest.mark.parametrize("beta", [2.0, 113.0])
+    def test_working_set_bounded(self, beta):
+        # 10001 distinct |s| of 6 arcs of up to 52 nodes each: evaluated in one
+        # array this held 187 (beta=2) to 385 MiB (beta=113)
+        s = np.linspace(-0.999, 0.999, 20001)
+        exact._n3_rules(beta)
+        tracemalloc.start()
+        try:
+            exact._rho_fte1(3, beta, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 113.0])
+    def test_blocks_do_not_change_the_values(self, beta, monkeypatch):
+        s = np.linspace(-1.2, 1.2, 241)
+        whole = exact._rho_fte1(3, beta, s)
+        monkeypatch.setattr(exact, "_ARC_BLOCK", 1)  # one |s| per block
+        assert np.array_equal(exact._rho_fte1(3, beta, s), whole)
 
 
 class TestStrengthRescale:

@@ -3,6 +3,7 @@ and the even-beta edge-density normalization."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
@@ -57,6 +58,15 @@ def k2_eps_double_sum(beta, x, eps, t, order=None):
     return acc * c, scale * c
 
 
+def heine_k(n, x):
+    """K_{n,2}(x) by Heine's identity, (-1)^n n! (-1)^(n(n-1)/2) det[Ai^(j+k)(x)]_{j,k<n},
+    with the Airy derivatives and the determinant in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        d = [mpmath.airyai(x, derivative=m) for m in range(2 * n - 1)]
+        det = mpmath.det(mpmath.matrix([[d[j + k] for k in range(n)] for j in range(n)]))
+        return float((-1) ** n * math.factorial(n) * (-1) ** (n * (n - 1) // 2) * det)
+
+
 def fft_rung_cost(m):
     """The cost model of an n = 2 rung: size * ceil(log2 size) for the FFT length."""
     size = scipy.fft.next_fast_len(2 * m - 1)
@@ -65,10 +75,11 @@ def fft_rung_cost(m):
 
 class TestReduction:
     def test_k1_is_minus_ai(self):
-        for x in (-2.0, 0.0, 2.0):
-            r = kontsevich_k(1, 3.7, x)
-            assert r.value == pytest.approx(-scipy.special.airy(x)[0], abs=1e-12)
-            assert r.route == "closed"
+        for route in ("auto", "reduction", "quadrature"):
+            for x in (-2.0, 0.0, 2.0):
+                r = kontsevich_k(1, 3.7, x, route=route)
+                assert r.value == pytest.approx(-scipy.special.airy(x)[0], abs=1e-12)
+                assert r.route == "closed"
 
     def test_k22_against_closed_form(self):
         for x in np.arange(-5.0, 3.01, 0.5):
@@ -77,6 +88,15 @@ class TestReduction:
 
     def test_k22_at_zero_frozen(self):
         assert kontsevich_k(2, 2.0, 0.0).value == pytest.approx(K22_AT_0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_beta2_matches_heine_determinant(self, n):
+        # an oracle independent of the Vandermonde expansion: the Hankel
+        # determinant of Airy derivatives
+        for x in np.arange(-4.0, 3.01, 0.5):
+            r = kontsevich_k(n, 2.0, float(x), route="reduction")
+            heine = heine_k(n, float(x))
+            assert abs(r.value - heine) <= min(r.error, 1e-10 * abs(heine))
 
     def test_auto_prefers_reduction(self):
         assert kontsevich_k(2, 2.0, 0.0).route == "reduction"
@@ -175,13 +195,6 @@ class TestQuadratureRoute:
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         assert abs(kq.value - k22_closed(x)) <= max(kq.error, 1e-4)
 
-    def test_moments_backend_matches_reduction(self):
-        # n=3, beta=2 exercises the separable backend against the reduction
-        kr = kontsevich_k(3, 2.0, 0.0, route="reduction")
-        kq = kontsevich_k(3, 2.0, 0.0, route="quadrature")
-        assert kq.route == "quadrature-moments"
-        assert abs(kq.value - kr.value) <= max(5.0 * kq.error, 5e-3)
-
     def test_pair_vs_tensor_n2_beta4(self):
         # both backends integrate the same damped object
         for eps in (0.32, 0.16):
@@ -220,23 +233,36 @@ class TestQuadratureRoute:
         assert r != k22(EPS_LADDER, sum(costs))
 
     def test_rung_over_node_cap_is_skipped(self, monkeypatch):
-        # n=3, beta=2 costs (degree+1) evaluations per node, so eps=1e-3 fits
-        # the budget but not the node cap
-        assert len(_grid(1e-3, 4)) > MAX_NODES_PER_AXIS
+        # at n=2, beta=2 the eps=1e-3 rung has 2.6e6 nodes: its FFT fits the
+        # budget but its grid is over the node cap
+        costs = [fft_rung_cost(len(_grid(eps, 2))) for eps in (0.32, 0.16, 0.08, 1e-3)]
+        assert sum(costs) <= MAX_EVALUATIONS
+        assert len(_grid(1e-3, 2)) > MAX_NODES_PER_AXIS
         monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08, 1e-3))
-        r = kontsevich_k(3, 2.0, 0.0, route="quadrature")
+        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
         monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08))
-        assert r == kontsevich_k(3, 2.0, 0.0, route="quadrature")
+        assert r == kontsevich_k(2, 2.0, 0.0, route="quadrature")
 
     def test_overflowing_kernel_is_not_converged(self):
         # p = 4/0.021 ~ 190: (2 t_max)^p overflows on every rung, so none runs
         r = kontsevich_k(2, 0.021, 0.0, route="quadrature")
         assert not r.converged and r.error == np.inf
 
-    @pytest.mark.parametrize("beta", [1.5, 4.0])
+    @pytest.mark.parametrize("beta", [1.5, 4.0, 2.0])
     def test_no_backend_for_n3_general_beta(self, beta):
         with pytest.raises(ValueError, match="no quadrature backend"):
             kontsevich_k(3, beta, 0.0, route="quadrature")
+
+    @pytest.mark.parametrize("n, beta", [(3, 2.0), (4, 1.0), (4, 0.04)])
+    def test_even_power_quadrature_refused_before_any_grid(self, n, beta, monkeypatch):
+        # an even 4/beta at n >= 3 has the exact reduction and no quadrature;
+        # n=4, beta=0.04 is also over the reduction's monomial cap
+        def no_grid(eps, poly_degree):
+            raise AssertionError("a quadrature grid was sized")
+
+        monkeypatch.setattr(kontsevich, "_grid_size", no_grid)
+        with pytest.raises(ValueError, match="no quadrature backend"):
+            kontsevich_k(n, beta, 0.0, route="quadrature")
 
     def test_n_limits(self):
         with pytest.raises(ValueError):
