@@ -23,7 +23,7 @@ from betahermite import (
     sample_density,
     weak_functional,
 )
-from betahermite.density import semicircle_mass
+from betahermite.density import semicircle_bins
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
     args = ap.parse_args()
 
     grid = np.linspace(-1.2, 1.2, 61)
-    ref = np.array([semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])])
+    ref = semicircle_bins(grid)
     f = bump(-0.5, 0.5)
 
     rows = []

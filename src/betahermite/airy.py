@@ -1,17 +1,17 @@
 """Airy function evaluators and the closed-form soft-edge densities.
 
 Ai and Ai' come from ``scipy.special.airy``; ``airy_tail`` integrates Ai with
-Gauss-Legendre panels, and ``ai_derivatives`` extends the pair to higher
-orders through the Airy equation.
+Gauss-Legendre panels on one fixed lattice, and ``ai_derivatives`` extends the
+pair to higher orders through the Airy equation.
 
 Edge densities: ``edge_density_closed`` evaluates the classical closed forms
-for beta in {1, 2, 4} and, like ``airy_ai``, returns a float for a scalar and
-an ndarray for an array.  Note a units caveat for beta=4: the closed form is
-written in the doubled-argument convention, while edge histograms produced by
-this package's scaling follow the rescaled profile
-(beta/2)^(-1/3) * Ai_beta((beta/2)^(-1/3) t); the two agree for beta in
-{1, 2}.  See ``kontsevich.kontsevich_edge_density`` for the multiple-integral
-route, which is normalized to agree with the closed forms.
+for beta in {1, 2, 4}.  It, ``airy_ai``, ``airy_ai_prime`` and ``airy_tail``
+take whole arrays: a float for a scalar, an ndarray for an array.  Note a
+units caveat for beta=4: the closed form is written in the doubled-argument
+convention, while edge histograms produced by this package's scaling follow
+the rescaled profile (beta/2)^(-1/3) * Ai_beta((beta/2)^(-1/3) t); the two
+agree for beta in {1, 2}.  See ``kontsevich.kontsevich_edge_density`` for the
+multiple-integral route, which is normalized to agree with the closed forms.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ AI0 = 3.0 ** (-2.0 / 3.0) / gamma(2.0 / 3.0)   # Ai(0)
 AIP0 = -(3.0 ** (-1.0 / 3.0)) / gamma(1.0 / 3.0)  # Ai'(0)
 
 _X_LIMIT = 200.0
+_TAIL_TOP, _TAIL_STEP = 20.0, 0.2  # airy_tail's lattice edges are _TAIL_TOP - _TAIL_STEP k
+_TAIL_BLOCK = 1 << 13  # points per block of airy_tail
 
 
 class AiryAccuracyWarning(UserWarning):
@@ -72,23 +74,36 @@ def airy_ai_prime(x):
     return _ai_aip(x)[1]
 
 
-def airy_tail(x, upper: float = 20.0):
-    """Integral of Ai over (x, infinity), absolute error well under 1e-10.
+def airy_tail(x):
+    """Integral of Ai over (x, infinity), absolute error well under 1e-10;
+    scalar in, float out; ndarray in, ndarray out.
 
-    Composite 12-point Gauss-Legendre panels (`quadrature.gauss_panels`) of
-    width at most 0.2 up to ``upper``; the remainder beyond 20 is below 1e-26
-    and is dropped.  The panel count grows like |x|, so x below -200, outside
-    the accuracy domain, raises ValueError.
+    12-point Gauss-Legendre panels on the lattice of edges 20 - 0.2 k are
+    summed once, from 20 down to the lowest point; each point, in blocks of
+    ``_TAIL_BLOCK``, adds its own panel up to the lattice edge above it, so its
+    value does not depend on the other points.  The remainder past 20 (< 1e-26)
+    is dropped; x >= 20 takes the two-term exponential tail.  The lattice grows
+    like |x|, so x below -200 or NaN raises ValueError before any array is built.
     """
-    x = float(x)
-    if x < -_X_LIMIT:
-        raise ValueError(f"airy_tail needs x >= {-_X_LIMIT:g}, got x={x:g}")
-    if x >= upper:
-        # deep decay: two-term exponential tail formula
-        zeta = (2.0 / 3.0) * x**1.5
-        return float(np.exp(-zeta) / (2.0 * sqrt(pi) * x**0.75) * (1.0 - 41.0 / (72.0 * zeta)))
-    pts, weights = gauss_panels(np.linspace(x, upper, int(np.ceil((upper - x) / 0.2)) + 1), 12)
-    return float(airy_ai(pts) @ weights)
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= -_X_LIMIT):  # NaN fails too
+        raise ValueError(f"airy_tail needs x >= {-_X_LIMIT:g}, got x={np.min(x):g}")
+    xs = x.ravel()
+    near = np.minimum(xs, _TAIL_TOP)
+    k = np.floor((_TAIL_TOP - near) / _TAIL_STEP).astype(np.int64)  # the lattice edge at or above
+    k -= _TAIL_TOP - _TAIL_STEP * k < near
+    edges = _TAIL_TOP - _TAIL_STEP * np.arange(k.max(initial=0) + 1)
+    pts, w = gauss_panels(edges[1:], edges[:-1], 12)
+    above = np.concatenate([[0.0], np.cumsum((airy_ai(pts) * w).sum(axis=1))])
+    out = np.empty(xs.size)
+    for lo in range(0, xs.size, _TAIL_BLOCK):
+        block = slice(lo, lo + _TAIL_BLOCK)
+        pts, w = gauss_panels(near[block], edges[k[block]], 12)
+        out[block] = above[k[block]] + (airy_ai(pts) * w).sum(axis=1)
+    deep = xs >= _TAIL_TOP
+    zeta = (2.0 / 3.0) * xs[deep] ** 1.5
+    out[deep] = np.exp(-zeta) / (2.0 * sqrt(pi) * xs[deep] ** 0.75) * (1.0 - 41.0 / (72.0 * zeta))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def has_closed_edge_form(beta: float) -> bool:
@@ -110,19 +125,15 @@ def edge_density_closed(beta: int, x):
             "use kontsevich_edge_density for other even beta"
         )
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if beta == 2:
-        ai, aip = _ai_aip(xs)
-        val = aip**2 - xs * ai**2
-    elif beta == 1:
-        # tails first: airy_tail rejects an x its panels cannot reach
-        tails = np.array([airy_tail(t) for t in xs])
-        ai, aip = _ai_aip(xs)
-        val = aip**2 - xs * ai**2 + 0.5 * ai * (1.0 - tails)
-    else:
-        # int_x^inf Ai(2t) dt = airy_tail(2x)/2
-        tails = np.array([0.5 * airy_tail(2.0 * t) for t in xs])
-        ai, aip = _ai_aip(2.0 * xs)
-        val = aip**2 - 2.0 * xs * ai**2 - ai * tails
+    y = 2.0 * xs if beta == 4 else xs
+    # tails first: airy_tail rejects an x its panels cannot reach
+    tails = None if beta == 2 else airy_tail(y)
+    ai, aip = _ai_aip(y)
+    val = aip**2 - y * ai**2
+    if beta == 1:
+        val += 0.5 * ai * (1.0 - tails)
+    elif beta == 4:
+        val -= ai * (0.5 * tails)  # int_x^inf Ai(2t) dt = airy_tail(2x)/2
     return float(val[0]) if np.ndim(x) == 0 else val
 
 

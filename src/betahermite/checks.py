@@ -96,6 +96,9 @@ _MC_REPS = 10_000  # replicates of the bound and moment-equivalence Monte Carlo
 
 
 def check_bound(n: int, master_seed: int) -> list[CheckResult]:
+    if n < 2:
+        raise ValueError(f"the bound check needs n >= 2, where the trace sphere has a "
+                         f"positive radius; got n={n}")
     out = []
     r = sqrt(trace_sphere(n))
     grid = np.linspace(-1.0, 1.0, 41)
@@ -175,11 +178,8 @@ def check_moments(master_seed: int) -> list[CheckResult]:
 def check_edge_remark() -> list[CheckResult]:
     out = []
     xs = np.arange(-5.0, 3.0 + 1e-9, 0.25)
-    worst = 0.0
-    for x in xs:
-        k = kontsevich_k(2, 2.0, float(x), route="reduction")
-        closed = edge_density_closed(2, float(x))
-        worst = max(worst, abs(0.5 * k.value - closed))
+    k = np.array([kontsevich_k(2, 2.0, float(x), route="reduction").value for x in xs])
+    worst = float(np.max(np.abs(0.5 * k - edge_density_closed(2, xs))))
     out.append(CheckResult(
         check_name="edge-remark-identity",
         params={"beta": 2, "grid": [-5.0, 3.0, 0.25]},

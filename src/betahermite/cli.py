@@ -29,7 +29,7 @@ from .density import (
     estimate_density,
     rescale,
     sample_density,
-    semicircle_mass,
+    semicircle_bins,
     write_density_csv,
     write_sidecar,
 )
@@ -151,9 +151,7 @@ def cmd_density(args) -> int:
     # the reference first: a grid it cannot be evaluated on is refused before sampling
     ref = None
     if args.reference == "semicircle":
-        ref = {"semicircle": np.array(
-            [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
-        )}
+        ref = {"semicircle": semicircle_bins(grid)}
     elif args.reference == "aibeta":
         ref = {"aibeta": edge_density_closed(int(params.beta), 0.5 * (grid[1:] + grid[:-1]))}
     stream = STREAM_LAYOUT
@@ -198,14 +196,14 @@ def cmd_special(args) -> int:
                   f"over the cap of {MAX_SPECIAL_POINTS}", file=sys.stderr)
             return USAGE_ERROR
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
+    lines = [("x", "value", "error_estimate")]
     if args.fn == "kontsevich":
-        rows = []
         for x in xs:
             r = kontsevich_k(args.kn, args.beta, float(x))
             if not r.converged:
                 print(f"error: quadrature did not converge at x={x}", file=sys.stderr)
                 return 1
-            rows.append((x, r.value, r.error))
+            lines.append((repr(float(x)), repr(float(r.value)), repr(float(r.error))))
     else:
         fn = {
             "ai": airy_ai,
@@ -213,11 +211,8 @@ def cmd_special(args) -> int:
             "ai-tail": airy_tail,
             "aibeta": lambda x: edge_density_closed(int(args.beta), x),
         }[args.fn]
-        rows = [(x, fn(float(x)), None) for x in xs]
+        lines += [(repr(float(x)), repr(float(v)), "") for x, v in zip(xs, fn(xs))]
     out = Path(args.output) if args.output else None
-    lines = [("x", "value", "error_estimate")]
-    for x, v, e in rows:
-        lines.append((repr(float(x)), repr(float(v)), "" if e is None else repr(float(e))))
     if out:
         with out.open("w", newline="") as fh:
             csv.writer(fh).writerows(lines)

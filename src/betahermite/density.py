@@ -11,12 +11,12 @@ Normalization conventions:
   this histogram estimates exactly the scaled density whose limit is the
   Airy-type edge profile.
 
-Two routes give the same histogram.  `estimate_density` bins eigenvalue
-vectors with `np.histogram`; `sample_density` samples blocks of replicate
-matrices and never computes an eigenvalue: a bin's count is the difference of
-the Sturm counts (`tridiag.sturm_count`) at its two edges, mapped back to the
-eigenvalue axis by `grid_to_lambda`.  `rescale` is the one rescaling: it maps
-eigenvalue arrays of any shape, such as the (R, n) rows of
+Two routes give the same histogram.  `estimate_density` bins an (R, n) array
+of eigenvalue rows with `np.histogram`; `sample_density` samples blocks of
+replicate matrices and never computes an eigenvalue: a bin's count is the
+difference of the Sturm counts (`tridiag.sturm_count`) at its two edges,
+mapped back to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
+rescaling: it maps eigenvalue arrays of any shape, such as the (R, n) rows of
 `tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
 maps a grid back.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import asin, pi, sqrt
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "sample_density",
     "semicircle",
     "semicircle_mass",
+    "semicircle_bins",
     "weak_functional",
     "write_density_csv",
     "read_density_csv",
@@ -209,33 +210,26 @@ def _binned(counts, grid, regime, params, n_samples, n_values, below, n_disjoint
 
 
 def estimate_density(
-    samples: Iterable[np.ndarray],
+    samples: np.ndarray | Sequence[np.ndarray],
     grid: Sequence[float],
     regime: Regime,
     params: EnsembleParams | None = None,
 ) -> DensityEstimate:
-    """Histogram per-replicate sample vectors into a DensityEstimate.
+    """Histogram an (R, n) array, or R rows of equal length, into a DensityEstimate.
 
     Heights are normalized by the total eigenvalue count (raw/bulk) or the
     replicate count (edge), so values remain unbiased density estimates even
-    when the grid does not cover every sample.
+    when the grid does not cover every sample.  Ragged rows raise ValueError.
     """
     grid = _checked_grid(grid)
-    samples = [np.asarray(v, dtype=float) for v in samples]
-    if not samples:
-        raise ValueError("need at least one sample vector")
-    sizes = np.array([len(v) for v in samples])
-    values = np.concatenate(samples)
+    values = np.asarray(samples, dtype=float)  # rows of unequal length raise ValueError
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError(f"need R >= 1 rows of n >= 1 values, got shape {values.shape}")
     counts, _ = np.histogram(values, bins=grid)
-    # per-vector extremes; empty vectors add no segment and are disjoint
-    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-    n_disjoint = len(samples) - len(starts)
-    if len(starts):
-        lo = np.minimum.reduceat(values, starts)
-        hi = np.maximum.reduceat(values, starts)
-        n_disjoint += int(np.count_nonzero((lo > grid[-1]) | (hi < grid[0])))
+    n_disjoint = int(np.count_nonzero((values.min(axis=1) > grid[-1])
+                                      | (values.max(axis=1) < grid[0])))
     below = int(np.count_nonzero(values < grid[0]))
-    return _binned(counts, grid, regime, params, len(samples), len(values), below, n_disjoint)
+    return _binned(counts, grid, regime, params, len(values), values.size, below, n_disjoint)
 
 
 def sample_density(
@@ -286,6 +280,12 @@ def semicircle_mass(lo: float, hi: float) -> float:
         return (u * sqrt(max(1.0 - u * u, 0.0)) + asin(u)) / pi
 
     return antider(hi) - antider(lo)
+
+
+def semicircle_bins(grid) -> np.ndarray:
+    """Mean semicircle density over each bin of ``grid``, `semicircle_mass` / width."""
+    grid = np.asarray(grid, dtype=float)
+    return np.array([semicircle_mass(a, b) for a, b in zip(grid[:-1], grid[1:])]) / np.diff(grid)
 
 
 def weak_functional(d: DensityEstimate, f: TestFunction) -> float:

@@ -12,8 +12,9 @@ measure, so the one-point marginal carries the sphere-slice Jacobian 1/y
 with y = sqrt(1 - x^2) (unit strength, the sphere of radius 1).  With that
 pairing the density integrates to one and the radial integral equation is
 an identity.  `exact_density_small_n` rescales to the sampler's radius
-sqrt(n(n-1)/2).  At n = 3 both densities take Gauss-Jacobi(beta, beta) on the
-pieces between coinciding coordinates, in the log domain.
+sqrt(n(n-1)/2).  The Gaussian n = 2 density is Kummer's closed form; at n = 3
+both densities take Gauss-Jacobi(beta, beta) on the pieces between coinciding
+coordinates, in the log domain.
 """
 
 from __future__ import annotations
@@ -73,25 +74,19 @@ def log_z_fte(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # small-n exact densities
 
-# v^(2 beta + 1) in the n = 2 panel sum overflows past beta = 140 on the default grid |x| <= 3
+# scipy's hyp1f1(-beta/2, 1/2, -x^2/2) was held to 40-digit mpmath for beta up to 140
 _N2_BETA_MAX = 140.0
 
 
 def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
-    # y = x -+ v^2 on each side of the |x - y|^beta kink: the integrand
-    # 2 v^(2 beta + 1) e^{-(x -+ v^2)^2/2} is smooth for half-integer beta, and
-    # past v^2 = |x| + 12 + beta its Gaussian factor is below e^-72
+    # int |x - y|^beta e^{-y^2/2} dy = 2^((beta+1)/2) Gamma((beta+1)/2) M(-beta/2, 1/2, -x^2/2)
+    # with M Kummer's function; the prefactor is taken in the log domain
     if not beta <= _N2_BETA_MAX:
         raise ValueError(f"the n=2 exact density holds beta <= {_N2_BETA_MAX:g}, where its "
-                         f"panel sums stay finite; got n=2, beta={beta}")
-    lz = log_z_beta_he(2, beta)
-    top = sqrt(float(np.max(np.abs(xs), initial=0.0)) + 12.0 + beta)
-    v, w = gauss_panels(np.linspace(0.0, top, ceil(top / 0.5) + 1), 20)
-    v2 = v * v
-    x = xs[:, None]
-    f = 2.0 * v ** (2.0 * beta + 1.0) * (np.exp(-(x - v2) ** 2 / 2.0)
-                                         + np.exp(-(x + v2) ** 2 / 2.0))
-    return np.exp(-xs * xs / 2.0 - lz) * (f @ w)
+                         f"Kummer function was checked; got n=2, beta={beta}")
+    half_x2 = xs * xs / 2.0
+    log_c = 0.5 * (beta + 1.0) * log(2.0) + lgamma(0.5 * (beta + 1.0)) - log_z_beta_he(2, beta)
+    return np.exp(log_c - half_x2) * scipy.special.hyp1f1(-beta / 2.0, 0.5, -half_x2)
 
 
 _N3_BETA_MAX = 113.0  # Gamma(3 beta/2 + 1) in the Laguerre weights overflows past beta ~ 113.7
@@ -191,9 +186,9 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     Returns the ndarray of heights at the points of ``x_grid``.  For the
     fixed-trace kind the delta constraint is eliminated
     analytically on the circle (n=2) or the 2-sphere (n=3) of the canonical
-    radius sqrt(n(n-1)/2), the one the sampler draws.  Accuracy: ~1e-13 for
-    the Gaussian n = 2 density at half-integer beta (~1e-9 at beta = 0.3,
-    where the integrand has a fractional power at the kink); ~1e-15 at n = 3,
+    radius sqrt(n(n-1)/2), the one the sampler draws.  Accuracy: ~3e-14
+    relative for the Gaussian n = 2 density, Kummer's closed form (hyp1f1
+    against 40-digit mpmath, beta in [0.3, 140], |x| <= 100); ~1e-15 at n = 3,
     but for the fixed-trace density at non-integer beta just above |x|/r =
     1/sqrt(2), where two kinks have just left the circle (~3e-4 at beta = 0.5).
     The Gaussian n = 2 density refuses beta > 140 (`_N2_BETA_MAX`), and n = 3
@@ -245,7 +240,8 @@ def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
     for i, ax in enumerate(np.abs(xs)):
         top = sqrt(max(40.0 - ax, 1.0))
         kink = min(sqrt((sqrt(2.0) - 1.0) * ax), top)
-        w, wt = gauss_panels(_kink_panel_edges(kink, top, graded, panels), 20)
+        edges = _kink_panel_edges(kink, top, graded, panels)
+        w, wt = (a.ravel() for a in gauss_panels(edges[:-1], edges[1:], 20))
         ws.append(w)
         wts.append(wt)
         rows.append(np.full(len(w), i))

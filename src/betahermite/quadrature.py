@@ -1,9 +1,9 @@
 """Gauss-Legendre tables and composite panels, shared by the reference layers.
 
 A table is built on first use and cached, so importing the package solves no
-eigenproblem.  ``gauss_panels`` lays a k-point rule on each interval between
-consecutive edges and returns flat nodes and weights, so an integral over the
-edges' span is ``weights @ f(nodes)``.
+eigenproblem.  ``gauss_panels`` lays a k-point rule on each panel [lo, hi] and
+returns its nodes and weights as one row per panel, so a panel's integral is
+the row sum of ``f(nodes) * weights``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ def legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_panels(edges, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat nodes and weights of a k-point rule on each panel [edges[i], edges[i+1]]."""
-    edges = np.asarray(edges, dtype=float)
+def gauss_panels(lo, hi, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a k-point rule on each panel [lo[i], hi[i]], one row per panel."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     nodes, weights = legendre(k)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    return ((mid[:, None] + half[:, None] * nodes).ravel(),
-            (half[:, None] * weights).ravel())
+    mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
+    return mid + half * nodes, half * weights

@@ -1,17 +1,34 @@
 """Airy functions against closed forms, the ODE, an independent
 ODE-integrated oracle, and the scipy implementation they wrap."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betahermite import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
-from betahermite.airy import AI0, AIP0, AiryAccuracyWarning, ai_derivatives
+from betahermite.airy import _TAIL_BLOCK, AI0, AIP0, AiryAccuracyWarning, ai_derivatives
 
 AI1_AT_0 = 0.1853301684089364   # AIP0^2 + AI0/3
 AI2_AT_0 = 0.0669874837796640   # AIP0^2
 AI4_AT_0 = 0.0078161414650278   # AIP0^2 - AI0/6
+
+
+def per_point_tail(x):
+    """Integral of Ai over (x, 20) on panels of width at most 0.2 laid from x itself,
+    and the two-term exponential tail formula at x >= 20: one point per call."""
+    if x >= 20.0:
+        zeta = (2.0 / 3.0) * x**1.5
+        return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.75) * (1.0 - 41.0 / (72.0 * zeta))
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(x, 20.0, int(np.ceil((20.0 - x) / 0.2)) + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    pts = (mid[:, None] + half[:, None] * nodes).ravel()
+    return float(scipy.special.airy(pts)[0] @ (half[:, None] * weights).ravel())
 
 
 class TestPointValues:
@@ -125,6 +142,45 @@ class TestTail:
         for x in (-200.5, -1e9, -1e300):
             with pytest.raises(ValueError, match="x >= -200"):
                 airy_tail(x)
+
+
+    def test_against_the_per_point_recipe(self):
+        rng = np.random.default_rng(15)
+        xs = np.concatenate([[-200.0, 0.0, 20.0, 25.0], rng.uniform(-200.0, 25.0, 60)])
+        oracle = np.array([per_point_tail(x) for x in xs])
+        assert np.max(np.abs(airy_tail(xs) - oracle)) <= 1e-12
+
+    @given(st.lists(st.floats(-200.0, 30.0), min_size=1, max_size=40), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_point_independent_of_the_array(self, xs, data):
+        i = data.draw(st.integers(0, len(xs) - 1))
+        assert airy_tail(xs[i]) == airy_tail(np.array(xs))[i]
+
+    def test_blocks_do_not_change_values(self):
+        xs = np.linspace(-12.0, 21.0, 2 * _TAIL_BLOCK + 7)
+        tails = airy_tail(xs)
+        for i in (0, _TAIL_BLOCK - 1, _TAIL_BLOCK, 2 * _TAIL_BLOCK + 6):
+            assert airy_tail(xs[i]) == tails[i]
+
+    def test_shapes(self):
+        assert isinstance(airy_tail(0.5), float)
+        xs = np.array([[-1.0, 0.0, 2.0], [21.0, 3.0, -4.0]])
+        assert airy_tail(xs).shape == (2, 3)
+        assert airy_tail(xs)[1, 2] == airy_tail(-4.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -200.5])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_rejects_a_bad_point_anywhere_in_an_array(self, bad, pos):
+        xs = np.linspace(-3.0, 3.0, 5)
+        xs[pos] = bad
+        with pytest.raises(ValueError, match="x >= -200"):
+            airy_tail(xs)
+
+    def test_lattice_stays_in_the_accuracy_domain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AiryAccuracyWarning)
+            airy_tail(-200.0)
+            airy_tail(np.array([5.0, -199.93, -200.0]))
 
 
 class TestEdgeDensityClosed:

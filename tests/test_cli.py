@@ -527,6 +527,14 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_bound_refuses_n_below_two(self, tmp_path, capsys, n):
+        # the trace sphere of n = 1 has radius 0, so its bound grid would collapse
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "bound", "--n", n, "--output", str(out)]) == 2
+        assert "the bound check needs n >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("unread", [
         ["--check", "moments", "--n", "5", "--beta", "3"], ["--check", "moments", "--n", "10"],
         ["--check", "bound", "--beta", "3"], ["--check", "stieltjes", "--beta", "2"],

@@ -29,6 +29,7 @@ from betahermite import (
 from betahermite.density import (
     TestFunction,
     read_density_csv,
+    semicircle_bins,
     semicircle_mass,
     write_density_csv,
 )
@@ -104,11 +105,17 @@ class TestEstimateDensity:
             estimate_density([np.array([0.5])], [1.0, 0.0], Regime.RAW)
 
     def test_values_outside_the_grid(self):
-        # the last bin is closed, so 1.0 is captured; empty vectors are disjoint
-        vecs = [np.array([-3.0, 0.5]), np.array([]), np.array([5.0, 1.0]), np.array([6.0])]
+        # the last bin is closed, so 1.0 is captured; one row lies wholly below the
+        # grid and one wholly above it
+        vecs = [np.array([-3.0, 0.5]), np.array([-2.0, -1.0]), np.array([5.0, 1.0]),
+                np.array([6.0, 7.0])]
         d = estimate_density(vecs, [0.0, 1.0], Regime.RAW)
-        assert (d.n_values, d.below, d.above, d.n_disjoint) == (5, 1, 2, 2)
-        assert d.captured_fraction == pytest.approx(0.4)
+        assert (d.n_values, d.below, d.above, d.n_disjoint) == (8, 3, 3, 2)
+        assert d.captured_fraction == pytest.approx(0.25)
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError):
+            estimate_density([np.array([0.1, 0.2]), np.array([0.3])], [0.0, 1.0], Regime.RAW)
 
     def test_edge_regime_counts_per_unit_t(self):
         # two replicates, three eigenvalues each in one unit-width bin
@@ -120,7 +127,7 @@ class TestEstimateDensity:
     @settings(max_examples=25, deadline=None)
     def test_unit_mass_on_covering_grid(self, seed):
         rng = np.random.default_rng(seed)
-        vecs = [rng.standard_normal(rng.integers(1, 30)) for _ in range(3)]
+        vecs = rng.standard_normal((3, rng.integers(1, 30)))
         d = estimate_density(vecs, np.linspace(-12, 12, 41), Regime.RAW)
         assert d.mass() == pytest.approx(1.0, abs=1e-9)
 
@@ -213,6 +220,12 @@ class TestSemicircle:
             q = si.quad(semicircle, lo, hi, limit=200)[0]
             assert semicircle_mass(lo, hi) == pytest.approx(q, abs=1e-12)
 
+    def test_bins_are_the_per_bin_masses(self):
+        # the reference column of `density --reference semicircle`, bit for bit
+        grid = np.linspace(-1.2, 1.2, 61)
+        loop = [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
+        assert np.array_equal(semicircle_bins(grid), loop)
+
 
 class TestWeakFunctional:
     def test_constant_one_on_raw(self):
@@ -225,9 +238,7 @@ class TestWeakFunctional:
         from betahermite.density import DensityEstimate
 
         grid = np.linspace(-1.0, 1.0, 401)
-        heights = np.array(
-            [semicircle_mass(a, b) / (b - a) for a, b in zip(grid[:-1], grid[1:])]
-        )
+        heights = semicircle_bins(grid)
         dens = DensityEstimate(grid=grid, height=heights, regime=Regime.BULK)
         f = bump(-0.5, 0.5)
         oracle = si.quad(lambda x: f(np.array([x]))[0] * semicircle(x), -0.5, 0.5, limit=200)[0]
@@ -263,8 +274,7 @@ class TestStatisticalShape:
         def l1(n, reps, seed):
             p = fixed(n, 2.0)
             d = estimate_density(list(spectra(p, seed, reps, Regime.BULK)), np.linspace(-1.2, 1.2, 61), Regime.BULK, p)
-            ref = np.array([semicircle_mass(a, b) / (b - a)
-                            for a, b in zip(d.grid[:-1], d.grid[1:])])
+            ref = semicircle_bins(d.grid)
             return float(np.sum(np.abs(d.height - ref) * d.widths))
 
         assert l1(200, 300, 31) < l1(50, 300, 32)

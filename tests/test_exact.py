@@ -8,6 +8,7 @@ routes are held to it."""
 import tracemalloc
 from math import exp, factorial, lgamma, log, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -118,6 +119,18 @@ class TestSmallNDensities:
         oracle = np.exp(-xs**2 / 2) * (1 + xs**2) / (2 * sqrt(2 * pi))
         assert np.max(np.abs(d - oracle)) <= 1e-8
 
+    @pytest.mark.parametrize("beta, x", [(140.0, 10.0), (140.0, -3.0), (0.3, 0.7), (37.5, 5.0)])
+    def test_gaussian_n2_against_mpmath_quadrature(self, beta, x):
+        # finite at the beta cap, and exact where the kink carries a fractional power
+        d = exact_density_small_n(2, beta, EnsembleKind.GAUSSIAN, [x])[0]
+        with mpmath.workdps(30):
+            b, xm = mpmath.mpf(beta), mpmath.mpf(x)
+            v = mpmath.quad(lambda y: abs(xm - y) ** b * mpmath.exp(-y * y / 2),
+                            [-mpmath.inf, xm - 20, xm, xm + 20, mpmath.inf])
+            lz = mpmath.log(2 * mpmath.pi) + mpmath.loggamma(1 + b) - mpmath.loggamma(1 + b / 2)
+            oracle = float(mpmath.exp(-xm * xm / 2 - lz) * v)
+        assert d == pytest.approx(oracle, rel=1e-13)
+
     def test_symmetry(self):
         xs = np.array([-1.5, -0.5, 0.5, 1.5])
         d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
@@ -202,13 +215,19 @@ class TestPanelRoutesAgainstQuad:
         assert np.max(np.abs(rhs - oracle)) <= 1e-10
 
     def test_airy_tail_bit_identical_on_the_cached_table(self):
-        # the panel sum of the fresh 12-point table, operation for operation
-        def fresh(x, upper=20.0):
-            nodes, weights = np.polynomial.legendre.leggauss(12)
-            edges = np.linspace(x, upper, int(np.ceil((upper - x) / 0.2)) + 1)
-            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-            pts = (mid[:, None] + half[:, None] * nodes).ravel()
-            return float(airy.airy_ai(pts) @ (half[:, None] * weights).ravel())
+        # the lattice recipe on a fresh 12-point table, operation for operation
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+
+        def panels(lo, hi):
+            mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
+            return (airy.airy_ai(mid + half * nodes) * (half * weights)).sum(axis=1)
+
+        def fresh(x):
+            k = int(np.floor((20.0 - x) / 0.2))
+            k -= 20.0 - 0.2 * k < x
+            edges = 20.0 - 0.2 * np.arange(k + 1)
+            above = np.concatenate([[0.0], np.cumsum(panels(edges[1:], edges[:-1]))])
+            return float(above[k] + panels(np.array([x]), edges[k:])[0])
 
         for x in (-150.0, -7.3, 0.0, 1.1, 19.95):
             assert airy.airy_tail(x) == fresh(x)
