@@ -7,16 +7,13 @@ from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_cl
 from .density import (
     DensityEstimate,
     Regime,
-    TestFunction,
     bulk_scale,
     bump,
     estimate_density,
     grid_to_lambda,
-    raised_cosine,
     rescale,
     sample_density,
     semicircle,
-    triangle,
     weak_functional,
 )
 from .ensemble import (
@@ -48,9 +45,8 @@ __all__ = [
     "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "KontsevichResult", "kontsevich_k", "edge_prefactor", "kontsevich_edge_density",
-    "Regime", "DensityEstimate", "TestFunction", "bump", "triangle", "raised_cosine",
-    "bulk_scale", "rescale", "grid_to_lambda", "estimate_density",
-    "sample_density", "semicircle", "weak_functional",
+    "Regime", "DensityEstimate", "bump", "bulk_scale", "rescale", "grid_to_lambda",
+    "estimate_density", "sample_density", "semicircle", "weak_functional",
     "MomentIndex", "big_l", "gaussian_moment_exact", "moment_mc", "moment_ratio_exact",
     "moment_ratio_sphere", "verify_moment_equivalence",
 ]

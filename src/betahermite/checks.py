@@ -4,11 +4,15 @@ Each check returns CheckResult entries carrying the measured metric, the
 tolerance it was held to, and a pass flag; the CLI serializes them to JSON.
 All Monte Carlo inside a check is keyed off the caller's master seed, so a
 report is a pure function of its configuration.
+
+One table, `_CHECKS`, maps each name to the `run_checks` arguments it reads
+and a runner that applies the defaults and seed offsets; `CHECK_NAMES`,
+`validate_flags` and `run_checks` all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -32,9 +36,6 @@ class CheckResult:
     tolerance: float
     passed: bool
     details: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_integral_eq(n: int, beta: float) -> list[CheckResult]:
@@ -65,10 +66,9 @@ def check_stieltjes(n_max: int, master_seed: int) -> list[CheckResult]:
         worst_rel = max(worst_rel, abs(lv - lmax) / abs(lmax))
         r2 = trace_sphere(n)
         worst_sum = max(worst_sum, abs(np.sum(z**2) - r2))
-        pts = np.empty((100, n))
-        for pt in pts:
-            d = rng.standard_normal(n)
-            pt[:] = d / np.linalg.norm(d) * sqrt(r2 * rng.uniform(0.0, 1.0))
+        d = rng.standard_normal((100, n))
+        radius = np.sqrt(r2 * rng.uniform(0.0, 1.0, (100, 1)))
+        pts = d / np.linalg.norm(d, axis=1, keepdims=True) * radius
         exceeded += int(np.count_nonzero(exact.log_vandermonde_sq(pts) > lmax))
     out.append(CheckResult(
         check_name="stieltjes",
@@ -142,8 +142,8 @@ def check_moments(master_seed: int) -> list[CheckResult]:
             check_name="moments-equivalence",
             params={"n": n, "beta": 2.0, "moment": "a1^2", "n_reps": _MC_REPS,
                     "seed": master_seed},
-            metric=abs((rep.mc_ratio or 0.0) - rep.exact_ratio),
-            tolerance=3.0 * (rep.std_error or 0.0),
+            metric=abs(rep.mc_ratio - rep.exact_ratio),
+            tolerance=3.0 * rep.std_error,
             passed=bool(rep.within_3_sigma),
             details=f"mc_ratio={rep.mc_ratio:.5f} exact={rep.exact_ratio:.5f} "
                     f"distance from unity {rep.distance_from_unity:.2e}",
@@ -214,27 +214,35 @@ def check_edge_remark() -> list[CheckResult]:
     return out
 
 
-# the arguments of `run_checks` each check reads
-_CHECK_FLAGS = {
-    "integral-eq": ("n", "beta"),
-    "stieltjes": ("n",),
-    "bound": ("n",),
-    "moments": (),
-    "edge-remark": (),
+def _run_integral_eq(master_seed: int, n: int | None, beta: float | None) -> list[CheckResult]:
+    if n is not None or beta is not None:
+        return check_integral_eq(2 if n is None else n, 2.0 if beta is None else beta)
+    return [r for nb in ((2, 1.0), (2, 2.0), (2, 4.0), (3, 2.0)) for r in check_integral_eq(*nb)]
+
+
+# name -> (the arguments of `run_checks` the check reads, its runner of (master_seed, n, beta)).
+# A runner looks its check_* function up when it runs, so rebinding that module attribute
+# (as a tracer does) changes what runs.
+_CHECKS = {
+    "integral-eq": (("n", "beta"), _run_integral_eq),
+    "stieltjes": (("n",), lambda seed, n, beta: check_stieltjes(50 if n is None else n, seed)),
+    "bound": (("n",), lambda seed, n, beta: check_bound(20 if n is None else n, seed + 10)),
+    "moments": ((), lambda seed, n, beta: check_moments(seed + 20)),
+    "edge-remark": ((), lambda seed, n, beta: check_edge_remark()),
 }
-CHECK_NAMES = tuple(_CHECK_FLAGS)
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def validate_flags(names, n: int | None = None, beta: float | None = None) -> None:
     """Raise ValueError for an unknown check, or for n or beta given to a check that ignores it."""
     given = {"n": n, "beta": beta}
     for name in names:
-        if name not in _CHECK_FLAGS:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        unread = [f"{k}={v}" for k, v in given.items()
-                  if v is not None and k not in _CHECK_FLAGS[name]]
+        flags = _CHECKS[name][0]
+        unread = [f"{k}={v}" for k, v in given.items() if v is not None and k not in flags]
         if unread:
-            reads = " and ".join(_CHECK_FLAGS[name]) or "neither n nor beta"
+            reads = " and ".join(flags) or "neither n nor beta"
             raise ValueError(f"check {name!r} reads {reads}, so {', '.join(unread)} "
                              "would be ignored")
 
@@ -251,21 +259,4 @@ def run_checks(
     a named check does not read (`validate_flags`).
     """
     validate_flags(names, n, beta)
-    results: list[CheckResult] = []
-    for name in names:
-        if name == "integral-eq":
-            if n is not None or beta is not None:
-                results += check_integral_eq(2 if n is None else n, 2.0 if beta is None else beta)
-            else:
-                for b in (1.0, 2.0, 4.0):
-                    results += check_integral_eq(2, b)
-                results += check_integral_eq(3, 2.0)
-        elif name == "stieltjes":
-            results += check_stieltjes(n_max=50 if n is None else n, master_seed=master_seed)
-        elif name == "bound":
-            results += check_bound(n=20 if n is None else n, master_seed=master_seed + 10)
-        elif name == "moments":
-            results += check_moments(master_seed=master_seed + 20)
-        else:
-            results += check_edge_remark()
-    return results
+    return [r for name in names for r in _CHECKS[name][1](master_seed, n, beta)]

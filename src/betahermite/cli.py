@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -238,7 +239,7 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     report = {
         "seed": args.seed,
-        "checks": [r.to_dict() for r in results],
+        "checks": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     text = json.dumps(report, indent=2, sort_keys=True)

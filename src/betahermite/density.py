@@ -19,13 +19,16 @@ mapped back to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
 rescaling: it maps eigenvalue arrays of any shape, such as the (R, n) rows of
 `tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
 maps a grid back.
+
+`weak_functional` integrates any vectorised test function against an
+estimate, the weak-convergence side of the semicircle law; `bump` is the
+smooth compactly supported one shipped for it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import asin, pi, sqrt
@@ -40,10 +43,7 @@ from .tridiag import sturm_count
 __all__ = [
     "Regime",
     "DensityEstimate",
-    "TestFunction",
     "bump",
-    "triangle",
-    "raised_cosine",
     "bulk_scale",
     "rescale",
     "grid_to_lambda",
@@ -110,46 +110,15 @@ class DensityEstimate:
         return float(np.sum(self.height * self.widths))
 
 
-@dataclass
-class TestFunction:
-    """Continuous test function with compact support [lo, hi]."""
-
-    __test__ = False  # not a pytest class, though its name starts with "Test"
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    lo: float
-    hi: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > self.lo) & (x < self.hi)
-        out = np.zeros_like(x)
-        if inside.any():
-            out[inside] = self.fn(x[inside])
-        return out
-
-
-def _unit_coord(x, lo, hi):
-    return (2.0 * x - (lo + hi)) / (hi - lo)
-
-
-def bump(lo: float, hi: float) -> TestFunction:
-    """Smooth bump exp(-1/(1-u^2)) rescaled to [lo, hi]."""
+def bump(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Smooth bump exp(-1/(1-u^2)) rescaled to (lo, hi) and zero outside it."""
 
     def f(x):
-        u = _unit_coord(x, lo, hi)
+        u = (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
 
-    return TestFunction(f, lo, hi)
-
-
-def triangle(lo: float, hi: float) -> TestFunction:
-    return TestFunction(lambda x: 1.0 - np.abs(_unit_coord(x, lo, hi)), lo, hi)
-
-
-def raised_cosine(lo: float, hi: float) -> TestFunction:
-    return TestFunction(lambda x: 0.5 * (1.0 + np.cos(pi * _unit_coord(x, lo, hi))), lo, hi)
+    return f
 
 
 def bulk_scale(p: EnsembleParams) -> float:
@@ -288,11 +257,8 @@ def semicircle_bins(grid) -> np.ndarray:
     return np.array([semicircle_mass(a, b) for a, b in zip(grid[:-1], grid[1:])]) / np.diff(grid)
 
 
-def weak_functional(d: DensityEstimate, f: TestFunction) -> float:
-    """Integral of f against the estimate: sum f(center) * height * width."""
-    if f.hi <= d.grid[0] or f.lo >= d.grid[-1]:
-        warnings.warn("test-function support does not meet the grid; returning 0")
-        return 0.0
+def weak_functional(d: DensityEstimate, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral of a vectorised f against the estimate, sum f(center) * height * width."""
     return float(np.sum(f(d.centers) * d.height * d.widths))
 
 

@@ -20,7 +20,7 @@ coordinates, in the log domain.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import ceil, inf, lgamma, log, pi, sqrt
+from math import ceil, inf, isfinite, lgamma, log, pi, sqrt
 
 import numpy as np
 import scipy.special
@@ -86,7 +86,10 @@ def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
                          f"Kummer function was checked; got n=2, beta={beta}")
     half_x2 = xs * xs / 2.0
     log_c = 0.5 * (beta + 1.0) * log(2.0) + lgamma(0.5 * (beta + 1.0)) - log_z_beta_he(2, beta)
-    return np.exp(log_c - half_x2) * scipy.special.hyp1f1(-beta / 2.0, 0.5, -half_x2)
+    m = scipy.special.hyp1f1(-beta / 2.0, 0.5, -half_x2)
+    # M overflows only far in the tail (from |x| = 1145 at beta = 140, farther out at
+    # smaller beta), where the density is below e^-650000 and its prefactor is 0
+    return np.exp(log_c - half_x2) * np.where(np.isfinite(m), m, 0.0)
 
 
 _N3_BETA_MAX = 113.0  # Gamma(3 beta/2 + 1) in the Laguerre weights overflows past beta ~ 113.7
@@ -191,9 +194,12 @@ def exact_density_small_n(n: int, beta: float, kind: EnsembleKind, x_grid):
     against 40-digit mpmath, beta in [0.3, 140], |x| <= 100); ~1e-15 at n = 3,
     but for the fixed-trace density at non-integer beta just above |x|/r =
     1/sqrt(2), where two kinks have just left the circle (~3e-4 at beta = 0.5).
-    The Gaussian n = 2 density refuses beta > 140 (`_N2_BETA_MAX`), and n = 3
-    refuses beta > 113 (`_N3_BETA_MAX`), before building any array.
+    Refuses first a beta that is not finite and > 0; the Gaussian n = 2
+    density refuses beta > 140 (`_N2_BETA_MAX`), and n = 3 refuses beta > 113
+    (`_N3_BETA_MAX`), before building any array.
     """
+    if not (isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and > 0, got beta={beta}")
     if n not in (2, 3):
         raise ValueError("exact densities are implemented for n in {2, 3}")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))

@@ -15,6 +15,8 @@ sampler obeys (exactly 1 at s = 2).  ``moment_ratio_exact``,
 L^(s/2) Gamma(L+1)/Gamma(L+s/2+1), is the ratio of the bounded-trace
 ensemble tr H^2 <= 2L instead.  They differ by the factor L/(L+s/2) and
 share the N -> infinity limit 1, with log-ratio ~ -s(s+2)/(8L).
+`verify_moment_equivalence` compares only even degrees with even diagonal
+exponents: an odd diagonal exponent has Gaussian moment 0 and is refused.
 """
 
 from __future__ import annotations
@@ -86,8 +88,6 @@ class MomentIndex:
 class MomentEstimate:
     mean: float
     std_error: float
-    n_reps: int
-    sign_symmetric: bool = False  # odd diagonal moments vanish identically
 
 
 def big_l(n: int, beta: float) -> float:
@@ -113,8 +113,6 @@ def moment_mc(
         raise ValueError("n_reps must be >= 100")
     if idx.n != params.n:
         raise ValueError("moment index dimension does not match params")
-    if idx.s == 0:
-        return MomentEstimate(mean=1.0, std_error=0.0, n_reps=n_reps)
     ea = np.asarray(idx.eta_a, dtype=float)
     eb = np.asarray(idx.eta_b, dtype=float)
     # sample_block refuses a fixed-trace n = 1, whose sphere is the point 0
@@ -127,13 +125,7 @@ def moment_mc(
         a *= c
         b = sub[:, ::-1] * c  # bottom-up indexing
         v[start:start + count] = np.prod(a**ea, axis=1) * np.prod(b**eb, axis=1)
-    mean, std_error = _mean_and_std_error(v)
-    return MomentEstimate(
-        mean=mean,
-        std_error=std_error,
-        n_reps=n_reps,
-        sign_symmetric=any(e % 2 == 1 for e in idx.eta_a),
-    )
+    return MomentEstimate(*_mean_and_std_error(v))
 
 
 def _mean_and_std_error(v: np.ndarray) -> tuple[float, float]:
@@ -200,12 +192,11 @@ class EquivalenceReport:
     n: int
     beta: float
     s: int
-    mc_ratio: float | None
-    std_error: float | None
+    mc_ratio: float
+    std_error: float
     exact_ratio: float
     distance_from_unity: float
-    within_3_sigma: bool | None
-    skipped: str | None = None
+    within_3_sigma: bool
 
 
 def verify_moment_equivalence(
@@ -219,17 +210,13 @@ def verify_moment_equivalence(
     One Monte Carlo estimate, `moment_mc` of the fixed-trace ensemble with the
     params' n and beta keyed by ``seed``, is divided by the closed-form
     `gaussian_moment_exact`, so the ratio's standard error is the estimate's
-    over that constant.  An odd diagonal exponent (the Gaussian moment
-    vanishes) or an odd degree is skipped with a reason.
+    over that constant.  An odd degree (`moment_ratio_sphere`) and an odd
+    diagonal exponent, whose Gaussian moment is 0, raise ValueError.
     """
     n, beta, s = params.n, params.beta, idx.s
-    exact = moment_ratio_sphere(n, beta, s) if s % 2 == 0 else float("nan")
-    if s % 2 == 1 or any(e % 2 == 1 for e in idx.eta_a):
-        return EquivalenceReport(
-            n=n, beta=beta, s=s, mc_ratio=None, std_error=None,
-            exact_ratio=exact, distance_from_unity=abs(1.0 - exact), within_3_sigma=None,
-            skipped="odd diagonal exponent or odd degree; no ratio is compared",
-        )
+    exact = moment_ratio_sphere(n, beta, s)
+    if any(e % 2 == 1 for e in idx.eta_a):
+        raise ValueError("an odd diagonal exponent has Gaussian moment 0, so no ratio exists")
     m = moment_mc(EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE), idx, n_reps, seed)
     gauss = gaussian_moment_exact(params, idx)
     ratio, se = m.mean / gauss, m.std_error / gauss

@@ -487,6 +487,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "beta <= 140" in err and not out.exists()
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_integral_eq_negative_beta_names_beta(self, tmp_path, capsys, n):
+        # refused before lgamma (n=2) or the Jacobi rules (n=3) see it
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "integral-eq", "--n", n, "--beta", "-1",
+                    "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beta" in err and not out.exists()
+
     def test_bound_dominance_is_the_largest_ratio(self, tmp_path):
         # density over bound in the bins that hold mass: a figure in (0, 1] that
         # moves with the seed, not the bound at an empty outer bin

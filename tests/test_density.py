@@ -18,16 +18,13 @@ from betahermite import (
     eigenvalues_block,
     estimate_density,
     grid_to_lambda,
-    raised_cosine,
     rescale,
     sample_block,
     sample_density,
     semicircle,
-    triangle,
     weak_functional,
 )
 from betahermite.density import (
-    TestFunction,
     read_density_csv,
     semicircle_bins,
     semicircle_mass,
@@ -231,8 +228,7 @@ class TestWeakFunctional:
     def test_constant_one_on_raw(self):
         rng = np.random.default_rng(11)
         d = estimate_density([rng.standard_normal(2000)], np.linspace(-8, 8, 33), Regime.RAW)
-        f = TestFunction(lambda x: np.ones_like(x), -10.0, 10.0)
-        assert weak_functional(d, f) == pytest.approx(1.0, abs=1e-9)
+        assert weak_functional(d, np.ones_like) == pytest.approx(1.0, abs=1e-9)
 
     def test_tabulated_semicircle_against_quad(self):
         from betahermite.density import DensityEstimate
@@ -244,19 +240,18 @@ class TestWeakFunctional:
         oracle = si.quad(lambda x: f(np.array([x]))[0] * semicircle(x), -0.5, 0.5, limit=200)[0]
         assert weak_functional(dens, f) == pytest.approx(oracle, abs=5e-5)
 
-    def test_disjoint_support_warns_zero(self):
+    def test_disjoint_support_is_zero(self):
         from betahermite.density import DensityEstimate
 
         dens = DensityEstimate(grid=np.array([0.0, 1.0]), height=np.array([1.0]),
                                regime=Regime.RAW)
-        with pytest.warns(UserWarning):
-            assert weak_functional(dens, bump(5.0, 6.0)) == 0.0
+        assert weak_functional(dens, bump(5.0, 6.0)) == 0.0
 
     def test_shipped_functions_have_exact_support(self):
-        for f in (bump(-1, 1), triangle(-2, 0.5), raised_cosine(0, 3)):
-            assert f(np.array([f.lo - 1e-9]))[0] == 0.0
-            assert f(np.array([f.hi + 1e-9]))[0] == 0.0
-            assert f(np.array([(f.lo + f.hi) / 2]))[0] > 0.0
+        for lo, hi in ((-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0)):
+            f = bump(lo, hi)
+            assert f(np.array([lo - 1e-9, lo, hi, hi + 1e-9])).tolist() == [0.0] * 4
+            assert f(np.array([(lo + hi) / 2]))[0] > 0.0
 
 
 class TestStatisticalShape:

@@ -6,6 +6,7 @@ maximum, and the density upper bound.
 routes are held to it."""
 
 import tracemalloc
+import warnings
 from math import exp, factorial, lgamma, log, pi, sqrt
 
 import mpmath
@@ -131,6 +132,21 @@ class TestSmallNDensities:
             oracle = float(mpmath.exp(-xm * xm / 2 - lz) * v)
         assert d == pytest.approx(oracle, rel=1e-13)
 
+    def test_gaussian_n2_far_tail_is_zero(self):
+        # hyp1f1(-70, 1/2, -x^2/2) overflows from x = 1145 on while its prefactor
+        # underflows; 40-digit mpmath puts the density itself below the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = exact_density_small_n(2, 140.0, EnsembleKind.GAUSSIAN, [1145.0, 1e4])
+        assert d.tolist() == [0.0, 0.0]
+        with mpmath.workdps(40):
+            b, xm = mpmath.mpf(140), mpmath.mpf(1145)
+            log_rho = ((b + 1) / 2 * mpmath.log(2) + mpmath.loggamma((b + 1) / 2) - xm * xm / 2
+                       + mpmath.log(mpmath.hyp1f1(-b / 2, 0.5, -xm * xm / 2))
+                       - mpmath.log(2 * mpmath.pi) - mpmath.loggamma(1 + b)
+                       + mpmath.loggamma(1 + b / 2))
+        assert log_rho < -6e5
+
     def test_symmetry(self):
         xs = np.array([-1.5, -0.5, 0.5, 1.5])
         d = exact_density_small_n(3, 2.0, EnsembleKind.GAUSSIAN, xs)
@@ -187,6 +203,11 @@ class TestIntegralEquation:
         assert verify_integral_equation(2, 140.0, np.arange(-3.0, 3.05, 0.1)) <= 1e-6
         with pytest.raises(ValueError, match=r"beta <= 140.*beta=140\.5"):
             verify_integral_equation(2, 140.5, [0.0])
+
+    def test_n2_far_tail_is_finite(self):
+        # both sides are 0 at x = 1e4, so the metric is the one at x = 0
+        res = verify_integral_equation(2, 140.0, [0.0, 1e4])
+        assert np.isfinite(res) and res == verify_integral_equation(2, 140.0, [0.0])
 
     def test_n2_fractional_beta(self):
         # |s - y|^0.5 at the kink is a square-root singularity: the graded panels

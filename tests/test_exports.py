@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from betahermite import checks
 from betahermite.cli import main
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -56,6 +57,23 @@ def test_benchmark_imports_resolve(name, monkeypatch):
     if name == "workloads":
         assert ("betahermite.tridiag", "sample_spectrum") in imports
 
+
+def test_benchmark_check_names_match(monkeypatch):
+    # a traced run reports checks.<name>.s from the spans of checks.check_<name>
+    spans = _load(BENCHMARK / "spans.py", monkeypatch)
+    assert spans.CHECKS == checks.CHECK_NAMES
+    for name in checks.CHECK_NAMES:
+        assert callable(getattr(checks, f"check_{name.replace('-', '_')}"))
+
+
+@pytest.mark.parametrize("name", checks.CHECK_NAMES)
+def test_run_checks_calls_the_module_attribute(name, monkeypatch):
+    # the tracer rebinds module attributes only, so the check table must look
+    # check_<name> up when it runs rather than hold the function object
+    stub = checks.CheckResult(name, {}, 0.0, 0.0, True)
+    monkeypatch.setattr(checks, f"check_{name.replace('-', '_')}", lambda *a, **k: [stub])
+    results = checks.run_checks([name])
+    assert results and all(r is stub for r in results)
 
 
 def test_verify_all_writes_the_benchmark_check_count(tmp_path, monkeypatch):

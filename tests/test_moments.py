@@ -64,10 +64,11 @@ class TestMomentMc:
                       20_000, SampleSeed(3))
         assert abs(m.mean - 4.0) <= 3.0 * m.std_error
 
-    def test_odd_moment_flagged(self):
+    def test_odd_moment_mean_is_zero(self):
+        # a_1 ~ N(0, 1): the odd moment vanishes
         m = moment_mc(EnsembleParams(3, 1.0), MomentIndex.single_a(3, 1, 1),
                       500, SampleSeed(4))
-        assert m.sign_symmetric
+        assert abs(m.mean) <= 3.0 * m.std_error
 
     @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
     def test_mean_equals_per_replicate_route(self, kind):
@@ -88,7 +89,7 @@ class TestMomentMc:
             a, b = diag[0] * c, sub[0, ::-1] * c
             products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
-        assert m.mean == fsum(products) / reps and m.n_reps == reps
+        assert m.mean == fsum(products) / reps
 
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
@@ -281,12 +282,13 @@ class TestEquivalence:
         assert rep.s == 6 and rep.exact_ratio == moment_ratio_sphere(5, 3.0, 6)
         assert rep.within_3_sigma, (rep.mc_ratio, rep.exact_ratio, rep.std_error)
 
-    def test_skips_odd_moment(self):
-        rep = verify_moment_equivalence(
-            EnsembleParams(6, 2.0), MomentIndex.single_a(6, 1, 1),
-            1000, SampleSeed(22),
-        )
-        assert rep.skipped is not None and rep.within_3_sigma is None
+    @pytest.mark.parametrize("idx", [MomentIndex.single_a(6, 1, 1),
+                                     MomentIndex((1, 1, 0, 0, 0, 0), (0,) * 5)],
+                             ids=["a1", "a1-a2"])
+    def test_refuses_odd_diagonal_exponent(self, idx):
+        # the Gaussian moment is 0, so there is no ratio to compare, at odd and even degree
+        with pytest.raises(ValueError):
+            verify_moment_equivalence(EnsembleParams(6, 2.0), idx, 1000, SampleSeed(22))
 
     def test_trace_moment(self):
         # <tr H^2> = 2L for the Gaussian sampler
