@@ -137,13 +137,15 @@ def edge_density_closed(beta: int, x):
     return float(val[0]) if np.ndim(x) == 0 else val
 
 
-def ai_derivatives(x: float, m_max: int) -> np.ndarray:
-    """[Ai(x), Ai'(x), ..., Ai^(m_max)(x)] via the differential recurrence.
+def ai_derivatives(x, m_max: int) -> np.ndarray:
+    """[Ai(x), Ai'(x), ..., Ai^(m_max)(x)] via the differential recurrence; for an
+    array x, row m holds Ai^(m) at every point, shape (m_max + 1, *x.shape).
 
     Orders >= 2 reduce through A_m = x*A_{m-2} + (m-2)*A_{m-3}.
     """
-    ai, aip = _ai_aip(float(x))
-    out = np.empty(m_max + 1)
+    x = np.asarray(x, dtype=float)
+    ai, aip = _ai_aip(x)
+    out = np.empty((m_max + 1, *x.shape))
     out[0] = ai
     if m_max >= 1:
         out[1] = aip

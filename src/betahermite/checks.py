@@ -21,7 +21,7 @@ from . import exact
 from .density import Regime, sample_density
 from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, sample_block, trace_sphere,
                        trace_sq_rows)
-from .kontsevich import EPS_LADDER, kontsevich_edge_density, kontsevich_k
+from .kontsevich import kontsevich_edge_density, kontsevich_k
 from .airy import edge_density_closed
 from .moments import MomentIndex, big_l, moment_ratio_exact, verify_moment_equivalence
 
@@ -192,12 +192,13 @@ def check_edge_remark() -> list[CheckResult]:
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         kr = kontsevich_k(2, 2.0, x, route="reduction")
         worst_q = max(worst_q, abs(kq.value - kr.value))
-        runs.append(f"x={x:g}: eps {list(kq.eps_used)}, {kq.evaluations} evaluations")
+        runs.append(f"x={x:g}: error {kq.error:.1e}")
     out.append(CheckResult(
         check_name="edge-remark-quadrature",
-        params={"beta": 2, "x": [-2.0, 0.0, 2.0], "eps_ladder": list(EPS_LADDER)},
+        params={"beta": 2, "x": [-2.0, 0.0, 2.0]},
         metric=worst_q, tolerance=1e-3, passed=bool(worst_q <= 1e-3),
-        details="regularized quadrature vs Airy-derivative reduction; " + "; ".join(runs),
+        details="one-dimensional Airy-integral quadrature vs Airy-derivative reduction; "
+                + "; ".join(runs),
     ))
     k4 = kontsevich_edge_density(4, 0.0)
     closed4 = edge_density_closed(4, 0.0)
@@ -205,11 +206,11 @@ def check_edge_remark() -> list[CheckResult]:
     diff = abs(k4.value - closed4)
     out.append(CheckResult(
         check_name="edge-remark-beta4",
-        params={"beta": 4, "x": 0.0, "eps_ladder": list(EPS_LADDER)},
+        params={"beta": 4, "x": 0.0},
         metric=diff, tolerance=min(max(err_bar, 1e-6), 5e-2),
         passed=bool(diff <= max(err_bar, 1e-6) and err_bar <= 5e-2),
         details=(f"multiple-integral {k4.value:.7f} +- {err_bar:.1e} vs closed {closed4:.7f}; "
-                 f"eps {list(k4.eps_used)}, {k4.evaluations} evaluations"),
+                 f"route {k4.route}"),
     ))
     return out
 

@@ -54,7 +54,6 @@ __all__ = [
     "semicircle_bins",
     "weak_functional",
     "write_density_csv",
-    "read_density_csv",
 ]
 
 
@@ -273,16 +272,6 @@ def write_density_csv(d: DensityEstimate, path, reference: dict[str, np.ndarray]
             row = [repr(float(d.grid[i])), repr(float(d.grid[i + 1])), repr(float(d.height[i]))]
             row += [repr(float(v[i])) for v in ref.values()]
             w.writerow(row)
-
-
-def read_density_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (edges, heights) of a density CSV."""
-    rows = list(csv.reader(Path(path).open()))
-    body = rows[1:]
-    lo = np.array([float(r[0]) for r in body])
-    hi = np.array([float(r[1]) for r in body])
-    h = np.array([float(r[2]) for r in body])
-    return np.append(lo, hi[-1]), h
 
 
 def density_sidecar(d: DensityEstimate, extra: dict | None = None) -> dict:

@@ -21,37 +21,31 @@ Evaluation routes:
   that may exceed ``MAX_MONOMIALS`` monomials, whose coefficients or sum
   leave the double range, or whose rounding bound reaches the value itself
   (small beta) raises ValueError.
-* quadrature (n = 2 at any beta, and n = 4 at beta = 4): Gaussian damping
-  exp(-eps sum t^2), the ladder ``EPS_LADDER`` = (0.32, 0.16, 0.08, 0.04,
-  0.02, 0.01) of eps values, and polynomial extrapolation eps -> 0.  The
-  damped integral is evaluated on uniform 1-D grids (step eps/6 keeps the
-  aliasing error of the cubic phase at machine level for low polynomial
-  degree).  For n = 2 the kernel |t_i - t_j|^p = (h |i - j|)^p is Toeplitz,
-  so the double sum is one FFT convolution, O(m log m) on m nodes where the
-  sum itself is O(m^2).  For n = 4 with 4/beta = 1 a pairing identity turns
-  the ordered-sector integral into the Pfaffian of nested 1-D integrals.
-  Any other n >= 2 and beta raises ValueError before a grid is built; auto
-  sends an even 4/beta to the reduction.  A rung is skipped when its grid
-  exceeds ``MAX_NODES_PER_AXIS``, when its cost (see `_k_quadrature`)
-  exceeds what remains of ``MAX_EVALUATIONS``, or when its largest kernel
-  value overflows a double.  Of the extrapolations over the leading 2, 3,
-  ... rungs the one with the smallest error estimate is reported, since
-  below some eps aliasing or rounding overtakes the damping error; its
-  error is at least the change the next rung makes to it.  The constants
-  are read at each call.
+* quadrature (n = 2 at any beta, and n = 4 at beta = 4): with s = v - u/2,
+  t = v + u/2 (u > 0) in a pair of variables, g(s) g(t) =
+  exp(-i[2v^3/3 + (u^2/2 + 2x) v]), and the v-integral closes:
+  Int v^m g(s) g(t) dv = 2 pi 2^{-(m+1)/3} i^m Ai^(m)(z), z = 2^{2/3} x +
+  2^{-4/3} u^2.  With M(j, m) = Int_0^inf u^j Ai^(m)(z) du, K_{2,beta} =
+  2^{-1/3}/pi M(4/beta, 0), and K_{4,4} is de Bruijn's Pfaffian of pair
+  integrals, each a sum of M(j, m) over odd j.  M is summed on Gauss panels
+  in u, and the error follows the reduction's rule, max(1e-10, 2 N u
+  sum|term|) over the N nodes; a value or error that is not finite (u^j
+  overflows a double from 4/beta ~ 280) carries converged=False.  Any other
+  n >= 2 and beta raises ValueError before any integral is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 from math import lgamma, pi, sqrt
 
 import numpy as np
-import scipy.fft
+import scipy.special
 
 from .airy import ai_derivatives, airy_ai
+from .quadrature import gauss_panels
 
 __all__ = [
     "KontsevichResult",
@@ -61,31 +55,22 @@ __all__ = [
 ]
 
 
-GRID_STEP_FACTOR = 6.0  # grid step = eps / GRID_STEP_FACTOR
-EPS_LADDER = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01)  # damping values of the quadrature rungs
-MAX_EVALUATIONS = 5e8  # cost one quadrature may spend, in the units of `_k_quadrature`
-MAX_NODES_PER_AXIS = 2_000_000
 MAX_MONOMIALS = 500_000  # monomials the reduction route may expand
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _UNIT_ROUNDOFF = 2.0**-53
+_Z_PER_X, _Z_PER_U2 = 2.0 ** (2.0 / 3.0), 2.0 ** (-4.0 / 3.0)  # z = 2^(2/3) x + 2^(-4/3) u^2
+_PANEL, _PANEL_POINTS = 0.5, 20  # width in u and Gauss nodes of a quadrature panel
+_Z_SPAN = 60.0  # the quadrature's panels end at z = max(z(0), 0) + _Z_SPAN
+_Z_RESOLVED = 40.0  # below z(0) = -_Z_RESOLVED the panels narrow like 1/|z(0)|
 
 
 @dataclass
 class KontsevichResult:
-    """A value of K_{n,beta} with its error estimate and the route that gave it.
-
-    ``eps_used`` lists the quadrature rungs the value is extrapolated from and
-    ``evaluations`` the cost charged against ``MAX_EVALUATIONS`` by every rung
-    that ran, finer rungs left out of the extrapolation included.  Both are
-    empty (``()``, 0) on the closed and reduction routes.
-    """
+    """A value of K_{n,beta} with its error estimate and the route that gave it."""
 
     value: float
     error: float
     converged: bool
     route: str
-    eps_used: tuple[float, ...] = ()
-    evaluations: int = 0
 
 
 def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
@@ -150,174 +135,99 @@ def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
     return sign * total, max(1e-10, rounding)
 
 
-def _grid_size(eps: float, poly_degree: int) -> tuple[float, int]:
-    """Half-width and node count of the grid resolving the damped cubic phase."""
-    h = eps / GRID_STEP_FACTOR
-    t_max = sqrt((42.0 + 3.0 * poly_degree) / eps)
-    return t_max, int(2.0 * t_max / h) + 1
+def _airy_moments(j: float, m_max: int, x: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """M(j, m) = Int_0^inf u^j Ai^(m)(z) du, z = 2^(2/3) x + 2^(-4/3) u^2, for m <= m_max.
 
-
-def _grid(eps: float, poly_degree: int) -> np.ndarray:
-    """Uniform grid resolving the damped cubic phase at machine level."""
-    t_max, m = _grid_size(eps, poly_degree)
-    return np.linspace(-t_max, t_max, m)
-
-
-def _damped_phase(t: np.ndarray, x: float, eps: float) -> np.ndarray:
-    phase = t**3 / 3.0 + x * t
-    return np.exp(-eps * t * t) * (np.cos(phase) - 1j * np.sin(phase))
-
-
-def _fft_size(m: int) -> int:
-    """Circulant length that holds the linear convolution of two m-vectors."""
-    return scipy.fft.next_fast_len(2 * m - 1)
-
-
-def _fft_cost(m: int) -> int:
-    """Cost an n = 2 rung on m nodes charges: size * ceil(log2 size)."""
-    size = _fft_size(m)
-    return size * (size - 1).bit_length()
-
-
-def _k_eps_tensor(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Tensor-product evaluation of the damped n = 2 integral on a uniform grid.
-
-    The double sum Re(g^T W g), W_ij = |t_i - t_j|^p = (h |i - j|)^p, is a
-    Toeplitz product, 2 Re sum_{i>j} g_i (h (i - j))^p g_j, which one FFT
-    convolution on a circulant of length `_fft_size` evaluates.  The kernel
-    is tilted, (h d)^p = e^{a h d} (h d)^p e^{-a h d} with the e^{a h d} =
-    e^{a t_i} e^{-a t_j} moved onto g: at a = sqrt(p eps) the tilted kernel
-    and the tilted g's peak at the scale of the pairs that carry the sum, so
-    the FFT's rounding stays at u * sum_ij |g_i| W_ij |g_j| for every p
-    instead of growing with the kernel's largest entry (2 t_max)^p.
+    Returns the values, the sums of |term| over the nodes and the node count.
+    Panels of width h carry ``_PANEL_POINTS`` nodes, Gauss-Jacobi(0, j) for the
+    weight u^j on [0, h] and Gauss-Legendre above, up to z = max(z(0), 0) +
+    ``_Z_SPAN`` (Ai(60) < 1e-135).  h is ``_PANEL`` times ``_Z_RESOLVED`` /
+    max(``_Z_RESOLVED``, -z(0)), which bounds Ai's oscillations per panel.
     """
-    h = t[1] - t[0]
-    g = _damped_phase(t, x, eps)
-    p = 4.0 / beta
-    a = sqrt(p * eps)
-    m, size = len(t), _fft_size(len(t))
-    d = h * np.arange(1, m)
-    kernel = np.zeros(size)
-    kernel[1:m] = np.exp(p * np.log(d) - a * d)
-    tilt = np.exp(a * t)
-    lower = scipy.fft.ifft(scipy.fft.fft(kernel) * scipy.fft.fft(g / tilt, size))[:m]
-    val = 2.0 * float(np.real((g * tilt) @ lower)) * h * h
-    return (2.0 * pi) ** (-2) * val
+    z0 = _Z_PER_X * x
+    h = _PANEL * _Z_RESOLVED / max(_Z_RESOLVED, -z0)
+    top = sqrt((max(z0, 0.0) + _Z_SPAN - z0) / _Z_PER_U2)
+    edges = h * np.arange(1, math.ceil(top / h) + 1)
+    pts, wts = gauss_panels(edges[:-1], edges[1:], _PANEL_POINTS)
+    t, w = scipy.special.roots_jacobi(_PANEL_POINTS, 0.0, j)
+    u = np.concatenate([0.5 * h * (1.0 + t), pts.ravel()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        wu = np.concatenate([w * (0.5 * h) ** (j + 1), (wts * pts**j).ravel()])
+        terms = ai_derivatives(z0 + _Z_PER_U2 * u * u, m_max) * wu
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1), u.size
 
 
-def _k_eps_pair(n: int, beta: float, x: float, eps: float, t: np.ndarray) -> float:
-    """Pairing (Pfaffian) evaluation for n = 2 or 4 with 4/beta = 1.
+def _pair_coefficients(k: int, l: int) -> dict[tuple[int, int], float]:
+    """{(j, m): c} with (v - u/2)^k (v + u/2)^l - (k <-> l) = sum c u^j v^m; odd j only."""
+    out: dict[tuple[int, int], float] = {}
+    for a, b, sign in ((k, l, 1.0), (l, k, -1.0)):
+        for i, i2 in product(range(a + 1), range(b + 1)):
+            key = (i + i2, a + b - i - i2)
+            c = sign * math.comb(a, i) * math.comb(b, i2) * (-1) ** i * 0.5 ** (i + i2)
+            out[key] = out.get(key, 0.0) + c
+    return {key: c for key, c in out.items() if c}
 
-    On the ordered sector the modulus of the Vandermonde power is the
-    Vandermonde determinant itself, and the sector integral of a single
-    determinant is the Pfaffian of pair integrals
-    A_kl = Int_{s<t} (s^k t^l - s^l t^k) g(s) g(t) ds dt,
-    each computable from cumulative 1-D integrals.
+
+def _k44_pfaffian(x: float) -> tuple[float, float, int]:
+    """K_{4,4}(x) = 4! (2 pi)^-4 Pf(A) by de Bruijn's pairing; value, sum |term|, nodes.
+
+    On the ordered sector |Delta(t)| is the Vandermonde determinant, and its
+    sector integral is the Pfaffian of A_kl = Int_{s<t} (s^k t^l - s^l t^k)
+    g(s) g(t) ds dt.  In s, t = v -+ u/2 each A_kl is
+    2 pi sum_jm c^kl_jm i^m 2^(-(m+1)/3) M(j, m).  The sum of |term| is the
+    Pfaffian's expansion with every coefficient and M taken in modulus.
     """
-    h = t[1] - t[0]
-    g = _damped_phase(t, x, eps)
-    psi = [g * t**k for k in range(n)]
-    cum = []
-    for p_k in psi:
-        c = np.empty_like(p_k)
-        c[0] = 0.0
-        np.cumsum((p_k[1:] + p_k[:-1]) * (h / 2.0), out=c[1:])
-        cum.append(c)
-    b = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            b[k, l] = np.sum(psi[l] * cum[k]) * h
-    a = b - b.T
-    pf = a[0, 1] if n == 2 else a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-    out = ((-1.0) ** n * (2.0 * pi) ** (-n)) * (math.factorial(n) * pf)
-    return out.real
-
-
-def _richardson(eps_values: np.ndarray, vals: np.ndarray):
-    """Neville extrapolation of two or more rungs to eps = 0; error from the last corrections."""
-    m = len(vals)
-    tab = np.zeros((m, m))
-    tab[:, 0] = vals
-    for j in range(1, m):
-        for i in range(m - j):
-            tab[i, j] = (
-                eps_values[i] * tab[i + 1, j - 1] - eps_values[i + j] * tab[i, j - 1]
-            ) / (eps_values[i] - eps_values[i + j])
-    est = tab[0, m - 1]
-    err = abs(tab[0, m - 1] - tab[0, m - 2]) + abs(tab[0, m - 1] - tab[1, m - 2])
-    return float(est), float(err)
+    moments = {j: _airy_moments(j, 5 - j, x) for j in (1, 3, 5)}
+    a = np.zeros((4, 4), dtype=complex)
+    bound = np.zeros((4, 4))
+    for k, l in combinations(range(4), 2):
+        for (j, m), c in _pair_coefficients(k, l).items():
+            val, mag, _ = moments[j]
+            f = 2.0 * pi * 2.0 ** (-(m + 1) / 3.0)
+            a[k, l] += c * 1j**m * f * val[m]
+            bound[k, l] += abs(c) * f * mag[m]
+    pf = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+    pf_bound = bound[0, 1] * bound[2, 3] + bound[0, 2] * bound[1, 3] + bound[0, 3] * bound[1, 2]
+    c = math.factorial(4) / (2.0 * pi) ** 4
+    return c * pf.real, c * pf_bound, sum(nodes for _, _, nodes in moments.values())
 
 
 def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
-    """Damped quadrature down ``EPS_LADDER``, extrapolated to eps = 0.
-
-    The backends are the n = 2 FFT tensor rule (any beta) and the n = 4
-    pairing rule (beta = 4); any other (n, beta) raises ValueError before a
-    grid is built.  A rung on m grid nodes charges its cost against
-    ``MAX_EVALUATIONS``: size * ceil(log2 size) for the FFT of n = 2, with
-    size = next_fast_len(2m - 1), and m * (2n + n^2) for the pairing rule.
-    """
+    """n = 2 at any beta and n = 4 at beta = 4; any other (n, beta) raises ValueError."""
     p = 4.0 / beta
     if n == 2:
-        backend, name, degree = _k_eps_tensor, "quadrature-tensor", int(np.ceil(p))
+        val, mag, nodes = _airy_moments(p, 0, x)
+        c = 2.0 ** (-1.0 / 3.0) / pi
+        value, magnitude, route = c * val[0], c * mag[0], "quadrature-airy"
     elif n == 4 and abs(p - 1.0) < 1e-12:
-        backend, name, degree = _k_eps_pair, "quadrature-pair", 3 * (n - 1)
+        (value, magnitude, nodes), route = _k44_pfaffian(x), "quadrature-pfaffian"
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
-
-    spent = 0
-    eps_run, vals = [], []
-    for eps in EPS_LADDER:
-        t_max, m = _grid_size(eps, degree)
-        cost = _fft_cost(m) if n == 2 else m * (2 * n + n * n)
-        # the kernel |t_k - t_l|^p peaks at (2 t_max)^p, which must be a double
-        overflows = p * math.log(2.0 * t_max) > _LOG_FLOAT_MAX
-        if m > MAX_NODES_PER_AXIS or spent + cost > MAX_EVALUATIONS or overflows:
-            continue
-        vals.append(backend(n, beta, x, eps, _grid(eps, degree)))
-        eps_run.append(eps)
-        spent += cost
-    # extrapolations over the leading 2, 3, ... rungs; the one with the smallest
-    # error estimate wins, because a fine rung can be limited by aliasing or
-    # rounding rather than by the damping, and then it spoils the extrapolation
-    fits = [_richardson(np.asarray(eps_run[:j]), np.asarray(vals[:j]))
-            for j in range(2, len(vals) + 1)]
-    finite = [j for j, fit in enumerate(fits) if all(map(math.isfinite, fit))]
-    if finite:
-        best = min(finite, key=lambda j: fits[j][1])
-        est, err = fits[best]
-        if best + 1 < len(fits):
-            # the next rung moved the extrapolation by this much: no less is known
-            err = max(err, abs(fits[best + 1][0] - est))
-        used = best + 2
-    else:
-        est, err = (vals[0] if vals else float("nan")), float("inf")
-        used = len(vals)
-    converged = math.isfinite(est) and math.isfinite(err)
-    return KontsevichResult(value=est, error=err if converged else float("inf"),
-                            converged=converged, route=name, eps_used=tuple(eps_run[:used]),
-                            evaluations=spent)
+    error = max(1e-10, 2.0 * nodes * _UNIT_ROUNDOFF * magnitude)
+    converged = math.isfinite(value) and math.isfinite(error)
+    return KontsevichResult(value=float(value), error=float(error) if converged else math.inf,
+                            converged=converged, route=route)
 
 
 def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> KontsevichResult:
     """Evaluate K_{n,beta}(x) with an explicit error estimate.
 
-    ``route`` is one of "auto", "reduction", "quadrature".  K_{1,beta} = -Ai
-    is closed, and n = 1 returns it on every route.  Auto takes the exact
-    reduction when 4/beta is an even integer and the regularized quadrature
-    otherwise.  The reduction's error is the larger of 1e-10 and the
-    rounding bound of its sum, and a sum that cancels below that bound raises
-    ValueError.  The quadrature covers n = 2 at any beta (one FFT
-    convolution per rung) and n = 4 at beta = 4 (the pairing rule); any
-    other (n, beta) raises ValueError.  It runs the rungs of
-    ``EPS_LADDER``, charging each one's cost (for n = 2, size * ceil(log2
-    size) with size the FFT length) against ``MAX_EVALUATIONS``, and reports
-    the extrapolation over the leading rungs whose error estimate is
-    smallest; the result's ``eps_used`` and ``evaluations`` say which rungs
-    it used and what it spent.  A quadrature that cannot run two rungs
-    within ``MAX_EVALUATIONS``, ``MAX_NODES_PER_AXIS`` and the double range, or
-    whose extrapolation is not finite, carries converged=False.
+    ``route`` is one of "auto", "reduction", "quadrature"; a non-finite x
+    raises ValueError.  n = 1 returns K_{1,beta} = -Ai on every route.  Auto
+    takes the exact reduction when 4/beta is an even integer and the
+    quadrature otherwise.  The reduction's error is max(1e-10, rounding bound
+    of its sum), and a sum that cancels below that bound raises ValueError.
+    The quadrature covers n = 2 at any beta and n = 4 at beta = 4 (else
+    ValueError) through Int v^m g(v - u/2) g(v + u/2) dv =
+    2 pi 2^{-(m+1)/3} i^m Ai^(m)(2^{2/3} x + 2^{-4/3} u^2): K_{2,beta} is
+    2^{-1/3}/pi times the integral of u^(4/beta) Ai over u > 0 (route
+    "quadrature-airy"), K_{4,4} a Pfaffian of such integrals
+    ("quadrature-pfaffian").  Its error is max(1e-10, 2 N u sum|term|) over
+    the N Gauss nodes; a value or error that is not finite carries
+    converged=False.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got x={x}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 4:
@@ -338,10 +248,16 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
     return _k_quadrature(n, beta, float(x))
 
 
+def _even_beta(beta: float, what: str) -> int:
+    """beta as an int when it is an even integer >= 2 (4.0 counts), else ValueError."""
+    if not (float(beta).is_integer() and beta >= 2 and int(beta) % 2 == 0):
+        raise ValueError(f"{what} needs even beta >= 2, got beta={beta}")
+    return int(beta)
+
+
 def edge_prefactor(beta: int) -> float:
     """Constant multiplying K_{beta,beta} in the general-even-beta edge law."""
-    if beta % 2 != 0 or beta < 2:
-        raise ValueError("edge prefactor is defined for even beta >= 2")
+    beta = _even_beta(beta, "edge_prefactor")
     log_num = lgamma(1.0 + beta / 2.0)
     log_den = 0.0
     for j in range(2, beta + 1):
@@ -359,10 +275,9 @@ def kontsevich_edge_density(beta: int, x: float) -> KontsevichResult:
     rescale puts the integral representation in the same units as the closed
     forms (s = 1 for beta = 2, so that case is the plain prefactor * K).  A
     quadrature that did not converge keeps converged=False and an infinite
-    error.
+    error.  beta may be an integral float such as 4.0.
     """
-    if beta % 2 != 0 or beta < 2:
-        raise ValueError("kontsevich_edge_density needs even beta >= 2")
+    beta = _even_beta(beta, "kontsevich_edge_density")
     s = (beta / 2.0) ** (1.0 / 3.0)
     res = kontsevich_k(beta, float(beta), s * float(x))
     c = s * edge_prefactor(beta)

@@ -225,3 +225,12 @@ def test_ai_derivatives_recurrence():
     assert d[3] == pytest.approx(ai + x * aip, abs=1e-13)
     # 4th: (x Ai)'' = 2 Ai' + x Ai'' = 2 Ai' + x^2 Ai
     assert d[4] == pytest.approx(2 * aip + x * x * ai, abs=1e-12)
+
+
+def test_ai_derivatives_take_arrays():
+    # row m holds Ai^(m) at every point, as the scalar call gives it point by point
+    x = np.array([[-3.0, 0.0], [0.7, 5.0]])
+    d = ai_derivatives(x, 5)
+    assert d.shape == (6, 2, 2)
+    for idx in np.ndindex(x.shape):
+        np.testing.assert_array_equal(d[(slice(None), *idx)], ai_derivatives(x[idx], 5))

@@ -1,15 +1,15 @@
-"""Multiple Airy integrals: reduction identities, quadrature cross-checks,
-and the even-beta edge-density normalization."""
+"""Multiple Airy integrals: reduction identities, the quadrature route against
+mpmath and closed forms, and the even-beta edge-density normalization."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.special
 
 from betahermite import (
+    airy_tail,
     edge_density_closed,
     edge_prefactor,
     kontsevich_edge_density,
@@ -17,45 +17,16 @@ from betahermite import (
 )
 from betahermite import kontsevich
 from betahermite.airy import ai_derivatives
-from betahermite.kontsevich import (
-    EPS_LADDER,
-    MAX_EVALUATIONS,
-    MAX_NODES_PER_AXIS,
-    _damped_phase,
-    _grid,
-    _k_eps_pair,
-    _k_eps_tensor,
-    _vandermonde_power_poly,
-)
+from betahermite.kontsevich import _vandermonde_power_poly
 
 K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
+QUADRATURE_BETAS = (4.0, 3.0, 2.0, 1.5, 1.0, 0.8, 0.7, 2.0 / 3.0, 0.5, 1.0 / 3.0, 0.1)
+QUADRATURE_XS = (-5.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 
 def k22_closed(x):
     ai, aip, _, _ = scipy.special.airy(x)
     return 2.0 * (aip**2 - x * ai**2)
-
-
-def k2_eps_double_sum(beta, x, eps, t, order=None):
-    """O(m^2) oracle for the n = 2 damped sum: (-1)^2 (2 pi)^-2 h^2 Re(g^T W g)
-    with W_ij = |t_i - t_j|^(4/beta) formed block by block, over the nodes in
-    `order` (grid order by default).  Also returns the scale
-    S = h^2 (2 pi)^-2 |g|^T W |g| that bounds the sum's rounding."""
-    p = 4.0 / beta
-    h = t[1] - t[0]
-    if order is not None:
-        t = t[order]
-    g = _damped_phase(t, x, eps)
-    gr, gi, ga = g.real, g.imag, np.abs(g)
-    m = len(t)
-    acc = scale = 0.0
-    chunk = max(1, int(4e6 // m))
-    for lo in range(0, m, chunk):
-        w = np.abs(t[lo : lo + chunk, None] - t[None, :]) ** p
-        acc += gr[lo : lo + chunk] @ (w @ gr) - gi[lo : lo + chunk] @ (w @ gi)
-        scale += ga[lo : lo + chunk] @ (w @ ga)
-    c = h * h / (2.0 * np.pi) ** 2
-    return acc * c, scale * c
 
 
 def heine_k(n, x):
@@ -67,10 +38,28 @@ def heine_k(n, x):
         return float((-1) ** n * math.factorial(n) * (-1) ** (n * (n - 1) // 2) * det)
 
 
-def fft_rung_cost(m):
-    """The cost model of an n = 2 rung: size * ceil(log2 size) for the FFT length."""
-    size = scipy.fft.next_fast_len(2 * m - 1)
-    return size * math.ceil(math.log2(size))
+def k2_mellin(beta, x):
+    """K_{2,beta}(x) = 2^(-1/3)/pi Int_0^inf u^p Ai(a + b u^2) du, p = 4/beta, in mpmath.
+
+    With w = b u^2 the integral is b^(-s)/2 Int_0^inf w^(s-1) Ai(a + w) dw,
+    s = (p + 1)/2; Taylor's series in a and the Mellin transform of Ai (DLMF
+    9.10.17), continued analytically to each derivative, give
+    Gamma(s) sum_k (-a)^k / k! 3^(-(s-k+2)/3) / Gamma((s-k+2)/3), an entire
+    series that no quadrature enters.  Summed at 60 digits past three
+    consecutive terms below 1e-40 of the sum.
+    """
+    with mpmath.workdps(60):
+        a = mpmath.cbrt(4) * x
+        b = mpmath.mpf(2) ** (mpmath.mpf(-4) / 3)
+        s = (4 / mpmath.mpf(beta) + 1) / 2
+        total, k, small = mpmath.mpf(0), 0, 0
+        while small < 3:
+            term = ((-a) ** k / mpmath.factorial(k) * mpmath.power(3, -(s - k + 2) / 3)
+                    * mpmath.rgamma((s - k + 2) / 3))
+            total += term
+            small = small + 1 if k > 20 and abs(term) < mpmath.mpf(10) ** -40 * abs(total) else 0
+            k += 1
+        return float(mpmath.cbrt(0.5) / mpmath.pi * b ** (-s) / 2 * mpmath.gamma(s) * total)
 
 
 class TestReduction:
@@ -150,7 +139,7 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
     def test_matches_reduction_to_1e3(self, x):
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
-        assert kq.converged and kq.route == "quadrature-tensor"
+        assert kq.converged and kq.route == "quadrature-airy"
         assert abs(kq.value - k22_closed(x)) <= 1e-3
 
     @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
@@ -158,95 +147,46 @@ class TestQuadratureRoute:
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         assert abs(kq.value - k22_closed(x)) <= 1e-6
 
-    @pytest.mark.parametrize("eps", [0.32, 0.16])
-    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.8, 3.0, 1.0 / 3.0])  # p = 2, 4, 5, 4/3, 12
-    @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
-    def test_fft_matches_double_sum(self, eps, beta, x):
-        t = _grid(eps, math.ceil(4.0 / beta))
-        direct, scale = k2_eps_double_sum(beta, x, eps, t)
-        assert abs(_k_eps_tensor(2, beta, x, eps, t) - direct) <= 1e-11 * scale
-
-    def test_reports_the_rungs_it_ran(self):
-        kq = kontsevich_k(2, 2.0, 0.0, route="quadrature")
-        assert kq.eps_used == EPS_LADDER
-        assert kq.evaluations == sum(fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER)
-        for r in (kontsevich_k(2, 2.0, 0.0), kontsevich_k(1, 2.0, 0.0)):
-            assert r.route in ("reduction", "closed")
-            assert r.eps_used == () and r.evaluations == 0
-
-    def test_extrapolation_leaves_out_a_rung_that_spoils_it(self, monkeypatch):
-        # a smooth damping error, e^eps, on five rungs; the finest is thrown off
-        def backend(n, beta, x, eps, t):
-            return math.exp(eps) + (0.5 if eps == EPS_LADDER[-1] else 0.0)
-
-        monkeypatch.setattr(kontsevich, "_k_eps_tensor", backend)
-        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
-        assert r.converged and r.eps_used == EPS_LADDER[:-1]
-        assert r.evaluations == sum(fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER)
-        assert abs(r.value - 1.0) <= 1e-5
-        # the error still owns up to how far the left-out rung moved the value
-        ladder = np.asarray(EPS_LADDER)
-        full, _ = kontsevich._richardson(ladder, np.asarray([backend(2, 2.0, 0.0, e, None)
-                                                            for e in ladder]))
-        assert r.error >= abs(full - r.value) > 1.0
-
     @pytest.mark.parametrize("x", [-2.0, 0.0, 2.0])
     def test_error_estimate_honest(self, x):
         kq = kontsevich_k(2, 2.0, x, route="quadrature")
         assert abs(kq.value - k22_closed(x)) <= max(kq.error, 1e-4)
 
-    def test_pair_vs_tensor_n2_beta4(self):
-        # both backends integrate the same damped object
-        for eps in (0.32, 0.16):
-            t = _grid(eps, 3)
-            vt = _k_eps_tensor(2, 4.0, 0.0, eps, t)
-            vp = _k_eps_pair(2, 4.0, 0.0, eps, t)
-            assert vp == pytest.approx(vt, abs=2e-4)
+    @pytest.mark.parametrize("beta", QUADRATURE_BETAS)
+    def test_n2_meets_mpmath_within_its_error(self, beta):
+        for x in QUADRATURE_XS:
+            r = kontsevich_k(2, beta, x, route="quadrature")
+            ref = k2_mellin(beta, x)
+            assert r.converged and r.route == "quadrature-airy"
+            assert abs(r.value - ref) <= r.error, (beta, x, r.value, ref, r.error)
 
-    def test_node_order_invariance(self):
-        # the double sum does not depend on the order of the nodes, but the FFT
-        # rung needs them in grid order: it must match the oracle summed over
-        # a shuffled order
-        eps, x = 0.32, 1.0
-        for beta in (2.0, 0.8):
-            t = _grid(eps, math.ceil(4.0 / beta))
-            order = np.random.default_rng(0).permutation(len(t))
-            direct, scale = k2_eps_double_sum(beta, x, eps, t, order)
-            assert abs(_k_eps_tensor(2, beta, x, eps, t) - direct) <= 1e-11 * scale
+    def test_n2_beta4_is_the_airy_tail(self):
+        # p = 1: u Ai(a + b u^2) du = dz / (2 b), so K_{2,4}(x) = airy_tail(2^(2/3) x) / pi
+        for x in np.arange(-5.0, 3.01, 0.5):
+            r = kontsevich_k(2, 4.0, float(x))
+            assert r.route == "quadrature-airy"
+            assert abs(r.value - airy_tail(2.0 ** (2.0 / 3.0) * x) / math.pi) <= r.error
 
-    def test_budget_flag(self, monkeypatch):
-        monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", 10.0)
-        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
-        assert not r.converged and r.error == np.inf
-
-    def test_budget_counts_true_grid_size(self, monkeypatch):
-        # one evaluation short of the finest rung's true FFT cost skips that rung
-        costs = [fft_rung_cost(len(_grid(eps, 2))) for eps in EPS_LADDER]
-
-        def k22(ladder, budget):
-            monkeypatch.setattr(kontsevich, "EPS_LADDER", ladder)
-            monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", budget)
-            return kontsevich_k(2, 2.0, 0.0, route="quadrature")
-
-        r = k22(EPS_LADDER, sum(costs) - 1.0)
-        assert r == k22(EPS_LADDER[:-1], MAX_EVALUATIONS)
-        assert r != k22(EPS_LADDER, sum(costs))
-
-    def test_rung_over_node_cap_is_skipped(self, monkeypatch):
-        # at n=2, beta=2 the eps=1e-3 rung has 2.6e6 nodes: its FFT fits the
-        # budget but its grid is over the node cap
-        costs = [fft_rung_cost(len(_grid(eps, 2))) for eps in (0.32, 0.16, 0.08, 1e-3)]
-        assert sum(costs) <= MAX_EVALUATIONS
-        assert len(_grid(1e-3, 2)) > MAX_NODES_PER_AXIS
-        monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08, 1e-3))
-        r = kontsevich_k(2, 2.0, 0.0, route="quadrature")
-        monkeypatch.setattr(kontsevich, "EPS_LADDER", (0.32, 0.16, 0.08))
-        assert r == kontsevich_k(2, 2.0, 0.0, route="quadrature")
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 2.0 / 3.0, 0.5])  # p = 2, 4, 6, 8
+    def test_routes_agree_at_even_power(self, beta):
+        for x in QUADRATURE_XS:
+            kq = kontsevich_k(2, beta, x, route="quadrature")
+            kr = kontsevich_k(2, beta, x, route="reduction")
+            assert abs(kq.value - kr.value) <= kq.error + kr.error, (beta, x)
 
     def test_overflowing_kernel_is_not_converged(self):
-        # p = 4/0.021 ~ 190: (2 t_max)^p overflows on every rung, so none runs
-        r = kontsevich_k(2, 0.021, 0.0, route="quadrature")
+        # p = 4/0.0099 ~ 404: the kernel u^p overflows a double on the panels
+        r = kontsevich_k(2, 0.0099, 0.0, route="quadrature")
         assert not r.converged and r.error == np.inf
+        # p = 4/0.021 ~ 190 stays finite
+        assert kontsevich_k(2, 0.021, 0.0).converged
+
+    @pytest.mark.parametrize("route", ["auto", "reduction", "quadrature"])
+    @pytest.mark.parametrize("n, beta", [(1, 2.0), (2, 2.0), (2, 0.7), (4, 4.0)])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_is_refused(self, route, n, beta, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            kontsevich_k(n, beta, x, route=route)
 
     @pytest.mark.parametrize("beta", [1.5, 4.0, 2.0])
     def test_no_backend_for_n3_general_beta(self, beta):
@@ -257,10 +197,10 @@ class TestQuadratureRoute:
     def test_even_power_quadrature_refused_before_any_grid(self, n, beta, monkeypatch):
         # an even 4/beta at n >= 3 has the exact reduction and no quadrature;
         # n=4, beta=0.04 is also over the reduction's monomial cap
-        def no_grid(eps, poly_degree):
-            raise AssertionError("a quadrature grid was sized")
+        def no_moments(j, m_max, x):
+            raise AssertionError("an Airy integral was evaluated")
 
-        monkeypatch.setattr(kontsevich, "_grid_size", no_grid)
+        monkeypatch.setattr(kontsevich, "_airy_moments", no_moments)
         with pytest.raises(ValueError, match="no quadrature backend"):
             kontsevich_k(n, beta, 0.0, route="quadrature")
 
@@ -292,10 +232,11 @@ class TestEdgeDensity:
         assert worst <= 1e-8
 
     def test_beta4_matches_closed_within_error(self):
-        r = kontsevich_edge_density(4, 0.0)
-        closed = edge_density_closed(4, 0.0)
-        assert r.error <= 5e-2
-        assert abs(r.value - closed) <= max(r.error, 1e-6)
+        for x in np.linspace(-5.0, 3.0, 17):
+            r = kontsevich_edge_density(4, float(x))
+            closed = edge_density_closed(4, float(x))
+            assert r.route == "quadrature-pfaffian" and r.error <= 1e-9
+            assert abs(r.value - closed) <= 1e-12
 
     def test_beta4_second_point(self):
         r = kontsevich_edge_density(4, -1.0)
@@ -307,7 +248,22 @@ class TestEdgeDensity:
             kontsevich_edge_density(3, 0.0)
 
     def test_convergence_failure_propagates(self, monkeypatch):
-        # beta=4 takes the quadrature route, which cannot run on this budget
-        monkeypatch.setattr(kontsevich, "MAX_EVALUATIONS", 10.0)
+        # beta=4 takes the quadrature route; an Airy integral that is not finite
+        # (an overflow times an underflow) spoils it
+        def spoiled(j, m_max, x):
+            return np.full(m_max + 1, np.nan), np.full(m_max + 1, np.nan), 1
+
+        monkeypatch.setattr(kontsevich, "_airy_moments", spoiled)
         r = kontsevich_edge_density(4, 0.0)
         assert not r.converged and r.error == np.inf
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    def test_integral_float_beta_is_accepted(self, beta):
+        assert edge_prefactor(beta) == edge_prefactor(int(beta))
+        assert kontsevich_edge_density(beta, 0.5) == kontsevich_edge_density(int(beta), 0.5)
+
+    def test_fractional_beta_is_refused(self):
+        with pytest.raises(ValueError, match="beta=3.5"):
+            edge_prefactor(3.5)
+        with pytest.raises(ValueError, match="beta=3.5"):
+            kontsevich_edge_density(3.5, 0.0)
