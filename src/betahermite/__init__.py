@@ -20,6 +20,7 @@ from .ensemble import (
     EnsembleKind,
     EnsembleParams,
     SampleSeed,
+    big_l,
     sample_block,
     trace_sq_rows,
 )
@@ -29,7 +30,7 @@ from .kontsevich import (
     kontsevich_edge_density,
     kontsevich_k,
 )
-from .moments import (MomentIndex, big_l, gaussian_moment_exact, moment_mc, moment_ratio_exact,
+from .moments import (MomentIndex, gaussian_moment_exact, moment_mc, moment_ratio_exact,
                       moment_ratio_sphere, verify_moment_equivalence)
 from .tridiag import (
     Spectrum,
@@ -41,12 +42,12 @@ from .tridiag import (
 
 __all__ = [
     "__version__",
-    "EnsembleKind", "EnsembleParams", "SampleSeed", "sample_block", "trace_sq_rows",
+    "EnsembleKind", "EnsembleParams", "SampleSeed", "big_l", "sample_block", "trace_sq_rows",
     "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "KontsevichResult", "kontsevich_k", "edge_prefactor", "kontsevich_edge_density",
     "Regime", "DensityEstimate", "bump", "bulk_scale", "rescale", "grid_to_lambda",
     "estimate_density", "sample_density", "semicircle", "weak_functional",
-    "MomentIndex", "big_l", "gaussian_moment_exact", "moment_mc", "moment_ratio_exact",
+    "MomentIndex", "gaussian_moment_exact", "moment_mc", "moment_ratio_exact",
     "moment_ratio_sphere", "verify_moment_equivalence",
 ]

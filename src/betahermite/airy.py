@@ -2,7 +2,10 @@
 
 Ai and Ai' come from ``scipy.special.airy``; ``airy_tail`` integrates Ai with
 Gauss-Legendre panels on one fixed lattice, and ``ai_derivatives`` extends the
-pair to higher orders through the Airy equation.
+pair to higher orders through the Airy equation.  Ai and Ai' warn
+``AiryAccuracyWarning`` for x < -200, where their oscillation outruns double
+precision; for large positive x they are 0, the correctly rounded value, without
+a warning.
 
 Edge densities: ``edge_density_closed`` evaluates the classical closed forms
 for beta in {1, 2, 4}.  It, ``airy_ai``, ``airy_ai_prime`` and ``airy_tail``
@@ -45,20 +48,23 @@ _TAIL_BLOCK = 1 << 13  # points per block of airy_tail
 
 
 class AiryAccuracyWarning(UserWarning):
-    """Raised when |x| exceeds the double-precision accuracy domain."""
+    """Raised for x < -200, where Ai and Ai' oscillate too fast for double
+    precision to hold their phase.  Large positive x needs no warning: Ai and
+    Ai' underflow to 0, the correctly rounded value, from x ~ 103 on."""
 
 
 def _ai_aip(x):
     """(Ai(x), Ai'(x)): floats for a scalar x, ndarrays for an array."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > _X_LIMIT):
+    if np.any(x < -_X_LIMIT):
         warnings.warn(
-            f"|x| > {_X_LIMIT:g}: Airy evaluation loses double precision "
-            "(oscillation phase error / exponent range)",
+            f"x < {-_X_LIMIT:g}: Airy evaluation loses double precision "
+            "(oscillation phase error)",
             AiryAccuracyWarning,
             stacklevel=3,
         )
-    ai, aip, _, _ = scipy.special.airy(x)
+    # Ai and Ai' are 0 at x = 200 already; the clamp keeps out scipy's NaN above x ~ 1e6
+    ai, aip, _, _ = scipy.special.airy(np.minimum(x, _X_LIMIT))
     if x.ndim == 0:
         return float(ai), float(aip)
     return ai, aip

@@ -1,10 +1,12 @@
 """Command-line interface: sample, density, special, verify.
 
-Every output file is a pure function of its JSON sidecar; replicate r comes
-from the stream keyed by (seed, r // REPLICATE_CHUNK), the layout the `sample`
-and `density` sidecars record as "stream".  `sample` and `density` work through
-blocks of ``REPLICATE_CHUNK`` replicates, so memory stays bounded at any --reps.
-Exit status: 0 all good, 1 check failure, 2 usage error.
+This is the one module that reads and writes files: the other modules only
+compute.  Every table goes through `_write_csv` and every sidecar, <output>.json,
+through `_write_sidecar`, and each output file is a pure function of its
+sidecar.  Replicate r comes from the stream keyed by (seed, r // REPLICATE_CHUNK),
+the layout the `sample` and `density` sidecars record as "stream".  `sample` and
+`density` work through blocks of ``REPLICATE_CHUNK`` replicates, so memory stays
+bounded at any --reps.  Exit status: 0 all good, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ import scipy
 from . import __version__
 from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
 from .checks import CHECK_NAMES, run_checks, validate_flags
-from .density import (
-    Regime,
-    density_sidecar,
-    estimate_density,
-    rescale,
-    sample_density,
-    semicircle_bins,
-    write_density_csv,
-    write_sidecar,
-)
+from .density import (DensityEstimate, Regime, estimate_density, rescale, sample_density,
+                      semicircle_bins)
 from .ensemble import (REPLICATE_CHUNK, STREAM_LAYOUT, EnsembleKind, EnsembleParams,
                        sample_block)
 from .kontsevich import kontsevich_k
@@ -49,10 +43,39 @@ def _params(args) -> EnsembleParams:
     return EnsembleParams(n=args.n, beta=args.beta, kind=kind)
 
 
-def _sidecar_base(args) -> dict:
+def _write_csv(out: Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``out`` in csv.writer's dialect ("\r\n" line
+    ends): a float cell as its repr, a None cell empty."""
+    with out.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_sidecar(args, out: Path, **fields) -> None:
+    """Write <out>.json: the command's flags (those set), the versions that ran, and
+    ``fields``, as indented JSON with sorted keys."""
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     versions = {"betahermite": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-    return {"config": cfg, "versions": versions}
+    meta = {"config": cfg, "versions": versions, **fields}
+    Path(f"{out}.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
+    """The sidecar fields of a density estimate: its grid, normalization and mass
+    outside the grid, and the ensemble."""
+    return {
+        "regime": d.regime.value,
+        "n_samples": d.n_samples,
+        "grid_lo": float(d.grid[0]),
+        "grid_hi": float(d.grid[-1]),
+        "bins": int(len(d.height)),
+        "normalization": "per-replicate" if d.regime is Regime.EDGE else "per-eigenvalue",
+        "eigs_below": d.below,
+        "eigs_above": d.above,
+        "captured_fraction": d.captured_fraction,
+        "params": {"n": params.n, "beta": params.beta, "kind": params.kind.value},
+    }
 
 
 def _spectra_lines(start: int, values: np.ndarray) -> str:
@@ -78,8 +101,7 @@ def cmd_sample(args) -> int:
             count = min(REPLICATE_CHUNK, args.reps - start)
             values = eigenvalues_block(*sample_block(params, args.seed, start, count))
             fh.write(_spectra_lines(start, values))
-    write_sidecar({**_sidecar_base(args), "stream": STREAM_LAYOUT},
-                  out.with_suffix(out.suffix + ".json"))
+    _write_sidecar(args, out, stream=STREAM_LAYOUT)
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
     return 0
 
@@ -150,7 +172,7 @@ def cmd_density(args) -> int:
               "[--grid-lo, --grid-hi] must have nonzero width", file=sys.stderr)
         return USAGE_ERROR
     # the reference first: a grid it cannot be evaluated on is refused before sampling
-    ref = None
+    ref = {}
     if args.reference == "semicircle":
         ref = {"semicircle": semicircle_bins(grid)}
     elif args.reference == "aibeta":
@@ -167,12 +189,12 @@ def cmd_density(args) -> int:
         print("error: no samples meet the grid; adjust --grid-lo/--grid-hi", file=sys.stderr)
         return USAGE_ERROR
     out = Path(args.output)
-    write_density_csv(d, out, reference=ref)
-    extra = _sidecar_base(args)
+    columns = [d.grid[:-1], d.grid[1:], d.height, *ref.values()]
+    _write_csv(out, ["bin_lo", "bin_hi", "height", *ref], zip(*(c.tolist() for c in columns)))
+    fields = _density_fields(d, params)
     if stream is not None:
-        extra["stream"] = stream
-    meta = density_sidecar(d, extra=extra)
-    write_sidecar(meta, out.with_suffix(out.suffix + ".json"))
+        fields["stream"] = stream
+    _write_sidecar(args, out, **fields)
     print(f"wrote {regime.value} density ({args.bins} bins, {d.n_samples} replicates) to {out}")
     return 0
 
@@ -197,14 +219,14 @@ def cmd_special(args) -> int:
                   f"over the cap of {MAX_SPECIAL_POINTS}", file=sys.stderr)
             return USAGE_ERROR
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
-    lines = [("x", "value", "error_estimate")]
+    rows = []
     if args.fn == "kontsevich":
-        for x in xs:
-            r = kontsevich_k(args.kn, args.beta, float(x))
+        for x in xs.tolist():
+            r = kontsevich_k(args.kn, args.beta, x)
             if not r.converged:
                 print(f"error: quadrature did not converge at x={x}", file=sys.stderr)
                 return 1
-            lines.append((repr(float(x)), repr(float(r.value)), repr(float(r.error))))
+            rows.append((x, r.value, r.error))
     else:
         fn = {
             "ai": airy_ai,
@@ -212,15 +234,16 @@ def cmd_special(args) -> int:
             "ai-tail": airy_tail,
             "aibeta": lambda x: edge_density_closed(int(args.beta), x),
         }[args.fn]
-        lines += [(repr(float(x)), repr(float(v)), "") for x, v in zip(xs, fn(xs))]
-    out = Path(args.output) if args.output else None
-    if out:
-        with out.open("w", newline="") as fh:
-            csv.writer(fh).writerows(lines)
-        write_sidecar(_sidecar_base(args), out.with_suffix(out.suffix + ".json"))
+        rows = [(x, v, None) for x, v in zip(xs.tolist(), fn(xs).tolist())]
+    header = ("x", "value", "error_estimate")
+    if args.output:
+        out = Path(args.output)
+        _write_csv(out, header, rows)
+        _write_sidecar(args, out)
     else:
-        for row in lines:
-            print(",".join(row))
+        print(",".join(header))
+        for row in rows:
+            print(",".join("" if v is None else repr(v) for v in row))
     return 0
 
 

@@ -23,16 +23,15 @@ maps a grid back.
 `weak_functional` integrates any vectorised test function against an
 estimate, the weak-convergence side of the semicircle law; `bump` is the
 smooth compactly supported one shipped for it.
+
+This module only computes; `cli` writes the density tables and their sidecars.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 from math import asin, pi, sqrt
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "semicircle_mass",
     "semicircle_bins",
     "weak_functional",
-    "write_density_csv",
 ]
 
 
@@ -260,43 +258,3 @@ def weak_functional(d: DensityEstimate, f: Callable[[np.ndarray], np.ndarray]) -
     """Integral of a vectorised f against the estimate, sum f(center) * height * width."""
     return float(np.sum(f(d.centers) * d.height * d.widths))
 
-
-def write_density_csv(d: DensityEstimate, path, reference: dict[str, np.ndarray] | None = None):
-    """CSV columns bin_lo,bin_hi,height[,<reference>...]; plain '.' decimals."""
-    path = Path(path)
-    ref = reference or {}
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "height", *ref.keys()])
-        for i in range(len(d.height)):
-            row = [repr(float(d.grid[i])), repr(float(d.grid[i + 1])), repr(float(d.height[i]))]
-            row += [repr(float(v[i])) for v in ref.values()]
-            w.writerow(row)
-
-
-def density_sidecar(d: DensityEstimate, extra: dict | None = None) -> dict:
-    """JSON-ready metadata describing one density estimate."""
-    meta = {
-        "regime": d.regime.value,
-        "n_samples": d.n_samples,
-        "grid_lo": float(d.grid[0]),
-        "grid_hi": float(d.grid[-1]),
-        "bins": int(len(d.height)),
-        "normalization": "per-eigenvalue" if d.regime is not Regime.EDGE else "per-replicate",
-        "eigs_below": d.below,
-        "eigs_above": d.above,
-        "captured_fraction": d.captured_fraction,
-    }
-    if d.params is not None:
-        meta["params"] = {
-            "n": d.params.n,
-            "beta": d.params.beta,
-            "kind": d.params.kind.value,
-        }
-    if extra:
-        meta.update(extra)
-    return meta
-
-
-def write_sidecar(meta: dict, path):
-    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

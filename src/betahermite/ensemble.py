@@ -30,6 +30,7 @@ __all__ = [
     "SampleSeed",
     "REPLICATE_CHUNK",
     "STREAM_LAYOUT",
+    "big_l",
     "sample_block",
     "trace_sphere",
     "trace_sq_rows",
@@ -59,6 +60,11 @@ def _philox_key(master_seed: int, block: int) -> np.ndarray:
 def trace_sphere(n: int) -> float:
     """tr(H^2) = n(n-1)/2 of the sphere the fixed-trace sampler projects onto."""
     return n * (n - 1) / 2.0
+
+
+def big_l(n: int, beta: float) -> float:
+    """L = n/2 + beta n(n-1)/4, half the Gaussian mean of tr H^2."""
+    return n / 2.0 + beta * n * (n - 1) / 4.0
 
 
 class EnsembleKind(str, Enum):

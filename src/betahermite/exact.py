@@ -25,8 +25,7 @@ from math import ceil, inf, isfinite, lgamma, log, pi, sqrt
 import numpy as np
 import scipy.special
 
-from .ensemble import EnsembleKind, trace_sphere
-from .moments import big_l
+from .ensemble import EnsembleKind, big_l, trace_sphere
 from .quadrature import gauss_panels
 
 __all__ = [

@@ -17,10 +17,11 @@ Evaluation routes:
   polynomial; each monomial integrates to a product of Airy derivatives,
   which reduce to Ai and Ai' through the Airy equation.  Exact up to the
   Airy evaluator and the rounding of the sum: the error is
-  max(1e-10, 2 N u sum|term|) for N monomials and u = 2^-53.  An expansion
+  max(1e-10, 2 N u sum|term|) for N monomials and u = 2^-53; where every
+  term underflows (large x) K is 0 to within the 1e-10 floor.  An expansion
   that may exceed ``MAX_MONOMIALS`` monomials, whose coefficients or sum
-  leave the double range, or whose rounding bound reaches the value itself
-  (small beta) raises ValueError.
+  leave the double range, or whose nonzero terms' rounding bound reaches the
+  value itself (small beta) raises ValueError.
 * quadrature (n = 2 at any beta, and n = 4 at beta = 4): with s = v - u/2,
   t = v + u/2 (u > 0) in a pair of variables, g(s) g(t) =
   exp(-i[2v^3/3 + (u^2/2 + 2x) v]), and the v-integral closes:
@@ -98,8 +99,9 @@ def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
 
     Returns the value and its error, max(1e-10, 2 N u sum|term|) for the N
     monomials of the expansion: the Airy evaluator's floor, or the rounding
-    bound of the sum where it cancels.  A sum whose rounding bound reaches its
-    own size carries no digit and raises ValueError.
+    bound of the sum where it cancels.  A sum of terms that all underflowed to 0
+    is K = 0 with the floor as its error; any other sum whose rounding bound
+    reaches its own size carries no digit and raises ValueError.
     """
     p = 4.0 / beta
     power = int(round(p))
@@ -126,6 +128,8 @@ def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
         magnitude += abs(term)
     if not math.isfinite(magnitude):
         raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum is not finite")
+    if magnitude == 0.0:  # every term underflowed (Ai(x) is 0 from x ~ 103): K is 0
+        return 0.0, 1e-10
     rounding = 2.0 * len(poly) * _UNIT_ROUNDOFF * magnitude
     if rounding >= abs(total):
         raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum {total:.3g} "

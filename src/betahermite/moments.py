@@ -27,14 +27,13 @@ from math import fsum, lgamma, log, prod, sqrt
 import numpy as np
 from scipy.special import poch
 
-from .ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed, sample_block,
-                       trace_sphere)
+from .ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed, big_l,
+                       sample_block, trace_sphere)
 
 __all__ = [
     "MomentIndex",
     "MomentEstimate",
     "EquivalenceReport",
-    "big_l",
     "gaussian_moment_exact",
     "moment_mc",
     "moment_ratio_exact",
@@ -88,11 +87,6 @@ class MomentIndex:
 class MomentEstimate:
     mean: float
     std_error: float
-
-
-def big_l(n: int, beta: float) -> float:
-    """L = n/2 + beta n(n-1)/4, half the Gaussian mean of tr H^2."""
-    return n / 2.0 + beta * n * (n - 1) / 4.0
 
 
 def moment_mc(

@@ -58,6 +58,14 @@ class TestPointValues:
         with pytest.warns(AiryAccuracyWarning):
             airy_ai(-250.0)
 
+    def test_large_positive_x_is_zero_without_warning(self):
+        # Ai and Ai' underflow to 0 from x ~ 103 on: the correctly rounded value, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert airy_ai(250.0) == 0.0
+            x = np.array([150.0, 250.0, 2e6, 1e300, np.inf])
+            assert airy_ai(x).tolist() == airy_ai_prime(x).tolist() == [0.0] * 5
+
 
 class TestOde:
     def test_residual_five_point(self):

@@ -23,12 +23,18 @@ def run(args):
     return main(args)
 
 
+def read_rows(path):
+    """The rows of a CSV file as dicts keyed by its header."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestSample:
     def test_shape_and_sorting(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sample", "--n", "4", "--beta", "2", "--kind", "gaussian",
                     "--reps", "2", "--seed", "7", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 8
         for rep in ("0", "1"):
             ev = [float(r["eigenvalue"]) for r in rows if r["replicate"] == rep]
@@ -124,7 +130,7 @@ class TestSample:
         out = tmp_path / "f.csv"
         run(["sample", "--n", "10", "--beta", "2", "--kind", "fixed-trace",
              "--reps", "3", "--seed", "1", "--output", str(out)])
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         for rep in ("0", "1", "2"):
             ssq = sum(float(r["eigenvalue"]) ** 2 for r in rows if r["replicate"] == rep)
             assert abs(ssq - 45.0) <= 1e-9 * 45.0
@@ -136,7 +142,7 @@ class TestDensity:
         assert run(["density", "--n", "50", "--beta", "2", "--kind", "fixed-trace",
                     "--reps", "40", "--seed", "5", "--regime", "bulk",
                     "--reference", "semicircle", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert "semicircle" in rows[0]
         mid = rows[len(rows) // 2]
         assert abs(float(mid["semicircle"]) - 2.0 / np.pi) < 0.05
@@ -147,7 +153,7 @@ class TestDensity:
                     "--seed", "5", "--regime", "edge",
                     "--grid-lo", "-4", "--grid-hi", "1.5", "--bins", "22",
                     "--reference", "aibeta", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert "aibeta" in rows[0]
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         assert sidecar["regime"] == "edge"
@@ -155,6 +161,27 @@ class TestDensity:
         assert sidecar["params"] == {"n": 80, "beta": 2.0, "kind": "gaussian"}
         assert sidecar["n_samples"] == 40
         assert sidecar["config"]["seed"] == 5
+
+    def test_raw_csv_roundtrip(self, tmp_path):
+        # every cell reads back as the float computed, the reference column included
+        from betahermite import EnsembleKind, EnsembleParams, Regime, sample_density
+        from betahermite.density import semicircle_bins
+
+        out = tmp_path / "d.csv"
+        assert run(["density", "--n", "8", "--beta", "2", "--kind", "fixed-trace",
+                    "--reps", "30", "--seed", "8", "--regime", "raw", "--grid-lo=-3",
+                    "--grid-hi", "3", "--bins", "12", "--reference", "semicircle",
+                    "--output", str(out)]) == 0
+        grid = np.linspace(-3.0, 3.0, 13)
+        d = sample_density(EnsembleParams(8, 2.0, EnsembleKind.FIXED_TRACE), 8, 30, grid,
+                           Regime.RAW)
+        assert out.read_text().splitlines()[0] == "bin_lo,bin_hi,height,semicircle"
+        rows = read_rows(out)
+        for col, want in (("bin_lo", grid[:-1]), ("bin_hi", grid[1:]), ("height", d.height),
+                          ("semicircle", semicircle_bins(grid))):
+            assert [float(r[col]) for r in rows] == want.tolist()
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        assert (meta["regime"], meta["normalization"]) == ("raw", "per-eigenvalue")
 
     def test_density_from_spectra_file(self, tmp_path):
         spectra = tmp_path / "s.csv"
@@ -166,8 +193,8 @@ class TestDensity:
                   "--regime", "bulk"]
         assert run([*common, "--input", str(spectra), "--output", str(via_file)]) == 0
         assert run([*common, "--reps", "20", "--seed", "13", "--output", str(inline)]) == 0
-        rows_a = list(csv.DictReader(via_file.open()))
-        rows_b = list(csv.DictReader(inline.open()))
+        rows_a = read_rows(via_file)
+        rows_b = read_rows(inline)
         assert [r["height"] for r in rows_a] == [r["height"] for r in rows_b]
         # both routes account for the same eigenvalues outside the grid
         mass = ("eigs_below", "eigs_above", "captured_fraction")
@@ -385,6 +412,12 @@ class TestSpecial:
         assert float(v) == pytest.approx(0.1339749675593280, abs=1e-10)
         assert float(e) <= 1e-10
 
+    @pytest.mark.parametrize("x", ["80", "100"])
+    def test_kontsevich_where_ai_underflows(self, capsys, x):
+        # every term of the reduction underflows: K is 0, not a refused sum
+        assert run(["special", "--fn", "kontsevich", "--kn", "2", "--beta", "2", "--x", x]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{float(x)!r},0.0,1e-10"
+
     def test_table_to_file(self, tmp_path):
         out = tmp_path / "ai.csv"
         run(["special", "--fn", "ai-tail", "--x-lo", "-2", "--x-hi", "2",
@@ -518,6 +551,14 @@ class TestVerify:
             "moments-equivalence", "moments-equivalence", "moments-ratio-ladder",
             "moments-trace"]
         assert data["all_passed"] and all(c["passed"] for c in data["checks"])
+
+    def test_edge_remark_holds_the_routes_to_their_error_bars(self, tmp_path):
+        # both sides are exact to about 1e-10, so a tolerance of 1e-3 would hide a lost digit
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "edge-remark", "--output", str(out)]) == 0
+        checks = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("edge-remark-quadrature", "edge-remark-beta4"):
+            assert checks[name]["passed"] and checks[name]["tolerance"] <= 5e-10
 
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,8 +1,6 @@
 """Density estimation: rescalings, normalization, weak functionals, and the
 edge bookkeeping against the known beta=2 profile."""
 
-import csv
-
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -26,11 +24,7 @@ from betahermite import (
     semicircle,
     weak_functional,
 )
-from betahermite.density import (
-    semicircle_bins,
-    semicircle_mass,
-    write_density_csv,
-)
+from betahermite.density import semicircle_bins, semicircle_mass
 from betahermite.ensemble import REPLICATE_CHUNK
 
 
@@ -285,17 +279,3 @@ class TestStatisticalShape:
         # finite-N bias O(N^(-2/3)) ~ 0.016 plus MC noise
         assert np.max(np.abs(d.height - ref)) <= 0.12
 
-
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    d = estimate_density([rng.standard_normal(500)], np.linspace(-3, 3, 13), Regime.RAW)
-    path = tmp_path / "density.csv"
-    write_density_csv(d, path, reference={"semicircle": np.zeros(12)})
-    with path.open(newline="") as fh:
-        body = list(csv.reader(fh))[1:]
-    edges = [float(r[0]) for r in body] + [float(body[-1][1])]
-    heights = [float(r[2]) for r in body]
-    assert edges == pytest.approx(d.grid)
-    assert heights == pytest.approx(d.height)
-    header = path.read_text().splitlines()[0]
-    assert header == "bin_lo,bin_hi,height,semicircle"

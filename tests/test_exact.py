@@ -30,7 +30,7 @@ from betahermite.exact import (
     log_z_fte,
     verify_integral_equation,
 )
-from betahermite.moments import big_l
+from betahermite.ensemble import big_l
 
 
 def quad_gauss_n2(beta, x1):
@@ -269,7 +269,7 @@ class TestEvenBetaTrapezoid:
         assert np.max(np.abs(exact._rho_fte1(3, beta, s) / oracle - 1.0)) <= 4e-15
 
     def test_node_count_bounded(self):
-        # the arcs take 20 + ceil(beta) nodes; the cap refuses beta first
+        # the arcs take 20 + ceil(3 sqrt(beta)) nodes; the cap refuses beta first
         with pytest.raises(ValueError, match="beta <= 113"):
             exact._rho_fte1(3, 1e6, np.array([0.1]))
 

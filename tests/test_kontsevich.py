@@ -2,6 +2,7 @@
 mpmath and closed forms, and the even-beta edge-density normalization."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from betahermite import (
     kontsevich_k,
 )
 from betahermite import kontsevich
-from betahermite.airy import ai_derivatives
+from betahermite.airy import AiryAccuracyWarning, ai_derivatives
 from betahermite.kontsevich import _vandermonde_power_poly
 
 K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
@@ -125,6 +126,14 @@ class TestReduction:
         with pytest.raises(ValueError, match="rounding bound"):
             kontsevich_k(2, 0.02, 0.0)
 
+    @pytest.mark.parametrize("x", [80.0, 100.0])
+    @pytest.mark.parametrize("route", ["reduction", "quadrature"])
+    def test_underflowed_sum_is_zero(self, route, x):
+        # every Airy term underflows past x ~ 103 / 2^(2/3): K is 0 within the 1e-10 floor
+        r = kontsevich_k(2, 2.0, x, route=route)
+        assert r.converged and r.value == 0.0 and r.error == 1e-10
+        assert kontsevich_edge_density(2, x).value == 0.0
+
     def test_vandermonde_expansion_degree(self):
         poly = _vandermonde_power_poly(3, 2)
         assert all(sum(e) == 6 for e in poly)
@@ -173,6 +182,14 @@ class TestQuadratureRoute:
             kq = kontsevich_k(2, beta, x, route="quadrature")
             kr = kontsevich_k(2, beta, x, route="reduction")
             assert abs(kq.value - kr.value) <= kq.error + kr.error, (beta, x)
+
+    def test_warns_only_where_the_airy_phase_is_lost(self):
+        # at x = 100 the nodes reach z ~ 218, where Ai is 0; at x = -130, z(0) < -200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kontsevich_k(2, 0.7, 100.0).value == 0.0
+        with pytest.warns(AiryAccuracyWarning):
+            kontsevich_k(2, 0.7, -130.0)
 
     def test_overflowing_kernel_is_not_converged(self):
         # p = 4/0.0099 ~ 404: the kernel u^p overflows a double on the panels
