@@ -88,7 +88,8 @@ def airy_tail(x):
     summed once, from 20 down to the lowest point; each point, in blocks of
     ``_TAIL_BLOCK``, adds its own panel up to the lattice edge above it, so its
     value does not depend on the other points.  The remainder past 20 (< 1e-26)
-    is dropped; x >= 20 takes the two-term exponential tail.  The lattice grows
+    is dropped; x >= 20 takes the two-term exponential tail at min(x, 200),
+    where it is already exactly 0, so x^1.5 cannot overflow.  The lattice grows
     like |x|, so x below -200 or NaN raises ValueError before any array is built.
     """
     x = np.asarray(x, dtype=float)
@@ -107,8 +108,9 @@ def airy_tail(x):
         pts, w = gauss_panels(near[block], edges[k[block]], 12)
         out[block] = above[k[block]] + (airy_ai(pts) * w).sum(axis=1)
     deep = xs >= _TAIL_TOP
-    zeta = (2.0 / 3.0) * xs[deep] ** 1.5
-    out[deep] = np.exp(-zeta) / (2.0 * sqrt(pi) * xs[deep] ** 0.75) * (1.0 - 41.0 / (72.0 * zeta))
+    far = np.minimum(xs[deep], _X_LIMIT)
+    zeta = (2.0 / 3.0) * far ** 1.5
+    out[deep] = np.exp(-zeta) / (2.0 * sqrt(pi) * far ** 0.75) * (1.0 - 41.0 / (72.0 * zeta))
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -117,9 +119,9 @@ def has_closed_edge_form(beta: float) -> bool:
     return beta in (1, 2, 4)
 
 
-def edge_density_closed(beta: int, x):
-    """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}; scalar in,
-    float out; ndarray in, ndarray out.
+def edge_density_closed(beta: float, x):
+    """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}, int or float;
+    scalar in, float out; ndarray in, ndarray out.  Other beta raise ValueError.
 
     beta=1: Ai'^2 - x Ai^2 + Ai/2 * (1 - int_x^inf Ai)
     beta=2: Ai'^2 - x Ai^2
@@ -127,8 +129,8 @@ def edge_density_closed(beta: int, x):
     """
     if not has_closed_edge_form(beta):
         raise ValueError(
-            f"closed forms exist for beta in {{1, 2, 4}}, got {beta}; "
-            "use kontsevich_edge_density for other even beta"
+            f"closed forms exist for beta in {{1, 2, 4}}, got {beta}; for other even beta "
+            "use kontsevich_edge_density, or `special --fn kontsevich` from the command line"
         )
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = 2.0 * xs if beta == 4 else xs

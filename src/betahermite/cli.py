@@ -1,12 +1,16 @@
 """Command-line interface: sample, density, special, verify.
 
 This is the one module that reads and writes files: the other modules only
-compute.  Every table goes through `_write_csv` and every sidecar, <output>.json,
-through `_write_sidecar`, and each output file is a pure function of its
-sidecar.  Replicate r comes from the stream keyed by (seed, r // REPLICATE_CHUNK),
-the layout the `sample` and `density` sidecars record as "stream".  `sample` and
-`density` work through blocks of ``REPLICATE_CHUNK`` replicates, so memory stays
-bounded at any --reps.  Exit status: 0 all good, 1 check failure, 2 usage error.
+compute.  The density and `special` tables, stdout included, go through
+`_write_csv`, the spectra CSV through `_spectra_lines` (csv.writer's dialect,
+built a block at a time), and every sidecar, <output>.json, through
+`_write_sidecar`; each output file is a pure function of its sidecar.
+`sample` and `density` walk the replicates with `ensemble.replicate_blocks`,
+one stream block at a time, so memory stays bounded at any --reps; the
+sidecars record the stream layout as "stream".  A command refuses its input
+by raising ValueError, and `main` alone maps that (and a missing file) to an
+"error:" line and exit status 2.  Exit status: 0 all good, 1 check failure or
+unconverged quadrature, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed, has_closed_edge_form
+from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
 from .checks import CHECK_NAMES, run_checks, validate_flags
 from .density import (DensityEstimate, Regime, estimate_density, rescale, sample_density,
                       semicircle_bins)
-from .ensemble import (REPLICATE_CHUNK, STREAM_LAYOUT, EnsembleKind, EnsembleParams,
-                       sample_block)
+from .ensemble import STREAM_LAYOUT, EnsembleKind, EnsembleParams, replicate_blocks
 from .kontsevich import kontsevich_k
 from .tridiag import eigenvalues_block
 
@@ -43,13 +46,12 @@ def _params(args) -> EnsembleParams:
     return EnsembleParams(n=args.n, beta=args.beta, kind=kind)
 
 
-def _write_csv(out: Path, header, rows) -> None:
-    """Write ``header`` and ``rows`` to ``out`` in csv.writer's dialect ("\r\n" line
-    ends): a float cell as its repr, a None cell empty."""
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_csv(fh, header, rows, lineterminator="\r\n") -> None:
+    """Write ``header`` and ``rows`` to the text stream ``fh`` in csv.writer's dialect:
+    a float cell as its repr, a None cell empty."""
+    w = csv.writer(fh, lineterminator=lineterminator)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def _write_sidecar(args, out: Path, **fields) -> None:
@@ -92,15 +94,12 @@ def _spectra_lines(start: int, values: np.ndarray) -> str:
 def cmd_sample(args) -> int:
     params = _params(args)
     if args.reps < 1:
-        print("error: need at least one replicate", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("need at least one replicate")
     out = Path(args.output)
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
-        for start in range(0, args.reps, REPLICATE_CHUNK):
-            count = min(REPLICATE_CHUNK, args.reps - start)
-            values = eigenvalues_block(*sample_block(params, args.seed, start, count))
-            fh.write(_spectra_lines(start, values))
+        for first, diag, sub in replicate_blocks(params, args.seed, 0, args.reps):
+            fh.write(_spectra_lines(first, eigenvalues_block(diag, sub)))
     _write_sidecar(args, out, stream=STREAM_LAYOUT)
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
     return 0
@@ -158,39 +157,32 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
 def cmd_density(args) -> int:
     params = _params(args)
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
-        print("error: --grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo",
-              file=sys.stderr)
-        return USAGE_ERROR
-    if args.reference == "aibeta" and not has_closed_edge_form(params.beta):
-        print("error: --reference aibeta needs beta in {1,2,4}; "
-              "use `special --fn kontsevich` for other even beta", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
     regime = Regime(args.regime)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        print("error: --bins must be at least 1, and the bins it makes of "
-              "[--grid-lo, --grid-hi] must have nonzero width", file=sys.stderr)
-        return USAGE_ERROR
-    # the reference first: a grid it cannot be evaluated on is refused before sampling
+        raise ValueError("--bins must be at least 1, and the bins it makes of "
+                         "[--grid-lo, --grid-hi] must have nonzero width")
+    # the reference first: a beta or grid it cannot be evaluated on is refused before sampling
     ref = {}
     if args.reference == "semicircle":
         ref = {"semicircle": semicircle_bins(grid)}
     elif args.reference == "aibeta":
-        ref = {"aibeta": edge_density_closed(int(params.beta), 0.5 * (grid[1:] + grid[:-1]))}
+        ref = {"aibeta": edge_density_closed(params.beta, 0.5 * (grid[1:] + grid[:-1]))}
     stream = STREAM_LAYOUT
     if args.input:
         values, master_seed, stream = _read_spectra(args.input, params)
         # the sidecar records the spectra's seed, count and layout, not the flags
         args.seed, args.reps = master_seed, len(values)
-        d = estimate_density(list(rescale(values, regime, params)), grid, regime, params)
+        d = estimate_density(list(rescale(values, regime, params)), grid, regime)
     else:
         d = sample_density(params, args.seed, args.reps, grid, regime)
     if d.n_disjoint == d.n_samples:
-        print("error: no samples meet the grid; adjust --grid-lo/--grid-hi", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("no samples meet the grid; adjust --grid-lo/--grid-hi")
     out = Path(args.output)
     columns = [d.grid[:-1], d.grid[1:], d.height, *ref.values()]
-    _write_csv(out, ["bin_lo", "bin_hi", "height", *ref], zip(*(c.tolist() for c in columns)))
+    with out.open("w", newline="") as fh:
+        _write_csv(fh, ["bin_lo", "bin_hi", "height", *ref], zip(*(c.tolist() for c in columns)))
     fields = _density_fields(d, params)
     if stream is not None:
         fields["stream"] = stream
@@ -201,23 +193,15 @@ def cmd_density(args) -> int:
 
 def cmd_special(args) -> int:
     if args.x is None and not (args.x_step > 0 and args.x_lo <= args.x_hi):
-        print("error: --x-step must be positive and --x-lo must not exceed --x-hi",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--x-step must be positive and --x-lo must not exceed --x-hi")
     if not np.isfinite([args.x_lo, args.x_hi] if args.x is None else [args.x]).all():
-        print("error: --x, --x-lo and --x-hi must be finite", file=sys.stderr)
-        return USAGE_ERROR
-    if args.fn == "aibeta" and not has_closed_edge_form(args.beta):
-        print("error: --fn aibeta needs beta in {1,2,4}; "
-              "use --fn kontsevich for other even beta", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--x, --x-lo and --x-hi must be finite")
     if args.x is None:
         # the length np.arange gives, counted before anything is allocated
         count = np.ceil((args.x_hi + 1e-12 - args.x_lo) / args.x_step)
         if not count <= MAX_SPECIAL_POINTS:
-            print(f"error: --x-lo, --x-hi and --x-step give {count:g} points, "
-                  f"over the cap of {MAX_SPECIAL_POINTS}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"--x-lo, --x-hi and --x-step give {count:g} points, "
+                             f"over the cap of {MAX_SPECIAL_POINTS}")
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
     rows = []
     if args.fn == "kontsevich":
@@ -232,34 +216,29 @@ def cmd_special(args) -> int:
             "ai": airy_ai,
             "ai-prime": airy_ai_prime,
             "ai-tail": airy_tail,
-            "aibeta": lambda x: edge_density_closed(int(args.beta), x),
+            "aibeta": lambda x: edge_density_closed(args.beta, x),
         }[args.fn]
         rows = [(x, v, None) for x, v in zip(xs.tolist(), fn(xs).tolist())]
     header = ("x", "value", "error_estimate")
     if args.output:
         out = Path(args.output)
-        _write_csv(out, header, rows)
+        with out.open("w", newline="") as fh:
+            _write_csv(fh, header, rows)
         _write_sidecar(args, out)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join("" if v is None else repr(v) for v in row))
+        _write_csv(sys.stdout, header, rows, "\n")
     return 0
 
 
 def cmd_verify(args) -> int:
     names = list(CHECK_NAMES) if args.check == "all" else [args.check]
     results = []
-    try:
-        validate_flags(names, n=args.n, beta=args.beta)
-        # seconds go to stderr only: the report is a pure function of its flags
-        for name in names:
-            t0 = perf_counter()
-            results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
-            print(f"[time] {name} {perf_counter() - t0:.3f} s", file=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    validate_flags(names, n=args.n, beta=args.beta)
+    # seconds go to stderr only: the report is a pure function of its flags
+    for name in names:
+        t0 = perf_counter()
+        results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
+        print(f"[time] {name} {perf_counter() - t0:.3f} s", file=sys.stderr)
     report = {
         "seed": args.seed,
         "checks": [dataclasses.asdict(r) for r in results],

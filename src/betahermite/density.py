@@ -12,10 +12,10 @@ Normalization conventions:
   Airy-type edge profile.
 
 Two routes give the same histogram.  `estimate_density` bins an (R, n) array
-of eigenvalue rows with `np.histogram`; `sample_density` samples blocks of
-replicate matrices and never computes an eigenvalue: a bin's count is the
-difference of the Sturm counts (`tridiag.sturm_count`) at its two edges,
-mapped back to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
+of eigenvalue rows with `np.histogram`; `sample_density` walks the replicate
+matrices with `ensemble.replicate_blocks` and never computes an eigenvalue: a
+bin's count is the difference of the Sturm counts (`tridiag.sturm_count`) at
+its two edges, mapped back to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
 rescaling: it maps eigenvalue arrays of any shape, such as the (R, n) rows of
 `tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
 maps a grid back.
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
+from .ensemble import EnsembleKind, EnsembleParams, replicate_blocks
 from .tridiag import sturm_count
 
 __all__ = [
@@ -77,7 +77,6 @@ class DensityEstimate:
     height: np.ndarray
     regime: Regime
     n_samples: int = 0
-    params: EnsembleParams | None = None
     n_values: int = 0
     below: int = 0
     above: int = 0
@@ -164,13 +163,13 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def _binned(counts, grid, regime, params, n_samples, n_values, below, n_disjoint):
+def _binned(counts, grid, regime, n_samples, n_values, below, n_disjoint):
     """DensityEstimate from bin counts, normalized as the module docstring says."""
     widths = np.diff(grid)
     norm = n_samples if regime is Regime.EDGE else n_values
     return DensityEstimate(
         grid=grid, height=counts / (norm * widths), regime=regime, n_samples=n_samples,
-        params=params, n_values=n_values, below=below,
+        n_values=n_values, below=below,
         above=n_values - below - int(np.sum(counts)), n_disjoint=n_disjoint,
     )
 
@@ -179,7 +178,6 @@ def estimate_density(
     samples: np.ndarray | Sequence[np.ndarray],
     grid: Sequence[float],
     regime: Regime,
-    params: EnsembleParams | None = None,
 ) -> DensityEstimate:
     """Histogram an (R, n) array, or R rows of equal length, into a DensityEstimate.
 
@@ -195,7 +193,7 @@ def estimate_density(
     n_disjoint = int(np.count_nonzero((values.min(axis=1) > grid[-1])
                                       | (values.max(axis=1) < grid[0])))
     below = int(np.count_nonzero(values < grid[0]))
-    return _binned(counts, grid, regime, params, len(values), values.size, below, n_disjoint)
+    return _binned(counts, grid, regime, len(values), values.size, below, n_disjoint)
 
 
 def sample_density(
@@ -208,9 +206,9 @@ def sample_density(
     """Sample replicates 0..reps-1 and histogram their spectra without eigenvalues.
 
     ``grid`` is in the regime's coordinate.
-    Replicates come from `sample_block`, ``REPLICATE_CHUNK`` at a time, and
-    each block's Sturm counts at the grid's eigenvalue-axis edges give its bin
-    counts, at O(n) per edge and replicate.  The estimate equals
+    Replicates come from `ensemble.replicate_blocks`, one stream block at a
+    time, and each block's Sturm counts at the grid's eigenvalue-axis edges give
+    its bin counts, at O(n) per edge and replicate.  The estimate equals
     `estimate_density` of the rescaled `stev` spectra count for count, up to
     eigenvalues within rounding of an edge.
     """
@@ -221,13 +219,12 @@ def sample_density(
     n = params.n
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
     n_disjoint = 0
-    for start in range(0, reps, REPLICATE_CHUNK):
-        diag, sub = sample_block(params, master_seed, start, min(REPLICATE_CHUNK, reps - start))
+    for _, diag, sub in replicate_blocks(params, master_seed, 0, reps):
         c = sturm_count(diag, np.square(sub, out=sub), edges)
         del diag, sub  # free this block before the next one is drawn
         below_edge += c.sum(axis=0)
         n_disjoint += int(np.count_nonzero((c[:, 0] == n) | (c[:, -1] == 0)))
-    return _binned(np.diff(below_edge), grid, regime, params, reps, reps * n,
+    return _binned(np.diff(below_edge), grid, regime, reps, reps * n,
                    int(below_edge[0]), n_disjoint)
 
 

@@ -12,7 +12,9 @@ representation.  It draws consecutive replicates as ``diag (R, n)`` and
 ``REPLICATE_CHUNK``, and the rows of block b = replicate // REPLICATE_CHUNK
 come from one Philox stream keyed by (master seed, b) (`STREAM_LAYOUT`), so a
 row does not depend on the range it was requested in; a single matrix is a
-range of one.
+range of one.  `replicate_blocks` is the one walk over a long range: it
+yields the range one stream block's rows at a time, so every caller's memory
+stays bounded at any replicate count.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "REPLICATE_CHUNK",
     "STREAM_LAYOUT",
     "big_l",
+    "replicate_blocks",
     "sample_block",
     "trace_sphere",
     "trace_sq_rows",
@@ -38,9 +41,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Replicates per stream block, and per block on every sampling path that loops
-# over replicates: a block holds O(chunk * n) floats, so memory stays bounded at
-# any replicate count.
+# Replicates per stream block, and the most `replicate_blocks` yields at once: a
+# block holds O(chunk * n) floats, so memory stays bounded at any replicate count.
 REPLICATE_CHUNK = 512
 
 # The stream layout that `sample_block` draws; `sample` and `density` sidecars record it.
@@ -188,3 +190,19 @@ def sample_block(
     if fixed:
         _rescale_rows(diag, sub, trace_sphere(n))
     return diag, sub
+
+
+def replicate_blocks(params: EnsembleParams, master_seed: int, start: int, count: int):
+    """Yield ``(first, diag, sub)`` over replicates start..start+count-1, one stream
+    block's rows at a time.
+
+    Chunk edges fall at the multiples of REPLICATE_CHUNK, so each chunk is one
+    `sample_block` call inside one stream block: a range that starts mid-block
+    draws every block once, and a chunk holds at most REPLICATE_CHUNK rows.
+    ``first`` is the replicate of the chunk's first row.
+    """
+    end = start + count
+    while start < end:
+        stop = min(end, (start // REPLICATE_CHUNK + 1) * REPLICATE_CHUNK)
+        yield start, *sample_block(params, master_seed, start, stop - start)
+        start = stop

@@ -5,8 +5,8 @@ b_1..b_{n-1} (subdiagonal, indexed from the bottom-right corner so that b_j
 has chi_{j beta}/sqrt(2) statistics).  The entries are independent, so every
 Gaussian moment has a closed form (`gaussian_moment_exact`).  Fixed-trace
 moments are Monte Carlo averages over `sample_block`, the sampler `sample`
-ships, on the sphere tr H^2 = 2L with L = n/2 + beta n(n-1)/4, the Gaussian
-mean of tr H^2.
+ships, walked one stream block at a time by `replicate_blocks`, on the sphere
+tr H^2 = 2L with L = n/2 + beta n(n-1)/4, the Gaussian mean of tr H^2.
 
 Under the Gaussian measure R^2 = tr H^2 has R^2/2 ~ Gamma(L), independent of
 the direction, so a degree-s moment over its Gaussian value is
@@ -27,8 +27,8 @@ from math import fsum, lgamma, log, prod, sqrt
 import numpy as np
 from scipy.special import poch
 
-from .ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed, big_l,
-                       sample_block, trace_sphere)
+from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, big_l, replicate_blocks,
+                       trace_sphere)
 
 __all__ = [
     "MomentIndex",
@@ -97,8 +97,8 @@ def moment_mc(
 ) -> MomentEstimate:
     """Monte Carlo estimate of the requested entry moment in the params' ensemble.
 
-    Replicates seed.replicate, seed.replicate+1, ... are drawn
-    ``REPLICATE_CHUNK`` at a time with `sample_block` of the params' kind.  A
+    Replicates seed.replicate, seed.replicate+1, ... of the params' kind are
+    drawn one stream block at a time with `replicate_blocks`.  A
     fixed-trace row lies on the sampler's sphere tr H^2 = `trace_sphere`(n);
     its entries are multiplied by the constant sqrt(2L / trace_sphere(n)), so
     the moment is the one on the sphere tr H^2 = 2L.
@@ -112,13 +112,11 @@ def moment_mc(
     # sample_block refuses a fixed-trace n = 1, whose sphere is the point 0
     fixed = params.kind is EnsembleKind.FIXED_TRACE and params.n > 1
     c = sqrt(2.0 * big_l(params.n, params.beta) / trace_sphere(params.n)) if fixed else 1.0
-    v = np.empty(n_reps)
-    for start in range(0, n_reps, REPLICATE_CHUNK):
-        count = min(REPLICATE_CHUNK, n_reps - start)
-        a, sub = sample_block(params, seed.master_seed, seed.replicate + start, count)
-        a *= c
-        b = sub[:, ::-1] * c  # bottom-up indexing
-        v[start:start + count] = np.prod(a**ea, axis=1) * np.prod(b**eb, axis=1)
+    # sub[:, ::-1] indexes b bottom-up
+    v = np.concatenate([
+        np.prod((a * c) ** ea, axis=1) * np.prod((sub[:, ::-1] * c) ** eb, axis=1)
+        for _, a, sub in replicate_blocks(params, seed.master_seed, seed.replicate, n_reps)
+    ])
     return MomentEstimate(*_mean_and_std_error(v))
 
 

@@ -75,7 +75,7 @@ def test_criterion_1_semicircle_law():
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(200, beta, EnsembleKind.FIXED_TRACE)
         values = rescale(_sample_checked(params, 1000 + bi, 500), Regime.BULK, params)
-        d = estimate_density(list(values), grid, Regime.BULK, params)
+        d = estimate_density(list(values), grid, Regime.BULK)
         l1 = float(np.sum(np.abs(d.height - ref) * d.widths))
         weak = weak_functional(d, f)
         assert l1 <= 0.05, f"beta={beta}: L1 {l1:.4f} > 0.05"
@@ -188,7 +188,7 @@ def test_criterion_6_density_upper_bound():
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
         values = eigenvalues_block(*sample_block(params, 3000 + bi, 0, reps)) / r
-        d = estimate_density(list(values), grid, Regime.RAW, params)
+        d = estimate_density(list(values), grid, Regime.RAW)
         emp = d.height / r  # bound is stated for the unscaled-argument density
         bound = density_upper_bound(n, beta, d.centers)
         margin = float(np.max(emp - bound))

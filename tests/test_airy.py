@@ -131,6 +131,12 @@ class TestTail:
     def test_far_right(self):
         assert airy_tail(50.0) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_x_is_zero_without_warning(self):
+        # the asymptotic branch is 0 from x = 200 on; x^1.5 overflows from x ~ 3.2e205
+        assert airy_tail(1e300) == 0.0
+        assert airy_tail(np.array([200.0, 1e300, np.inf])).tolist() == [0.0, 0.0, 0.0]
+
     def test_far_left(self):
         v = airy_tail(-50.0)
         oracle = si.quad(
@@ -200,6 +206,11 @@ class TestEdgeDensityClosed:
 
     def test_beta4_at_zero(self):
         assert edge_density_closed(4, 0.0) == pytest.approx(AI4_AT_0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_huge_x_is_zero_without_warning(self, beta):
+        assert edge_density_closed(beta, 1e300) == 0.0
 
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="kontsevich"):

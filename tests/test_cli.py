@@ -374,11 +374,14 @@ class TestDensity:
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
     def test_aibeta_rejects_general_beta(self, tmp_path, capsys):
-        rc = run(["density", "--n", "20", "--beta", "3", "--reps", "5", "--seed", "1",
-                  "--regime", "edge", "--reference", "aibeta",
-                  "--output", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "kontsevich" in capsys.readouterr().err
+        # 2.5 would pass as 2 if beta were cast to int before the check
+        out = tmp_path / "x.csv"
+        for beta in ("2.5", "3"):
+            rc = run(["density", "--n", "20", "--beta", beta, "--reps", "5", "--seed", "1",
+                      "--regime", "edge", "--reference", "aibeta", "--output", str(out)])
+            assert rc == 2
+            assert "kontsevich" in capsys.readouterr().err
+            assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
     def test_aibeta_rejects_beta_before_sampling(self, tmp_path, monkeypatch):
         from betahermite import cli
@@ -445,6 +448,22 @@ class TestSpecial:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == (6 if rc == 0 else 0)
         assert captured.err.startswith("error:") == (rc == 2)
+
+    @pytest.mark.parametrize("beta", ["2.5", "3"])
+    def test_aibeta_rejects_general_beta(self, tmp_path, capsys, beta):
+        out = tmp_path / "x.csv"
+        assert run(["special", "--fn", "aibeta", "--beta", beta, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "kontsevich" in captured.err and captured.out == ""
+        assert not out.exists() and not (tmp_path / "x.csv.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [["ai-tail"], ["aibeta", "--beta", "1"],
+                                    ["aibeta", "--beta", "4"]])
+    def test_huge_x_is_zero_without_warning(self, fn, capsys):
+        assert run(["special", "--fn", *fn, "--x", "1e300"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[1] == "1e+300,0.0,"
 
     @pytest.mark.parametrize("fn", [["ai-tail"], ["aibeta", "--beta", "1"]])
     def test_x_below_airy_tail_domain_is_usage_error(self, fn, capsys):

@@ -135,7 +135,7 @@ class TestEstimateDensity:
 
 def stev_density(params, seed, reps, grid, regime):
     """The eigenvalue route: LAPACK spectra, rescaled, through np.histogram."""
-    return estimate_density(list(spectra(params, seed, reps, regime)), grid, regime, params)
+    return estimate_density(list(spectra(params, seed, reps, regime)), grid, regime)
 
 
 def assert_same_histogram(fast, slow):
@@ -252,7 +252,7 @@ class TestWeakFunctional:
 class TestStatisticalShape:
     def test_bulk_symmetry(self):
         p = fixed(60, 2.0)
-        d = estimate_density(list(spectra(p, 21, 150, Regime.BULK)), np.linspace(-1.2, 1.2, 25), Regime.BULK, p)
+        d = estimate_density(list(spectra(p, 21, 150, Regime.BULK)), np.linspace(-1.2, 1.2, 25), Regime.BULK)
         left = d.height[:12][::-1]
         right = d.height[12:]
         counts = d.height * (60 * 150) * d.widths[0]
@@ -263,7 +263,7 @@ class TestStatisticalShape:
     def test_l1_shrinks_with_n(self):
         def l1(n, reps, seed):
             p = fixed(n, 2.0)
-            d = estimate_density(list(spectra(p, seed, reps, Regime.BULK)), np.linspace(-1.2, 1.2, 61), Regime.BULK, p)
+            d = estimate_density(list(spectra(p, seed, reps, Regime.BULK)), np.linspace(-1.2, 1.2, 61), Regime.BULK)
             ref = semicircle_bins(d.grid)
             return float(np.sum(np.abs(d.height - ref) * d.widths))
 
@@ -274,7 +274,7 @@ class TestStatisticalShape:
         # closed beta=2 edge profile
         p = gauss(500, 2.0)
         grid = np.linspace(-4.0, 1.0, 11)
-        d = estimate_density(list(spectra(p, 41, 400, Regime.EDGE)), grid, Regime.EDGE, p)
+        d = estimate_density(list(spectra(p, 41, 400, Regime.EDGE)), grid, Regime.EDGE)
         ref = edge_density_closed(2, d.centers)
         # finite-N bias O(N^(-2/3)) ~ 0.016 plus MC noise
         assert np.max(np.abs(d.height - ref)) <= 0.12

@@ -19,7 +19,7 @@ from betahermite import (
     sample_spectrum,
     trace_sq_rows,
 )
-from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows, trace_sphere
+from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows, replicate_blocks, trace_sphere
 
 
 def half_chi_mean_sq_oracle(k):
@@ -183,6 +183,21 @@ class TestSampleBlock:
         values = eigenvalues_block(*sample_block(p, 3, 10, 4))
         for r in range(10, 14):
             assert np.array_equal(sample_spectrum(p, SampleSeed(3, r)).values, values[r - 10])
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
+    @pytest.mark.parametrize("start,count", [(500, 1100), (1023, 2), (0, 1)])
+    def test_replicate_blocks_walk_the_range_one_stream_block_at_a_time(self, kind, start, count):
+        p = EnsembleParams(5, 1.5, kind)
+        chunks = list(replicate_blocks(p, 9, start, count))
+        firsts = [first for first, _, _ in chunks]
+        assert firsts == [start, *(f + len(d) for f, d, _ in chunks[:-1])]
+        assert firsts[-1] + len(chunks[-1][1]) == start + count
+        for first, diag, sub in chunks:
+            assert first // REPLICATE_CHUNK == (first + len(diag) - 1) // REPLICATE_CHUNK
+            assert len(sub) == len(diag)
+        diag, sub = sample_block(p, 9, start, count)
+        assert np.array_equal(np.concatenate([d for _, d, _ in chunks]), diag)
+        assert np.array_equal(np.concatenate([s for _, _, s in chunks]), sub)
 
     def test_trace_sq_rows(self):
         diag, sub = sample_block(EnsembleParams(9, 2.0), 1, 0, 5)

@@ -91,6 +91,22 @@ class TestMomentMc:
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
         assert m.mean == fsum(products) / reps
 
+    def test_draws_each_stream_block_once(self, monkeypatch):
+        # replicates 4..1003 lie in stream blocks 0 and 1; a walk in steps of
+        # REPLICATE_CHUNK from replicate 4 would draw block 1 twice
+        from betahermite import ensemble
+
+        blocks = []
+        draw = ensemble._draw_block
+
+        def counted(master_seed, block, *args):
+            blocks.append(block)
+            return draw(master_seed, block, *args)
+
+        monkeypatch.setattr(ensemble, "_draw_block", counted)
+        moment_mc(EnsembleParams(6, 2.0), MomentIndex.single_a(6, 1, 2), 1000, SampleSeed(8, 4))
+        assert blocks == [0, 1]
+
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
         from betahermite.moments import _mean_and_std_error
