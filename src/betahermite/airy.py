@@ -137,7 +137,8 @@ def edge_density_closed(beta: float, x):
     # tails first: airy_tail rejects an x its panels cannot reach
     tails = None if beta == 2 else airy_tail(y)
     ai, aip = _ai_aip(y)
-    val = aip**2 - y * ai**2
+    # Ai is 0 from x ~ 103 on, so the clamp changes no value and keeps inf * 0 out at x = +inf
+    val = aip**2 - np.minimum(y, _X_LIMIT) * ai**2
     if beta == 1:
         val += 0.5 * ai * (1.0 - tails)
     elif beta == 4:

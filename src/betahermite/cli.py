@@ -7,10 +7,13 @@ built a block at a time), and every sidecar, <output>.json, through
 `_write_sidecar`; each output file is a pure function of its sidecar.
 `sample` and `density` walk the replicates with `ensemble.replicate_blocks`,
 one stream block at a time, so memory stays bounded at any --reps; the
-sidecars record the stream layout as "stream".  A command refuses its input
-by raising ValueError, and `main` alone maps that (and a missing file) to an
-"error:" line and exit status 2.  Exit status: 0 all good, 1 check failure or
-unconverged quadrature, 2 usage error.
+sidecars record the stream layout as "stream".  `sample`, `density` and
+`verify` print one "[time] <stage> <seconds> s" line per stage (per check for
+`verify`) on stderr, never in a file, and only after every stage has run, so a
+refusal's stderr starts with "error:".  A command refuses its input by raising
+ValueError, and `main` alone maps that (and a missing file) to an "error:" line
+and exit status 2.  Exit status: 0 all good, 1 check failure or unconverged
+quadrature, 2 usage error.
 """
 
 from __future__ import annotations
@@ -63,6 +66,24 @@ def _write_sidecar(args, out: Path, **fields) -> None:
     Path(f"{out}.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+class _Stages:
+    """Seconds per stage of a command, each stage the sum of its laps."""
+
+    def __init__(self, *stages: str):
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self._last = perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Add the seconds since the last lap (or since the start) to ``stage``."""
+        now = perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+    def report(self) -> None:
+        for stage, seconds in self.seconds.items():
+            print(f"[time] {stage} {seconds:.3f} s", file=sys.stderr)
+
+
 def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
     """The sidecar fields of a density estimate: its grid, normalization and mass
     outside the grid, and the ensemble."""
@@ -96,12 +117,20 @@ def cmd_sample(args) -> int:
     if args.reps < 1:
         raise ValueError("need at least one replicate")
     out = Path(args.output)
+    clock = _Stages("sample", "solve", "write")
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
+        clock.lap("write")
         for first, diag, sub in replicate_blocks(params, args.seed, 0, args.reps):
-            fh.write(_spectra_lines(first, eigenvalues_block(diag, sub)))
+            clock.lap("sample")
+            values = eigenvalues_block(diag, sub)
+            clock.lap("solve")
+            fh.write(_spectra_lines(first, values))
+            clock.lap("write")
     _write_sidecar(args, out, stream=STREAM_LAYOUT)
+    clock.lap("write")
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
+    clock.report()
     return 0
 
 
@@ -155,6 +184,7 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
 
 
 def cmd_density(args) -> int:
+    clock = _Stages("reference", "read+bin" if args.input else "sample+count", "write")
     params = _params(args)
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
         raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
@@ -169,14 +199,17 @@ def cmd_density(args) -> int:
         ref = {"semicircle": semicircle_bins(grid)}
     elif args.reference == "aibeta":
         ref = {"aibeta": edge_density_closed(params.beta, 0.5 * (grid[1:] + grid[:-1]))}
+    clock.lap("reference")
     stream = STREAM_LAYOUT
     if args.input:
         values, master_seed, stream = _read_spectra(args.input, params)
         # the sidecar records the spectra's seed, count and layout, not the flags
         args.seed, args.reps = master_seed, len(values)
         d = estimate_density(list(rescale(values, regime, params)), grid, regime)
+        clock.lap("read+bin")
     else:
         d = sample_density(params, args.seed, args.reps, grid, regime)
+        clock.lap("sample+count")
     if d.n_disjoint == d.n_samples:
         raise ValueError("no samples meet the grid; adjust --grid-lo/--grid-hi")
     out = Path(args.output)
@@ -187,7 +220,9 @@ def cmd_density(args) -> int:
     if stream is not None:
         fields["stream"] = stream
     _write_sidecar(args, out, **fields)
+    clock.lap("write")
     print(f"wrote {regime.value} density ({args.bins} bins, {d.n_samples} replicates) to {out}")
+    clock.report()
     return 0
 
 
@@ -235,10 +270,11 @@ def cmd_verify(args) -> int:
     results = []
     validate_flags(names, n=args.n, beta=args.beta)
     # seconds go to stderr only: the report is a pure function of its flags
+    clock = _Stages(*names)
     for name in names:
-        t0 = perf_counter()
         results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
-        print(f"[time] {name} {perf_counter() - t0:.3f} s", file=sys.stderr)
+        clock.lap(name)
+    clock.report()
     report = {
         "seed": args.seed,
         "checks": [dataclasses.asdict(r) for r in results],

@@ -6,9 +6,13 @@ path calls the LAPACK implicit-shift QL/QR solver on a block
 (`eigenvalues_block`, one `dstev` call per row), and a Sturm-sequence
 bisection solver on one matrix's ``(diag, sub)`` (`eigenvalues_bisect`)
 serves as a slow oracle for cross-validation.  The Sturm count itself,
-batched over matrices, also gives histograms directly: a bin's count is the
-difference of the counts at its two edges (see `density.sample_density`).
-`sample_spectrum` is one replicate's spectrum, a range of one.
+batched over matrices (`sturm_count`), also gives histograms directly: a
+bin's count is the difference of the counts at its two edges (see
+`density.sample_density`).  It keeps its pivots in (k, R) arrays, query
+points by matrices, so that each numpy pass runs over the long replicate
+axis, guards zero pivots with one min(|q|) per row, and counts negative
+pivots in a uint8 array flushed every 255 rows.  `sample_spectrum` is one
+replicate's spectrum, a range of one.
 """
 
 from __future__ import annotations
@@ -71,27 +75,67 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return w
 
 
+_FLUSH_ROWS = 255  # rows a uint8 count of negative pivots can take before it is flushed
+
+
 def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Eigenvalues strictly below each query point, for a batch of matrices.
 
     ``diag`` is (R, n) and ``sub_sq`` (R, n-1): the diagonals and squared
     subdiagonals of R tridiagonal matrices.  ``x`` broadcasts to (R, k): one
     row of query points per matrix, or one row shared by all.  Returns the
-    (R, k) counts, each in O(n) by the LDL^T pivot recurrence, which is
-    monotone in x in floating point (Demmel, Dhillon & Ren 1995).
+    (R, k) int64 counts, each in O(n) by the LDL^T pivot recurrence
+    q_i = (d_i - x) - b_i^2 / q_{i-1}, which is monotone in x in floating
+    point (Demmel, Dhillon & Ren 1995); the count is the number of negative q_i.
+
+    The pivots are held as (k, R) arrays, so that every pass runs over the
+    long replicate axis: row i's diagonal and squared-subdiagonal column are
+    copied in turn into one (R,) buffer, which broadcasts along the k query
+    points, and every pass writes into a buffer made once.  A pivot with
+    |q| below its matrix's ``tiny`` (a relative safeguard that keeps the
+    recurrence defined) becomes +-tiny before the division; one min(|q|)
+    against the largest ``tiny`` rules that out for a whole row, so the
+    per-element test runs only when the min falls below it.  Negative pivots
+    are counted in a uint8 array flushed into the int64 counts every 255 rows.
     """
-    n = diag.shape[1]
-    # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero
-    scale = np.max(np.abs(diag), axis=1) + np.max(sub_sq, axis=1, initial=0.0) + 1.0
-    tiny = (np.finfo(float).tiny * scale + 1e-300)[:, None]
-    q = diag[:, :1] - x
-    count = (q < 0).astype(np.int64)
+    diag = np.asarray(diag, dtype=float)
+    sub_sq = np.asarray(sub_sq, dtype=float)
+    x = np.asarray(x, dtype=float)
+    R, n = diag.shape
+    k = x.shape[-1] if x.ndim else 1
+    # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero;
+    # max |d| as max(max d, -min d), with no (R, n) temporary
+    d_max = np.maximum(diag.max(axis=1), -diag.min(axis=1))
+    tiny = np.finfo(float).tiny * (d_max + sub_sq.max(axis=1, initial=0.0) + 1.0) + 1e-300
+    tiny_max = tiny.max(initial=0.0)
+    xt = np.broadcast_to(x, (R, k)).T.copy()  # C order: each query point's row runs over R
+    row = np.empty(R)
+    q, t = np.empty((k, R)), np.empty((k, R))
+    neg = np.empty((k, R), dtype=bool)
+    neg_u8 = neg.view(np.uint8)  # adds to acc without a cast
+    acc = np.zeros((k, R), dtype=np.uint8)
+    count = np.zeros((R, k), dtype=np.int64)
+    np.copyto(row, diag[:, 0])
+    np.subtract(row, xt, out=q)
+    np.less(q, 0.0, out=neg)
+    np.add(acc, neg_u8, out=acc)
     for i in range(1, n):
-        small = np.abs(q) < tiny
-        if small.any():
-            q = np.where(small, np.where(q < 0, -tiny, tiny), q)
-        q = diag[:, i, None] - x - sub_sq[:, i - 1, None] / q
-        count += q < 0
+        # a NaN min fails the test as well, and takes the per-element test
+        if not np.abs(q, out=t).min(initial=np.inf) >= tiny_max:
+            small = t < tiny
+            if small.any():
+                np.copyto(q, np.where(q < 0, -tiny, tiny), where=small)
+        np.copyto(row, sub_sq[:, i - 1])
+        np.divide(row, q, out=t)
+        np.copyto(row, diag[:, i])
+        np.subtract(row, xt, out=q)
+        np.subtract(q, t, out=q)
+        np.less(q, 0.0, out=neg)
+        np.add(acc, neg_u8, out=acc)
+        if (i + 1) % _FLUSH_ROWS == 0:
+            count += acc.T
+            acc.fill(0)
+    count += acc.T
     return count
 
 

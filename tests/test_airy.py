@@ -212,6 +212,19 @@ class TestEdgeDensityClosed:
     def test_huge_x_is_zero_without_warning(self, beta):
         assert edge_density_closed(beta, 1e300) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_plus_infinity_is_zero_without_warning(self, beta):
+        assert edge_density_closed(beta, np.inf) == 0.0
+        xs = np.array([0.0, 1e300, np.inf])
+        v = edge_density_closed(beta, xs)
+        assert v[0] > 0.0 and np.array_equal(v[1:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_minus_infinity_refused(self, beta):
+        with pytest.raises(ValueError, match="airy_tail needs x >= -200"):
+            edge_density_closed(beta, -np.inf)
+
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="kontsevich"):
             edge_density_closed(6, 0.0)

@@ -29,6 +29,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def stage_seconds(err):
+    """The stages and seconds of the "[time] <stage> <seconds> s" lines of a stderr text."""
+    lines = [line.split() for line in err.splitlines() if line.startswith("[time]")]
+    assert all(len(words) == 4 and words[3] == "s" for words in lines)
+    return {words[1]: float(words[2]) for words in lines}
+
+
 class TestSample:
     def test_shape_and_sorting(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -94,6 +101,15 @@ class TestSample:
         assert run(["sample", "--n", "3", "--beta", "2", "--output", str(out)]) == 0
         meta = json.loads(out.with_suffix(".csv.json").read_text())
         assert meta["stream"] == STREAM_LAYOUT == "philox key (seed, replicate // 512)"
+
+    def test_seconds_per_stage_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--n", "4", "--beta", "2", "--reps", "600", "--seed", "2",
+                    "--output", str(out)]) == 0
+        seconds = stage_seconds(capsys.readouterr().err)
+        assert list(seconds) == ["sample", "solve", "write"]
+        assert all(s >= 0.0 for s in seconds.values())
+        assert "time" not in out.with_suffix(".csv.json").read_text()
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_no_replicates_is_usage_error(self, tmp_path, capsys, reps):
@@ -250,8 +266,9 @@ class TestDensity:
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, edit):
         spectra = tmp_path / "s.csv"
-        run(["sample", "--n", "3", "--beta", "2", "--reps", "3", "--seed", "2",
-             "--output", str(spectra)])
+        assert run(["sample", "--n", "3", "--beta", "2", "--reps", "3", "--seed", "2",
+                    "--output", str(spectra)]) == 0
+        capsys.readouterr()  # the sample's own stage lines
         lines = spectra.read_text().splitlines()
         if edit == "swap_rows":  # replicate 1's rows ahead of replicate 0's last
             lines[3], lines[4] = lines[4], lines[3]
@@ -281,7 +298,9 @@ class TestDensity:
                                        ["--kind", "fixed-trace"]])
     def test_input_rejects_flags_that_disagree_with_sidecar(self, tmp_path, capsys, flags):
         spectra = tmp_path / "s.csv"
-        run(["sample", "--n", "50", "--beta", "2", "--reps", "3", "--output", str(spectra)])
+        assert run(["sample", "--n", "50", "--beta", "2", "--reps", "3",
+                    "--output", str(spectra)]) == 0
+        capsys.readouterr()  # the sample's own stage lines
         argv = {"--n": "50", "--beta": "2", "--kind": "gaussian"}
         argv.update(zip(flags[::2], flags[1::2]))
         rc = run(["density", "--input", str(spectra), *[a for kv in argv.items() for a in kv],
@@ -294,7 +313,8 @@ class TestDensity:
     @pytest.mark.parametrize("sidecar", [None, "{}", '{"config": {"n": 5}}'])
     def test_input_without_valid_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
         spectra = tmp_path / "s.csv"
-        run(["sample", "--n", "5", "--beta", "2", "--output", str(spectra)])
+        assert run(["sample", "--n", "5", "--beta", "2", "--output", str(spectra)]) == 0
+        capsys.readouterr()  # the sample's own stage lines
         meta = tmp_path / "s.csv.json"
         if sidecar is None:
             meta.unlink()
@@ -318,12 +338,31 @@ class TestDensity:
         assert captured == round(meta["captured_fraction"] * 2000)
         assert meta["eigs_below"] > 500 and meta["eigs_above"] > 500
 
+    def test_seconds_per_stage_on_stderr(self, tmp_path, capsys):
+        spectra, out = tmp_path / "s.csv", tmp_path / "d.csv"
+        args = ["density", "--n", "10", "--beta", "2", "--reference", "semicircle",
+                "--output", str(out)]
+        assert run([*args, "--reps", "20"]) == 0
+        sampled = stage_seconds(capsys.readouterr().err)
+        assert run(["sample", "--n", "10", "--beta", "2", "--reps", "20",
+                    "--output", str(spectra)]) == 0
+        capsys.readouterr()
+        assert run([*args, "--input", str(spectra)]) == 0
+        read = stage_seconds(capsys.readouterr().err)
+        assert list(sampled) == ["reference", "sample+count", "write"]
+        assert list(read) == ["reference", "read+bin", "write"]
+        assert all(s >= 0.0 for s in [*sampled.values(), *read.values()])
+        assert "time" not in out.read_text() + out.with_suffix(".csv.json").read_text()
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        # refused once the counts are in, before any file is written or any seconds printed
         rc = run(["density", "--n", "20", "--beta", "2", "--reps", "5", "--seed", "1",
                   "--regime", "bulk", "--grid-lo", "50", "--grid-hi", "60",
                   "--output", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "--grid-lo" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--grid-lo" in err and "[time]" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_grid_from_input_is_usage_error(self, tmp_path, capsys):
         spectra = tmp_path / "s.csv"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
@@ -72,6 +72,96 @@ def test_batched_sturm_count_matches_stev():
             assert np.array_equal(c, sturm_count(d[None], e[None] ** 2, xs)[0])
             ev = solve_one(d, e)
             assert np.array_equal(c, np.searchsorted(ev, xs, side="left"))
+
+
+def sturm_count_reference(diag, sub_sq, x):
+    """The pivot recurrence on (R, k) arrays, one broadcast pass per step: the same
+    expressions as `sturm_count` in the other layout, its count-for-count oracle."""
+    n = diag.shape[1]
+    scale = np.max(np.abs(diag), axis=1) + np.max(sub_sq, axis=1, initial=0.0) + 1.0
+    tiny = (np.finfo(float).tiny * scale + 1e-300)[:, None]
+    q = diag[:, :1] - x
+    count = (q < 0).astype(np.int64)
+    for i in range(1, n):
+        small = np.abs(q) < tiny
+        if small.any():
+            q = np.where(small, np.where(q < 0, -tiny, tiny), q)
+        q = diag[:, i, None] - x - sub_sq[:, i - 1, None] / q
+        count += q < 0
+    return count
+
+
+def sturm_case(n, reps, k, seed, scale, kind, x_shape):
+    """(diag, sub_sq, x) of ``reps`` matrices of order n, scaled by ``scale``.
+
+    ``kind`` picks the matrices: "random", "zero-sub" (about half the
+    subdiagonal entries 0), "path" (diagonal 0, subdiagonal 1, so x = 0, +-1
+    hit exact eigenvalues at some n) or "neg-zero" (about half the diagonal
+    entries -0.0).  The query points mix normal draws, diagonal entries, 0,
+    -0.0, +-1 and one point above every eigenvalue, so that counts pass 255.
+    """
+    rng = np.random.default_rng(seed)
+    diag, sub = rng.standard_normal((reps, n)), rng.standard_normal((reps, n - 1))
+    if kind == "zero-sub":
+        sub[rng.random(sub.shape) < 0.5] = 0.0
+    elif kind == "path":
+        diag[:], sub[:] = 0.0, 1.0
+    elif kind == "neg-zero":
+        diag[rng.random(diag.shape) < 0.5] = -0.0
+    pool = np.concatenate([3.0 * rng.standard_normal(8), diag.ravel()[:8],
+                           [0.0, -0.0, 1.0, -1.0, 1e3]])
+    rows = {"()": (), "(k,)": (k,), "(1, k)": (1, k), "(R, k)": (reps, k)}[x_shape]
+    x = rng.choice(pool, size=rows)
+    return scale * diag, np.square(scale * sub), scale * x
+
+
+class TestSturmCountOracle:
+    """`sturm_count` against the (R, k) recurrence: same counts, shape and dtype.
+
+    n runs across the uint8 counter's 255-row flush.  Zero subdiagonals,
+    path matrices and -0.0 diagonals put zero pivots under the zero-pivot
+    guard at every scale; at 1e-300 the squared subdiagonals underflow to 0
+    and most pivots fall below the guard's ``tiny``, and 1e150 puts the
+    squared subdiagonals near 1e300.
+    """
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 255, 256, 257, 511, 600]),
+        reps=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-300, 1e150]),
+        kind=st.sampled_from(["random", "zero-sub", "path", "neg-zero"]),
+        x_shape=st.sampled_from(["()", "(k,)", "(1, k)", "(R, k)"]),
+    )
+    @example(n=600, reps=3, k=4, seed=0, scale=1.0, kind="path", x_shape="(R, k)")
+    @example(n=257, reps=2, k=5, seed=1, scale=1e-300, kind="zero-sub", x_shape="(k,)")
+    @example(n=511, reps=4, k=3, seed=2, scale=1e150, kind="neg-zero", x_shape="(1, k)")
+    @example(n=2, reps=1, k=1, seed=3, scale=1.0, kind="path", x_shape="()")
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_the_reference(self, n, reps, k, seed, scale, kind, x_shape):
+        diag, sub_sq, x = sturm_case(n, reps, k, seed, scale, kind, x_shape)
+        got = sturm_count(diag, sub_sq, x)
+        want = sturm_count_reference(diag, sub_sq, x)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_path_graph_eigenvalues(self):
+        # diagonal 0, subdiagonal 1, n = 2: eigenvalues exactly -1 and 1
+        for x, want in ((-1.0, 0), (1.0, 1), (0.0, 1), (-0.0, 1)):
+            assert sturm_count(np.zeros((1, 2)), np.ones((1, 1)), x).tolist() == [[want]]
+
+    def test_negative_zero_pivot_is_not_negative(self):
+        # -0.0 - 0.0 is -0.0, a pivot whose sign bit is set but which is not below 0
+        diag, sub_sq = np.full((1, 2), -0.0), np.zeros((1, 1))
+        assert sturm_count(diag, sub_sq, 0.0).tolist() == [[0]]
+        assert sturm_count(diag[:, :1], sub_sq[:, :0], [0.0, 1.0]).tolist() == [[0, 1]]
+
+    def test_counts_pass_the_flush(self):
+        diag, sub_sq = np.zeros((2, 600)), np.ones((2, 599))
+        got = sturm_count(diag, sub_sq, [-3.0, 0.5, 3.0])
+        assert np.array_equal(got, sturm_count_reference(diag, sub_sq, np.array([-3.0, 0.5, 3.0])))
+        assert got[:, -1].tolist() == [600, 600]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 150])
