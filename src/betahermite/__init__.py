@@ -34,6 +34,7 @@ from .moments import (MomentIndex, gaussian_moment_exact, moment_mc, moment_rati
                       moment_ratio_sphere, verify_moment_equivalence)
 from .tridiag import (
     Spectrum,
+    SturmWork,
     eigenvalues_bisect,
     eigenvalues_block,
     sample_spectrum,
@@ -43,7 +44,8 @@ from .tridiag import (
 __all__ = [
     "__version__",
     "EnsembleKind", "EnsembleParams", "SampleSeed", "big_l", "sample_block", "trace_sq_rows",
-    "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "sample_spectrum",
+    "Spectrum", "eigenvalues_block", "eigenvalues_bisect", "sturm_count", "SturmWork",
+    "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "KontsevichResult", "kontsevich_k", "edge_prefactor", "kontsevich_edge_density",
     "Regime", "DensityEstimate", "bump", "bulk_scale", "rescale", "grid_to_lambda",

@@ -41,7 +41,7 @@ from .tridiag import eigenvalues_block
 
 USAGE_ERROR = 2
 SPECTRA_HEADER = "replicate,index,eigenvalue"
-MAX_SPECIAL_POINTS = 1_000_000  # points one `special` table may hold
+MAX_TABLE_ROWS = 1_000_000  # rows one `density` or `special` table may hold
 
 
 def _params(args) -> EnsembleParams:
@@ -85,8 +85,8 @@ class _Stages:
 
 
 def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
-    """The sidecar fields of a density estimate: its grid, normalization and mass
-    outside the grid, and the ensemble."""
+    """The sidecar fields of a density estimate: its grid, normalization, mass
+    outside the grid and counting route, and the ensemble."""
     return {
         "regime": d.regime.value,
         "n_samples": d.n_samples,
@@ -97,6 +97,7 @@ def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
         "eigs_below": d.below,
         "eigs_above": d.above,
         "captured_fraction": d.captured_fraction,
+        "count_route": d.count_route,
         "params": {"n": params.n, "beta": params.beta, "kind": params.kind.value},
     }
 
@@ -189,6 +190,8 @@ def cmd_density(args) -> int:
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
         raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
     regime = Regime(args.regime)
+    if args.bins > MAX_TABLE_ROWS:
+        raise ValueError(f"--bins {args.bins} is over the cap of {MAX_TABLE_ROWS}")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("--bins must be at least 1, and the bins it makes of "
@@ -234,9 +237,9 @@ def cmd_special(args) -> int:
     if args.x is None:
         # the length np.arange gives, counted before anything is allocated
         count = np.ceil((args.x_hi + 1e-12 - args.x_lo) / args.x_step)
-        if not count <= MAX_SPECIAL_POINTS:
+        if not count <= MAX_TABLE_ROWS:
             raise ValueError(f"--x-lo, --x-hi and --x-step give {count:g} points, "
-                             f"over the cap of {MAX_SPECIAL_POINTS}")
+                             f"over the cap of {MAX_TABLE_ROWS}")
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
     rows = []
     if args.fn == "kontsevich":

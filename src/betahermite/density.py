@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import EnsembleKind, EnsembleParams, replicate_blocks
-from .tridiag import sturm_count
+from .tridiag import SturmWork, sturm_count
 
 __all__ = [
     "Regime",
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+_EDGES_PER_CALL = 1024  # grid edges per `sturm_count` call: a block's (R, k) counts stay small
+
+
 class Regime(str, Enum):
     RAW = "raw"
     BULK = "bulk"
@@ -69,8 +72,13 @@ class DensityEstimate:
     The estimate also records where its ``n_values`` values fell:
     ``below`` the first edge, ``above`` the last one (at or above it on the
     Sturm route, strictly above it with `np.histogram`, which closes the last
-    bin), and how many of its ``n_samples`` vectors lie wholly below or wholly
-    above the grid (``n_disjoint``).
+    bin), how many of its ``n_samples`` vectors lie wholly below or wholly
+    above the grid (``n_disjoint``), and how its counts were made, when known
+    (``count_route``): ``{"route": "histogram"}`` from eigenvalues, or
+    ``{"route": "sturm", "pivot_rows": ..., "full_rows": ..., "fallbacks": ...}``
+    from `tridiag.sturm_count`, with the pivot rows it ran, out of the
+    replicates times n of the full recurrence per call, and the replicates
+    whose certified tail fell back to every row.
     """
 
     grid: np.ndarray
@@ -81,6 +89,7 @@ class DensityEstimate:
     below: int = 0
     above: int = 0
     n_disjoint: int = 0
+    count_route: dict | None = None
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -163,7 +172,7 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def _binned(counts, grid, regime, n_samples, n_values, below, n_disjoint):
+def _binned(counts, grid, regime, n_samples, n_values, below, n_disjoint, count_route):
     """DensityEstimate from bin counts, normalized as the module docstring says."""
     widths = np.diff(grid)
     norm = n_samples if regime is Regime.EDGE else n_values
@@ -171,6 +180,7 @@ def _binned(counts, grid, regime, n_samples, n_values, below, n_disjoint):
         grid=grid, height=counts / (norm * widths), regime=regime, n_samples=n_samples,
         n_values=n_values, below=below,
         above=n_values - below - int(np.sum(counts)), n_disjoint=n_disjoint,
+        count_route=count_route,
     )
 
 
@@ -193,7 +203,8 @@ def estimate_density(
     n_disjoint = int(np.count_nonzero((values.min(axis=1) > grid[-1])
                                       | (values.max(axis=1) < grid[0])))
     below = int(np.count_nonzero(values < grid[0]))
-    return _binned(counts, grid, regime, len(values), values.size, below, n_disjoint)
+    return _binned(counts, grid, regime, len(values), values.size, below, n_disjoint,
+                   {"route": "histogram"})
 
 
 def sample_density(
@@ -208,7 +219,11 @@ def sample_density(
     ``grid`` is in the regime's coordinate.
     Replicates come from `ensemble.replicate_blocks`, one stream block at a
     time, and each block's Sturm counts at the grid's eigenvalue-axis edges give
-    its bin counts, at O(n) per edge and replicate.  The estimate equals
+    its bin counts, at O(n) per edge and replicate, or less: near a soft edge
+    `tridiag.sturm_count` skips the trailing rows whose pivots it can prove
+    negative in floating point, and the estimate's ``count_route`` says how
+    many rows ran.  The edges go to it at most 1024 at a time, so that a
+    block's counts stay bounded whatever the bin count.  The estimate equals
     `estimate_density` of the rescaled `stev` spectra count for count, up to
     eigenvalues within rounding of an edge.
     """
@@ -219,13 +234,20 @@ def sample_density(
     n = params.n
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
     n_disjoint = 0
+    work = SturmWork()
     for _, diag, sub in replicate_blocks(params, master_seed, 0, reps):
-        c = sturm_count(diag, np.square(sub, out=sub), edges)
-        del diag, sub  # free this block before the next one is drawn
-        below_edge += c.sum(axis=0)
-        n_disjoint += int(np.count_nonzero((c[:, 0] == n) | (c[:, -1] == 0)))
+        sub_sq = np.square(sub, out=sub)
+        for lo in range(0, len(edges), _EDGES_PER_CALL):
+            c = sturm_count(diag, sub_sq, edges[lo:lo + _EDGES_PER_CALL], work)
+            below_edge[lo:lo + c.shape[1]] += c.sum(axis=0)
+            if lo == 0:
+                disjoint = c[:, 0] == n
+        n_disjoint += int(np.count_nonzero(disjoint | (c[:, -1] == 0)))
+        del diag, sub, sub_sq, c  # free this block before the next one is drawn
+    route = {"route": "sturm", "pivot_rows": work.rows, "full_rows": work.full_rows,
+             "fallbacks": work.fallbacks}
     return _binned(np.diff(below_edge), grid, regime, reps, reps * n,
-                   int(below_edge[0]), n_disjoint)
+                   int(below_edge[0]), n_disjoint, route)
 
 
 def semicircle(x):

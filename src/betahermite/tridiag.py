@@ -9,10 +9,13 @@ serves as a slow oracle for cross-validation.  The Sturm count itself,
 batched over matrices (`sturm_count`), also gives histograms directly: a
 bin's count is the difference of the counts at its two edges (see
 `density.sample_density`).  It keeps its pivots in (k, R) arrays, query
-points by matrices, so that each numpy pass runs over the long replicate
-axis, guards zero pivots with one min(|q|) per row, and counts negative
-pivots in a uint8 array flushed every 255 rows.  `sample_spectrum` is one
-replicate's spectrum, a range of one.
+points by matrices, in bounded chunks of query points, so that each numpy
+pass runs over the long replicate axis, guards zero pivots with one min(|q|)
+per row, and counts negative pivots in a uint8 array flushed every 255 rows.
+Near a soft edge it runs only the leading rows: a certified tail, rows whose
+pivots it proves negative in floating point, adds its length to the count
+(`SturmWork` tallies the rows run).  `sample_spectrum` is one replicate's
+spectrum, a range of one.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .ensemble import EnsembleParams, SampleSeed, sample_block
 
 __all__ = [
-    "Spectrum", "EigenvalueError", "eigenvalues_block", "eigenvalues_bisect", "sturm_count",
-    "sample_spectrum",
+    "Spectrum", "EigenvalueError", "SturmWork", "eigenvalues_block", "eigenvalues_bisect",
+    "sturm_count", "sample_spectrum",
 ]
 
 
@@ -76,9 +79,116 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
 
 
 _FLUSH_ROWS = 255  # rows a uint8 count of negative pivots can take before it is flushed
+_PASS_PAIRS = 1 << 15  # (query point, matrix) pairs per pass of the recurrence
+_SCAN_PAIRS = 1 << 14  # (row, matrix) pairs per pass of the tail scan
 
 
-def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
+@dataclass
+class SturmWork:
+    """Pivot rows `sturm_count` ran, summed over calls: ``rows`` of the ``full_rows``
+    (matrices times n) that the full recurrence runs, and the ``fallbacks``, matrices
+    whose tail certificate failed, so that they ran every row."""
+
+    rows: int = 0
+    full_rows: int = 0
+    fallbacks: int = 0
+
+
+def _certified_tail(diag, sub_sq, x0, floor):
+    """The rows of a block of matrices whose pivots at or above ``x0`` (R,) stay negative.
+
+    Returns (K, c, ok), with c and ok None when K = n.  From row K down,
+    every matrix has A_i = x0 - d_i > 0 and A_i^2 > 4 s_{i-1}, so a row maps
+    a pivot at most -c to one at most -A_i + s_{i-1} / c, which is at most
+    -c for any c between the roots 2 s_{i-1} / B_i and B_i / 2 of
+    c^2 - A_i c + s_{i-1}, with B_i = A_i + sqrt(A_i^2 - 4 s_{i-1}).  ``c``
+    (R,) is the geometric midpoint of the interval all tail rows share,
+    sqrt(max s_{i-1} / B_i * min B_i), and at least ``floor``: at either end
+    of it the rounded test below could fail by an ulp.  ``ok`` (R,) marks the
+    matrices on which every tail row maps a pivot of -c at x0 to one at most
+    -c, computed as `sturm_count` computes a pivot.  The scan runs bottom-up,
+    the bottom row alone first, so that a block with no tail costs O(R), and
+    its temporaries hold 2^14 (row, matrix) pairs or one row.
+    """
+    R, n = diag.shape
+    step = max(1, _SCAN_PAIRS // max(R, 1))
+    s_over_b, b_min = np.zeros(R), np.full(R, np.inf)
+    tail, rows = n, 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the tests
+        while tail > 1:
+            lo = max(1, tail - rows)
+            a = x0[:, None] - diag[:, lo:tail]
+            s = sub_sq[:, lo - 1:tail - 1]
+            disc = a * a - 4.0 * s
+            bad = np.flatnonzero(~((a > 0.0) & (disc > 0.0)).all(axis=0))
+            cut = int(bad[-1]) + 1 if bad.size else 0  # rows lo + cut .. tail - 1 join the tail
+            if cut == tail - lo:
+                break
+            b, s = a[:, cut:] + np.sqrt(disc[:, cut:]), s[:, cut:]
+            np.maximum(s_over_b, (s / b).max(axis=1, initial=0.0), out=s_over_b)
+            np.minimum(b_min, b.min(axis=1, initial=np.inf), out=b_min)
+            tail, rows = lo + cut, step
+            if bad.size:
+                break
+        if tail == n:
+            return n, None, None
+        c = np.maximum(np.sqrt(s_over_b) * np.sqrt(b_min), floor)
+        ok = np.ones(R, dtype=bool)
+        neg_c = -c[:, None]
+        for lo in range(tail, n, step):
+            hi = min(lo + step, n)
+            q = (diag[:, lo:hi] - x0[:, None]) - sub_sq[:, lo - 1:hi - 1] / neg_c
+            ok &= (q <= neg_c).all(axis=1)
+    return tail, c, ok
+
+
+def _pivot_rows(diag, sub_sq, rows, cols, xt, tiny, q):
+    """Negative pivots of the matrices ``cols`` over ``rows``, a range of rows.
+
+    ``q`` holds the (k, m) pivots of the row before ``rows`` on entry (unread
+    when ``rows`` starts at row 0) and those of its last row on exit; ``cols``
+    is an index array of m matrices, or slice(None) for all.  Returns the
+    (k, m) int64 counts.
+    """
+    k, m = q.shape
+    tiny_max = tiny.max(initial=0.0)
+    row = np.empty(m)
+    t = np.empty((k, m))
+    neg = np.empty((k, m), dtype=bool)
+    neg_u8 = neg.view(np.uint8)  # adds to acc without a cast
+    acc = np.zeros((k, m), dtype=np.uint8)
+    count = np.zeros((k, m), dtype=np.int64)
+    held = 0  # rows counted in acc
+    if rows.start == 0:
+        np.copyto(row, diag[cols, 0])
+        np.subtract(row, xt, out=q)
+        np.less(q, 0.0, out=neg)
+        np.add(acc, neg_u8, out=acc)
+        rows, held = rows[1:], 1
+    for i in rows:
+        # a NaN min fails the test as well, and takes the per-element test
+        if not np.abs(q, out=t).min(initial=np.inf) >= tiny_max:
+            small = t < tiny
+            if small.any():
+                np.copyto(q, np.where(q < 0, -tiny, tiny), where=small)
+        np.copyto(row, sub_sq[cols, i - 1])
+        np.divide(row, q, out=t)
+        np.copyto(row, diag[cols, i])
+        np.subtract(row, xt, out=q)
+        np.subtract(q, t, out=q)
+        np.less(q, 0.0, out=neg)
+        np.add(acc, neg_u8, out=acc)
+        held += 1
+        if held == _FLUSH_ROWS:
+            count += acc
+            acc.fill(0)
+            held = 0
+    count += acc
+    return count
+
+
+def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
+                work: SturmWork | None = None) -> np.ndarray:
     """Eigenvalues strictly below each query point, for a batch of matrices.
 
     ``diag`` is (R, n) and ``sub_sq`` (R, n-1): the diagonals and squared
@@ -87,56 +197,65 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray) -> np.ndarr
     (R, k) int64 counts, each in O(n) by the LDL^T pivot recurrence
     q_i = (d_i - x) - b_i^2 / q_{i-1}, which is monotone in x in floating
     point (Demmel, Dhillon & Ren 1995); the count is the number of negative q_i.
+    ``work``, when given, adds up the pivot rows run.
 
     The pivots are held as (k, R) arrays, so that every pass runs over the
     long replicate axis: row i's diagonal and squared-subdiagonal column are
     copied in turn into one (R,) buffer, which broadcasts along the k query
-    points, and every pass writes into a buffer made once.  A pivot with
-    |q| below its matrix's ``tiny`` (a relative safeguard that keeps the
-    recurrence defined) becomes +-tiny before the division; one min(|q|)
-    against the largest ``tiny`` rules that out for a whole row, so the
-    per-element test runs only when the min falls below it.  Negative pivots
-    are counted in a uint8 array flushed into the int64 counts every 255 rows.
+    points, and every pass writes into a buffer made once.  The query points
+    go through in chunks of at most 2^15 (point, matrix) pairs, so that the
+    buffers stay bounded whatever k is.  A pivot with |q| below its matrix's
+    ``tiny`` (a relative safeguard that keeps the recurrence defined) becomes
+    +-tiny before the division; one min(|q|) against the largest ``tiny``
+    rules that out for a whole row, so the per-element test runs only when the
+    min falls below it.  Negative pivots are counted in a uint8 array flushed
+    into the int64 counts every 255 rows.
+
+    Rows below the eigenvalues near the smallest query point x0 are run only
+    when they must be (a certified tail).  From a row K down, every matrix has
+    x0 - d_i > 0 and (x0 - d_i)^2 > 4 b_{i-1}^2, and a matrix is certified
+    when each of those rows, computed as here, maps a pivot of -c at x0 to one
+    at most -c, and every query point's pivot at row K-1 is at most -c, for a
+    c of its own at least the largest ``tiny``.  Each rounded operation is
+    monotone, so every tail pivot then stays at most -c: negative and never
+    guarded, and the count is the leading rows' count plus n - K, the integer
+    the full recurrence gives.  Any other matrix runs the tail rows as well.
     """
     diag = np.asarray(diag, dtype=float)
     sub_sq = np.asarray(sub_sq, dtype=float)
     x = np.asarray(x, dtype=float)
     R, n = diag.shape
-    k = x.shape[-1] if x.ndim else 1
+    x = np.atleast_2d(x)  # (1, k) or (R, k)
+    x0 = np.broadcast_to(x.min(axis=1, initial=np.inf), (R,))
+    x = np.broadcast_to(x, (R, x.shape[1]))
+    k = x.shape[1]
     # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero;
     # max |d| as max(max d, -min d), with no (R, n) temporary
     d_max = np.maximum(diag.max(axis=1), -diag.min(axis=1))
     tiny = np.finfo(float).tiny * (d_max + sub_sq.max(axis=1, initial=0.0) + 1.0) + 1e-300
-    tiny_max = tiny.max(initial=0.0)
-    xt = np.broadcast_to(x, (R, k)).T.copy()  # C order: each query point's row runs over R
-    row = np.empty(R)
-    q, t = np.empty((k, R)), np.empty((k, R))
-    neg = np.empty((k, R), dtype=bool)
-    neg_u8 = neg.view(np.uint8)  # adds to acc without a cast
-    acc = np.zeros((k, R), dtype=np.uint8)
-    count = np.zeros((R, k), dtype=np.int64)
-    np.copyto(row, diag[:, 0])
-    np.subtract(row, xt, out=q)
-    np.less(q, 0.0, out=neg)
-    np.add(acc, neg_u8, out=acc)
-    for i in range(1, n):
-        # a NaN min fails the test as well, and takes the per-element test
-        if not np.abs(q, out=t).min(initial=np.inf) >= tiny_max:
-            small = t < tiny
-            if small.any():
-                np.copyto(q, np.where(q < 0, -tiny, tiny), where=small)
-        np.copyto(row, sub_sq[:, i - 1])
-        np.divide(row, q, out=t)
-        np.copyto(row, diag[:, i])
-        np.subtract(row, xt, out=q)
-        np.subtract(q, t, out=q)
-        np.less(q, 0.0, out=neg)
-        np.add(acc, neg_u8, out=acc)
-        if (i + 1) % _FLUSH_ROWS == 0:
-            count += acc.T
-            acc.fill(0)
-    count += acc.T
-    return count
+    tail, c, ok = _certified_tail(diag, sub_sq, x0, tiny.max(initial=0.0))
+    count = np.empty((k, R), dtype=np.int64)  # returned as its (R, k) transpose
+    fell_back = np.zeros(R, dtype=bool)
+    step = max(1, _PASS_PAIRS // max(R, 1))
+    for lo in range(0, k, step):
+        xt = x[:, lo:lo + step].T.copy()  # C order: each query point's row runs over R
+        q = np.empty_like(xt)
+        part = _pivot_rows(diag, sub_sq, range(tail), slice(None), xt, tiny, q)
+        if tail < n:
+            sure = ok & (q <= -c).all(axis=0)
+            part += np.where(sure, n - tail, 0)
+            rest = np.flatnonzero(~sure)
+            if rest.size:
+                fell_back[rest] = True
+                part[:, rest] += _pivot_rows(diag, sub_sq, range(tail, n), rest, xt[:, rest],
+                                             tiny[rest], q[:, rest])
+        count[lo:lo + step] = part
+    if work is not None:
+        fallbacks = int(np.count_nonzero(fell_back))
+        work.rows += tail * R + (n - tail) * fallbacks
+        work.full_rows += R * n
+        work.fallbacks += fallbacks
+    return count.T
 
 
 def eigenvalues_bisect(diag, sub, abs_tol: float = 1e-12) -> np.ndarray:

@@ -253,6 +253,33 @@ class TestDensity:
                     "--output", str(out)]) == 0
         assert json.loads(out.with_suffix(".csv.json").read_text()).get("stream") == layout
 
+    def test_input_sidecar_names_the_histogram_route(self, tmp_path):
+        spectra, out = tmp_path / "s.csv", tmp_path / "d.csv"
+        run(["sample", "--n", "6", "--beta", "2", "--reps", "3", "--output", str(spectra)])
+        assert run(["density", "--input", str(spectra), "--n", "6", "--beta", "2",
+                    "--output", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        assert meta["count_route"] == {"route": "histogram"}
+
+    @pytest.mark.parametrize("regime, grid, engaged", [
+        ("edge", ["--grid-lo", "-5", "--grid-hi", "2", "--bins", "28"], True),
+        ("bulk", [], False),
+    ])
+    def test_sampled_sidecar_counts_the_pivot_rows(self, tmp_path, regime, grid, engaged):
+        # the edge-n400 command at seed 0: near the soft edge the certified tail
+        # skips more than half of the rows with no fallback, while the default bulk
+        # grid starts below the spectrum and runs every row
+        out = tmp_path / "d.csv"
+        assert run(["density", "--n", "400", "--beta", "2", "--reps", "2000", "--seed", "0",
+                    "--regime", regime, *grid, "--output", str(out)]) == 0
+        route = json.loads(out.with_suffix(".csv.json").read_text())["count_route"]
+        assert set(route) == {"route", "pivot_rows", "full_rows", "fallbacks"}
+        assert (route["route"], route["full_rows"], route["fallbacks"]) == ("sturm", 800_000, 0)
+        if engaged:
+            assert route["pivot_rows"] <= 400_000
+        else:
+            assert route["pivot_rows"] == 800_000
+
     def test_sampled_density_sidecar_records_the_stream_layout(self, tmp_path):
         from betahermite.ensemble import STREAM_LAYOUT
 
@@ -384,6 +411,16 @@ class TestDensity:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
+    def test_bins_over_the_table_cap_is_usage_error(self, tmp_path, capsys):
+        from betahermite.cli import MAX_TABLE_ROWS
+
+        out = tmp_path / "x.csv"
+        rc = run(["density", "--n", "2", "--beta", "2", "--bins", str(MAX_TABLE_ROWS + 1),
+                  "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --bins 1000001")
+        assert not out.exists() and not (tmp_path / "x.csv.json").exists()
+
     def test_bins_narrower_than_float_spacing_is_usage_error(self, tmp_path, capsys):
         # 8 bins over a span of one ulp: linspace repeats edges, giving zero-width bins
         out = tmp_path / "x.csv"
@@ -482,7 +519,7 @@ class TestSpecial:
         # -2, -1, 0, 1, 2: five points
         from betahermite import cli
 
-        monkeypatch.setattr(cli, "MAX_SPECIAL_POINTS", cap)
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", cap)
         assert run(["special", "--fn", "ai", "--x-lo=-2", "--x-hi", "2", "--x-step", "1"]) == rc
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == (6 if rc == 0 else 0)

@@ -178,6 +178,27 @@ class TestSampleDensity:
         assert_same_histogram(fast, stev_density(p, 6, reps, grid, Regime.BULK))
         assert fast.n_values == 4 * reps
 
+    def test_more_edges_than_one_count_call(self):
+        # 2,500 bins go to the Sturm counts in three calls per block; the first
+        # and last calls decide which replicates miss the grid
+        p = gauss(4, 2.0)
+        grid = np.linspace(-1.0, 0.2, 2501)
+        fast = sample_density(p, 3, 600, grid, Regime.BULK)
+        assert_same_histogram(fast, stev_density(p, 3, 600, grid, Regime.BULK))
+        assert fast.count_route["full_rows"] == 3 * 4 * 600
+
+    def test_memory_does_not_grow_with_the_bins(self):
+        import tracemalloc
+
+        grid = np.linspace(-1.2, 1.2, 20_001)
+        tracemalloc.start()
+        try:
+            sample_density(gauss(2, 2.0), 1, 512, grid, Regime.BULK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20  # not the ~330 MiB of (bins, replicates) pivot arrays
+
     @pytest.mark.parametrize("grid, below", [([50.0, 55.0, 60.0], True),
                                              ([-60.0, -50.0], False)])
     def test_grid_missing_every_spectrum(self, grid, below):

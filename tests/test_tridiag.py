@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betahermite import (
     EnsembleKind,
     EnsembleParams,
+    Regime,
     SampleSeed,
+    SturmWork,
     eigenvalues_bisect,
     eigenvalues_block,
     sample_block,
+    grid_to_lambda,
     sturm_count,
     trace_sq_rows,
 )
@@ -145,6 +148,84 @@ class TestSturmCountOracle:
         want = sturm_count_reference(diag, sub_sq, x)
         assert got.shape == want.shape and got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 100, 400]),
+        beta=st.sampled_from([0.7, 2.0, 5.0]),
+        kind=st.sampled_from(list(EnsembleKind)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-300, 1e150]),
+        edit=st.sampled_from(["none", "zero-sub", "neg-zero", "x-at-diag", "diag-at-x"]),
+    )
+    @example(n=400, beta=2.0, kind=EnsembleKind.GAUSSIAN, seed=0, scale=1.0, edit="none")
+    @example(n=100, beta=0.7, kind=EnsembleKind.FIXED_TRACE, seed=1, scale=1e150, edit="zero-sub")
+    @example(n=400, beta=5.0, kind=EnsembleKind.GAUSSIAN, seed=2, scale=1.0, edit="diag-at-x")
+    @settings(max_examples=40, deadline=None)
+    def test_certified_tail_counts_equal_the_reference(self, n, beta, kind, seed, scale, edit):
+        # the edge-n400 grid, whose points sit above the spectra of the trailing rows
+        assume(n > 1 or kind is EnsembleKind.GAUSSIAN)  # the trace sphere needs n >= 2
+        params = EnsembleParams(n, beta, kind)
+        diag, sub = sample_block(params, seed, 0, 16)
+        x = grid_to_lambda(np.linspace(-5.0, 2.0, 29), Regime.EDGE, params)
+        tail_row = (3 * n) // 4
+        if edit == "zero-sub":
+            sub[:, ::2] = 0.0
+        elif edit == "neg-zero":
+            diag[:, 1::2] = -0.0
+        elif edit == "x-at-diag":  # a query point on a trailing diagonal entry
+            x = np.sort(np.append(x, diag[5, tail_row]))
+        elif edit == "diag-at-x":  # a trailing row with x0 - d_i = 0 in one matrix
+            diag[3, tail_row] = x[0]
+        diag, sub_sq, x = scale * diag, np.square(scale * sub), scale * x
+        work = SturmWork()
+        got = sturm_count(diag, sub_sq, x, work)
+        assert np.array_equal(got, sturm_count_reference(diag, sub_sq, x))
+        assert work.full_rows == 16 * n and 0 <= work.fallbacks <= 16
+        if n >= 100 and scale == 1.0 and edit in ("none", "neg-zero"):
+            assert work.rows < work.full_rows  # the certificate engaged
+
+    def test_small_negative_pivot_entering_the_tail_falls_back(self):
+        # Rows 2 and 3 (d = -10, b^2 = 1) form the tail at x = 0.  The first
+        # matrix enters it with q_1 = 1 - 1.001 = -0.001, above -c = -1, so
+        # that q_2 = -10 + 1000 is positive: counting the tail as two negative
+        # pivots would give 3.  The second matrix enters with q_1 = -11.001.
+        diag = np.array([[1.0, 1.0, -10.0, -10.0], [1.0, -10.0, -10.0, -10.0]])
+        sub_sq = np.array([[1.001, 1.0, 1.0], [1.001, 1.0, 1.0]])
+        work = SturmWork()
+        got = sturm_count(diag, sub_sq, [0.0, 0.5], work)
+        assert got.tolist() == [[2, 3], [3, 3]]
+        assert np.array_equal(got, sturm_count_reference(diag, sub_sq, np.array([0.0, 0.5])))
+        assert (work.rows, work.full_rows, work.fallbacks) == (2 * 2 + 2, 8, 1)
+
+    def test_zero_subdiagonal_tail_is_certified(self):
+        # a diagonal matrix below every query point: all rows but the first are the
+        # tail, and c must not drop to 0, which fails the check as 0 / -0.0 is NaN
+        work = SturmWork()
+        got = sturm_count(np.full((3, 50), -10.0), np.zeros((3, 49)), [0.0, 1.0], work)
+        assert got.tolist() == [[50, 50]] * 3
+        assert (work.rows, work.full_rows, work.fallbacks) == (3, 150, 0)
+
+    def test_a_grid_below_the_spectrum_runs_every_row(self):
+        diag, sub = sample_block(EnsembleParams(30, 2.0), 4, 0, 8)
+        work = SturmWork()
+        sturm_count(diag, np.square(sub), np.linspace(-20.0, 20.0, 9), work)
+        assert (work.rows, work.full_rows, work.fallbacks) == (240, 240, 0)
+
+    def test_query_chunks_bound_the_memory(self):
+        # 20,001 query points by 512 matrices: beyond the (R, k) int64 counts it
+        # returns, the kernel holds a bounded chunk of pairs, not ~34 B per pair
+        import tracemalloc
+
+        diag, sub = sample_block(EnsembleParams(2, 2.0), 6, 0, 512)
+        x = np.linspace(-4.0, 4.0, 20_001)
+        tracemalloc.start()
+        try:
+            got = sturm_count(diag, np.square(sub), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 8 * 2**20
+        assert np.array_equal(got, sturm_count_reference(diag, np.square(sub), x))
 
     def test_path_graph_eigenvalues(self):
         # diagonal 0, subdiagonal 1, n = 2: eigenvalues exactly -1 and 1
