@@ -5,7 +5,7 @@ closed-form limit profile.
 The two ensembles are sampled with independent streams and binned in edge
 coordinates t = 2 N^(2/3) (lambda/edge - 1) as expected counts per unit t,
 by Sturm counts at the bin edges (`betahermite.sample_density`).  For beta
-in {1, 2} the closed form is the pointwise limit of both histograms;
+in {1, 2, 4} the closed form is the pointwise limit of both histograms;
 residual deviations are finite-N bias plus Monte Carlo noise.
 
 Usage: python scripts/edge_experiment.py [--n 400] [--reps 2000] [--beta 2]
@@ -50,7 +50,7 @@ def main():
     centers = d_g.centers
     ref = None
     if has_closed_edge_form(args.beta):
-        ref = edge_density_closed(int(args.beta), centers)
+        ref = edge_density_closed(args.beta, centers)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["t", "gaussian", "fixed_trace"] + (["closed_form"] if ref is not None else [])

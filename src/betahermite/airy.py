@@ -8,13 +8,11 @@ precision; for large positive x they are 0, the correctly rounded value, without
 a warning.
 
 Edge densities: ``edge_density_closed`` evaluates the classical closed forms
-for beta in {1, 2, 4}.  It, ``airy_ai``, ``airy_ai_prime`` and ``airy_tail``
-take whole arrays: a float for a scalar, an ndarray for an array.  Note a
-units caveat for beta=4: the closed form is written in the doubled-argument
-convention, while edge histograms produced by this package's scaling follow
-the rescaled profile (beta/2)^(-1/3) * Ai_beta((beta/2)^(-1/3) t); the two
-agree for beta in {1, 2}.  See ``kontsevich.kontsevich_edge_density`` for the
-multiple-integral route, which is normalized to agree with the closed forms.
+for beta in {1, 2, 4} in the edge coordinate t = 2 N^(2/3) (lambda/edge - 1)
+of the sampled histograms.  It, ``airy_ai``, ``airy_ai_prime`` and
+``airy_tail`` take whole arrays: a float for a scalar, an ndarray for an
+array.  ``kontsevich.kontsevich_edge_density`` is the multiple-integral route
+for even beta, in the same t.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ __all__ = [
 
 AI0 = 3.0 ** (-2.0 / 3.0) / gamma(2.0 / 3.0)   # Ai(0)
 AIP0 = -(3.0 ** (-1.0 / 3.0)) / gamma(1.0 / 3.0)  # Ai'(0)
+AIRY_ERROR = 1e-10  # airy_tail's absolute error bound, the floor of every Airy-built error
 
 _X_LIMIT = 200.0
 _TAIL_TOP, _TAIL_STEP = 20.0, 0.2  # airy_tail's lattice edges are _TAIL_TOP - _TAIL_STEP k
@@ -125,7 +124,7 @@ def edge_density_closed(beta: float, x):
 
     beta=1: Ai'^2 - x Ai^2 + Ai/2 * (1 - int_x^inf Ai)
     beta=2: Ai'^2 - x Ai^2
-    beta=4: doubled arguments, Ai'(2x)^2 - 2x Ai(2x)^2 - Ai(2x) int_x^inf Ai(2t) dt
+    beta=4: 2^(-1/3) (Ai'(y)^2 - y Ai(y)^2 - Ai(y)/2 * int_y^inf Ai), y = 2^(2/3) x
     """
     if not has_closed_edge_form(beta):
         raise ValueError(
@@ -133,7 +132,7 @@ def edge_density_closed(beta: float, x):
             "use kontsevich_edge_density, or `special --fn kontsevich` from the command line"
         )
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    y = 2.0 * xs if beta == 4 else xs
+    y = 2.0 ** (2.0 / 3.0) * xs if beta == 4 else xs
     # tails first: airy_tail rejects an x its panels cannot reach
     tails = None if beta == 2 else airy_tail(y)
     ai, aip = _ai_aip(y)
@@ -142,7 +141,7 @@ def edge_density_closed(beta: float, x):
     if beta == 1:
         val += 0.5 * ai * (1.0 - tails)
     elif beta == 4:
-        val -= ai * (0.5 * tails)  # int_x^inf Ai(2t) dt = airy_tail(2x)/2
+        val = 2.0 ** (-1.0 / 3.0) * (val - ai * (0.5 * tails))
     return float(val[0]) if np.ndim(x) == 0 else val
 
 

@@ -22,7 +22,7 @@ from .density import Regime, sample_density
 from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, big_l, sample_block,
                        trace_sphere, trace_sq_rows)
 from .kontsevich import kontsevich_edge_density, kontsevich_k
-from .airy import edge_density_closed
+from .airy import AIRY_ERROR, edge_density_closed
 from .moments import MomentIndex, moment_ratio_exact, verify_moment_equivalence
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "validate_flags"]
@@ -203,17 +203,17 @@ def check_edge_remark() -> list[CheckResult]:
                 "within the sum of their error bars; "
                 + "; ".join(f"x={x:g}: {d:.1e} <= {b:.1e}" for x, d, b in zip(xq, diffs, bars)),
     ))
-    # the closed form's error is airy_tail's bound, 1e-10
+    # the closed form's error is airy_tail's bound
     k4 = kontsevich_edge_density(4, 0.0)
     closed4 = edge_density_closed(4, 0.0)
     diff = abs(k4.value - closed4)
-    tol4 = k4.error + 1e-10
+    tol4 = k4.error + AIRY_ERROR
     out.append(CheckResult(
         check_name="edge-remark-beta4",
         params={"beta": 4, "x": 0.0},
         metric=diff, tolerance=tol4, passed=bool(diff <= tol4),
         details=(f"multiple-integral {k4.value:.7f} +- {k4.error:.1e} vs closed "
-                 f"{closed4:.7f} +- 1e-10; route {k4.route}"),
+                 f"{closed4:.7f} +- {AIRY_ERROR:g}; route {k4.route}"),
     ))
     return out
 

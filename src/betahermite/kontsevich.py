@@ -45,7 +45,7 @@ from math import lgamma, pi, sqrt
 import numpy as np
 import scipy.special
 
-from .airy import ai_derivatives, airy_ai
+from .airy import AIRY_ERROR, ai_derivatives, airy_ai
 from .quadrature import gauss_panels
 
 __all__ = [
@@ -97,8 +97,8 @@ def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
 def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
     """Exact Airy-derivative reduction, valid when 4/beta is an even integer.
 
-    Returns the value and its error, max(1e-10, 2 N u sum|term|) for the N
-    monomials of the expansion: the Airy evaluator's floor, or the rounding
+    Returns the value and its error, max(AIRY_ERROR, 2 N u sum|term|) for the
+    N monomials of the expansion: the Airy evaluator's floor, or the rounding
     bound of the sum where it cancels.  A sum of terms that all underflowed to 0
     is K = 0 with the floor as its error; any other sum whose rounding bound
     reaches its own size carries no digit and raises ValueError.
@@ -129,14 +129,14 @@ def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
     if not math.isfinite(magnitude):
         raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum is not finite")
     if magnitude == 0.0:  # every term underflowed (Ai(x) is 0 from x ~ 103): K is 0
-        return 0.0, 1e-10
+        return 0.0, AIRY_ERROR
     rounding = 2.0 * len(poly) * _UNIT_ROUNDOFF * magnitude
     if rounding >= abs(total):
         raise ValueError(f"reduction route at n={n}, beta={beta}, x={x}: the sum {total:.3g} "
                          f"cancels below its rounding bound {rounding:.3g}")
     # each contour moment contributes i^m Ai^(m); total phase i^degree is real
     sign = (-1.0) ** n * (-1.0) ** ((degree // 2) % 2)
-    return sign * total, max(1e-10, rounding)
+    return sign * total, max(AIRY_ERROR, rounding)
 
 
 def _airy_moments(j: float, m_max: int, x: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -207,7 +207,7 @@ def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
         (value, magnitude, nodes), route = _k44_pfaffian(x), "quadrature-pfaffian"
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
-    error = max(1e-10, 2.0 * nodes * _UNIT_ROUNDOFF * magnitude)
+    error = max(AIRY_ERROR, 2.0 * nodes * _UNIT_ROUNDOFF * magnitude)
     converged = math.isfinite(value) and math.isfinite(error)
     return KontsevichResult(value=float(value), error=float(error) if converged else math.inf,
                             converged=converged, route=route)
@@ -274,15 +274,12 @@ def edge_prefactor(beta: int) -> float:
 def kontsevich_edge_density(beta: int, x: float) -> KontsevichResult:
     """Edge density for even beta from the multiple-integral representation.
 
-    Returns `kontsevich_k` of K_{beta,beta}(s x) with its value and error
-    scaled by s * prefactor, where s = (beta/2)^(1/3); the edge-variable
-    rescale puts the integral representation in the same units as the closed
-    forms (s = 1 for beta = 2, so that case is the plain prefactor * K).  A
+    Returns `kontsevich_k` of K_{beta,beta}(x) with its value and error scaled
+    by `edge_prefactor(beta)`, in the edge coordinate of the closed forms.  A
     quadrature that did not converge keeps converged=False and an infinite
     error.  beta may be an integral float such as 4.0.
     """
     beta = _even_beta(beta, "kontsevich_edge_density")
-    s = (beta / 2.0) ** (1.0 / 3.0)
-    res = kontsevich_k(beta, float(beta), s * float(x))
-    c = s * edge_prefactor(beta)
+    res = kontsevich_k(beta, float(beta), float(x))
+    c = edge_prefactor(beta)
     return replace(res, value=c * res.value, error=c * res.error)

@@ -15,7 +15,7 @@ from betahermite.airy import _TAIL_BLOCK, AI0, AIP0, AiryAccuracyWarning, ai_der
 
 AI1_AT_0 = 0.1853301684089364   # AIP0^2 + AI0/3
 AI2_AT_0 = 0.0669874837796640   # AIP0^2
-AI4_AT_0 = 0.0078161414650278   # AIP0^2 - AI0/6
+AI4_AT_0 = 0.0062036755919587   # 2^(-1/3) (AIP0^2 - AI0/6)
 
 
 def per_point_tail(x):
@@ -206,6 +206,16 @@ class TestEdgeDensityClosed:
 
     def test_beta4_at_zero(self):
         assert edge_density_closed(4, 0.0) == pytest.approx(AI4_AT_0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [-6.0, -3.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    def test_beta4_is_the_doubled_argument_form_carried_to_t(self, t):
+        # A(x) = Ai'(2x)^2 - 2x Ai(2x)^2 - Ai(2x) int_x^inf Ai(2s) ds is the GSE
+        # profile in doubled arguments; in t it reads 2^(-1/3) A(2^(-1/3) t)
+        x = 2.0 ** (-1.0 / 3.0) * t
+        ai, aip, _, _ = scipy.special.airy(2.0 * x)
+        tail = si.quad(lambda s: scipy.special.airy(2.0 * s)[0], x, 15.0, limit=500)[0]
+        oracle = 2.0 ** (-1.0 / 3.0) * (aip**2 - 2.0 * x * ai**2 - ai * tail)
+        assert edge_density_closed(4, t) == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", [1, 4])

@@ -178,6 +178,21 @@ class TestDensity:
         assert sidecar["n_samples"] == 40
         assert sidecar["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("kind", ["gaussian", "fixed-trace"])
+    def test_beta4_aibeta_reference_fits_the_histogram(self, tmp_path, kind):
+        # the edge-n400 command at beta = 4: the reference is in the histogram's own
+        # edge unit t, so on t in [-4, 1] the gap is finite-n bias plus Monte Carlo
+        # noise, within 0.1; a profile in doubled arguments is about 0.5 away
+        out = tmp_path / "e.csv"
+        assert run(["density", "--regime", "edge", "--kind", kind, "--n", "400",
+                    "--beta", "4", "--reps", "2000", "--grid-lo", "-5", "--grid-hi", "2",
+                    "--bins", "28", "--reference", "aibeta", "--seed", "0",
+                    "--output", str(out)]) == 0
+        rows = read_rows(out)
+        t = np.array([0.5 * (float(r["bin_lo"]) + float(r["bin_hi"])) for r in rows])
+        gap = np.array([abs(float(r["height"]) - float(r["aibeta"])) for r in rows])
+        assert np.max(gap[(t >= -4.0) & (t <= 1.0)]) <= 0.1
+
     def test_raw_csv_roundtrip(self, tmp_path):
         # every cell reads back as the float computed, the reference column included
         from betahermite import EnsembleKind, EnsembleParams, Regime, sample_density
