@@ -120,7 +120,8 @@ def has_closed_edge_form(beta: float) -> bool:
 
 def edge_density_closed(beta: float, x):
     """Closed-form edge density Ai_beta(x) for beta in {1, 2, 4}, int or float;
-    scalar in, float out; ndarray in, ndarray out.  Other beta raise ValueError.
+    scalar in, float out; ndarray in, ndarray out.  Other beta raise ValueError,
+    and so does an x below airy_tail's reach: -200 at beta = 1, -200/2^(2/3) at 4.
 
     beta=1: Ai'^2 - x Ai^2 + Ai/2 * (1 - int_x^inf Ai)
     beta=2: Ai'^2 - x Ai^2
@@ -132,8 +133,12 @@ def edge_density_closed(beta: float, x):
             "use kontsevich_edge_density, or `special --fn kontsevich` from the command line"
         )
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    y = 2.0 ** (2.0 / 3.0) * xs if beta == 4 else xs
-    # tails first: airy_tail rejects an x its panels cannot reach
+    stretch = 2.0 ** (2.0 / 3.0) if beta == 4 else 1.0
+    if beta != 2 and not np.all(xs >= -_X_LIMIT / stretch):  # NaN fails too
+        raise ValueError(f"edge_density_closed at beta={beta:g} needs x >= "
+                         f"{-_X_LIMIT / stretch:g}, got x={np.min(xs):g} (airy_tail needs x >= "
+                         f"{-_X_LIMIT:g} at its argument {'2^(2/3) x' if beta == 4 else 'x'})")
+    y = stretch * xs
     tails = None if beta == 2 else airy_tail(y)
     ai, aip = _ai_aip(y)
     # Ai is 0 from x ~ 103 on, so the clamp changes no value and keeps inf * 0 out at x = +inf

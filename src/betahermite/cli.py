@@ -213,8 +213,8 @@ def cmd_density(args) -> int:
     else:
         d = sample_density(params, args.seed, args.reps, grid, regime)
         clock.lap("sample+count")
-    if d.n_disjoint == d.n_samples:
-        raise ValueError("no samples meet the grid; adjust --grid-lo/--grid-hi")
+    if d.below + d.above == d.n_values:
+        raise ValueError("no eigenvalue falls inside the grid; adjust --grid-lo/--grid-hi")
     out = Path(args.output)
     columns = [d.grid[:-1], d.grid[1:], d.height, *ref.values()]
     with out.open("w", newline="") as fh:

@@ -11,11 +11,13 @@ Normalization conventions:
   this histogram estimates exactly the scaled density whose limit is the
   Airy-type edge profile.
 
-Two routes give the same histogram.  `estimate_density` bins an (R, n) array
-of eigenvalue rows with `np.histogram`; `sample_density` walks the replicate
-matrices with `ensemble.replicate_blocks` and never computes an eigenvalue: a
-bin's count is the difference of the Sturm counts (`tridiag.sturm_count`) at
-its two edges, mapped back to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
+Two routes give the same histogram, because both count the eigenvalues
+strictly below each grid edge and `_binned` alone turns those counts into
+half-open bins [lo, hi).  `estimate_density` counts an (R, n) array of
+eigenvalue rows with one `np.histogram`; `sample_density` walks the replicate
+matrices with `ensemble.replicate_blocks` and never computes an eigenvalue:
+it takes the Sturm counts (`tridiag.sturm_count`) at the edges, mapped back
+to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
 rescaling: it maps eigenvalue arrays of any shape, such as the (R, n) rows of
 `tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
 maps a grid back.
@@ -67,14 +69,11 @@ class Regime(str, Enum):
 @dataclass
 class DensityEstimate:
     """Binned density on a grid: ``grid`` holds the bin edges
-    (len = len(height)+1).
+    (len = len(height)+1), and every bin is half-open, [lo, hi).
 
-    The estimate also records where its ``n_values`` values fell:
-    ``below`` the first edge, ``above`` the last one (at or above it on the
-    Sturm route, strictly above it with `np.histogram`, which closes the last
-    bin), how many of its ``n_samples`` vectors lie wholly below or wholly
-    above the grid (``n_disjoint``), and how its counts were made, when known
-    (``count_route``): ``{"route": "histogram"}`` from eigenvalues, or
+    The estimate also records where its ``n_values`` values fell: ``below``
+    the first edge, ``above`` the last one or on it, and how its counts were
+    made, when known (``count_route``): ``{"route": "histogram"}`` from eigenvalues, or
     ``{"route": "sturm", "pivot_rows": ..., "full_rows": ..., "fallbacks": ...}``
     from `tridiag.sturm_count`, with the pivot rows it ran, out of the
     replicates times n of the full recurrence per call, and the replicates
@@ -88,7 +87,6 @@ class DensityEstimate:
     n_values: int = 0
     below: int = 0
     above: int = 0
-    n_disjoint: int = 0
     count_route: dict | None = None
 
     def __post_init__(self):
@@ -172,15 +170,15 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def _binned(counts, grid, regime, n_samples, n_values, below, n_disjoint, count_route):
-    """DensityEstimate from bin counts, normalized as the module docstring says."""
-    widths = np.diff(grid)
+def _binned(below_edge, grid, regime, n_samples, n_values, count_route):
+    """DensityEstimate from the number of values strictly below each grid edge:
+    bin [lo, hi) holds the difference of its edges' counts, normalized as the
+    module docstring says."""
     norm = n_samples if regime is Regime.EDGE else n_values
     return DensityEstimate(
-        grid=grid, height=counts / (norm * widths), regime=regime, n_samples=n_samples,
-        n_values=n_values, below=below,
-        above=n_values - below - int(np.sum(counts)), n_disjoint=n_disjoint,
-        count_route=count_route,
+        grid=grid, height=np.diff(below_edge) / (norm * np.diff(grid)), regime=regime,
+        n_samples=n_samples, n_values=n_values, below=int(below_edge[0]),
+        above=n_values - int(below_edge[-1]), count_route=count_route,
     )
 
 
@@ -189,7 +187,7 @@ def estimate_density(
     grid: Sequence[float],
     regime: Regime,
 ) -> DensityEstimate:
-    """Histogram an (R, n) array, or R rows of equal length, into a DensityEstimate.
+    """Histogram an (R, n) array, or R rows of equal length, into half-open bins.
 
     Heights are normalized by the total eigenvalue count (raw/bulk) or the
     replicate count (edge), so values remain unbiased density estimates even
@@ -199,11 +197,9 @@ def estimate_density(
     values = np.asarray(samples, dtype=float)  # rows of unequal length raise ValueError
     if values.ndim != 2 or values.size == 0:
         raise ValueError(f"need R >= 1 rows of n >= 1 values, got shape {values.shape}")
-    counts, _ = np.histogram(values, bins=grid)
-    n_disjoint = int(np.count_nonzero((values.min(axis=1) > grid[-1])
-                                      | (values.max(axis=1) < grid[0])))
-    below = int(np.count_nonzero(values < grid[0]))
-    return _binned(counts, grid, regime, len(values), values.size, below, n_disjoint,
+    # bins [-inf, g0), [g0, g1), ..., [g_last, inf]: their running sum counts below each edge
+    counts, _ = np.histogram(values, bins=np.concatenate([[-np.inf], grid, [np.inf]]))
+    return _binned(np.cumsum(counts[:-1]), grid, regime, len(values), values.size,
                    {"route": "histogram"})
 
 
@@ -218,8 +214,9 @@ def sample_density(
 
     ``grid`` is in the regime's coordinate.
     Replicates come from `ensemble.replicate_blocks`, one stream block at a
-    time, and each block's Sturm counts at the grid's eigenvalue-axis edges give
-    its bin counts, at O(n) per edge and replicate, or less: near a soft edge
+    time, and each block's Sturm counts, the eigenvalues strictly below each of
+    the grid's eigenvalue-axis edges, give its half-open bins [lo, hi), at O(n)
+    per edge and replicate, or less: near a soft edge
     `tridiag.sturm_count` skips the trailing rows whose pivots it can prove
     negative in floating point, and the estimate's ``count_route`` says how
     many rows ran.  The edges go to it at most 1024 at a time, so that a
@@ -231,23 +228,17 @@ def sample_density(
     if reps < 1:
         raise ValueError("need at least one replicate")
     edges = grid_to_lambda(grid, regime, params)
-    n = params.n
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
-    n_disjoint = 0
     work = SturmWork()
     for _, diag, sub in replicate_blocks(params, master_seed, 0, reps):
         sub_sq = np.square(sub, out=sub)
         for lo in range(0, len(edges), _EDGES_PER_CALL):
             c = sturm_count(diag, sub_sq, edges[lo:lo + _EDGES_PER_CALL], work)
             below_edge[lo:lo + c.shape[1]] += c.sum(axis=0)
-            if lo == 0:
-                disjoint = c[:, 0] == n
-        n_disjoint += int(np.count_nonzero(disjoint | (c[:, -1] == 0)))
         del diag, sub, sub_sq, c  # free this block before the next one is drawn
     route = {"route": "sturm", "pivot_rows": work.rows, "full_rows": work.full_rows,
              "fallbacks": work.fallbacks}
-    return _binned(np.diff(below_edge), grid, regime, reps, reps * n,
-                   int(below_edge[0]), n_disjoint, route)
+    return _binned(below_edge, grid, regime, reps, reps * params.n, route)
 
 
 def semicircle(x):

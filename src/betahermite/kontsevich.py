@@ -94,6 +94,12 @@ def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
     return poly
 
 
+def _even_power(beta: float) -> int | None:
+    """4/beta as an int when it is an even integer, to within 1e-12; else None."""
+    power = round(4.0 / beta)
+    return power if abs(4.0 / beta - power) < 1e-12 and power % 2 == 0 else None
+
+
 def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
     """Exact Airy-derivative reduction, valid when 4/beta is an even integer.
 
@@ -103,10 +109,9 @@ def _k_reduction(n: int, beta: float, x: float) -> tuple[float, float]:
     is K = 0 with the floor as its error; any other sum whose rounding bound
     reaches its own size carries no digit and raises ValueError.
     """
-    p = 4.0 / beta
-    power = int(round(p))
-    if abs(p - power) > 1e-12 or power % 2 != 0:
-        raise ValueError(f"reduction route needs 4/beta an even integer, got 4/beta={p}")
+    power = _even_power(beta)
+    if power is None:
+        raise ValueError(f"reduction route needs 4/beta an even integer, got 4/beta={4.0 / beta}")
     degree = power * n * (n - 1) // 2
     # the expansion has at most as many monomials as there are of its degree
     bound = math.comb(degree + n - 1, n - 1)
@@ -244,9 +249,7 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
         return KontsevichResult(
             value=-float(airy_ai(float(x))), error=1e-13, converged=True, route="closed"
         )
-    p = 4.0 / beta
-    reducible = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
-    if route == "reduction" or (route == "auto" and reducible):
+    if route == "reduction" or (route == "auto" and _even_power(beta) is not None):
         value, error = _k_reduction(n, beta, float(x))
         return KontsevichResult(value=value, error=error, converged=True, route="reduction")
     return _k_quadrature(n, beta, float(x))

@@ -235,6 +235,15 @@ class TestEdgeDensityClosed:
         with pytest.raises(ValueError, match="airy_tail needs x >= -200"):
             edge_density_closed(beta, -np.inf)
 
+    @pytest.mark.parametrize("beta, x, bound", [(4, -130.0, "-125.99"), (1, -201.0, "-200")])
+    def test_domain_is_refused_in_the_callers_x(self, beta, x, bound):
+        # beta = 4 calls airy_tail at 2^(2/3) x, so its limit is -200 / 2^(2/3)
+        with pytest.raises(ValueError, match=f"needs x >= {bound}.*, got x={x:g} "):
+            edge_density_closed(beta, np.array([0.0, x]))
+
+    def test_beta4_just_inside_its_domain(self):
+        assert np.isfinite(edge_density_closed(4, -125.0))
+
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="kontsevich"):
             edge_density_closed(6, 0.0)

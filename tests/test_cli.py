@@ -406,6 +406,16 @@ class TestDensity:
         assert err.startswith("error:") and "--grid-lo" in err and "[time]" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_grid_between_the_eigenvalues_is_usage_error(self, tmp_path, capsys):
+        # every replicate straddles the grid, and none of its eigenvalues falls inside
+        out = tmp_path / "x.csv"
+        rc = run(["density", "--n", "2", "--beta", "2", "--reps", "2", "--seed", "0",
+                  "--grid-lo=-0.6", "--grid-hi", "0.2", "--bins", "4", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no eigenvalue falls inside the grid" in err
+        assert not out.exists()
+
     def test_empty_grid_from_input_is_usage_error(self, tmp_path, capsys):
         spectra = tmp_path / "s.csv"
         run(["sample", "--n", "20", "--beta", "2", "--reps", "3", "--output", str(spectra)])

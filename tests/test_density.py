@@ -22,6 +22,7 @@ from betahermite import (
     sample_block,
     sample_density,
     semicircle,
+    sturm_count,
     weak_functional,
 )
 from betahermite.density import semicircle_bins, semicircle_mass
@@ -97,13 +98,12 @@ class TestEstimateDensity:
             estimate_density([np.array([0.5])], [1.0, 0.0], Regime.RAW)
 
     def test_values_outside_the_grid(self):
-        # the last bin is closed, so 1.0 is captured; one row lies wholly below the
-        # grid and one wholly above it
+        # bins are half-open, so 1.0, on the top edge, counts as above the grid
         vecs = [np.array([-3.0, 0.5]), np.array([-2.0, -1.0]), np.array([5.0, 1.0]),
                 np.array([6.0, 7.0])]
         d = estimate_density(vecs, [0.0, 1.0], Regime.RAW)
-        assert (d.n_values, d.below, d.above, d.n_disjoint) == (8, 3, 3, 2)
-        assert d.captured_fraction == pytest.approx(0.25)
+        assert (d.n_values, d.below, d.above) == (8, 3, 4)
+        assert d.captured_fraction == pytest.approx(0.125)
 
     def test_ragged_rows_refused(self):
         with pytest.raises(ValueError):
@@ -140,8 +140,8 @@ def stev_density(params, seed, reps, grid, regime):
 
 def assert_same_histogram(fast, slow):
     assert np.array_equal(fast.height, slow.height)
-    assert (fast.n_samples, fast.n_values, fast.below, fast.above, fast.n_disjoint) == (
-        slow.n_samples, slow.n_values, slow.below, slow.above, slow.n_disjoint)
+    assert (fast.n_samples, fast.n_values, fast.below, fast.above) == (
+        slow.n_samples, slow.n_values, slow.below, slow.above)
 
 
 class TestSampleDensity:
@@ -179,8 +179,8 @@ class TestSampleDensity:
         assert fast.n_values == 4 * reps
 
     def test_more_edges_than_one_count_call(self):
-        # 2,500 bins go to the Sturm counts in three calls per block; the first
-        # and last calls decide which replicates miss the grid
+        # 2,500 bins go to the Sturm counts in three calls per block, whose counts
+        # below each edge land side by side
         p = gauss(4, 2.0)
         grid = np.linspace(-1.0, 0.2, 2501)
         fast = sample_density(p, 3, 600, grid, Regime.BULK)
@@ -205,7 +205,6 @@ class TestSampleDensity:
         p = gauss(10, 2.0)
         d = sample_density(p, 1, 7, grid, Regime.BULK)
         assert np.all(d.height == 0.0)
-        assert d.n_disjoint == 7
         assert (d.below, d.above) == ((70, 0) if below else (0, 70))
         assert d.captured_fraction == 0.0
         assert_same_histogram(d, stev_density(p, 1, 7, grid, Regime.BULK))
@@ -215,6 +214,20 @@ class TestSampleDensity:
             sample_density(gauss(5, 1.0), 0, 0, [0.0, 1.0], Regime.BULK)
         with pytest.raises(ValueError, match="grid"):
             sample_density(gauss(5, 1.0), 0, 3, [0.0], Regime.BULK)
+
+    def test_routes_agree_on_values_at_the_edges(self):
+        # a diagonal matrix's eigenvalues are its diagonal, so they can sit exactly on
+        # the edges, the last one included; both routes count below each edge, and
+        # every bin is [lo, hi)
+        grid = np.array([0.0, 0.5, 1.0])
+        diag = np.array([[0.0, 1.0], [0.5, 1.0], [-1.0, 0.5], [1.0, 2.0], [0.25, 0.0]])
+        sub = np.zeros((len(diag), 1))
+        d = estimate_density(eigenvalues_block(diag, sub), grid, Regime.RAW)
+        below_edge = sturm_count(diag, np.square(sub), grid).sum(axis=0)
+        assert below_edge.tolist() == [1, 4, 6]
+        counts = np.rint(d.height * d.n_values * d.widths)
+        assert counts.tolist() == np.diff(below_edge).tolist() == [3, 2]
+        assert (d.below, d.above) == (below_edge[0], d.n_values - below_edge[-1]) == (1, 4)
 
 
 class TestSemicircle:

@@ -86,3 +86,14 @@ def test_verify_all_writes_the_benchmark_check_count(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["checks"]) == mod.VERIFY_CHECKS == 20
     assert cmd.check(tmp_path, 0) is None
+
+
+@pytest.mark.parametrize("workload", ["edge-n400", "pipeline-n20"])
+def test_workload_outputs_pass_the_benchmark_checks(workload, tmp_path, monkeypatch):
+    # each command's output passes the check the benchmark holds it to, so a change
+    # that the benchmark would report as incorrect fails here first
+    mod = _load(BENCHMARK / "workloads.py", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for cmd in mod.WORKLOADS[workload].commands(0):
+        assert main(list(cmd.argv)) == 0
+        assert cmd.check(tmp_path, 0) is None
