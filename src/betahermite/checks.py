@@ -19,8 +19,8 @@ import numpy as np
 
 from . import exact
 from .density import Regime, sample_density
-from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, big_l, sample_block,
-                       trace_sphere, trace_sq_rows)
+from .ensemble import (EnsembleKind, EnsembleParams, big_l, sample_block, trace_sphere,
+                       trace_sq_rows)
 from .kontsevich import kontsevich_edge_density, kontsevich_k
 from .airy import AIRY_ERROR, edge_density_closed
 from .moments import MomentIndex, moment_ratio_exact, verify_moment_equivalence
@@ -135,8 +135,7 @@ def check_moments(master_seed: int) -> list[CheckResult]:
     out = []
     for n in (10, 40):
         rep = verify_moment_equivalence(
-            EnsembleParams(n, 2.0), MomentIndex.single_a(n, 1, 2), _MC_REPS,
-            SampleSeed(master_seed, 0),
+            EnsembleParams(n, 2.0), MomentIndex.single_a(n, 1, 2), _MC_REPS, master_seed,
         )
         out.append(CheckResult(
             check_name="moments-equivalence",

@@ -122,7 +122,7 @@ def cmd_sample(args) -> int:
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
         clock.lap("write")
-        for first, diag, sub in replicate_blocks(params, args.seed, 0, args.reps):
+        for first, diag, sub in replicate_blocks(params, args.seed, args.reps):
             clock.lap("sample")
             values = eigenvalues_block(diag, sub)
             clock.lap("solve")

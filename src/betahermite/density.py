@@ -77,7 +77,7 @@ class DensityEstimate:
     ``{"route": "sturm", "pivot_rows": ..., "full_rows": ..., "fallbacks": ...}``
     from `tridiag.sturm_count`, with the pivot rows it ran, out of the
     replicates times n of the full recurrence per call, and the replicates
-    whose certified tail fell back to every row.
+    whose tail certificate failed, so that their chunk of edges ran every row.
     """
 
     grid: np.ndarray
@@ -230,7 +230,7 @@ def sample_density(
     edges = grid_to_lambda(grid, regime, params)
     below_edge = np.zeros(len(grid), dtype=np.int64)  # eigenvalues below each edge
     work = SturmWork()
-    for _, diag, sub in replicate_blocks(params, master_seed, 0, reps):
+    for _, diag, sub in replicate_blocks(params, master_seed, reps):
         sub_sq = np.square(sub, out=sub)
         for lo in range(0, len(edges), _EDGES_PER_CALL):
             c = sturm_count(diag, sub_sq, edges[lo:lo + _EDGES_PER_CALL], work)

@@ -12,9 +12,10 @@ representation.  It draws consecutive replicates as ``diag (R, n)`` and
 ``REPLICATE_CHUNK``, and the rows of block b = replicate // REPLICATE_CHUNK
 come from one Philox stream keyed by (master seed, b) (`STREAM_LAYOUT`), so a
 row does not depend on the range it was requested in; a single matrix is a
-range of one.  `replicate_blocks` is the one walk over a long range: it
-yields the range one stream block's rows at a time, so every caller's memory
-stays bounded at any replicate count.
+range of one.  `replicate_blocks` is the one walk over many replicates: it
+yields replicates 0..count-1 one stream block at a time, so every caller's
+memory stays bounded at any replicate count.  `EnsembleParams` refuses a
+fixed-trace n = 1, whose trace sphere is the point 0.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"matrix dimension must be >= 1, got n={self.n}")
+        if self.kind is EnsembleKind.FIXED_TRACE and self.n < 2:
+            raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
         # 2*beta*n bounds the gamma shapes j*beta/2 and the bulk scale's square
         if not (self.beta > 0 and np.isfinite(2.0 * float(self.beta) * self.n)):
             raise ValueError(
@@ -97,7 +100,7 @@ class SampleSeed:
     """Key of one deterministic replicate: (master_seed, replicate).
 
     The replicate is a pure function of this key (see `sample_block`), so any
-    replicate can be regenerated in isolation.
+    replicate can be regenerated in isolation; `tridiag.sample_spectrum` takes it.
     """
 
     master_seed: int
@@ -175,9 +178,6 @@ def sample_block(
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
     n = params.n
-    fixed = params.kind is EnsembleKind.FIXED_TRACE
-    if fixed and n < 2:
-        raise ValueError("fixed-trace rescale needs n >= 2 (n=1 degenerates to point atoms)")
     chunk = REPLICATE_CHUNK
     end = start + count
     shape = np.arange(n - 1, 0, -1) * params.beta / 2.0  # dof j*beta/2, top-to-bottom
@@ -187,22 +187,19 @@ def sample_block(
         rows = slice(lo - start, hi - start)
         _draw_block(master_seed, b, shape, lo - b * chunk, hi - b * chunk, diag[rows], sub[rows])
     np.sqrt(sub, out=sub)
-    if fixed:
+    if params.kind is EnsembleKind.FIXED_TRACE:
         _rescale_rows(diag, sub, trace_sphere(n))
     return diag, sub
 
 
-def replicate_blocks(params: EnsembleParams, master_seed: int, start: int, count: int):
-    """Yield ``(first, diag, sub)`` over replicates start..start+count-1, one stream
-    block's rows at a time.
+def replicate_blocks(params: EnsembleParams, master_seed: int, count: int):
+    """Yield ``(first, diag, sub)`` over replicates 0..count-1, one stream block's
+    rows at a time.
 
-    Chunk edges fall at the multiples of REPLICATE_CHUNK, so each chunk is one
-    `sample_block` call inside one stream block: a range that starts mid-block
-    draws every block once, and a chunk holds at most REPLICATE_CHUNK rows.
-    ``first`` is the replicate of the chunk's first row.
+    Each chunk is one `sample_block` call over one whole stream block, the last
+    one cut at ``count``, so every block is drawn once and a chunk holds at most
+    REPLICATE_CHUNK rows.  ``first`` is the replicate of the chunk's first row.
     """
-    end = start + count
-    while start < end:
-        stop = min(end, (start // REPLICATE_CHUNK + 1) * REPLICATE_CHUNK)
-        yield start, *sample_block(params, master_seed, start, stop - start)
-        start = stop
+    for first in range(0, count, REPLICATE_CHUNK):
+        yield first, *sample_block(params, master_seed, first,
+                                   min(REPLICATE_CHUNK, count - first))

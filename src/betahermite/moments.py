@@ -4,9 +4,10 @@ Moments are taken over the tridiagonal model entries a_1..a_n (diagonal) and
 b_1..b_{n-1} (subdiagonal, indexed from the bottom-right corner so that b_j
 has chi_{j beta}/sqrt(2) statistics).  The entries are independent, so every
 Gaussian moment has a closed form (`gaussian_moment_exact`).  Fixed-trace
-moments are Monte Carlo averages over `sample_block`, the sampler `sample`
-ships, walked one stream block at a time by `replicate_blocks`, on the sphere
-tr H^2 = 2L with L = n/2 + beta n(n-1)/4, the Gaussian mean of tr H^2.
+moments are Monte Carlo averages over replicates 0..n_reps-1 of a master
+seed from `sample_block`, the sampler `sample` ships, walked one stream block
+at a time by `replicate_blocks`, on the sphere tr H^2 = 2L with
+L = n/2 + beta n(n-1)/4, the Gaussian mean of tr H^2.
 
 Under the Gaussian measure R^2 = tr H^2 has R^2/2 ~ Gamma(L), independent of
 the direction, so a degree-s moment over its Gaussian value is
@@ -27,8 +28,7 @@ from math import fsum, lgamma, log, prod, sqrt
 import numpy as np
 from scipy.special import poch
 
-from .ensemble import (EnsembleKind, EnsembleParams, SampleSeed, big_l, replicate_blocks,
-                       trace_sphere)
+from .ensemble import EnsembleKind, EnsembleParams, big_l, replicate_blocks, trace_sphere
 
 __all__ = [
     "MomentIndex",
@@ -93,11 +93,11 @@ def moment_mc(
     params: EnsembleParams,
     idx: MomentIndex,
     n_reps: int,
-    seed: SampleSeed,
+    master_seed: int,
 ) -> MomentEstimate:
     """Monte Carlo estimate of the requested entry moment in the params' ensemble.
 
-    Replicates seed.replicate, seed.replicate+1, ... of the params' kind are
+    Replicates 0..n_reps-1 of the params' kind under ``master_seed`` are
     drawn one stream block at a time with `replicate_blocks`.  A
     fixed-trace row lies on the sampler's sphere tr H^2 = `trace_sphere`(n);
     its entries are multiplied by the constant sqrt(2L / trace_sphere(n)), so
@@ -109,13 +109,12 @@ def moment_mc(
         raise ValueError("moment index dimension does not match params")
     ea = np.asarray(idx.eta_a, dtype=float)
     eb = np.asarray(idx.eta_b, dtype=float)
-    # sample_block refuses a fixed-trace n = 1, whose sphere is the point 0
-    fixed = params.kind is EnsembleKind.FIXED_TRACE and params.n > 1
+    fixed = params.kind is EnsembleKind.FIXED_TRACE
     c = sqrt(2.0 * big_l(params.n, params.beta) / trace_sphere(params.n)) if fixed else 1.0
     # sub[:, ::-1] indexes b bottom-up
     v = np.concatenate([
         np.prod((a * c) ** ea, axis=1) * np.prod((sub[:, ::-1] * c) ** eb, axis=1)
-        for _, a, sub in replicate_blocks(params, seed.master_seed, seed.replicate, n_reps)
+        for _, a, sub in replicate_blocks(params, master_seed, n_reps)
     ])
     return MomentEstimate(*_mean_and_std_error(v))
 
@@ -195,21 +194,22 @@ def verify_moment_equivalence(
     params: EnsembleParams,
     idx: MomentIndex,
     n_reps: int,
-    seed: SampleSeed,
+    master_seed: int,
 ) -> EquivalenceReport:
     """Compare the fixed-trace sampler's moment over the Gaussian one with `moment_ratio_sphere`.
 
     One Monte Carlo estimate, `moment_mc` of the fixed-trace ensemble with the
-    params' n and beta keyed by ``seed``, is divided by the closed-form
-    `gaussian_moment_exact`, so the ratio's standard error is the estimate's
-    over that constant.  An odd degree (`moment_ratio_sphere`) and an odd
-    diagonal exponent, whose Gaussian moment is 0, raise ValueError.
+    params' n and beta over replicates 0..n_reps-1 of ``master_seed``, is
+    divided by the closed-form `gaussian_moment_exact`, so the ratio's
+    standard error is the estimate's over that constant.  An odd degree
+    (`moment_ratio_sphere`) and an odd diagonal exponent, whose Gaussian moment
+    is 0, raise ValueError.
     """
     n, beta, s = params.n, params.beta, idx.s
     exact = moment_ratio_sphere(n, beta, s)
     if any(e % 2 == 1 for e in idx.eta_a):
         raise ValueError("an odd diagonal exponent has Gaussian moment 0, so no ratio exists")
-    m = moment_mc(EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE), idx, n_reps, seed)
+    m = moment_mc(EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE), idx, n_reps, master_seed)
     gauss = gaussian_moment_exact(params, idx)
     ratio, se = m.mean / gauss, m.std_error / gauss
     return EquivalenceReport(

@@ -8,14 +8,15 @@ bisection solver on one matrix's ``(diag, sub)`` (`eigenvalues_bisect`)
 serves as a slow oracle for cross-validation.  The Sturm count itself,
 batched over matrices (`sturm_count`), also gives histograms directly: a
 bin's count is the difference of the counts at its two edges (see
-`density.sample_density`).  It keeps its pivots in (k, R) arrays, query
-points by matrices, in bounded chunks of query points, so that each numpy
-pass runs over the long replicate axis, guards zero pivots with one min(|q|)
-per row, and counts negative pivots in a uint8 array flushed every 255 rows.
-Near a soft edge it runs only the leading rows: a certified tail, rows whose
-pivots it proves negative in floating point, adds its length to the count
-(`SturmWork` tallies the rows run).  `sample_spectrum` is one replicate's
-spectrum, a range of one.
+`density.sample_density`).  Every matrix shares one row of query points,
+and the pivots are (k, R) arrays, query points by matrices, in bounded
+chunks of query points, so that each numpy pass runs over the long replicate
+axis; it guards zero pivots with one min(|q|) per row and counts negative
+pivots in a uint8 array flushed every 255 rows.  Near a soft edge it runs
+only the leading rows: a certified tail, rows whose pivots it proves
+negative in floating point, adds its length to the count, and a chunk in
+which any matrix's certificate fails runs the tail rows as well (`SturmWork`
+tallies the rows run).  `sample_spectrum` is one replicate's spectrum.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     Row r's matrix has diagonal ``diag[r]`` and subdiagonal ``sub[r]``.  Each
     row goes through LAPACK ``dstev`` (implicit-shift QL/QR with Wilkinson
     shifts), the routine behind scipy's ``eigh_tridiagonal(...,
-    lapack_driver="stev")``, fetched once per block; like that wrapper, the
-    block is first checked for infs and NaNs.  Non-convergence raises
-    EigenvalueError naming the failing replicate (its row) and its matrix
-    rather than returning silently.
+    lapack_driver="stev")``, fetched once per block; with no eigenvectors it
+    ends in ``dsterf``, which returns each row in ascending order.  Like that
+    wrapper, the block is first checked for infs and NaNs.  Non-convergence
+    raises EigenvalueError naming the failing replicate (its row) and its
+    matrix rather than returning silently.
     """
     diag = np.asarray(diag, dtype=float)
     sub = np.asarray(sub, dtype=float)
@@ -74,7 +76,6 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
                     f"QL iteration did not converge for replicate {r} of the block, n={w.shape[1]} "
                     f"(LAPACK info={info}): diag={diag[r]!r} subdiag={sub[r]!r}"
                 )
-    w.sort(axis=1)
     return w
 
 
@@ -87,7 +88,7 @@ _SCAN_PAIRS = 1 << 14  # (row, matrix) pairs per pass of the tail scan
 class SturmWork:
     """Pivot rows `sturm_count` ran, summed over calls: ``rows`` of the ``full_rows``
     (matrices times n) that the full recurrence runs, and the ``fallbacks``, matrices
-    whose tail certificate failed, so that they ran every row."""
+    whose tail certificate failed, so that the tail rows ran for every matrix."""
 
     rows: int = 0
     full_rows: int = 0
@@ -95,7 +96,7 @@ class SturmWork:
 
 
 def _certified_tail(diag, sub_sq, x0, floor):
-    """The rows of a block of matrices whose pivots at or above ``x0`` (R,) stay negative.
+    """The rows of a block of matrices whose pivots at or above ``x0`` stay negative.
 
     Returns (K, c, ok), with c and ok None when K = n.  From row K down,
     every matrix has A_i = x0 - d_i > 0 and A_i^2 > 4 s_{i-1}, so a row maps
@@ -117,7 +118,7 @@ def _certified_tail(diag, sub_sq, x0, floor):
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the tests
         while tail > 1:
             lo = max(1, tail - rows)
-            a = x0[:, None] - diag[:, lo:tail]
+            a = x0 - diag[:, lo:tail]
             s = sub_sq[:, lo - 1:tail - 1]
             disc = a * a - 4.0 * s
             bad = np.flatnonzero(~((a > 0.0) & (disc > 0.0)).all(axis=0))
@@ -137,18 +138,18 @@ def _certified_tail(diag, sub_sq, x0, floor):
         neg_c = -c[:, None]
         for lo in range(tail, n, step):
             hi = min(lo + step, n)
-            q = (diag[:, lo:hi] - x0[:, None]) - sub_sq[:, lo - 1:hi - 1] / neg_c
+            q = (diag[:, lo:hi] - x0) - sub_sq[:, lo - 1:hi - 1] / neg_c
             ok &= (q <= neg_c).all(axis=1)
     return tail, c, ok
 
 
-def _pivot_rows(diag, sub_sq, rows, cols, xt, tiny, q):
-    """Negative pivots of the matrices ``cols`` over ``rows``, a range of rows.
+def _pivot_rows(diag, sub_sq, rows, xt, tiny, q):
+    """Negative pivots of every matrix over ``rows``, a range of rows.
 
-    ``q`` holds the (k, m) pivots of the row before ``rows`` on entry (unread
-    when ``rows`` starts at row 0) and those of its last row on exit; ``cols``
-    is an index array of m matrices, or slice(None) for all.  Returns the
-    (k, m) int64 counts.
+    ``xt`` (k, R) holds the k query points, each repeated along its row.
+    ``q`` holds the (k, R) pivots of the row before ``rows`` on entry (unread
+    when ``rows`` starts at row 0) and those of its last row on exit.  Returns
+    the (k, R) int64 counts.
     """
     k, m = q.shape
     tiny_max = tiny.max(initial=0.0)
@@ -160,7 +161,7 @@ def _pivot_rows(diag, sub_sq, rows, cols, xt, tiny, q):
     count = np.zeros((k, m), dtype=np.int64)
     held = 0  # rows counted in acc
     if rows.start == 0:
-        np.copyto(row, diag[cols, 0])
+        np.copyto(row, diag[:, 0])
         np.subtract(row, xt, out=q)
         np.less(q, 0.0, out=neg)
         np.add(acc, neg_u8, out=acc)
@@ -171,9 +172,9 @@ def _pivot_rows(diag, sub_sq, rows, cols, xt, tiny, q):
             small = t < tiny
             if small.any():
                 np.copyto(q, np.where(q < 0, -tiny, tiny), where=small)
-        np.copyto(row, sub_sq[cols, i - 1])
+        np.copyto(row, sub_sq[:, i - 1])
         np.divide(row, q, out=t)
-        np.copyto(row, diag[cols, i])
+        np.copyto(row, diag[:, i])
         np.subtract(row, xt, out=q)
         np.subtract(q, t, out=q)
         np.less(q, 0.0, out=neg)
@@ -192,12 +193,12 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     """Eigenvalues strictly below each query point, for a batch of matrices.
 
     ``diag`` is (R, n) and ``sub_sq`` (R, n-1): the diagonals and squared
-    subdiagonals of R tridiagonal matrices.  ``x`` broadcasts to (R, k): one
-    row of query points per matrix, or one row shared by all.  Returns the
-    (R, k) int64 counts, each in O(n) by the LDL^T pivot recurrence
-    q_i = (d_i - x) - b_i^2 / q_{i-1}, which is monotone in x in floating
-    point (Demmel, Dhillon & Ren 1995); the count is the number of negative q_i.
-    ``work``, when given, adds up the pivot rows run.
+    subdiagonals of R tridiagonal matrices.  ``x`` is one row of query points,
+    a scalar or shape (k,), shared by every matrix; a 2-D ``x`` raises
+    ValueError.  Returns the (R, k) int64 counts, each in O(n) by the LDL^T
+    pivot recurrence q_i = (d_i - x) - b_i^2 / q_{i-1}, which is monotone in x
+    in floating point (Demmel, Dhillon & Ren 1995); the count is the number of
+    negative q_i.  ``work``, when given, adds up the pivot rows run.
 
     The pivots are held as (k, R) arrays, so that every pass runs over the
     long replicate axis: row i's diagonal and squared-subdiagonal column are
@@ -219,42 +220,42 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     c of its own at least the largest ``tiny``.  Each rounded operation is
     monotone, so every tail pivot then stays at most -c: negative and never
     guarded, and the count is the leading rows' count plus n - K, the integer
-    the full recurrence gives.  Any other matrix runs the tail rows as well.
+    the full recurrence gives.  When any matrix of a chunk of query points is
+    not certified, the whole chunk runs the tail rows, which give every
+    certified matrix that same n - K.
     """
     diag = np.asarray(diag, dtype=float)
     sub_sq = np.asarray(sub_sq, dtype=float)
     x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"need one row of query points, a scalar or shape (k,), got {x.shape}")
+    x = x.reshape(-1)
     R, n = diag.shape
-    x = np.atleast_2d(x)  # (1, k) or (R, k)
-    x0 = np.broadcast_to(x.min(axis=1, initial=np.inf), (R,))
-    x = np.broadcast_to(x, (R, x.shape[1]))
-    k = x.shape[1]
+    k = len(x)
     # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero;
     # max |d| as max(max d, -min d), with no (R, n) temporary
     d_max = np.maximum(diag.max(axis=1), -diag.min(axis=1))
     tiny = np.finfo(float).tiny * (d_max + sub_sq.max(axis=1, initial=0.0) + 1.0) + 1e-300
-    tail, c, ok = _certified_tail(diag, sub_sq, x0, tiny.max(initial=0.0))
+    tail, c, ok = _certified_tail(diag, sub_sq, x.min(initial=np.inf), tiny.max(initial=0.0))
     count = np.empty((k, R), dtype=np.int64)  # returned as its (R, k) transpose
     fell_back = np.zeros(R, dtype=bool)
     step = max(1, _PASS_PAIRS // max(R, 1))
     for lo in range(0, k, step):
-        xt = x[:, lo:lo + step].T.copy()  # C order: each query point's row runs over R
+        xt = np.repeat(x[lo:lo + step, None], R, axis=1)  # a (k, 1) broadcast runs ~10% slower
         q = np.empty_like(xt)
-        part = _pivot_rows(diag, sub_sq, range(tail), slice(None), xt, tiny, q)
+        part = _pivot_rows(diag, sub_sq, range(tail), xt, tiny, q)
         if tail < n:
             sure = ok & (q <= -c).all(axis=0)
-            part += np.where(sure, n - tail, 0)
-            rest = np.flatnonzero(~sure)
-            if rest.size:
-                fell_back[rest] = True
-                part[:, rest] += _pivot_rows(diag, sub_sq, range(tail, n), rest, xt[:, rest],
-                                             tiny[rest], q[:, rest])
+            if sure.all():
+                part += n - tail
+            else:
+                fell_back |= ~sure
+                part += _pivot_rows(diag, sub_sq, range(tail, n), xt, tiny, q)
         count[lo:lo + step] = part
     if work is not None:
-        fallbacks = int(np.count_nonzero(fell_back))
-        work.rows += tail * R + (n - tail) * fallbacks
+        work.rows += tail * R + (n - tail) * R * bool(fell_back.any())
         work.full_rows += R * n
-        work.fallbacks += fallbacks
+        work.fallbacks += int(np.count_nonzero(fell_back))
     return count.T
 
 

@@ -16,7 +16,6 @@ import scipy.integrate as si
 from betahermite import (
     EnsembleKind,
     EnsembleParams,
-    SampleSeed,
     bump,
     edge_density_closed,
     eigenvalues_bisect,
@@ -207,7 +206,7 @@ def test_criterion_7_moment_equivalence():
     for n in (10, 40):
         rep = verify_moment_equivalence(
             EnsembleParams(n, 2.0), MomentIndex.single_a(n, 1, 2),
-            10_000, SampleSeed(4000 + n, 0),
+            10_000, 4000 + n,
         )
         assert rep.within_3_sigma, (
             f"n={n}: mc {rep.mc_ratio:.5f} vs exact {rep.exact_ratio:.5f} "

@@ -187,6 +187,16 @@ class TestSampleDensity:
         assert_same_histogram(fast, stev_density(p, 3, 600, grid, Regime.BULK))
         assert fast.count_route["full_rows"] == 3 * 4 * 600
 
+    @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
+    @pytest.mark.parametrize("beta", [0.7, 5.0])
+    def test_edge_grid_certifies_every_tail(self, beta, kind):
+        # a failed certificate reruns the tail rows of its whole chunk of edges, so
+        # on the soft-edge grid it must stay off the sampled path
+        p = EnsembleParams(400, beta, kind)
+        d = sample_density(p, 5, REPLICATE_CHUNK, np.linspace(-5.0, 2.0, 29), Regime.EDGE)
+        assert d.count_route["fallbacks"] == 0
+        assert d.count_route["pivot_rows"] < d.count_route["full_rows"]
+
     def test_memory_does_not_grow_with_the_bins(self):
         import tracemalloc
 

@@ -185,17 +185,17 @@ class TestSampleBlock:
             assert np.array_equal(sample_spectrum(p, SampleSeed(3, r)).values, values[r - 10])
 
     @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
-    @pytest.mark.parametrize("start,count", [(500, 1100), (1023, 2), (0, 1)])
-    def test_replicate_blocks_walk_the_range_one_stream_block_at_a_time(self, kind, start, count):
+    @pytest.mark.parametrize("count", [1100, 2 * REPLICATE_CHUNK, 1])
+    def test_replicate_blocks_walk_the_range_one_stream_block_at_a_time(self, kind, count):
         p = EnsembleParams(5, 1.5, kind)
-        chunks = list(replicate_blocks(p, 9, start, count))
+        chunks = list(replicate_blocks(p, 9, count))
         firsts = [first for first, _, _ in chunks]
-        assert firsts == [start, *(f + len(d) for f, d, _ in chunks[:-1])]
-        assert firsts[-1] + len(chunks[-1][1]) == start + count
+        assert firsts == [0, *(f + len(d) for f, d, _ in chunks[:-1])]
+        assert firsts[-1] + len(chunks[-1][1]) == count
         for first, diag, sub in chunks:
             assert first // REPLICATE_CHUNK == (first + len(diag) - 1) // REPLICATE_CHUNK
             assert len(sub) == len(diag)
-        diag, sub = sample_block(p, 9, start, count)
+        diag, sub = sample_block(p, 9, 0, count)
         assert np.array_equal(np.concatenate([d for _, d, _ in chunks]), diag)
         assert np.array_equal(np.concatenate([s for _, _, s in chunks]), sub)
 
@@ -263,6 +263,12 @@ class TestParamValidation:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             EnsembleParams(0, 2.0)
+
+    def test_fixed_trace_n1(self):
+        # the trace sphere tr H^2 = n(n-1)/2 is the point 0 at n = 1
+        with pytest.raises(ValueError, match="n >= 2"):
+            EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE)
+        assert EnsembleParams(1, 2.0).n == 1
 
     def test_bad_beta(self):
         with pytest.raises(ValueError):

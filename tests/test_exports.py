@@ -5,8 +5,11 @@ rather than in a benchmark run."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
+import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from betahermite import checks
 from betahermite.cli import main
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "benchmark"
 SUBMODULES = ("airy", "checks", "density", "ensemble", "exact", "kontsevich", "moments",
               "quadrature", "tridiag")  # cli exports nothing: it is the command line
 
@@ -56,6 +60,34 @@ def test_benchmark_imports_resolve(name, monkeypatch):
         importlib.import_module(f"betahermite.{layer}")
     if name == "workloads":
         assert ("betahermite.tridiag", "sample_spectrum") in imports
+
+
+def test_count_hooks_read_the_arguments_they_name(monkeypatch):
+    # a hook reads an argument by position when it is passed positionally, so the
+    # parameter at that position must be the one the hook names
+    spans = _load(BENCHMARK / "spans.py", monkeypatch)
+    checked = 0
+    for span, hook in spans.COUNT_HOOKS.items():
+        layer, name = span.split(".")
+        fn = getattr(importlib.import_module(f"betahermite.{layer}"), name, None)
+        if fn is None:
+            continue
+        params = list(inspect.signature(fn).parameters)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                pos, want = (ast.literal_eval(arg) for arg in call.args[2:4])
+                assert params[pos] == want, f"{span}: position {pos} is {params[pos]}, not {want}"
+                checked += 1
+    assert checked
+
+
+def test_only_the_spectrum_modules_name_sample_seed():
+    # SampleSeed keys `sample_spectrum`; every other module walks replicates by master seed
+    src = ROOT / "src" / "betahermite"
+    named = sorted(path.name for path in src.glob("*.py")
+                   if re.search(r"\bSampleSeed\b", path.read_text()))
+    assert named == ["__init__.py", "ensemble.py", "tridiag.py"]
 
 
 def test_benchmark_check_names_match(monkeypatch):

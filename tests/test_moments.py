@@ -12,7 +12,6 @@ from betahermite import (
     EnsembleKind,
     EnsembleParams,
     MomentIndex,
-    SampleSeed,
     big_l,
     gaussian_moment_exact,
     moment_mc,
@@ -44,30 +43,30 @@ class TestMomentIndex:
 class TestMomentMc:
     def test_zero_index_is_exactly_one(self):
         m = moment_mc(EnsembleParams(3, 2.0), MomentIndex((0, 0, 0), (0, 0)),
-                      1000, SampleSeed(0))
+                      1000, 0)
         assert m.mean == 1.0 and m.std_error == 0.0
 
     def test_gaussian_a1_squared(self):
         m = moment_mc(EnsembleParams(5, 2.0), MomentIndex.single_a(5, 1, 2),
-                      20_000, SampleSeed(1))
+                      20_000, 1)
         assert abs(m.mean - 1.0) <= 3.0 * m.std_error
 
     def test_gaussian_b1_squared_beta2(self):
         # bottom entry: E[b_1^2] = 1*beta/2 = 1
         m = moment_mc(EnsembleParams(5, 2.0), MomentIndex.single_b(5, 1, 2),
-                      20_000, SampleSeed(2))
+                      20_000, 2)
         assert abs(m.mean - 1.0) <= 3.0 * m.std_error
 
     def test_b_indexing_is_bottom_up(self):
         # top entry j = n-1 = 4: E[b_4^2] = 4*beta/2 = 4 at beta=2
         m = moment_mc(EnsembleParams(5, 2.0), MomentIndex.single_b(5, 4, 2),
-                      20_000, SampleSeed(3))
+                      20_000, 3)
         assert abs(m.mean - 4.0) <= 3.0 * m.std_error
 
     def test_odd_moment_mean_is_zero(self):
         # a_1 ~ N(0, 1): the odd moment vanishes
         m = moment_mc(EnsembleParams(3, 1.0), MomentIndex.single_a(3, 1, 1),
-                      500, SampleSeed(4))
+                      500, 4)
         assert abs(m.mean) <= 3.0 * m.std_error
 
     @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
@@ -80,20 +79,19 @@ class TestMomentMc:
         p = EnsembleParams(6, 2.0, kind)
         idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
         reps = REPLICATE_CHUNK + 3
-        m = moment_mc(p, idx, reps, SampleSeed(8, 4))
+        m = moment_mc(p, idx, reps, 8)
         # the sampler's sphere at n = 6 is tr H^2 = 15
         c = sqrt(2.0 * big_l(6, 2.0) / 15.0) if kind is EnsembleKind.FIXED_TRACE else 1.0
         products = []
         for rep in range(reps):
-            diag, sub = sample_block(p, 8, 4 + rep, 1)
+            diag, sub = sample_block(p, 8, rep, 1)
             a, b = diag[0] * c, sub[0, ::-1] * c
             products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
         assert m.mean == fsum(products) / reps
 
     def test_draws_each_stream_block_once(self, monkeypatch):
-        # replicates 4..1003 lie in stream blocks 0 and 1; a walk in steps of
-        # REPLICATE_CHUNK from replicate 4 would draw block 1 twice
+        # replicates 0..999 lie in stream blocks 0 and 1, and each is drawn once
         from betahermite import ensemble
 
         blocks = []
@@ -104,7 +102,7 @@ class TestMomentMc:
             return draw(master_seed, block, *args)
 
         monkeypatch.setattr(ensemble, "_draw_block", counted)
-        moment_mc(EnsembleParams(6, 2.0), MomentIndex.single_a(6, 1, 2), 1000, SampleSeed(8, 4))
+        moment_mc(EnsembleParams(6, 2.0), MomentIndex.single_a(6, 1, 2), 1000, 8)
         assert blocks == [0, 1]
 
     def test_std_error_survives_a_large_mean(self):
@@ -122,12 +120,12 @@ class TestMomentMc:
     def test_fixed_trace_n1_rejected(self):
         with pytest.raises(ValueError):
             moment_mc(EnsembleParams(1, 2.0, EnsembleKind.FIXED_TRACE),
-                      MomentIndex.single_a(1, 1, 2), 100, SampleSeed(0))
+                      MomentIndex.single_a(1, 1, 2), 100, 0)
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             moment_mc(EnsembleParams(3, 1.0), MomentIndex.single_a(3, 1, 2),
-                      50, SampleSeed(0))
+                      50, 0)
 
 
 class TestExactRatio:
@@ -258,7 +256,7 @@ class TestSphereSamplingGuard:
         # the designated validity check for rescale-to-sphere sampling
         quad = fixed_trace_a1_sq_quadrature(beta)
         p = EnsembleParams(2, beta, EnsembleKind.FIXED_TRACE)
-        m = moment_mc(p, MomentIndex.single_a(2, 1, 2), 40_000, SampleSeed(11))
+        m = moment_mc(p, MomentIndex.single_a(2, 1, 2), 40_000, 11)
         assert abs(m.mean - quad) <= 3.0 * m.std_error
 
     def test_quadrature_closed_form(self):
@@ -274,7 +272,7 @@ class TestEquivalence:
     def test_n10_beta2_within_3_sigma(self):
         rep = verify_moment_equivalence(
             EnsembleParams(10, 2.0), MomentIndex.single_a(10, 1, 2),
-            10_000, SampleSeed(21),
+            10_000, 21,
         )
         assert rep.within_3_sigma
         assert rep.exact_ratio == moment_ratio_sphere(10, 2.0, 2)
@@ -284,7 +282,7 @@ class TestEquivalence:
         # at n = 2, 3 the sphere ratio (1) and the bounded-trace one (L/(L+1))
         # are many standard errors apart at 4e4 replicates
         rep = verify_moment_equivalence(
-            EnsembleParams(n, beta), MomentIndex.single_a(n, 1, 2), 40_000, SampleSeed(5, 0),
+            EnsembleParams(n, beta), MomentIndex.single_a(n, 1, 2), 40_000, 5,
         )
         assert rep.within_3_sigma, (rep.mc_ratio, rep.std_error)
         assert abs(rep.mc_ratio - moment_ratio_exact(n, beta, 2)) > 3.0 * rep.std_error
@@ -293,7 +291,7 @@ class TestEquivalence:
         # a_1^2 a_2^2 b_4^2 at n = 5, beta = 3: degree 6, the top subdiagonal entry
         rep = verify_moment_equivalence(
             EnsembleParams(5, 3.0), MomentIndex((2, 2, 0, 0, 0), (0, 0, 0, 2)),
-            40_000, SampleSeed(7, 0),
+            40_000, 7,
         )
         assert rep.s == 6 and rep.exact_ratio == moment_ratio_sphere(5, 3.0, 6)
         assert rep.within_3_sigma, (rep.mc_ratio, rep.exact_ratio, rep.std_error)
@@ -304,7 +302,7 @@ class TestEquivalence:
     def test_refuses_odd_diagonal_exponent(self, idx):
         # the Gaussian moment is 0, so there is no ratio to compare, at odd and even degree
         with pytest.raises(ValueError):
-            verify_moment_equivalence(EnsembleParams(6, 2.0), idx, 1000, SampleSeed(22))
+            verify_moment_equivalence(EnsembleParams(6, 2.0), idx, 1000, 22)
 
     def test_trace_moment(self):
         # <tr H^2> = 2L for the Gaussian sampler
