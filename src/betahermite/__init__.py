@@ -11,7 +11,6 @@ from .density import (
     bump,
     estimate_density,
     grid_to_lambda,
-    rescale,
     sample_density,
     semicircle,
     weak_functional,
@@ -48,7 +47,7 @@ __all__ = [
     "sample_spectrum",
     "airy_ai", "airy_ai_prime", "airy_tail", "edge_density_closed", "has_closed_edge_form",
     "KontsevichResult", "kontsevich_k", "edge_prefactor", "kontsevich_edge_density",
-    "Regime", "DensityEstimate", "bump", "bulk_scale", "rescale", "grid_to_lambda",
+    "Regime", "DensityEstimate", "bump", "bulk_scale", "grid_to_lambda",
     "estimate_density", "sample_density", "semicircle", "weak_functional",
     "MomentIndex", "gaussian_moment_exact", "moment_mc", "moment_ratio_exact",
     "moment_ratio_sphere", "verify_moment_equivalence",

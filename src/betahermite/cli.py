@@ -11,9 +11,10 @@ sidecars record the stream layout as "stream".  `sample`, `density` and
 `verify` print one "[time] <stage> <seconds> s" line per stage (per check for
 `verify`) on stderr, never in a file, and only after every stage has run, so a
 refusal's stderr starts with "error:".  A command refuses its input by raising
-ValueError, and `main` alone maps that (and a missing file) to an "error:" line
-and exit status 2.  Exit status: 0 all good, 1 check failure or unconverged
-quadrature, 2 usage error.
+ValueError, and `main` alone maps that, and any OSError (a missing input, an
+--output that cannot be written), to an "error:" line and exit status 2.
+Exit status: 0 all good, 1 check failure or unconverged quadrature, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import scipy
 from . import __version__
 from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
 from .checks import CHECK_NAMES, run_checks, validate_flags
-from .density import (DensityEstimate, Regime, estimate_density, rescale, sample_density,
-                      semicircle_bins)
+from .density import DensityEstimate, Regime, estimate_density, sample_density, semicircle_bins
 from .ensemble import STREAM_LAYOUT, EnsembleKind, EnsembleParams, replicate_blocks
 from .kontsevich import kontsevich_k
 from .tridiag import eigenvalues_block
@@ -208,7 +208,7 @@ def cmd_density(args) -> int:
         values, master_seed, stream = _read_spectra(args.input, params)
         # the sidecar records the spectra's seed, count and layout, not the flags
         args.seed, args.reps = master_seed, len(values)
-        d = estimate_density(list(rescale(values, regime, params)), grid, regime)
+        d = estimate_density(list(values), params, grid, regime)
         clock.lap("read+bin")
     else:
         d = sample_density(params, args.seed, args.reps, grid, regime)
@@ -277,7 +277,6 @@ def cmd_verify(args) -> int:
     for name in names:
         results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
         clock.lap(name)
-    clock.report()
     report = {
         "seed": args.seed,
         "checks": [dataclasses.asdict(r) for r in results],
@@ -288,6 +287,7 @@ def cmd_verify(args) -> int:
         Path(args.output).write_text(text + "\n")
     else:
         print(text)
+    clock.report()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check_name} {r.params}: metric={r.metric:.3e} tol={r.tolerance:.3e}",
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

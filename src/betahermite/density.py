@@ -12,15 +12,14 @@ Normalization conventions:
   Airy-type edge profile.
 
 Two routes give the same histogram, because both count the eigenvalues
-strictly below each grid edge and `_binned` alone turns those counts into
-half-open bins [lo, hi).  `estimate_density` counts an (R, n) array of
-eigenvalue rows with one `np.histogram`; `sample_density` walks the replicate
-matrices with `ensemble.replicate_blocks` and never computes an eigenvalue:
-it takes the Sturm counts (`tridiag.sturm_count`) at the edges, mapped back
-to the eigenvalue axis by `grid_to_lambda`.  `rescale` is the one
-rescaling: it maps eigenvalue arrays of any shape, such as the (R, n) rows of
-`tridiag.eigenvalues_block`, into a regime's coordinate, and `grid_to_lambda`
-maps a grid back.
+strictly below the same eigenvalue-axis edges, `grid_to_lambda` of the grid,
+and `_binned` alone turns those counts into half-open bins [lo, hi).
+`grid_to_lambda` is the one coordinate map: eigenvalues are never rescaled,
+the grid is mapped onto the eigenvalue axis instead.  `estimate_density`
+counts an (R, n) array of eigenvalue rows, such as those of
+`tridiag.eigenvalues_block`, with one `np.histogram`; `sample_density` walks
+the replicate matrices with `ensemble.replicate_blocks` and never computes an
+eigenvalue: it takes the Sturm counts (`tridiag.sturm_count`) at the edges.
 
 `weak_functional` integrates any vectorised test function against an
 estimate, the weak-convergence side of the semicircle law; `bump` is the
@@ -46,7 +45,6 @@ __all__ = [
     "DensityEstimate",
     "bump",
     "bulk_scale",
-    "rescale",
     "grid_to_lambda",
     "estimate_density",
     "sample_density",
@@ -129,29 +127,13 @@ def bulk_scale(p: EnsembleParams) -> float:
     return sqrt(2.0 * p.n) if p.kind is EnsembleKind.FIXED_TRACE else sqrt(2.0 * p.beta * p.n)
 
 
-def _edge_stretch(n: int) -> float:
-    """Edge coordinates per unit of bulk coordinate, 2 N^(2/3)."""
-    return 2.0 * n ** (2.0 / 3.0)
-
-
-def rescale(values, regime: Regime, params: EnsembleParams) -> np.ndarray:
-    """Eigenvalues of any shape in the regime's coordinate.
-
-    raw x = lambda, bulk u = lambda / `bulk_scale`, edge t = 2 N^(2/3) (u - 1);
-    `grid_to_lambda` is the inverse.
-    """
-    values = np.asarray(values, dtype=float)
-    if regime is Regime.RAW:
-        return values
-    u = values / bulk_scale(params)
-    return u if regime is Regime.BULK else _edge_stretch(params.n) * (u - 1.0)
-
-
 def grid_to_lambda(grid, regime: Regime, params: EnsembleParams) -> np.ndarray:
     """Eigenvalue-axis positions of a grid given in the regime's coordinate.
 
-    The inverse of `rescale`: raw lambda = x, bulk lambda = s x,
-    edge lambda = s (1 + t / (2 N^(2/3))), with s = `bulk_scale(params)`.
+    The coordinates are raw x = lambda, bulk u = lambda / s and edge
+    t = 2 N^(2/3) (lambda / s - 1), with s = `bulk_scale(params)`; so raw
+    lambda = x, bulk lambda = s u, edge lambda = s (1 + t / (2 N^(2/3))).
+    Both density routes count the eigenvalues below these edges.
     """
     grid = np.asarray(grid, dtype=float)
     if regime is Regime.RAW:
@@ -159,7 +141,7 @@ def grid_to_lambda(grid, regime: Regime, params: EnsembleParams) -> np.ndarray:
     s = bulk_scale(params)
     if regime is Regime.BULK:
         return s * grid
-    return s * (1.0 + grid / _edge_stretch(params.n))
+    return s * (1.0 + grid / (2.0 * params.n ** (2.0 / 3.0)))
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -184,21 +166,27 @@ def _binned(below_edge, grid, regime, n_samples, n_values, count_route):
 
 def estimate_density(
     samples: np.ndarray | Sequence[np.ndarray],
+    params: EnsembleParams,
     grid: Sequence[float],
     regime: Regime,
 ) -> DensityEstimate:
-    """Histogram an (R, n) array, or R rows of equal length, into half-open bins.
+    """Histogram an (R, n) array of eigenvalues, or R rows of equal length, into
+    half-open bins.
 
-    Heights are normalized by the total eigenvalue count (raw/bulk) or the
-    replicate count (edge), so values remain unbiased density estimates even
-    when the grid does not cover every sample.  Ragged rows raise ValueError.
+    ``grid`` is in the regime's coordinate, and the eigenvalues are counted
+    below its eigenvalue-axis edges, `grid_to_lambda(grid, regime, params)`,
+    the edges `sample_density` counts at.  Heights are normalized by the total
+    eigenvalue count (raw/bulk) or the replicate count (edge), so values remain
+    unbiased density estimates even when the grid does not cover every sample.
+    Ragged rows raise ValueError.
     """
     grid = _checked_grid(grid)
     values = np.asarray(samples, dtype=float)  # rows of unequal length raise ValueError
     if values.ndim != 2 or values.size == 0:
         raise ValueError(f"need R >= 1 rows of n >= 1 values, got shape {values.shape}")
-    # bins [-inf, g0), [g0, g1), ..., [g_last, inf]: their running sum counts below each edge
-    counts, _ = np.histogram(values, bins=np.concatenate([[-np.inf], grid, [np.inf]]))
+    edges = grid_to_lambda(grid, regime, params)
+    # bins [-inf, e0), [e0, e1), ..., [e_last, inf]: their running sum counts below each edge
+    counts, _ = np.histogram(values, bins=np.concatenate([[-np.inf], edges, [np.inf]]))
     return _binned(np.cumsum(counts[:-1]), grid, regime, len(values), values.size,
                    {"route": "histogram"})
 
@@ -221,8 +209,9 @@ def sample_density(
     negative in floating point, and the estimate's ``count_route`` says how
     many rows ran.  The edges go to it at most 1024 at a time, so that a
     block's counts stay bounded whatever the bin count.  The estimate equals
-    `estimate_density` of the rescaled `stev` spectra count for count, up to
-    eigenvalues within rounding of an edge.
+    `estimate_density` of the `stev` spectra count for count, since both count
+    at the same edges, up to where `stev` and the Sturm recurrence round an
+    eigenvalue near an edge differently.
     """
     grid = _checked_grid(grid)
     if reps < 1:

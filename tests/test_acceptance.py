@@ -21,10 +21,10 @@ from betahermite import (
     eigenvalues_bisect,
     eigenvalues_block,
     estimate_density,
+    grid_to_lambda,
     kontsevich_edge_density,
     kontsevich_k,
     moment_ratio_exact,
-    rescale,
     sample_block,
     semicircle,
     trace_sq_rows,
@@ -73,8 +73,8 @@ def test_criterion_1_semicircle_law():
     details = []
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(200, beta, EnsembleKind.FIXED_TRACE)
-        values = rescale(_sample_checked(params, 1000 + bi, 500), Regime.BULK, params)
-        d = estimate_density(list(values), grid, Regime.BULK)
+        values = _sample_checked(params, 1000 + bi, 500)
+        d = estimate_density(list(values), params, grid, Regime.BULK)
         l1 = float(np.sum(np.abs(d.height - ref) * d.widths))
         weak = weak_functional(d, f)
         assert l1 <= 0.05, f"beta={beta}: L1 {l1:.4f} > 0.05"
@@ -95,8 +95,9 @@ def test_criterion_2_edge_agreement():
     def edge_histogram(kind, master):
         params = EnsembleParams(n, 2.0, kind)
         # the oracle: each replicate's stev spectrum through np.histogram
-        t = rescale(_sample_checked(params, master, m_reps), Regime.EDGE, params)
-        counts = np.array([np.histogram(row, bins=grid)[0] for row in t], dtype=float)
+        edges = grid_to_lambda(grid, Regime.EDGE, params)
+        counts = np.array([np.histogram(row, bins=edges)[0]
+                           for row in _sample_checked(params, master, m_reps)], dtype=float)
         height = counts.mean(axis=0) / width
         se = counts.std(axis=0, ddof=1) / (sqrt(m_reps) * width)
         return height, se
@@ -187,7 +188,7 @@ def test_criterion_6_density_upper_bound():
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
         values = eigenvalues_block(*sample_block(params, 3000 + bi, 0, reps)) / r
-        d = estimate_density(list(values), grid, Regime.RAW)
+        d = estimate_density(list(values), params, grid, Regime.RAW)
         emp = d.height / r  # bound is stated for the unscaled-argument density
         bound = density_upper_bound(n, beta, d.centers)
         margin = float(np.max(emp - bound))

@@ -16,6 +16,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betahermite.checks import run_checks
 from betahermite.cli import main
 
 
@@ -214,14 +215,19 @@ class TestDensity:
         meta = json.loads(out.with_suffix(".csv.json").read_text())
         assert (meta["regime"], meta["normalization"]) == ("raw", "per-eigenvalue")
 
-    def test_density_from_spectra_file(self, tmp_path):
+    @pytest.mark.parametrize("regime, grid", [
+        ("raw", []),
+        ("bulk", []),
+        ("edge", ["--grid-lo=-6", "--grid-hi", "2"]),  # the top eigenvalues, near t = 0
+    ], ids=["raw", "bulk", "edge"])
+    def test_density_from_spectra_file(self, tmp_path, regime, grid):
         spectra = tmp_path / "s.csv"
         run(["sample", "--n", "30", "--beta", "2", "--kind", "fixed-trace",
              "--reps", "20", "--seed", "13", "--output", str(spectra)])
         via_file = tmp_path / "via_file.csv"
         inline = tmp_path / "inline.csv"
         common = ["density", "--n", "30", "--beta", "2", "--kind", "fixed-trace",
-                  "--regime", "bulk"]
+                  "--regime", regime, *grid]
         assert run([*common, "--input", str(spectra), "--output", str(via_file)]) == 0
         assert run([*common, "--reps", "20", "--seed", "13", "--output", str(inline)]) == 0
         rows_a = read_rows(via_file)
@@ -232,6 +238,7 @@ class TestDensity:
         meta_a = json.loads(via_file.with_suffix(".csv.json").read_text())
         meta_b = json.loads(inline.with_suffix(".csv.json").read_text())
         assert [meta_a[k] for k in mass] == [meta_b[k] for k in mass]
+        assert meta_a["captured_fraction"] > 0.0
 
     def test_input_keeps_master_seed(self, tmp_path):
         from betahermite.cli import _read_spectra
@@ -605,6 +612,12 @@ class TestVerify:
         names = {c["check_name"] for c in data["checks"]}
         assert "stieltjes" in names
 
+    def test_stieltjes_takes_any_integer_seed(self):
+        # the perturbation draws reduce the seed modulo 2^64, as the samplers do
+        low, high = (run_checks(["stieltjes"], master_seed=s) for s in (-1, 2**64 - 1))
+        assert all(r.passed for r in low)
+        assert [r.metric for r in low] == [r.metric for r in high]
+
     def test_integral_eq_beta4(self, tmp_path):
         rep = tmp_path / "r.json"
         rc = run(["verify", "--check", "integral-eq", "--n", "2", "--beta", "4",
@@ -748,6 +761,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--n", "not-an-int", "--beta", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3", "--beta", "2"],
+    ["density", "--n", "3", "--beta", "2", "--reps", "5"],
+    ["special", "--fn", "ai", "--x", "1.0"],
+    ["verify", "--check", "stieltjes", "--n", "5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, target):
+    # an --output that cannot be opened is refused like any other bad flag: one
+    # "error:" line and exit 2, never a traceback or the check-failure status 1
+    (tmp_path / "file").write_text("")
+    out = tmp_path if target == "directory" else tmp_path / "file" / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_console_entry_point():

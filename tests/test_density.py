@@ -18,7 +18,6 @@ from betahermite import (
     eigenvalues_block,
     estimate_density,
     grid_to_lambda,
-    rescale,
     sample_block,
     sample_density,
     semicircle,
@@ -37,54 +36,64 @@ def fixed(n, beta):
     return EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
 
 
-def spectra(params, seed, reps, regime=Regime.RAW):
-    """Rows 0..reps-1 of the `stev` spectra of seed's block, in the regime's coordinate."""
-    return rescale(eigenvalues_block(*sample_block(params, seed, 0, reps)), regime, params)
+ANY_PARAMS = gauss(2, 2.0)  # any ensemble: the raw coordinate is the eigenvalue itself
+
+
+def spectra(params, seed, reps):
+    """Rows 0..reps-1 of the `stev` spectra of seed's block, on the eigenvalue axis."""
+    return eigenvalues_block(*sample_block(params, seed, 0, reps))
 
 
 class TestRescale:
+    """`grid_to_lambda`, the one map between a regime's coordinate and the eigenvalue axis."""
+
     def test_bulk_gaussian(self):
-        assert rescale([10.0], Regime.BULK, gauss(50, 2.0))[0] == pytest.approx(
-            10.0 / np.sqrt(200.0))
+        assert grid_to_lambda([10.0 / np.sqrt(200.0)], Regime.BULK, gauss(50, 2.0))[0] == (
+            pytest.approx(10.0))
 
     def test_bulk_fixed_trace(self):
-        assert rescale([10.0], Regime.BULK, fixed(50, 2.0))[0] == pytest.approx(1.0)
+        assert grid_to_lambda([1.0], Regime.BULK, fixed(50, 2.0))[0] == pytest.approx(10.0)
 
     def test_edge_gaussian_points(self):
         p = gauss(1000, 2.0)
         edge = np.sqrt(2 * 2.0 * 1000)
-        t = rescale([edge, edge * (1 + 1 / (2 * 1000 ** (2 / 3)))], Regime.EDGE, p)
-        assert t[0] == pytest.approx(0.0, abs=1e-10)
-        assert t[1] == pytest.approx(1.0, abs=1e-10)
+        lam = grid_to_lambda([0.0, 1.0], Regime.EDGE, p)
+        assert lam[0] == pytest.approx(edge, abs=1e-10)
+        assert lam[1] == pytest.approx(edge * (1 + 1 / (2 * 1000 ** (2 / 3))), abs=1e-10)
 
     def test_edge_fixed_trace_point(self):
         p = fixed(1000, 2.0)
-        assert rescale([np.sqrt(2000.0) * 0.999], Regime.EDGE, p)[0] == pytest.approx(
-            -0.2, abs=1e-9)
+        assert grid_to_lambda([-0.2], Regime.EDGE, p)[0] == pytest.approx(
+            np.sqrt(2000.0) * 0.999, abs=1e-9)
 
     def test_fixed_trace_hard_support(self):
         # a single eigenvalue can carry at most the whole trace budget
         p = fixed(40, 1.0)
-        x = spectra(p, 3, 20, Regime.BULK)
+        x = spectra(p, 3, 20) / bulk_scale(p)
         assert np.max(np.abs(x)) <= np.sqrt((p.n - 1) / 4.0) + 1e-12
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_grid_to_lambda_inverts_rescale(self, regime, kind):
+        # the docstring's coordinates: raw x = lambda, bulk u = lambda / s and
+        # edge t = 2 N^(2/3) (lambda / s - 1), with s = bulk_scale
         p = EnsembleParams(300, 2.0, kind)
         x = np.linspace(-5.0, 2.0, 8)
-        assert rescale(grid_to_lambda(x, regime, p), regime, p) == pytest.approx(x, abs=1e-12)
+        lam, s = grid_to_lambda(x, regime, p), bulk_scale(p)
+        coordinate = {Regime.RAW: lam, Regime.BULK: lam / s,
+                      Regime.EDGE: 2.0 * 300 ** (2.0 / 3.0) * (lam / s - 1.0)}[regime]
+        assert coordinate == pytest.approx(x, abs=1e-12)
 
 
 class TestEstimateDensity:
     def test_two_eigenvalues_two_bins(self):
-        d = estimate_density([np.array([-1.0, 1.0])], [-2.0, 0.0, 2.0], Regime.RAW)
+        d = estimate_density([np.array([-1.0, 1.0])], ANY_PARAMS, [-2.0, 0.0, 2.0], Regime.RAW)
         assert d.height == pytest.approx([0.25, 0.25])
         assert d.mass() == pytest.approx(1.0)
 
     def test_standard_normal_smoke(self):
         rng = np.random.default_rng(123)
-        d = estimate_density([rng.standard_normal(100_000)],
+        d = estimate_density([rng.standard_normal(100_000)], ANY_PARAMS,
                              np.linspace(-4, 4, 33), Regime.RAW)
         # bin-averaged reference removes the curvature bias
         cdf = scipy.special.ndtr(d.grid)
@@ -93,26 +102,29 @@ class TestEstimateDensity:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            estimate_density([], [0.0, 1.0], Regime.RAW)
+            estimate_density([], ANY_PARAMS, [0.0, 1.0], Regime.RAW)
         with pytest.raises(ValueError):
-            estimate_density([np.array([0.5])], [1.0, 0.0], Regime.RAW)
+            estimate_density([np.array([0.5])], ANY_PARAMS, [1.0, 0.0], Regime.RAW)
 
     def test_values_outside_the_grid(self):
         # bins are half-open, so 1.0, on the top edge, counts as above the grid
         vecs = [np.array([-3.0, 0.5]), np.array([-2.0, -1.0]), np.array([5.0, 1.0]),
                 np.array([6.0, 7.0])]
-        d = estimate_density(vecs, [0.0, 1.0], Regime.RAW)
+        d = estimate_density(vecs, ANY_PARAMS, [0.0, 1.0], Regime.RAW)
         assert (d.n_values, d.below, d.above) == (8, 3, 4)
         assert d.captured_fraction == pytest.approx(0.125)
 
     def test_ragged_rows_refused(self):
         with pytest.raises(ValueError):
-            estimate_density([np.array([0.1, 0.2]), np.array([0.3])], [0.0, 1.0], Regime.RAW)
+            estimate_density([np.array([0.1, 0.2]), np.array([0.3])], ANY_PARAMS, [0.0, 1.0],
+                             Regime.RAW)
 
     def test_edge_regime_counts_per_unit_t(self):
-        # two replicates, three eigenvalues each in one unit-width bin
-        vecs = [np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])]
-        d = estimate_density(vecs, [0.0, 1.0], Regime.EDGE)
+        # two replicates, three eigenvalues each in one unit-width bin of t
+        p = gauss(50, 2.0)
+        vecs = [grid_to_lambda([0.1, 0.2, 0.3], Regime.EDGE, p),
+                grid_to_lambda([0.4, 0.5, 0.6], Regime.EDGE, p)]
+        d = estimate_density(vecs, p, [0.0, 1.0], Regime.EDGE)
         assert d.height[0] == pytest.approx(3.0)
 
     @given(st.integers(0, 100_000))
@@ -120,7 +132,7 @@ class TestEstimateDensity:
     def test_unit_mass_on_covering_grid(self, seed):
         rng = np.random.default_rng(seed)
         vecs = rng.standard_normal((3, rng.integers(1, 30)))
-        d = estimate_density(vecs, np.linspace(-12, 12, 41), Regime.RAW)
+        d = estimate_density(vecs, ANY_PARAMS, np.linspace(-12, 12, 41), Regime.RAW)
         assert d.mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_merge_commutes(self):
@@ -128,14 +140,14 @@ class TestEstimateDensity:
         rng = np.random.default_rng(5)
         vecs = [rng.standard_normal(50) for _ in range(6)]
         g = np.linspace(-4, 4, 17)
-        a = estimate_density(vecs, g, Regime.RAW)
-        b = estimate_density(vecs[::-1], g, Regime.RAW)
+        a = estimate_density(vecs, ANY_PARAMS, g, Regime.RAW)
+        b = estimate_density(vecs[::-1], ANY_PARAMS, g, Regime.RAW)
         assert np.array_equal(a.height, b.height)
 
 
 def stev_density(params, seed, reps, grid, regime):
-    """The eigenvalue route: LAPACK spectra, rescaled, through np.histogram."""
-    return estimate_density(list(spectra(params, seed, reps, regime)), grid, regime)
+    """The eigenvalue route: LAPACK spectra through np.histogram."""
+    return estimate_density(list(spectra(params, seed, reps)), params, grid, regime)
 
 
 def assert_same_histogram(fast, slow):
@@ -232,7 +244,7 @@ class TestSampleDensity:
         grid = np.array([0.0, 0.5, 1.0])
         diag = np.array([[0.0, 1.0], [0.5, 1.0], [-1.0, 0.5], [1.0, 2.0], [0.25, 0.0]])
         sub = np.zeros((len(diag), 1))
-        d = estimate_density(eigenvalues_block(diag, sub), grid, Regime.RAW)
+        d = estimate_density(eigenvalues_block(diag, sub), ANY_PARAMS, grid, Regime.RAW)
         below_edge = sturm_count(diag, np.square(sub), grid).sum(axis=0)
         assert below_edge.tolist() == [1, 4, 6]
         counts = np.rint(d.height * d.n_values * d.widths)
@@ -266,7 +278,8 @@ class TestSemicircle:
 class TestWeakFunctional:
     def test_constant_one_on_raw(self):
         rng = np.random.default_rng(11)
-        d = estimate_density([rng.standard_normal(2000)], np.linspace(-8, 8, 33), Regime.RAW)
+        d = estimate_density([rng.standard_normal(2000)], ANY_PARAMS, np.linspace(-8, 8, 33),
+                             Regime.RAW)
         assert weak_functional(d, np.ones_like) == pytest.approx(1.0, abs=1e-9)
 
     def test_tabulated_semicircle_against_quad(self):
@@ -296,7 +309,7 @@ class TestWeakFunctional:
 class TestStatisticalShape:
     def test_bulk_symmetry(self):
         p = fixed(60, 2.0)
-        d = estimate_density(list(spectra(p, 21, 150, Regime.BULK)), np.linspace(-1.2, 1.2, 25), Regime.BULK)
+        d = estimate_density(list(spectra(p, 21, 150)), p, np.linspace(-1.2, 1.2, 25), Regime.BULK)
         left = d.height[:12][::-1]
         right = d.height[12:]
         counts = d.height * (60 * 150) * d.widths[0]
@@ -307,7 +320,7 @@ class TestStatisticalShape:
     def test_l1_shrinks_with_n(self):
         def l1(n, reps, seed):
             p = fixed(n, 2.0)
-            d = estimate_density(list(spectra(p, seed, reps, Regime.BULK)), np.linspace(-1.2, 1.2, 61), Regime.BULK)
+            d = estimate_density(list(spectra(p, seed, reps)), p, np.linspace(-1.2, 1.2, 61), Regime.BULK)
             ref = semicircle_bins(d.grid)
             return float(np.sum(np.abs(d.height - ref) * d.widths))
 
@@ -318,7 +331,7 @@ class TestStatisticalShape:
         # closed beta=2 edge profile
         p = gauss(500, 2.0)
         grid = np.linspace(-4.0, 1.0, 11)
-        d = estimate_density(list(spectra(p, 41, 400, Regime.EDGE)), grid, Regime.EDGE)
+        d = estimate_density(list(spectra(p, 41, 400)), p, grid, Regime.EDGE)
         ref = edge_density_closed(2, d.centers)
         # finite-N bias O(N^(-2/3)) ~ 0.016 plus MC noise
         assert np.max(np.abs(d.height - ref)) <= 0.12

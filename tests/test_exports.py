@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import json
 import re
+import shlex
 import sys
 import textwrap
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from betahermite import checks
-from betahermite.cli import main
+from betahermite.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
@@ -28,6 +29,35 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+README = (ROOT / "README.md").read_text()
+PROSE_MATH = {"sqrt"}  # backticked formulas, not calls of the package
+
+
+def _readme_commands() -> list[str]:
+    """Every `betahermite ...` command of README's sh blocks, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
+    lines = (line.strip() for b in blocks for line in b.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("betahermite ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])  # argparse exits on a stale flag
+
+
+def test_readme_calls_name_package_attributes():
+    # a backticked `name(` in README is a function of the package, so a deleted or
+    # renamed function cannot outlive its sentence
+    modules = [importlib.import_module(m)
+               for m in ("betahermite", *(f"betahermite.{m}" for m in (*SUBMODULES, "cli")))]
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", README)) - PROSE_MATH
+    assert called
+    stale = sorted(name for name in called if not any(hasattr(m, name) for m in modules))
+    assert not stale, f"README calls names the package lacks: {stale}"
 
 
 def _load(path: Path, monkeypatch):
