@@ -4,9 +4,9 @@ closed-form limit profile.
 
 The two ensembles are sampled with independent streams and binned in edge
 coordinates t = 2 N^(2/3) (lambda/edge - 1) as expected counts per unit t,
-by Sturm counts at the bin edges (`betahermite.sample_density`).  For beta
-in {1, 2, 4} the closed form is the pointwise limit of both histograms;
-residual deviations are finite-N bias plus Monte Carlo noise.
+by Sturm counts at the bin edges (`betahermite.density.sample_density`).
+For beta in {1, 2, 4} the closed form is the pointwise limit of both
+histograms; residual deviations are finite-N bias plus Monte Carlo noise.
 
 Usage: python scripts/edge_experiment.py [--n 400] [--reps 2000] [--beta 2]
 """
@@ -18,14 +18,9 @@ import time
 
 import numpy as np
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    Regime,
-    edge_density_closed,
-    has_closed_edge_form,
-    sample_density,
-)
+from betahermite.airy import edge_density_closed, has_closed_edge_form
+from betahermite.density import Regime, sample_density
+from betahermite.ensemble import EnsembleKind, EnsembleParams
 
 
 def edge_density(n, beta, kind, reps, seed, grid):

@@ -15,15 +15,8 @@ import time
 
 import numpy as np
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    Regime,
-    bump,
-    sample_density,
-    weak_functional,
-)
-from betahermite.density import semicircle_bins
+from betahermite.density import Regime, bump, sample_density, semicircle_bins, weak_functional
+from betahermite.ensemble import EnsembleKind, EnsembleParams
 
 
 def main():

@@ -234,10 +234,17 @@ _CHECKS = {
     "edge-remark": ((), lambda seed, n, beta: check_edge_remark()),
 }
 CHECK_NAMES = tuple(_CHECKS)
+# the largest n each check may be given, so that one check stays within 5 s and a 128 MiB
+# peak RSS on 2 vCPUs.  stieltjes holds (100, n(n-1)/2) pair arrays for every n up to
+# its n, so its time grows like n^3: 3.0 s and a 115 MiB peak at n = 200, 5.7 s and
+# 146 MiB at 250.  bound takes 3.4 s and a 67 MiB peak at n = 500, and from n = 519
+# its beta = 4 upper bound overflows to inf, which any density would pass.
+_MAX_N = {"stieltjes": 200, "bound": 500}
 
 
 def validate_flags(names, n: int | None = None, beta: float | None = None) -> None:
-    """Raise ValueError for an unknown check, or for n or beta given to a check that ignores it."""
+    """Raise ValueError for an unknown check, for n or beta given to a check that ignores it,
+    or for an n above the check's cap (`_MAX_N`)."""
     given = {"n": n, "beta": beta}
     for name in names:
         if name not in _CHECKS:
@@ -248,6 +255,8 @@ def validate_flags(names, n: int | None = None, beta: float | None = None) -> No
             reads = " and ".join(flags) or "neither n nor beta"
             raise ValueError(f"check {name!r} reads {reads}, so {', '.join(unread)} "
                              "would be ignored")
+        if n is not None and n > _MAX_N.get(name, n):
+            raise ValueError(f"check {name!r} takes n <= {_MAX_N[name]}, got n={n}")
 
 
 def run_checks(

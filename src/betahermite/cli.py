@@ -10,7 +10,9 @@ one stream block at a time, so memory stays bounded at any --reps; the
 sidecars record the stream layout as "stream".  `sample`, `density` and
 `verify` print one "[time] <stage> <seconds> s" line per stage (per check for
 `verify`) on stderr, never in a file, and only after every stage has run, so a
-refusal's stderr starts with "error:".  A command refuses its input by raising
+refusal's stderr starts with "error:".  Every command refuses an --output that is
+a directory, or whose directory does not exist, before it samples, tabulates or
+runs a check (`_output_path`).  A command refuses its input by raising
 ValueError, and `main` alone maps that, and any OSError (a missing input, an
 --output that cannot be written), to an "error:" line and exit status 2.
 Exit status: 0 all good, 1 check failure or unconverged quadrature, 2 usage
@@ -55,6 +57,17 @@ def _write_csv(fh, header, rows, lineterminator="\r\n") -> None:
     w = csv.writer(fh, lineterminator=lineterminator)
     w.writerow(header)
     w.writerows(rows)
+
+
+def _output_path(name) -> Path:
+    """``name`` as a Path, refused unless a file can be written there: not a
+    directory, and in a directory that exists.  Nothing is created."""
+    out = Path(name)
+    if out.is_dir():
+        raise ValueError(f"--output {out} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--output {out}: there is no directory {out.parent}")
+    return out
 
 
 def _write_sidecar(args, out: Path, **fields) -> None:
@@ -117,7 +130,7 @@ def cmd_sample(args) -> int:
     params = _params(args)
     if args.reps < 1:
         raise ValueError("need at least one replicate")
-    out = Path(args.output)
+    out = _output_path(args.output)
     clock = _Stages("sample", "solve", "write")
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
@@ -196,6 +209,7 @@ def cmd_density(args) -> int:
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("--bins must be at least 1, and the bins it makes of "
                          "[--grid-lo, --grid-hi] must have nonzero width")
+    out = _output_path(args.output)
     # the reference first: a beta or grid it cannot be evaluated on is refused before sampling
     ref = {}
     if args.reference == "semicircle":
@@ -215,7 +229,6 @@ def cmd_density(args) -> int:
         clock.lap("sample+count")
     if d.below + d.above == d.n_values:
         raise ValueError("no eigenvalue falls inside the grid; adjust --grid-lo/--grid-hi")
-    out = Path(args.output)
     columns = [d.grid[:-1], d.grid[1:], d.height, *ref.values()]
     with out.open("w", newline="") as fh:
         _write_csv(fh, ["bin_lo", "bin_hi", "height", *ref], zip(*(c.tolist() for c in columns)))
@@ -240,6 +253,7 @@ def cmd_special(args) -> int:
         if not count <= MAX_TABLE_ROWS:
             raise ValueError(f"--x-lo, --x-hi and --x-step give {count:g} points, "
                              f"over the cap of {MAX_TABLE_ROWS}")
+    out = _output_path(args.output) if args.output else None
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
     rows = []
     if args.fn == "kontsevich":
@@ -258,8 +272,7 @@ def cmd_special(args) -> int:
         }[args.fn]
         rows = [(x, v, None) for x, v in zip(xs.tolist(), fn(xs).tolist())]
     header = ("x", "value", "error_estimate")
-    if args.output:
-        out = Path(args.output)
+    if out is not None:
         with out.open("w", newline="") as fh:
             _write_csv(fh, header, rows)
         _write_sidecar(args, out)
@@ -272,6 +285,7 @@ def cmd_verify(args) -> int:
     names = list(CHECK_NAMES) if args.check == "all" else [args.check]
     results = []
     validate_flags(names, n=args.n, beta=args.beta)
+    out = _output_path(args.output) if args.output else None
     # seconds go to stderr only: the report is a pure function of its flags
     clock = _Stages(*names)
     for name in names:
@@ -283,8 +297,8 @@ def cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    if out is not None:
+        out.write_text(text + "\n")
     else:
         print(text)
     clock.report()

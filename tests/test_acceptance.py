@@ -13,26 +13,10 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    bump,
-    edge_density_closed,
-    eigenvalues_bisect,
-    eigenvalues_block,
-    estimate_density,
-    grid_to_lambda,
-    kontsevich_edge_density,
-    kontsevich_k,
-    moment_ratio_exact,
-    sample_block,
-    semicircle,
-    trace_sq_rows,
-    verify_moment_equivalence,
-    weak_functional,
-)
-from betahermite.airy import AI0, AIP0, airy_ai, airy_ai_prime, airy_tail
-from betahermite.density import Regime, semicircle_mass
+from betahermite.airy import AI0, AIP0, airy_ai, airy_ai_prime, airy_tail, edge_density_closed
+from betahermite.density import (Regime, bump, estimate_density, grid_to_lambda, semicircle,
+                                 semicircle_mass, weak_functional)
+from betahermite.ensemble import EnsembleKind, EnsembleParams, big_l, sample_block, trace_sq_rows
 from betahermite.exact import (
     c_beta,
     density_upper_bound,
@@ -42,7 +26,9 @@ from betahermite.exact import (
     log_vandermonde_sq_max,
     verify_integral_equation,
 )
-from betahermite.moments import MomentIndex, big_l
+from betahermite.kontsevich import kontsevich_edge_density, kontsevich_k
+from betahermite.moments import MomentIndex, moment_ratio_exact, verify_moment_equivalence
+from betahermite.tridiag import eigenvalues_bisect, eigenvalues_block
 
 BUMP_SEMICIRCLE_INTEGRAL = 0.138472435237  # int of bump[-0.5,0.5] * rho_W
 

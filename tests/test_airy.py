@@ -10,8 +10,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betahermite import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
-from betahermite.airy import _TAIL_BLOCK, AI0, AIP0, AiryAccuracyWarning, ai_derivatives
+from betahermite.airy import (_TAIL_BLOCK, AI0, AIP0, AiryAccuracyWarning, ai_derivatives, airy_ai,
+                              airy_ai_prime, airy_tail, edge_density_closed)
 
 AI1_AT_0 = 0.1853301684089364   # AIP0^2 + AI0/3
 AI2_AT_0 = 0.0669874837796640   # AIP0^2

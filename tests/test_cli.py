@@ -60,8 +60,8 @@ class TestSample:
 
     def test_bytes_equal_csv_writer_of_per_replicate_spectra(self, tmp_path):
         # the chunked writer against csv.writer over sample_spectrum, across a chunk boundary
-        from betahermite import EnsembleKind, EnsembleParams, SampleSeed, sample_spectrum
-        from betahermite.ensemble import REPLICATE_CHUNK
+        from betahermite.ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed
+        from betahermite.tridiag import sample_spectrum
 
         reps = REPLICATE_CHUNK + 2
         out, want = tmp_path / "s.csv", tmp_path / "want.csv"
@@ -196,8 +196,8 @@ class TestDensity:
 
     def test_raw_csv_roundtrip(self, tmp_path):
         # every cell reads back as the float computed, the reference column included
-        from betahermite import EnsembleKind, EnsembleParams, Regime, sample_density
-        from betahermite.density import semicircle_bins
+        from betahermite.density import Regime, sample_density, semicircle_bins
+        from betahermite.ensemble import EnsembleKind, EnsembleParams
 
         out = tmp_path / "d.csv"
         assert run(["density", "--n", "8", "--beta", "2", "--kind", "fixed-trace",
@@ -731,6 +731,24 @@ class TestVerify:
         assert err.startswith("error:") and "would be ignored" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("check, cap", [("stieltjes", 200), ("bound", 500)])
+    def test_n_over_the_cap_is_refused_before_the_check(self, tmp_path, capsys, monkeypatch,
+                                                        check, cap):
+        # stieltjes grows like n^3 in time and n^2 in memory, and bound's beta = 4 upper
+        # bound overflows from n = 519
+        from betahermite import checks
+
+        def no_check(*args, **kwargs):
+            raise AssertionError(f"ran {check} at an n over its cap")
+
+        monkeypatch.setattr(checks, f"check_{check}", no_check)
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", check, "--n", str(cap + 1), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n <= {cap}" in err
+        assert not out.exists()
+        checks.validate_flags([check], n=cap)  # the cap itself is taken
+
     def test_seconds_per_check_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(["verify", "--check", "stieltjes", "--n", "5", "--output", str(out)]) == 0
@@ -778,6 +796,31 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, target):
     assert run([*argv, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["density", "--n", "400", "--beta", "2", "--reps", "20000", "--regime", "edge",
+      "--grid-lo", "-5", "--grid-hi", "2", "--reference", "aibeta"], "sample_density"),
+    (["verify", "--check", "all"], "run_checks"),
+], ids=["density", "verify"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory", "under-a-file"])
+def test_unusable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, work,
+                                                   target):
+    # the refusal comes before the sampling or the checks it would waste, and writes nothing
+    from betahermite import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --output was refused")
+
+    monkeypatch.setattr(cli, work, no_work)
+    (tmp_path / "file").write_text("")
+    out = {"directory": tmp_path, "missing-directory": tmp_path / "no" / "out.csv",
+           "under-a-file": tmp_path / "file" / "out.csv"}[target]
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --output") and len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_console_entry_point():

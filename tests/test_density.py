@@ -8,24 +8,12 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    Regime,
-    bulk_scale,
-    bump,
-    edge_density_closed,
-    eigenvalues_block,
-    estimate_density,
-    grid_to_lambda,
-    sample_block,
-    sample_density,
-    semicircle,
-    sturm_count,
-    weak_functional,
-)
-from betahermite.density import semicircle_bins, semicircle_mass
-from betahermite.ensemble import REPLICATE_CHUNK
+from betahermite.airy import edge_density_closed
+from betahermite.density import (Regime, bulk_scale, bump, estimate_density, grid_to_lambda,
+                                 sample_density, semicircle, semicircle_bins, semicircle_mass,
+                                 weak_functional)
+from betahermite.ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
+from betahermite.tridiag import eigenvalues_block, sturm_count
 
 
 def gauss(n, beta):

@@ -9,17 +9,10 @@ from numpy.random import Generator, Philox
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    SampleSeed,
-    big_l,
-    eigenvalues_block,
-    sample_block,
-    sample_spectrum,
-    trace_sq_rows,
-)
-from betahermite.ensemble import REPLICATE_CHUNK, _rescale_rows, replicate_blocks, trace_sphere
+from betahermite.ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, SampleSeed,
+                                  _rescale_rows, big_l, replicate_blocks, sample_block,
+                                  trace_sphere, trace_sq_rows)
+from betahermite.tridiag import eigenvalues_block, sample_spectrum
 
 
 def half_chi_mean_sq_oracle(k):

@@ -17,7 +17,8 @@ from numpy.polynomial.hermite_e import hermeval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betahermite import EnsembleKind, airy, exact
+from betahermite import airy, exact
+from betahermite.ensemble import EnsembleKind
 from betahermite.exact import (
     c_beta,
     density_upper_bound,

@@ -9,6 +9,7 @@ import inspect
 import json
 import re
 import shlex
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -29,6 +30,27 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def _loaded_after(module: str) -> list[str]:
+    """The modules in sys.modules after a fresh interpreter imports ``module``."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("layer", ["ensemble", "quadrature"])
+def test_numpy_layers_load_no_scipy(layer):
+    # the package imports no layer, so a layer loads only what it imports itself
+    loaded = _loaded_after(f"betahermite.{layer}")
+    assert f"betahermite.{layer}" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_loads_every_layer():
+    loaded = _loaded_after("betahermite.cli")
+    assert [m for m in SUBMODULES if f"betahermite.{m}" not in loaded] == []
 
 
 README = (ROOT / "README.md").read_text()
@@ -117,7 +139,7 @@ def test_only_the_spectrum_modules_name_sample_seed():
     src = ROOT / "src" / "betahermite"
     named = sorted(path.name for path in src.glob("*.py")
                    if re.search(r"\bSampleSeed\b", path.read_text()))
-    assert named == ["__init__.py", "ensemble.py", "tridiag.py"]
+    assert named == ["ensemble.py", "tridiag.py"]
 
 
 def test_benchmark_check_names_match(monkeypatch):

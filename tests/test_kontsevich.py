@@ -9,16 +9,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from betahermite import (
-    airy_tail,
-    edge_density_closed,
-    edge_prefactor,
-    kontsevich_edge_density,
-    kontsevich_k,
-)
 from betahermite import kontsevich
-from betahermite.airy import AiryAccuracyWarning, ai_derivatives
-from betahermite.kontsevich import _vandermonde_power_poly
+from betahermite.airy import AiryAccuracyWarning, ai_derivatives, airy_tail, edge_density_closed
+from betahermite.kontsevich import (_vandermonde_power_poly, edge_prefactor,
+                                    kontsevich_edge_density, kontsevich_k)
 
 K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
 QUADRATURE_BETAS = (4.0, 3.0, 2.0, 1.5, 1.0, 0.8, 0.7, 2.0 / 3.0, 0.5, 1.0 / 3.0, 0.1)

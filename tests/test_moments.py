@@ -8,18 +8,10 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    MomentIndex,
-    big_l,
-    gaussian_moment_exact,
-    moment_mc,
-    moment_ratio_exact,
-    moment_ratio_sphere,
-    sample_block,
-    verify_moment_equivalence,
-)
+from betahermite.ensemble import EnsembleKind, EnsembleParams, big_l, sample_block
+from betahermite.moments import (MomentIndex, gaussian_moment_exact, moment_mc,
+                                 moment_ratio_exact, moment_ratio_sphere,
+                                 verify_moment_equivalence)
 
 
 class TestMomentIndex:
@@ -306,7 +298,7 @@ class TestEquivalence:
 
     def test_trace_moment(self):
         # <tr H^2> = 2L for the Gaussian sampler
-        from betahermite import sample_block, trace_sq_rows
+        from betahermite.ensemble import trace_sq_rows
 
         n, beta = 20, 1.0
         vals = trace_sq_rows(*sample_block(EnsembleParams(n, beta), 23, 0, 5000))

@@ -5,20 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from betahermite import (
-    EnsembleKind,
-    EnsembleParams,
-    Regime,
-    SampleSeed,
-    SturmWork,
-    eigenvalues_bisect,
-    eigenvalues_block,
-    sample_block,
-    grid_to_lambda,
-    sturm_count,
-    trace_sq_rows,
-)
-from betahermite.tridiag import EigenvalueError
+from betahermite.density import Regime, grid_to_lambda
+from betahermite.ensemble import EnsembleKind, EnsembleParams, SampleSeed, sample_block, trace_sq_rows
+from betahermite.tridiag import (EigenvalueError, SturmWork, eigenvalues_bisect, eigenvalues_block,
+                                 sturm_count)
 
 
 def random_tridiag(rng, n, scale=2.0):
@@ -345,7 +335,7 @@ def test_nonconvergence_reports_matrix(monkeypatch):
 
 
 def test_sampled_spectrum_provenance():
-    from betahermite import sample_spectrum
+    from betahermite.tridiag import sample_spectrum
 
     p = EnsembleParams(6, 2.0)
     s = sample_spectrum(p, SampleSeed(1, 4))
