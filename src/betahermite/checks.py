@@ -237,8 +237,9 @@ CHECK_NAMES = tuple(_CHECKS)
 # the largest n each check may be given, so that one check stays within 5 s and a 128 MiB
 # peak RSS on 2 vCPUs.  stieltjes holds (100, n(n-1)/2) pair arrays for every n up to
 # its n, so its time grows like n^3: 3.0 s and a 115 MiB peak at n = 200, 5.7 s and
-# 146 MiB at 250.  bound takes 3.4 s and a 67 MiB peak at n = 500, and from n = 519
-# its beta = 4 upper bound overflows to inf, which any density would pass.
+# 146 MiB at 250.  bound's cap is the same 5 s budget: 3.4 s and a 67 MiB peak at
+# n = 500.  (From n = 519 its beta = 4 upper bound is inf near x = 0, where it bounds
+# nothing.)
 _MAX_N = {"stieltjes": 200, "bound": 500}
 
 

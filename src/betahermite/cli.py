@@ -44,6 +44,9 @@ from .tridiag import eigenvalues_block
 USAGE_ERROR = 2
 SPECTRA_HEADER = "replicate,index,eigenvalue"
 MAX_TABLE_ROWS = 1_000_000  # rows one `density` or `special` table may hold
+# the regime whose coordinate each `density --reference` column is in: the semicircle
+# is the bulk density in u, aibeta the soft-edge density in t
+_REFERENCE_REGIME = {"semicircle": Regime.BULK, "aibeta": Regime.EDGE}
 
 
 def _params(args) -> EnsembleParams:
@@ -203,6 +206,10 @@ def cmd_density(args) -> int:
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
         raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
     regime = Regime(args.regime)
+    want = _REFERENCE_REGIME.get(args.reference, regime)
+    if want is not regime:
+        raise ValueError(f"--reference {args.reference} is the {want.value} density; "
+                         f"it needs --regime {want.value}, not {regime.value}")
     if args.bins > MAX_TABLE_ROWS:
         raise ValueError(f"--bins {args.bins} is over the cap of {MAX_TABLE_ROWS}")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--grid-lo", type=float, default=-1.2)
     pd.add_argument("--grid-hi", type=float, default=1.2)
     pd.add_argument("--bins", type=int, default=60)
-    pd.add_argument("--reference", choices=["semicircle", "aibeta"], default=None)
+    pd.add_argument("--reference", choices=list(_REFERENCE_REGIME), default=None)
     pd.add_argument("--output", default="density.csv")
     pd.set_defaults(func=cmd_density)
 

@@ -347,12 +347,16 @@ def log_g_n_beta(n: int, beta: float) -> float:
 
 def density_upper_bound(n: int, beta: float, x) -> np.ndarray | float:
     """Finite-N upper bound g_{N beta} (1-x^2)^((N-2)/2) on the rescaled
-    fixed-trace density rho(sqrt(n(n-1)/2) x), for |x| <= 1."""
+    fixed-trace density rho(sqrt(n(n-1)/2) x), for |x| <= 1.
+
+    Where the bound exceeds the double range it is inf, the correctly rounded
+    value, with no warning: from n = 519 at beta = 4 (666 at beta = 2, 893 at
+    beta = 1) near x = 0, where log g_{N beta} passes log(DBL_MAX) ~ 709.78."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xs) > 1.0):
         raise ValueError("bulk coordinate must satisfy |x| <= 1")
     lg = log_g_n_beta(n, beta)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.exp(lg + ((n - 2.0) / 2.0) * np.log(np.maximum(1.0 - xs * xs, 0.0)))
     out = np.where((np.abs(xs) == 1.0) & (n > 2), 0.0, out)
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -3,12 +3,12 @@
 A block of R matrices is a ``diag (R, n)`` and a ``sub (R, n-1)`` array, as
 `ensemble.sample_block` draws it.  Two independent routes: the production
 path calls the LAPACK implicit-shift QL/QR solver on a block
-(`eigenvalues_block`, one `dstev` call per row), and a Sturm-sequence
-bisection solver on one matrix's ``(diag, sub)`` (`eigenvalues_bisect`)
-serves as a slow oracle for cross-validation.  The Sturm count itself,
-batched over matrices (`sturm_count`), also gives histograms directly: a
-bin's count is the difference of the counts at its two edges (see
-`density.sample_density`).  Every matrix shares one row of query points,
+(`eigenvalues_block`, one `dstev` call per row), and LAPACK's Sturm-sequence
+bisection solver ``dstebz``, with its scale-relative tolerance, on one
+matrix's ``(diag, sub)`` (`eigenvalues_bisect`) serves as an oracle for
+cross-validation.  The Sturm count itself, batched over matrices
+(`sturm_count`), also gives histograms directly: a bin's count is the
+difference of the counts at its two edges (see `density.sample_density`).  Every matrix shares one row of query points,
 and the pivots are (k, R) arrays, query points by matrices, in bounded
 chunks of query points, so that each numpy pass runs over the long replicate
 axis; it guards zero pivots with one min(|q|) per row and counts negative
@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstev
 
 from .ensemble import EnsembleParams, SampleSeed, sample_block
 
@@ -53,11 +54,11 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     Row r's matrix has diagonal ``diag[r]`` and subdiagonal ``sub[r]``.  Each
     row goes through LAPACK ``dstev`` (implicit-shift QL/QR with Wilkinson
     shifts), the routine behind scipy's ``eigh_tridiagonal(...,
-    lapack_driver="stev")``, fetched once per block; with no eigenvectors it
-    ends in ``dsterf``, which returns each row in ascending order.  Like that
-    wrapper, the block is first checked for infs and NaNs.  Non-convergence
-    raises EigenvalueError naming the failing replicate (its row) and its
-    matrix rather than returning silently.
+    lapack_driver="stev")``; with no eigenvectors it ends in ``dsterf``, which
+    returns each row in ascending order.  Like that wrapper, the block is
+    first checked for infs and NaNs.  Non-convergence raises EigenvalueError
+    naming the failing replicate (its row) and its matrix rather than
+    returning silently.
     """
     diag = np.asarray(diag, dtype=float)
     sub = np.asarray(sub, dtype=float)
@@ -68,9 +69,8 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     w = diag.copy()  # dstev overwrites its inputs: w with the eigenvalues, e with scratch
     if w.shape[1] > 1:
         e = sub.copy()
-        stev, = get_lapack_funcs(("stev",), (w, e))
         for r in range(len(w)):
-            w[r], _, info = stev(w[r], e[r], compute_v=0, overwrite_d=1, overwrite_e=1)
+            w[r], _, info = dstev(w[r], e[r], compute_v=0, overwrite_d=1, overwrite_e=1)
             if info != 0:
                 raise EigenvalueError(
                     f"QL iteration did not converge for replicate {r} of the block, n={w.shape[1]} "
@@ -259,42 +259,20 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     return count.T
 
 
-def eigenvalues_bisect(diag, sub, abs_tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues of one matrix by Sturm counting and bisection on Gershgorin intervals.
+def eigenvalues_bisect(diag, sub) -> np.ndarray:
+    """Eigenvalues of one matrix by LAPACK ``dstebz``: Sturm counts and bisection.
 
     ``diag`` (n,) and ``sub`` (n-1,) hold the matrix's diagonal and
-    subdiagonal; the eigenvalues come back sorted, as an (n,) array.
+    subdiagonal; the eigenvalues come back sorted, as an (n,) array, through
+    scipy's ``eigvalsh_tridiagonal(..., lapack_driver="stebz")``, to
+    ``dstebz``'s default tolerance eps * ||T||_1, which scales with the matrix.
+    Like `eigenvalues_block`, infs and NaNs raise ValueError.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(sub, dtype=float)
     if d.ndim != 1 or e.shape != (len(d) - 1,):
         raise ValueError(f"need diag (n,) and sub (n-1,), got {d.shape} and {e.shape}")
-    if not abs_tol > 0:
-        raise ValueError("abs_tol must be > 0")
-    n = len(d)
-    if n == 1:
-        return d.copy()
-    r = np.zeros(n)
-    r[:-1] += np.abs(e)
-    r[1:] += np.abs(e)
-    lo_all = float(np.min(d - r))
-    hi_all = float(np.max(d + r))
-    sub_sq = e * e
-
-    lo = np.full(n, lo_all)
-    hi = np.full(n, hi_all)
-    k = np.arange(n)
-    # bisection on counts; converges for repeated eigenvalues too
-    max_iter = int(np.ceil(np.log2(max((hi_all - lo_all) / abs_tol, 1.0)))) + 4
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        c = sturm_count(d[None], sub_sq[None], mid)[0]
-        below = c <= k
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= abs_tol:
-            break
-    return 0.5 * (lo + hi)
+    return eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
 
 
 def sample_spectrum(params: EnsembleParams, seed: SampleSeed) -> Spectrum:

@@ -217,7 +217,7 @@ def test_criterion_8_eigensolver_oracles():
             for _ in range(100)]
     diag, sub = (np.array(m) for m in zip(*mats))
     ql = eigenvalues_block(diag, sub)
-    worst = max(float(np.max(np.abs(a - eigenvalues_bisect(d, e, abs_tol=1e-13))))
+    worst = max(float(np.max(np.abs(a - eigenvalues_bisect(d, e))))
                 for a, d, e in zip(ql, diag, sub))
     assert worst <= 1e-10, f"QL vs bisection disagreement {worst:.2e}"
     # conservation on sampled replicates (also enforced inline in criteria 1-2)

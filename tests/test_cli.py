@@ -201,19 +201,41 @@ class TestDensity:
 
         out = tmp_path / "d.csv"
         assert run(["density", "--n", "8", "--beta", "2", "--kind", "fixed-trace",
-                    "--reps", "30", "--seed", "8", "--regime", "raw", "--grid-lo=-3",
+                    "--reps", "30", "--seed", "8", "--regime", "bulk", "--grid-lo=-3",
                     "--grid-hi", "3", "--bins", "12", "--reference", "semicircle",
                     "--output", str(out)]) == 0
         grid = np.linspace(-3.0, 3.0, 13)
         d = sample_density(EnsembleParams(8, 2.0, EnsembleKind.FIXED_TRACE), 8, 30, grid,
-                           Regime.RAW)
+                           Regime.BULK)
         assert out.read_text().splitlines()[0] == "bin_lo,bin_hi,height,semicircle"
         rows = read_rows(out)
         for col, want in (("bin_lo", grid[:-1]), ("bin_hi", grid[1:]), ("height", d.height),
                           ("semicircle", semicircle_bins(grid))):
             assert [float(r[col]) for r in rows] == want.tolist()
         meta = json.loads(out.with_suffix(".csv.json").read_text())
-        assert (meta["regime"], meta["normalization"]) == ("raw", "per-eigenvalue")
+        assert (meta["regime"], meta["normalization"]) == ("bulk", "per-eigenvalue")
+
+    @pytest.mark.parametrize("regime, reference", [("edge", "semicircle"), ("raw", "semicircle"),
+                                                   ("bulk", "aibeta"), ("raw", "aibeta")])
+    def test_reference_in_another_regime_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        regime, reference):
+        # semicircle is the bulk density in u and aibeta the edge density in t: a column
+        # in another regime's coordinate is refused before the reference or any sampling
+        from betahermite import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the reference's regime was checked")
+
+        for work in ("sample_density", "semicircle_bins", "edge_density_closed"):
+            monkeypatch.setattr(cli, work, no_work)
+        argv = ["density", "--n", "20", "--beta", "2", "--reps", "5", "--regime", regime,
+                "--grid-lo=-2", "--grid-hi", "2", "--reference", reference,
+                "--output", str(tmp_path / "x.csv")]
+        for more in ([], ["--input", str(tmp_path / "missing.csv")]):
+            assert run([*argv, *more]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --reference {reference}") and len(err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("regime, grid", [
         ("raw", []),

@@ -386,6 +386,14 @@ class TestBound:
         assert density_upper_bound(5, 2.0, 1.0) == 0.0
         assert density_upper_bound(5, 2.0, -1.0) == 0.0
 
+    def test_bound_overflows_to_inf_without_warning(self):
+        # log g is 1377 at n = 1000, beta = 4, so the bound at x = 0 exceeds the double
+        # range; at x = 0.9 the (1 - x^2)^499 factor brings it back
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = density_upper_bound(1000, 4.0, [0.0, 0.9])
+        assert b[0] == np.inf and np.isfinite(b[1])
+
     def test_bound_domain(self):
         with pytest.raises(ValueError):
             density_upper_bound(5, 2.0, 1.5)

@@ -35,20 +35,22 @@ class TestExamples:
         assert solve_one([3.5], []) == pytest.approx([3.5])
 
     def test_bisect_two_by_two(self):
-        ev = eigenvalues_bisect([0.0, 0.0], [1.0], abs_tol=1e-12)
+        ev = eigenvalues_bisect([0.0, 0.0], [1.0])
         assert ev == pytest.approx([-1.0, 1.0], abs=1e-11)
 
     def test_bisect_hermite3(self):
         # Jacobi matrix of H_3: zeros at 0, +-sqrt(3/2)
-        ev = eigenvalues_bisect(np.zeros(3), np.sqrt(np.arange(1, 3) / 2.0), abs_tol=1e-13)
+        ev = eigenvalues_bisect(np.zeros(3), np.sqrt(np.arange(1, 3) / 2.0))
         r = np.sqrt(1.5)
         assert ev == pytest.approx([-r, 0.0, r], abs=1e-11)
 
-    def test_fixed_5x5_against_bisect(self, rng):
-        t = random_tridiag(rng, 5)
-        a = solve_one(*t)
-        b = eigenvalues_bisect(*t, abs_tol=1e-13)
-        assert np.max(np.abs(a - b)) <= 1e-10
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_fixed_5x5_against_bisect(self, rng, scale):
+        # the bisection tolerance scales with the matrix, so the agreement is relative
+        d, e = random_tridiag(rng, 5)
+        a = solve_one(scale * d, scale * e)
+        b = eigenvalues_bisect(scale * d, scale * e)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_batched_sturm_count_matches_stev():
@@ -62,6 +64,13 @@ def test_batched_sturm_count_matches_stev():
         assert np.array_equal(c, sturm_count(d[None], e[None] ** 2, x)[0])
         ev = solve_one(d, e)
         assert np.array_equal(c, np.searchsorted(ev, x, side="left"))
+    # criterion 8's 100 random 20x20 matrices, each queried below its spectrum,
+    # between each pair of its consecutive dstev eigenvalues and above it
+    rng = np.random.default_rng(808)
+    diag, sub = (np.array(m) for m in zip(*(random_tridiag(rng, 20) for _ in range(100))))
+    for d, e, ev in zip(diag, sub, eigenvalues_block(diag, sub)):
+        x = np.concatenate([[ev[0] - 1.0], 0.5 * (ev[:-1] + ev[1:]), [ev[-1] + 1.0]])
+        assert sturm_count(d[None], e[None] ** 2, x).tolist() == [list(range(21))]
 
 
 def test_sturm_count_refuses_a_grid_per_matrix():
@@ -275,7 +284,7 @@ def test_oracle_agreement_100_random_20x20(rng):
     for _ in range(100):
         t = random_tridiag(rng, 20)
         a = solve_one(*t)
-        b = eigenvalues_bisect(*t, abs_tol=1e-13)
+        b = eigenvalues_bisect(*t)
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-10
 
@@ -329,7 +338,7 @@ def test_nonconvergence_reports_matrix(monkeypatch):
     def stalled_stev(d, e, **kwargs):
         return d, None, 2  # LAPACK info > 0: the QL iteration did not converge
 
-    monkeypatch.setattr(tridiag, "get_lapack_funcs", lambda names, arrays: (stalled_stev,))
+    monkeypatch.setattr(tridiag, "dstev", stalled_stev)
     with pytest.raises(EigenvalueError, match=r"replicate 0 .*n=2.*diag=array\(\[0\., 0\.\]\)"):
         solve_one([0.0, 0.0], [1.0])
 
