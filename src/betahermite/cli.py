@@ -216,6 +216,10 @@ def cmd_density(args) -> int:
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("--bins must be at least 1, and the bins it makes of "
                          "[--grid-lo, --grid-hi] must have nonzero width")
+    given = [f"--{k}" for k in ("reps", "seed") if getattr(args, k) is not None]
+    if args.input and given:
+        raise ValueError(f"{' and '.join(given)} would be ignored: --input takes the "
+                         "replicates and seed of its spectra")
     out = _output_path(args.output)
     # the reference first: a beta or grid it cannot be evaluated on is refused before sampling
     ref = {}
@@ -232,6 +236,8 @@ def cmd_density(args) -> int:
         d = estimate_density(list(values), params, grid, regime)
         clock.lap("read+bin")
     else:
+        args.reps = 100 if args.reps is None else args.reps
+        args.seed = 0 if args.seed is None else args.seed
         d = sample_density(params, args.seed, args.reps, grid, regime)
         clock.lap("sample+count")
     if d.below + d.above == d.n_values:
@@ -337,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--n", type=int, required=True)
     pd.add_argument("--beta", type=float, required=True)
     pd.add_argument("--kind", choices=[k.value for k in EnsembleKind], default="gaussian")
-    pd.add_argument("--reps", type=int, default=100)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--reps", type=int, default=None, help="replicates to sample (default 100)")
+    pd.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     pd.add_argument("--input", default=None, metavar="SPECTRA_CSV",
                     help="reuse spectra from a `sample` run instead of sampling inline; "
-                         "--reps and --seed are then taken from the spectra")
+                         "their sidecar fixes the replicates and seed: no --reps or --seed")
     pd.add_argument("--regime", choices=[r.value for r in Regime], default="bulk")
     pd.add_argument("--grid-lo", type=float, default=-1.2)
     pd.add_argument("--grid-hi", type=float, default=1.2)

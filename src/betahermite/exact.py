@@ -10,11 +10,12 @@ Fixed-trace normalization convention: the partition functions equal the
 integral of |Delta|^beta over the trace sphere with respect to the surface
 measure, so the one-point marginal carries the sphere-slice Jacobian 1/y
 with y = sqrt(1 - x^2) (unit strength, the sphere of radius 1).  With that
-pairing the density integrates to one and the radial integral equation is
-an identity.  `exact_density_small_n` rescales to the sampler's radius
-sqrt(n(n-1)/2).  The Gaussian n = 2 density is Kummer's closed form; at n = 3
-both densities take Gauss-Jacobi(beta, beta) on the pieces between coinciding
-coordinates, in the log domain.
+pairing the density integrates to one, the radial integral equation is an
+identity, and the density bound g (1 - x^2)^((N-3)/2) carries the same 1/y.
+`exact_density_small_n` rescales to the sampler's radius sqrt(n(n-1)/2).  The
+Gaussian n = 2 density is Kummer's closed form; at n = 3 both densities take
+Gauss-Jacobi(beta, beta) on the pieces between coinciding coordinates, in the
+log domain.
 """
 
 from __future__ import annotations
@@ -42,32 +43,28 @@ __all__ = [
 ]
 
 
-def _log_gamma_product(n: int, beta: float) -> float:
-    """log prod_{j=1..n} Gamma(1 + j beta/2)/Gamma(1 + beta/2)."""
-    return float(sum(lgamma(1.0 + j * beta / 2.0) for j in range(1, n + 1))
-                 - n * lgamma(1.0 + beta / 2.0))
-
-
 def log_z_beta_he(n: int, beta: float) -> float:
-    """log of the Gaussian-ensemble normalization (2 pi)^(n/2) prod Gamma ratios."""
+    """log of the Gaussian normalization (2 pi)^(n/2) prod_j Gamma(1+j beta/2)/Gamma(1+beta/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < beta < inf:
         raise ValueError("beta must be finite and > 0")
-    return (n / 2.0) * log(2.0 * pi) + _log_gamma_product(n, beta)
+    gammas = sum(lgamma(1.0 + j * beta / 2.0) for j in range(1, n + 1))
+    return (n / 2.0) * log(2.0 * pi) + (gammas - n * lgamma(1.0 + beta / 2.0))
+
+
+def _log_radial(nb: float) -> float:
+    """log Int_0^inf e^{-r^2/2} r^(Nb-1) dr = log Gamma(Nb/2) 2^(Nb/2-1), for N_beta = nb."""
+    return lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
 
 
 def log_z_fte(n: int, beta: float) -> float:
-    """log of the fixed-trace normalization Z_1 on the unit trace sphere.
-
-    On the sphere of radius r the normalization is Z_r = r^(N_beta - 1) Z_1,
-    with N_beta = 2L; the sampler's canonical radius is r^2 = n(n-1)/2.
-    """
+    """log of the fixed-trace normalization Z_1 on the unit trace sphere, the Gaussian
+    one over the radial integral.  On the sphere of radius r it is Z_r = r^(N_beta - 1)
+    Z_1, with N_beta = 2L; the sampler's canonical radius is r^2 = n(n-1)/2."""
     if n < 2:
         raise ValueError("fixed-trace partition function needs n >= 2")
-    nb = 2.0 * big_l(n, beta)
-    return ((n / 2.0) * log(2.0 * pi) + (1.0 - nb / 2.0) * log(2.0)
-            - lgamma(nb / 2.0) + _log_gamma_product(n, beta))
+    return log_z_beta_he(n, beta) - _log_radial(2.0 * big_l(n, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,6 @@ def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
     """
     nb = 2.0 * big_l(n, beta)
     panels = max(3, ceil(sqrt(nb)))  # 20 nodes each
-    lc = lgamma(nb / 2.0) + (nb / 2.0 - 1.0) * log(2.0)
     # rho_fte1 carries |s - 1/sqrt 2|^beta at n = 2 and |s - 1/sqrt 2|^(beta + 1/2) at
     # n = 3 (where two kinks merge): smooth only for integer, respectively even, beta
     graded = not float(beta / (n - 1)).is_integer()
@@ -252,7 +248,7 @@ def _radial_rhs(n: int, beta: float, xs: np.ndarray) -> np.ndarray:
         rows.append(np.full(len(w), i))
     w, wt, rows = np.concatenate(ws), np.concatenate(wts), np.concatenate(rows)
     r = np.abs(xs)[rows] + w * w
-    f = (np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - lc)
+    f = (np.exp(-r * r / 2.0 + (nb - 2.0) * np.log(r) - _log_radial(nb))
          * _rho_fte1(n, beta, xs[rows] / r) * 2.0 * w)
     return np.bincount(rows, weights=f * wt, minlength=len(xs))
 
@@ -332,31 +328,30 @@ def c_beta(beta: float) -> float:
 
 
 def log_g_n_beta(n: int, beta: float) -> float:
-    """log of the finite-N constant multiplying (1-x^2)^((N-2)/2) in the bound."""
+    """log of the finite-N constant g_{N beta} multiplying (1-x^2)^((N-3)/2) in the bound.
+
+    rho(r x) <= max|Delta|^beta |S^(n-2)| y^(n-2) / (Z_1 r y) on the slice x_1 = x of
+    the unit sphere, a sphere S^(n-2) of radius y = sqrt(1 - x^2); g is its four terms.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    nb = 2.0 * big_l(n, beta)
-    v = np.arange(1, n + 1)
-    s_vlnv = float(np.sum(v * np.log(v)))
     log_r2 = log(trace_sphere(n))
-    return ((beta / 2.0) * s_vlnv - 0.5 * log(pi) - lgamma((n - 1) / 2.0)
-            + ((n - 2.0) / 2.0) * log_r2
-            + lgamma(nb / 2.0) - ((nb - 1.0) / 2.0) * log_r2
-            - _log_gamma_product(n, beta))
+    log_delta_max = (beta / 2.0) * (log_vandermonde_sq_max(n) - (n * (n - 1) / 2.0) * log_r2)
+    log_slice_area = log(2.0) + ((n - 1) / 2.0) * log(pi) - lgamma((n - 1) / 2.0)
+    return log_delta_max + log_slice_area - log_z_fte(n, beta) - 0.5 * log_r2
 
 
 def density_upper_bound(n: int, beta: float, x) -> np.ndarray | float:
-    """Finite-N upper bound g_{N beta} (1-x^2)^((N-2)/2) on the rescaled
+    """Finite-N upper bound g_{N beta} (1-x^2)^((N-3)/2) on the rescaled
     fixed-trace density rho(sqrt(n(n-1)/2) x), for |x| <= 1.
 
-    Where the bound exceeds the double range it is inf, the correctly rounded
-    value, with no warning: from n = 519 at beta = 4 (666 at beta = 2, 893 at
-    beta = 1) near x = 0, where log g_{N beta} passes log(DBL_MAX) ~ 709.78."""
+    At |x| = 1 it is 0 for n > 3, g_{3 beta} at n = 3 and inf at n = 2.  Where
+    the bound exceeds the double range it is inf, the correctly rounded value,
+    with no warning: from n = 519 at beta = 4 (666 at beta = 2, 893 at beta = 1)
+    near x = 0, where log g_{N beta} passes log(DBL_MAX) ~ 709.78."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xs) > 1.0):
         raise ValueError("bulk coordinate must satisfy |x| <= 1")
-    lg = log_g_n_beta(n, beta)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.exp(lg + ((n - 2.0) / 2.0) * np.log(np.maximum(1.0 - xs * xs, 0.0)))
-    out = np.where((np.abs(xs) == 1.0) & (n > 2), 0.0, out)
+    with np.errstate(over="ignore"):
+        out = np.exp(log_g_n_beta(n, beta) + scipy.special.xlogy((n - 3.0) / 2.0, 1.0 - xs * xs))
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -40,12 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from math import lgamma, pi, sqrt
+from math import exp, lgamma, log, pi, sqrt
 
 import numpy as np
 import scipy.special
 
 from .airy import AIRY_ERROR, ai_derivatives, airy_ai
+from .exact import log_z_beta_he
 from .quadrature import gauss_panels
 
 __all__ = [
@@ -263,15 +264,13 @@ def _even_beta(beta: float, what: str) -> int:
 
 
 def edge_prefactor(beta: int) -> float:
-    """Constant multiplying K_{beta,beta} in the general-even-beta edge law."""
+    """Constant multiplying K_{beta,beta} in the general-even-beta edge law: (1/2 pi)
+    (4 pi/beta)^(beta/2) Gamma(1 + beta/2) over `log_z_beta_he`'s Gamma product at
+    n = beta and beta' = 4/beta."""
     beta = _even_beta(beta, "edge_prefactor")
-    log_num = lgamma(1.0 + beta / 2.0)
-    log_den = 0.0
-    for j in range(2, beta + 1):
-        log_den += lgamma(1.0 + 2.0 * j / beta) - lgamma(1.0 + 2.0 / beta)
-    return float(
-        (1.0 / (2.0 * pi)) * (4.0 * pi / beta) ** (beta / 2.0) * np.exp(log_num - log_den)
-    )
+    log_c = ((beta / 2.0) * log(8.0 * pi * pi / beta) + lgamma(1.0 + beta / 2.0)
+             - log_z_beta_he(beta, 4.0 / beta))
+    return exp(log_c) / (2.0 * pi)
 
 
 def kontsevich_edge_density(beta: int, x: float) -> KontsevichResult:

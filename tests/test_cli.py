@@ -366,7 +366,8 @@ class TestDensity:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--n", "400"], ["--beta", "4"],
-                                       ["--kind", "fixed-trace"]])
+                                       ["--kind", "fixed-trace"], ["--reps", "5"],
+                                       ["--seed", "9"]])
     def test_input_rejects_flags_that_disagree_with_sidecar(self, tmp_path, capsys, flags):
         spectra = tmp_path / "s.csv"
         assert run(["sample", "--n", "50", "--beta", "2", "--reps", "3",
@@ -685,13 +686,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "beta" in err and not out.exists()
 
-    def test_bound_dominance_is_the_largest_ratio(self, tmp_path):
-        # density over bound in the bins that hold mass: a figure in (0, 1] that
+    @pytest.mark.parametrize("n", ["2", "3", "10"])
+    def test_bound_dominance_is_the_largest_ratio(self, tmp_path, n):
+        # density over the bound's largest value on each bin: a figure in (0, 1] that
         # moves with the seed, not the bound at an empty outer bin
         metrics = []
         for seed in ("1", "2"):
             out = tmp_path / f"r{seed}.json"
-            assert run(["verify", "--check", "bound", "--n", "10", "--seed", seed,
+            assert run(["verify", "--check", "bound", "--n", n, "--seed", seed,
                         "--output", str(out)]) == 0
             checks = json.loads(out.read_text())["checks"]
             metrics.append([c["metric"] for c in checks if c["check_name"] == "bound-dominance"])

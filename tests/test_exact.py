@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betahermite import airy, exact
-from betahermite.ensemble import EnsembleKind
+from betahermite.ensemble import EnsembleKind, trace_sphere
 from betahermite.exact import (
     c_beta,
     density_upper_bound,
@@ -385,6 +385,11 @@ class TestBound:
     def test_bound_vanishes_at_edges(self):
         assert density_upper_bound(5, 2.0, 1.0) == 0.0
         assert density_upper_bound(5, 2.0, -1.0) == 0.0
+        # (1 - x^2)^((n-3)/2) is 1 at n = 3 and has the density's 1/y pole at n = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(density_upper_bound(2, 2.0, [-1.0, 1.0]) == np.inf)
+            assert np.all(density_upper_bound(3, 2.0, [-1.0, 1.0]) == exp(log_g_n_beta(3, 2.0)))
 
     def test_bound_overflows_to_inf_without_warning(self):
         # log g is 1377 at n = 1000, beta = 4, so the bound at x = 0 exceeds the double
@@ -398,11 +403,13 @@ class TestBound:
         with pytest.raises(ValueError):
             density_upper_bound(5, 2.0, 1.5)
 
-    def test_bound_dominates_exact_small_n(self):
-        # n=3 exact canonical density against the bound, on the bound's axis
-        r = sqrt(3.0)
-        xs = np.linspace(-0.95, 0.95, 39)
-        d = exact_density_small_n(3, 2.0, EnsembleKind.FIXED_TRACE, xs * r)
-        b = density_upper_bound(3, 2.0, xs)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_bound_dominates_exact_small_n(self, n, beta):
+        # exact canonical density against the bound, on the bound's axis, up to the
+        # sphere-slice Jacobian's 1/y pole at |x| = 1
+        xs = np.linspace(-0.999, 0.999, 1999)
+        d = exact_density_small_n(n, beta, EnsembleKind.FIXED_TRACE, xs * sqrt(trace_sphere(n)))
+        b = density_upper_bound(n, beta, xs)
         assert np.all(d <= b + 1e-12)
 

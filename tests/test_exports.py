@@ -64,11 +64,15 @@ def _readme_commands() -> list[str]:
     return [line for line in lines if line.startswith("betahermite ")]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch):
     commands = _readme_commands()
     assert commands
     for command in commands:
         build_parser().parse_args(shlex.split(command)[1:])  # argparse exits on a stale flag
+    # and each runs, in order: the `--input` example reads the spectra `sample` wrote
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
 
 
 def test_readme_calls_name_package_attributes():
