@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exact
 from .density import Regime, sample_density
-from .ensemble import (EnsembleKind, EnsembleParams, big_l, sample_block, trace_sphere,
+from .ensemble import (EnsembleKind, EnsembleParams, big_l, replicate_blocks, trace_sphere,
                        trace_sq_rows)
 from .kontsevich import kontsevich_edge_density, kontsevich_k
 from .airy import AIRY_ERROR, edge_density_closed
@@ -159,7 +159,8 @@ def check_moments(master_seed: int) -> list[CheckResult]:
     # Gaussian trace moment <tr H^2> = 2L
     n, beta = 20, 1.0
     reps = 4000
-    vals = trace_sq_rows(*sample_block(EnsembleParams(n, beta), master_seed + 7, 0, reps))
+    vals = np.concatenate([trace_sq_rows(diag, sub) for _, diag, sub
+                           in replicate_blocks(EnsembleParams(n, beta), master_seed + 7, reps)])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / sqrt(reps))
     target = 2.0 * big_l(n, beta)

@@ -210,12 +210,13 @@ def cmd_density(args) -> int:
     if want is not regime:
         raise ValueError(f"--reference {args.reference} is the {want.value} density; "
                          f"it needs --regime {want.value}, not {regime.value}")
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     if args.bins > MAX_TABLE_ROWS:
         raise ValueError(f"--bins {args.bins} is over the cap of {MAX_TABLE_ROWS}")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.bins + 1)
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("--bins must be at least 1, and the bins it makes of "
-                         "[--grid-lo, --grid-hi] must have nonzero width")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("the --bins bins of [--grid-lo, --grid-hi] must have nonzero width")
     given = [f"--{k}" for k in ("reps", "seed") if getattr(args, k) is not None]
     if args.input and given:
         raise ValueError(f"{' and '.join(given)} would be ignored: --input takes the "

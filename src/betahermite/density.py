@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleKind, EnsembleParams, replicate_blocks
+from .ensemble import EnsembleKind, EnsembleParams, big_l, replicate_blocks, trace_sphere
 from .tridiag import SturmWork, sturm_count
 
 __all__ = [
@@ -123,25 +123,32 @@ def bump(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def bulk_scale(p: EnsembleParams) -> float:
-    """Spectral edge sqrt(2 beta N) (Gaussian) or sqrt(2N) (fixed-trace)."""
+    """Bulk scale sqrt(2 beta N) (Gaussian) or sqrt(2N) (fixed-trace) of the semicircle."""
     return sqrt(2.0 * p.n) if p.kind is EnsembleKind.FIXED_TRACE else sqrt(2.0 * p.beta * p.n)
 
 
 def grid_to_lambda(grid, regime: Regime, params: EnsembleParams) -> np.ndarray:
     """Eigenvalue-axis positions of a grid given in the regime's coordinate.
 
-    The coordinates are raw x = lambda, bulk u = lambda / s and edge
-    t = 2 N^(2/3) (lambda / s - 1), with s = `bulk_scale(params)`; so raw
-    lambda = x, bulk lambda = s u, edge lambda = s (1 + t / (2 N^(2/3))).
-    Both density routes count the eigenvalues below these edges.
+    The coordinates are raw x = lambda, bulk u = lambda / s with
+    s = `bulk_scale(params)`, and edge t = 2 N^(2/3) (lambda / c - 1), with the
+    soft-edge centre c: sqrt(2 beta N) for the Gaussian kind, and for the
+    fixed-trace kind that edge carried onto the sampler's sphere,
+    sqrt(2 beta N) sqrt(`trace_sphere(N)` / 2L), L = `ensemble.big_l(N, beta)`
+    (sqrt(2 (N - 1)) at beta = 2).  So raw lambda = x, bulk lambda = s u, edge
+    lambda = c (1 + t / (2 N^(2/3))).  Both density routes count the
+    eigenvalues below these edges.
     """
     grid = np.asarray(grid, dtype=float)
     if regime is Regime.RAW:
         return grid
-    s = bulk_scale(params)
     if regime is Regime.BULK:
-        return s * grid
-    return s * (1.0 + grid / (2.0 * params.n ** (2.0 / 3.0)))
+        return bulk_scale(params) * grid
+    n, beta = params.n, params.beta
+    c = sqrt(2.0 * beta * n)
+    if params.kind is EnsembleKind.FIXED_TRACE:
+        c *= sqrt(trace_sphere(n) / (2.0 * big_l(n, beta)))
+    return c * (1.0 + grid / (2.0 * n ** (2.0 / 3.0)))
 
 
 def _checked_grid(grid) -> np.ndarray:

@@ -7,14 +7,15 @@ fixed-trace ensemble is obtained by projecting Gaussian samples onto the
 sphere tr(H^2) = n(n-1)/2, `trace_sphere`.
 
 `sample_block` is the one sampler, and its arrays are the one matrix
-representation.  It draws consecutive replicates as ``diag (R, n)`` and
-``sub (R, n-1)`` arrays.  The replicates fall into aligned blocks of
+representation.  The replicates fall into aligned blocks of
 ``REPLICATE_CHUNK``, and the rows of block b = replicate // REPLICATE_CHUNK
-come from one Philox stream keyed by (master seed, b) (`STREAM_LAYOUT`), so a
-row does not depend on the range it was requested in; a single matrix is a
-range of one.  `replicate_blocks` is the one walk over many replicates: it
-yields replicates 0..count-1 one stream block at a time, so every caller's
-memory stays bounded at any replicate count.  `EnsembleParams` refuses a
+come from one Philox stream keyed by (master seed, b) (`STREAM_LAYOUT`).  A
+call draws consecutive rows of one block as ``diag (R, n)`` and
+``sub (R, n-1)`` arrays, and a row does not depend on the range it was
+requested in; a single matrix is a range of one.  `replicate_blocks` is the
+one walk over many replicates and the only loop over stream blocks: it yields
+replicates 0..count-1 one block at a time, so every caller's memory stays
+bounded at any replicate count.  `EnsembleParams` refuses a
 fixed-trace n = 1, whose trace sphere is the point 0.
 """
 
@@ -138,29 +139,11 @@ def _skip_rows(draw, rows: int, width: int):
         draw(out=scratch[:min(step, rows - done)])
 
 
-def _draw_block(master_seed: int, block: int, shape: np.ndarray, lo: int, hi: int,
-                diag: np.ndarray, sub: np.ndarray):
-    """Rows lo..hi-1 of stream block ``block``: normals into ``diag``, gammas into ``sub``.
-
-    The block's stream holds its (REPLICATE_CHUNK, n) normals and then its
-    (REPLICATE_CHUNK, n-1) gammas, row-major.  Rows outside lo..hi-1 are
-    drawn into a bounded buffer and dropped, and the gammas stop at row hi.
-    """
-    rng = Generator(Philox(key=_philox_key(master_seed, block)))
-    n = diag.shape[1]
-    _skip_rows(rng.standard_normal, lo, n)
-    rng.standard_normal(out=diag)
-    _skip_rows(rng.standard_normal, REPLICATE_CHUNK - hi, n)
-    if shape.size:
-        gamma = partial(rng.standard_gamma, shape)
-        _skip_rows(gamma, lo, n - 1)
-        gamma(out=sub)
-
-
 def sample_block(
     params: EnsembleParams, master_seed: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample replicates start..start+count-1 as ``diag (count, n)`` and ``sub (count, n-1)``.
+    """Sample replicates start..start+count-1 of one stream block as ``diag (count, n)``
+    and ``sub (count, n-1)``.
 
     Row i is the matrix of replicate start+i: diag ~ N(0,1), and the j-th
     subdiagonal entry counted from the bottom-right corner is
@@ -169,23 +152,27 @@ def sample_block(
     whose rows come from the Philox stream keyed by (master_seed, b): the
     block's (REPLICATE_CHUNK, n) diagonal normals first, then its
     (REPLICATE_CHUNK, n-1) gamma variates of shape j*beta/2, both in row-major
-    order, so a row does not depend on start and count.  Each block the range
-    overlaps is drawn straight into the output with one normal and one gamma
-    call; the rows of a partial block outside the range are drawn through a
-    bounded buffer and dropped, so memory is O(count * n) whatever the range.
+    order, so a row does not depend on start and count.  A range that leaves
+    its block raises ValueError; `replicate_blocks` walks many blocks.  The
+    range is drawn straight into the output with one normal and one gamma
+    call; the block's other rows are drawn through a bounded buffer and
+    dropped, and the gammas stop at the range's end, so memory is O(count * n).
     A fixed-trace block is projected onto the trace sphere row by row.
     """
-    if start < 0 or count < 0:
-        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
+    block, lo = divmod(start, REPLICATE_CHUNK)
+    if start < 0 or count < 0 or lo + count > REPLICATE_CHUNK:
+        raise ValueError(f"need 0 <= start and 0 <= count with the range inside one stream "
+                         f"block of {REPLICATE_CHUNK}, got start={start}, count={count}")
     n = params.n
-    chunk = REPLICATE_CHUNK
-    end = start + count
-    shape = np.arange(n - 1, 0, -1) * params.beta / 2.0  # dof j*beta/2, top-to-bottom
     diag, sub = np.empty((count, n)), np.empty((count, n - 1))
-    for b in range(start // chunk, (end - 1) // chunk + 1) if count else ():
-        lo, hi = max(start, b * chunk), min(end, (b + 1) * chunk)
-        rows = slice(lo - start, hi - start)
-        _draw_block(master_seed, b, shape, lo - b * chunk, hi - b * chunk, diag[rows], sub[rows])
+    rng = Generator(Philox(key=_philox_key(master_seed, block)))
+    _skip_rows(rng.standard_normal, lo, n)
+    rng.standard_normal(out=diag)
+    _skip_rows(rng.standard_normal, REPLICATE_CHUNK - lo - count, n)
+    if n > 1:
+        gamma = partial(rng.standard_gamma, np.arange(n - 1, 0, -1) * params.beta / 2.0)
+        _skip_rows(gamma, lo, n - 1)
+        gamma(out=sub)
     np.sqrt(sub, out=sub)
     if params.kind is EnsembleKind.FIXED_TRACE:
         _rescale_rows(diag, sub, trace_sphere(n))

@@ -16,7 +16,8 @@ import scipy.integrate as si
 from betahermite.airy import AI0, AIP0, airy_ai, airy_ai_prime, airy_tail, edge_density_closed
 from betahermite.density import (Regime, bump, estimate_density, grid_to_lambda, semicircle,
                                  semicircle_mass, weak_functional)
-from betahermite.ensemble import EnsembleKind, EnsembleParams, big_l, sample_block, trace_sq_rows
+from betahermite.ensemble import (EnsembleKind, EnsembleParams, big_l, replicate_blocks,
+                                  trace_sq_rows)
 from betahermite.exact import (
     c_beta,
     density_upper_bound,
@@ -39,14 +40,16 @@ def _ok(criterion: int, detail: str):
 
 def _sample_checked(params: EnsembleParams, master: int, reps: int) -> np.ndarray:
     """Spectra (reps, n) of replicates 0..reps-1; asserts trace/Frobenius conservation per row."""
-    diag, sub = sample_block(params, master, 0, reps)
-    values = eigenvalues_block(diag, sub)
-    scale = np.maximum(np.max(np.abs(values), axis=1), 1.0)
-    t2 = trace_sq_rows(diag, sub)
-    assert np.all(np.abs(np.sum(values, axis=1) - np.sum(diag, axis=1))
-                  <= 1e-10 * params.n * scale)
-    assert np.all(np.abs(np.sum(values**2, axis=1) - t2) <= 1e-9 * t2)
-    return values
+    blocks = []
+    for _, diag, sub in replicate_blocks(params, master, reps):
+        values = eigenvalues_block(diag, sub)
+        scale = np.maximum(np.max(np.abs(values), axis=1), 1.0)
+        t2 = trace_sq_rows(diag, sub)
+        assert np.all(np.abs(np.sum(values, axis=1) - np.sum(diag, axis=1))
+                      <= 1e-10 * params.n * scale)
+        assert np.all(np.abs(np.sum(values**2, axis=1) - t2) <= 1e-9 * t2)
+        blocks.append(values)
+    return np.concatenate(blocks)
 
 
 def test_criterion_1_semicircle_law():
@@ -173,7 +176,8 @@ def test_criterion_6_density_upper_bound():
     details = []
     for bi, beta in enumerate((1.0, 2.0, 4.0)):
         params = EnsembleParams(n, beta, EnsembleKind.FIXED_TRACE)
-        values = eigenvalues_block(*sample_block(params, 3000 + bi, 0, reps)) / r
+        values = np.concatenate([eigenvalues_block(diag, sub) for _, diag, sub
+                                 in replicate_blocks(params, 3000 + bi, reps)]) / r
         d = estimate_density(list(values), params, grid, Regime.RAW)
         emp = d.height / r  # bound is stated for the unscaled-argument density
         bound = density_upper_bound(n, beta, d.centers)

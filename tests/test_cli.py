@@ -456,14 +456,17 @@ class TestDensity:
 
     @pytest.mark.parametrize("bad", [["--reps", "0"], ["--reps", "-3"], ["--bins", "0"],
                                      ["--bins", "-1"], ["--beta", "inf"], ["--grid-lo", "nan"],
-                                     ["--grid-hi", "inf"], ["--beta", "1e308"]])
+                                     ["--grid-hi", "inf"], ["--beta", "1e308"], ["--bins", "-2"]])
     def test_no_replicates_or_bins_is_usage_error(self, tmp_path, capsys, bad):
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = run(["density", "--n", "20", "--beta", "2", *bad, "--output", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        if bad[0] == "--bins":
+            assert "--bins" in err
         assert not out.exists() and not (tmp_path / "x.csv.json").exists()
 
     def test_bins_over_the_table_cap_is_usage_error(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special
+from scipy.linalg import eigvalsh_tridiagonal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from betahermite.airy import edge_density_closed
 from betahermite.density import (Regime, bulk_scale, bump, estimate_density, grid_to_lambda,
                                  sample_density, semicircle, semicircle_bins, semicircle_mass,
                                  weak_functional)
-from betahermite.ensemble import REPLICATE_CHUNK, EnsembleKind, EnsembleParams, sample_block
+from betahermite.ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams,
+                                  replicate_blocks, sample_block, trace_sphere, trace_sq_rows)
 from betahermite.tridiag import eigenvalues_block, sturm_count
 
 
@@ -28,8 +30,9 @@ ANY_PARAMS = gauss(2, 2.0)  # any ensemble: the raw coordinate is the eigenvalue
 
 
 def spectra(params, seed, reps):
-    """Rows 0..reps-1 of the `stev` spectra of seed's block, on the eigenvalue axis."""
-    return eigenvalues_block(*sample_block(params, seed, 0, reps))
+    """The `stev` spectra of replicates 0..reps-1 of seed, on the eigenvalue axis."""
+    return np.concatenate([eigenvalues_block(diag, sub)
+                           for _, diag, sub in replicate_blocks(params, seed, reps)])
 
 
 class TestRescale:
@@ -50,9 +53,31 @@ class TestRescale:
         assert lam[1] == pytest.approx(edge * (1 + 1 / (2 * 1000 ** (2 / 3))), abs=1e-10)
 
     def test_edge_fixed_trace_point(self):
+        # the Gaussian edge sqrt(2 beta N) carried onto the sphere tr H^2 = N(N-1)/2 is
+        # sqrt(2 (N - 1)) at beta = 2
         p = fixed(1000, 2.0)
         assert grid_to_lambda([-0.2], Regime.EDGE, p)[0] == pytest.approx(
-            np.sqrt(2000.0) * 0.999, abs=1e-9)
+            np.sqrt(1998.0) * 0.999, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.7, 2.0, 5.0])
+    def test_fixed_trace_edge_centre_matches_the_coupled_gaussian_edge(self, beta):
+        # fixed-trace replicate r is Gaussian replicate r projected onto the trace sphere,
+        # from the same key, so the mean gap between their top eigenvalues in edge units
+        # measures the fixed-trace centre against the Gaussian one
+        n, reps = 400, REPLICATE_CHUNK
+        diag, sub = sample_block(gauss(n, beta), 11, 0, reps)
+        scale = np.sqrt(trace_sphere(n) / trace_sq_rows(diag, sub))[:, None]
+        f_diag, f_sub = sample_block(fixed(n, beta), 11, 0, reps)
+        assert np.array_equal(f_diag, diag * scale) and np.array_equal(f_sub, sub * scale)
+        top = np.array([eigvalsh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1),
+                                             lapack_driver="stebz")[0]
+                        for d, e in zip(diag, sub)])
+
+        def t(lam, p):
+            return 2.0 * n ** (2.0 / 3.0) * (lam / grid_to_lambda([0.0], Regime.EDGE, p)[0] - 1.0)
+
+        gap = t(scale[:, 0] * top, fixed(n, beta)) - t(top, gauss(n, beta))
+        assert abs(gap.mean()) <= 3.0 * gap.std(ddof=1) / np.sqrt(reps)
 
     def test_fixed_trace_hard_support(self):
         # a single eigenvalue can carry at most the whole trace budget
@@ -63,13 +88,15 @@ class TestRescale:
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_grid_to_lambda_inverts_rescale(self, regime, kind):
-        # the docstring's coordinates: raw x = lambda, bulk u = lambda / s and
-        # edge t = 2 N^(2/3) (lambda / s - 1), with s = bulk_scale
+        # the docstring's coordinates: raw x = lambda, bulk u = lambda / s with
+        # s = bulk_scale, and edge t = 2 N^(2/3) (lambda / c - 1), with c = s for the
+        # Gaussian kind and the carried edge sqrt(2 (N - 1)) for the fixed-trace kind
         p = EnsembleParams(300, 2.0, kind)
         x = np.linspace(-5.0, 2.0, 8)
         lam, s = grid_to_lambda(x, regime, p), bulk_scale(p)
+        c = s if kind is EnsembleKind.GAUSSIAN else np.sqrt(2.0 * 299)
         coordinate = {Regime.RAW: lam, Regime.BULK: lam / s,
-                      Regime.EDGE: 2.0 * 300 ** (2.0 / 3.0) * (lam / s - 1.0)}[regime]
+                      Regime.EDGE: 2.0 * 300 ** (2.0 / 3.0) * (lam / c - 1.0)}[regime]
         assert coordinate == pytest.approx(x, abs=1e-12)
 
 

@@ -24,19 +24,25 @@ def half_chi_mean_sq_oracle(k):
     return val
 
 
-def bottom_entry(beta, master, start, count, n=2):
-    """The bottom subdiagonal entries b_1 ~ chi_beta/sqrt(2) of a sampled block."""
-    return sample_block(EnsembleParams(n, beta), master, start, count)[1][:, -1]
+def walk(params, master, count):
+    """Replicates 0..count-1 as one (diag, sub) pair, joined from `replicate_blocks`."""
+    chunks = list(replicate_blocks(params, master, count))
+    return (np.concatenate([d for _, d, _ in chunks]), np.concatenate([s for _, _, s in chunks]))
+
+
+def bottom_entry(beta, master, count, n=2):
+    """The bottom subdiagonal entries b_1 ~ chi_beta/sqrt(2) of replicates 0..count-1."""
+    return walk(EnsembleParams(n, beta), master, count)[1][:, -1]
 
 
 class TestHalfChi:
     """The bottom subdiagonal entry has the half-chi density with k = beta."""
 
     def test_determinism(self):
-        assert np.array_equal(bottom_entry(2.0, 123, 5, 1), bottom_entry(2.0, 123, 5, 1))
+        assert np.array_equal(bottom_entry(2.0, 123, 6), bottom_entry(2.0, 123, 6))
 
     def test_distinct_replicates_differ(self):
-        x = bottom_entry(2.0, 1, 0, 2)
+        x = bottom_entry(2.0, 1, 2)
         assert x[0] != x[1]
 
     def test_bad_dof(self):
@@ -51,13 +57,13 @@ class TestHalfChi:
         # oracle first: quadrature of the stated density agrees with the
         # gamma-mean closed form
         assert half_chi_mean_sq_oracle(k) == pytest.approx(expected, abs=1e-10)
-        x = bottom_entry(k, 7, 0, 100_000)
+        x = bottom_entry(k, 7, 100_000)
         m = np.mean(x**2)
         se = np.std(x**2, ddof=1) / np.sqrt(len(x))
         assert abs(m - expected) <= 3.0 * se
 
     def test_positive(self):
-        x = bottom_entry(0.5, 3, 0, 1000)
+        x = bottom_entry(0.5, 3, 1000)
         assert np.all(x > 0)
 
 
@@ -79,13 +85,13 @@ class TestBetaHermiteSampler:
     def test_trace_sq_mean(self):
         # E tr H^2 = n + beta n(n-1)/2 = 10000 at n=100, beta=2
         reps = 10_000
-        t = trace_sq_rows(*sample_block(EnsembleParams(100, 2.0), 11, 0, reps))
+        t = trace_sq_rows(*walk(EnsembleParams(100, 2.0), 11, reps))
         se = t.std(ddof=1) / np.sqrt(reps)
         assert abs(t.mean() - 10_000.0) <= 3.0 * se
 
     def test_bottom_entry_mean_n2_beta4(self):
         # single subdiagonal entry has E[b^2] = k/2 = 2
-        vals = bottom_entry(4.0, 5, 0, 20_000) ** 2
+        vals = bottom_entry(4.0, 5, 20_000) ** 2
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0) <= 3.0 * se
 
@@ -121,19 +127,21 @@ class TestSampleBlock:
         beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
         kind=st.sampled_from(list(EnsembleKind)),
         master=st.integers(0, 2**32),
-        start=st.integers(0, 10**6),
-        count=st.integers(1, 2 * REPLICATE_CHUNK + 2),
+        block=st.integers(0, 2000),
+        lo=st.integers(0, REPLICATE_CHUNK - 1),
+        count=st.integers(1, REPLICATE_CHUNK),
     )
     @example(n=5, beta=1.0, kind=EnsembleKind.FIXED_TRACE, master=3,
-             start=REPLICATE_CHUNK - 1, count=REPLICATE_CHUNK + 2)  # three blocks
+             block=0, lo=REPLICATE_CHUNK - 1, count=1)  # the block's last row
     @example(n=5, beta=2.0, kind=EnsembleKind.GAUSSIAN, master=3,
-             start=7, count=REPLICATE_CHUNK)  # two partial blocks
+             block=0, lo=7, count=REPLICATE_CHUNK)  # rows 7.. to the block's end
     @example(n=5, beta=2.0, kind=EnsembleKind.GAUSSIAN, master=3,
-             start=REPLICATE_CHUNK, count=REPLICATE_CHUNK)  # one whole block
+             block=1, lo=0, count=REPLICATE_CHUNK)  # one whole block
     @settings(max_examples=40, deadline=None)
-    def test_rows_equal_per_replicate_recipe(self, n, beta, kind, master, start, count):
+    def test_rows_equal_per_replicate_recipe(self, n, beta, kind, master, block, lo, count):
         assume(kind is EnsembleKind.GAUSSIAN or n >= 2)
         p = EnsembleParams(n, beta, kind)
+        start, count = block * REPLICATE_CHUNK + lo, min(count, REPLICATE_CHUNK - lo)
         diag, sub = sample_block(p, master, start, count)
         assert diag.shape == (count, n) and sub.shape == (count, n - 1)
         want_diag, want_sub = recipe_rows(p, master, start, count)
@@ -143,17 +151,22 @@ class TestSampleBlock:
     @given(
         kind=st.sampled_from(list(EnsembleKind)),
         start=st.integers(0, 4 * REPLICATE_CHUNK),
-        count=st.integers(1, 3 * REPLICATE_CHUNK),
+        count=st.integers(1, REPLICATE_CHUNK),
         data=st.data(),
     )
     @settings(max_examples=30, deadline=None)
     def test_one_row_equals_its_row_in_any_range(self, kind, start, count, data):
+        # any range inside a block, and a walk over several blocks
         p = EnsembleParams(4, 1.5, kind)
+        count = min(count, REPLICATE_CHUNK - start % REPLICATE_CHUNK)
         r = data.draw(st.integers(start, start + count - 1))
         diag, sub = sample_block(p, 17, start, count)
         one_diag, one_sub = sample_block(p, 17, r, 1)
         assert np.array_equal(one_diag[0], diag[r - start])
         assert np.array_equal(one_sub[0], sub[r - start])
+        walk_diag, walk_sub = walk(p, 17, start + count)
+        assert np.array_equal(one_diag[0], walk_diag[r])
+        assert np.array_equal(one_sub[0], walk_sub[r])
 
     def test_range_inside_one_block_does_not_hold_the_block(self):
         # one replicate at n = 2000: its block's buffers would take 16 MB
@@ -177,6 +190,7 @@ class TestSampleBlock:
         for r in range(10, 14):
             assert np.array_equal(sample_spectrum(p, SampleSeed(3, r)).values, values[r - 10])
 
+    # the cross-block half of test_rows_equal_per_replicate_recipe
     @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
     @pytest.mark.parametrize("count", [1100, 2 * REPLICATE_CHUNK, 1])
     def test_replicate_blocks_walk_the_range_one_stream_block_at_a_time(self, kind, count):
@@ -188,9 +202,9 @@ class TestSampleBlock:
         for first, diag, sub in chunks:
             assert first // REPLICATE_CHUNK == (first + len(diag) - 1) // REPLICATE_CHUNK
             assert len(sub) == len(diag)
-        diag, sub = sample_block(p, 9, 0, count)
-        assert np.array_equal(np.concatenate([d for _, d, _ in chunks]), diag)
-        assert np.array_equal(np.concatenate([s for _, _, s in chunks]), sub)
+        want_diag, want_sub = recipe_rows(p, 9, 0, count)
+        assert np.array_equal(np.concatenate([d for _, d, _ in chunks]), want_diag)
+        assert np.array_equal(np.concatenate([s for _, _, s in chunks]), want_sub)
 
     def test_trace_sq_rows(self):
         diag, sub = sample_block(EnsembleParams(9, 2.0), 1, 0, 5)
@@ -201,7 +215,8 @@ class TestSampleBlock:
         diag, sub = sample_block(EnsembleParams(4, 2.0), 0, 0, 0)
         assert diag.shape == (0, 4) and sub.shape == (0, 3)
 
-    @pytest.mark.parametrize("start, count", [(-1, 2), (0, -1)])
+    # a range that leaves its stream block of REPLICATE_CHUNK = 512 is refused too
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, -1), (511, 2), (0, 513), (1023, 2)])
     def test_rejects_negative_range(self, start, count):
         with pytest.raises(ValueError):
             sample_block(EnsembleParams(4, 2.0), 0, start, count)
@@ -288,7 +303,7 @@ def test_gap_distribution_ks():
     assert total == pytest.approx(1.0, abs=1e-12)
     p = EnsembleParams(2, 2.0)
     reps = 100_000
-    ev = eigenvalues_block(*sample_block(p, 77, 0, reps))
+    ev = eigenvalues_block(*walk(p, 77, reps))
     gaps = np.sort(ev[:, 1] - ev[:, 0])
     emp = np.arange(1, reps + 1) / reps
     ks = np.max(np.abs(emp - gap_cdf(gaps)))

@@ -146,6 +146,21 @@ def test_only_the_spectrum_modules_name_sample_seed():
     assert named == ["ensemble.py", "tridiag.py"]
 
 
+def test_only_replicate_blocks_and_sample_spectrum_call_sample_block():
+    # `replicate_blocks` is the one walk over stream blocks; a single replicate is a
+    # range of one
+    calls = []
+    for path in sorted((ROOT / "src" / "betahermite").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost enclosing function: ast.walk visits outer ones first
+        owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        calls += [f"{path.stem}.{owner.get(call, '<module>')}" for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and "sample_block" in
+                  (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+    assert calls == ["ensemble.replicate_blocks", "tridiag.sample_spectrum"]
+
+
 def test_benchmark_check_names_match(monkeypatch):
     # a traced run reports checks.<name>.s from the spans of checks.check_<name>
     spans = _load(BENCHMARK / "spans.py", monkeypatch)

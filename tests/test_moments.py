@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from betahermite.ensemble import EnsembleKind, EnsembleParams, big_l, sample_block
+from betahermite.ensemble import (EnsembleKind, EnsembleParams, big_l, replicate_blocks,
+                                  sample_block)
 from betahermite.moments import (MomentIndex, gaussian_moment_exact, moment_mc,
                                  moment_ratio_exact, moment_ratio_sphere,
                                  verify_moment_equivalence)
@@ -86,16 +87,16 @@ class TestMomentMc:
         # replicates 0..999 lie in stream blocks 0 and 1, and each is drawn once
         from betahermite import ensemble
 
-        blocks = []
-        draw = ensemble._draw_block
+        starts = []
+        draw = ensemble.sample_block
 
-        def counted(master_seed, block, *args):
-            blocks.append(block)
-            return draw(master_seed, block, *args)
+        def counted(params, master_seed, start, count):
+            starts.append(start)
+            return draw(params, master_seed, start, count)
 
-        monkeypatch.setattr(ensemble, "_draw_block", counted)
+        monkeypatch.setattr(ensemble, "sample_block", counted)
         moment_mc(EnsembleParams(6, 2.0), MomentIndex.single_a(6, 1, 2), 1000, 8)
-        assert blocks == [0, 1]
+        assert starts == [0, ensemble.REPLICATE_CHUNK]
 
     def test_std_error_survives_a_large_mean(self):
         # mean 1e8, spread 1: E[v^2] - mean^2 cancels every digit of the variance
@@ -301,6 +302,7 @@ class TestEquivalence:
         from betahermite.ensemble import trace_sq_rows
 
         n, beta = 20, 1.0
-        vals = trace_sq_rows(*sample_block(EnsembleParams(n, beta), 23, 0, 5000))
+        vals = np.concatenate([trace_sq_rows(diag, sub) for _, diag, sub
+                               in replicate_blocks(EnsembleParams(n, beta), 23, 5000)])
         se = vals.std(ddof=1) / sqrt(len(vals))
         assert abs(vals.mean() - 2.0 * big_l(n, beta)) <= 3.0 * se
