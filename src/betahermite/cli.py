@@ -3,8 +3,11 @@
 This is the one module that reads and writes files: the other modules only
 compute.  The density and `special` tables, stdout included, go through
 `_write_csv`, the spectra CSV through `_spectra_lines` (csv.writer's dialect,
-built a block at a time), and every sidecar, <output>.json, through
-`_write_sidecar`; each output file is a pure function of its sidecar.
+a block at a time: a template of "r,i,%r" lines, its replicate numbers put in
+by `str.join`, and one `%` over the block's floats to put in their reprs),
+and every sidecar, <output>.json, through `_write_sidecar`; each output file
+is a pure function of its sidecar.  A density sidecar records its grid in the
+regime's coordinate and on the eigenvalue axis (`lambda_lo`, `lambda_hi`).
 `sample` and `density` walk the replicates with `ensemble.replicate_blocks`,
 one stream block at a time, so memory stays bounded at any --reps; the
 sidecars record the stream layout as "stream".  `sample`, `density` and
@@ -36,7 +39,8 @@ import scipy
 from . import __version__
 from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
 from .checks import CHECK_NAMES, run_checks, validate_flags
-from .density import DensityEstimate, Regime, estimate_density, sample_density, semicircle_bins
+from .density import (DensityEstimate, Regime, estimate_density, grid_to_lambda, sample_density,
+                      semicircle_bins)
 from .ensemble import STREAM_LAYOUT, EnsembleKind, EnsembleParams, replicate_blocks
 from .kontsevich import kontsevich_k
 from .tridiag import eigenvalues_block
@@ -101,13 +105,17 @@ class _Stages:
 
 
 def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
-    """The sidecar fields of a density estimate: its grid, normalization, mass
-    outside the grid and counting route, and the ensemble."""
+    """The sidecar fields of a density estimate: its grid and the grid's ends on the
+    eigenvalue axis (`grid_to_lambda`), normalization, mass outside the grid and
+    counting route, and the ensemble."""
+    lambda_lo, lambda_hi = grid_to_lambda(d.grid[[0, -1]], d.regime, params).tolist()
     return {
         "regime": d.regime.value,
         "n_samples": d.n_samples,
         "grid_lo": float(d.grid[0]),
         "grid_hi": float(d.grid[-1]),
+        "lambda_lo": lambda_lo,
+        "lambda_hi": lambda_hi,
         "bins": int(len(d.height)),
         "normalization": "per-replicate" if d.regime is Regime.EDGE else "per-eigenvalue",
         "eigs_below": d.below,
@@ -122,11 +130,16 @@ def _spectra_lines(start: int, values: np.ndarray) -> str:
     """The CSV lines of a block's (R, n) eigenvalues, replicates start..start+R-1.
 
     Each line is "replicate,index,repr(eigenvalue)" ending in "\r\n", as
-    csv.writer writes it; the "r,i," prefixes are built once per block.
+    csv.writer writes it.  The block's template holds, per replicate r, the n
+    lines "r,0,%r\r\n" to "r,n-1,%r\r\n": `str.join` with r as the separator
+    puts r in front of each ",i,%r\r\n" cell.  One `%` over the block's floats
+    then fills in every %r, and `%r` of a Python float is its repr (hence
+    `.tolist()`: a numpy scalar's repr is "np.float64(...)").  So the block
+    makes no string per eigenvalue.
     """
-    cols = [f",{i}," for i in range(values.shape[1])]
-    prefixes = [f"{r}{c}" for r in range(start, start + len(values)) for c in cols]
-    return "\r\n".join(map(str.__add__, prefixes, map(repr, values.ravel().tolist()))) + "\r\n"
+    cells = ["", *(f",{i},%r\r\n" for i in range(values.shape[1]))]
+    template = "".join([str(r).join(cells) for r in range(start, start + len(values))])
+    return template % tuple(values.ravel().tolist())
 
 
 def cmd_sample(args) -> int:
@@ -170,7 +183,7 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
         stream = meta.get("stream")
         wrote = {"n": int(cfg["n"]), "beta": float(cfg["beta"]), "kind": cfg["kind"]}
         master_seed = int(cfg["seed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{sidecar}: not a `sample` sidecar: {exc!r}") from exc
     asked = {"n": params.n, "beta": params.beta, "kind": params.kind.value}
     if wrote != asked:

@@ -15,6 +15,7 @@ import pytest
 import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from betahermite.checks import run_checks
 from betahermite.cli import main
@@ -85,6 +86,35 @@ class TestSample:
                        for r, row in enumerate(values.tolist(), 1024) for i, lam in enumerate(row))
         assert _spectra_lines(1024, values) == want
         assert want.startswith("1024,0,-0.0\r\n1024,1,1e-05\r\n1024,2,1e+16\r\n1025,0,5e-324")
+
+    @given(st.sampled_from([0, 9, 99, 510, 9_998, 10**6 - 2]),
+           st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+               lambda shape: arrays(np.float64, shape,
+                                    elements=st.floats(allow_nan=False, allow_infinity=False))))
+    @example(9, np.array([[-0.0, 5e-324], [1e16, 1e-05]]))
+    @settings(max_examples=200, deadline=None)
+    def test_block_writer_equals_per_line_format(self, start, values):
+        # the replicate number may gain a digit inside the block
+        from betahermite.cli import _spectra_lines
+
+        want = "".join(f"{r},{i},{lam!r}\r\n"
+                       for r, row in enumerate(values.tolist(), start) for i, lam in enumerate(row))
+        assert _spectra_lines(start, values) == want
+
+    def test_block_writer_peak_memory_is_a_few_times_its_output(self):
+        # the template and the block's floats, not a string per eigenvalue
+        import tracemalloc
+
+        from betahermite.cli import _spectra_lines
+
+        block = np.random.default_rng(0).standard_normal((512, 400))
+        tracemalloc.start()
+        try:
+            out = _spectra_lines(10**6, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(out)
 
     def test_replicate_lines_do_not_depend_on_reps(self, tmp_path):
         # replicate 0 is row 0 of stream block 0 whether one or 600 replicates are drawn
@@ -382,7 +412,10 @@ class TestDensity:
         assert err.startswith("error:") and flags[0] in err
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("sidecar", [None, "{}", '{"config": {"n": 5}}'])
+    @pytest.mark.parametrize("sidecar", [
+        None, "{}", '{"config": {"n": 5}}', "{bad",
+        '{"config": {"n": 5, "beta": 2, "kind": "gaussian", "seed": "x"}}',
+    ])
     def test_input_without_valid_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
         spectra = tmp_path / "s.csv"
         assert run(["sample", "--n", "5", "--beta", "2", "--output", str(spectra)]) == 0
@@ -395,7 +428,29 @@ class TestDensity:
         rc = run(["density", "--input", str(spectra), "--n", "5", "--beta", "2",
                   "--output", str(tmp_path / "d.csv")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {meta}: ")
+
+    def test_edge_sidecar_records_the_grid_on_the_eigenvalue_axis(self, tmp_path):
+        # the fixed-trace soft-edge centre at beta = 2 is sqrt(2 (n - 1)); both
+        # routes record the same eigenvalue-axis ends
+        n, lo, hi = 100, -4.0, 1.5
+        spectra = tmp_path / "s.csv"
+        common = ["--n", str(n), "--beta", "2", "--kind", "fixed-trace"]
+        assert run(["sample", *common, "--reps", "20", "--seed", "3",
+                    "--output", str(spectra)]) == 0
+        metas = []
+        for name, route in (("sampled", ["--reps", "20", "--seed", "3"]),
+                            ("input", ["--input", str(spectra)])):
+            out = tmp_path / f"{name}.csv"
+            assert run(["density", *common, *route, "--regime", "edge", "--grid-lo", str(lo),
+                        "--grid-hi", str(hi), "--bins", "11", "--output", str(out)]) == 0
+            metas.append(json.loads(out.with_suffix(".csv.json").read_text()))
+        sampled, read = ((m["lambda_lo"], m["lambda_hi"]) for m in metas)
+        assert sampled == read
+        c = math.sqrt(2.0 * (n - 1))
+        want = [c * (1.0 + t / (2.0 * n ** (2.0 / 3.0))) for t in (lo, hi)]
+        assert sampled == pytest.approx(want, rel=1e-14)
 
     def test_sidecar_reports_captured_mass(self, tmp_path):
         out = tmp_path / "w.csv"
