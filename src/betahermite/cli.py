@@ -4,20 +4,25 @@ This is the one module that reads and writes files: the other modules only
 compute.  The density and `special` tables, stdout included, go through
 `_write_csv`, the spectra CSV through `_spectra_lines` (csv.writer's dialect,
 a block at a time: a template of "r,i,%r" lines, its replicate numbers put in
-by `str.join`, and one `%` over the block's floats to put in their reprs),
-and every sidecar, <output>.json, through `_write_sidecar`; each output file
-is a pure function of its sidecar.  A density sidecar records its grid in the
-regime's coordinate and on the eigenvalue axis (`lambda_lo`, `lambda_hi`).
-`sample` and `density` walk the replicates with `ensemble.replicate_blocks`,
-one stream block at a time, so memory stays bounded at any --reps; the
-sidecars record the stream layout as "stream".  `sample`, `density` and
-`verify` print one "[time] <stage> <seconds> s" line per stage (per check for
-`verify`) on stderr, never in a file, and only after every stage has run, so a
-refusal's stderr starts with "error:".  Every command refuses an --output that is
-a directory, or whose directory does not exist, before it samples, tabulates or
-runs a check (`_output_path`).  A command refuses its input by raising
-ValueError, and `main` alone maps that, and any OSError (a missing input, an
---output that cannot be written), to an "error:" line and exit status 2.
+by `str.join`, and one `%` over the block's floats to put in their reprs), and
+every sidecar, <output>.json, through `_write_sidecar`; each output file is a
+pure function of its sidecar.  `density --input` reads a spectra CSV back
+through `_read_spectra`: the header on its own, then the body in one typed
+`np.loadtxt` pass, integer replicate and index keys and float eigenvalues,
+refused unless its replicate count is its sidecar's.  A density sidecar
+records its grid in the regime's coordinate and on the eigenvalue axis
+(`lambda_lo`, `lambda_hi`).  `sample` and `density` walk the replicates with
+`ensemble.replicate_blocks`, one stream block at a time, so memory stays
+bounded at any --reps; the sidecars record the stream layout as "stream".
+`sample`, `density` and `verify` print one "[time] <stage> <seconds> s" line
+per stage (per check for `verify`; `density --input` times its read and its
+binning apart) on stderr, never in a file, and only after every stage has run,
+so a refusal's stderr starts with "error:".  Every command refuses an --output
+that is a directory, or whose directory does not exist, before it samples,
+tabulates or runs a check (`_output_path`).  A command refuses its input by
+raising ValueError, and `main` alone maps that, and any OSError (a missing
+input, an --output that cannot be written), to an "error:" line and exit
+status 2.
 Exit status: 0 all good, 1 check failure or unconverged quadrature, 2 usage
 error.
 """
@@ -168,10 +173,12 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
     """The (replicates, n) eigenvalues of a `sample` CSV, and its sidecar's master seed and
     stream layout (None for a sidecar that records none).
 
-    The sidecar fixes the ensemble and the master seed; flags that disagree
-    with it are an error rather than a silently mis-scaled density.  The CSV
-    must have the layout `sample` writes: its header, then row k holds
-    replicate k // n and index k % n.
+    The sidecar fixes the ensemble, the master seed and the replicate count;
+    flags or a CSV that disagree with it are an error rather than a silently
+    mis-scaled density.  The CSV must have the layout `sample` writes: its
+    header, then row k holds replicate k // n and index k % n, both integers.
+    The body is parsed in one `np.loadtxt` pass into integer keys and float
+    eigenvalues.
     """
     sidecar = Path(str(path) + ".json")
     if not sidecar.is_file():
@@ -182,6 +189,7 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
         cfg = meta["config"]
         stream = meta.get("stream")
         wrote = {"n": int(cfg["n"]), "beta": float(cfg["beta"]), "kind": cfg["kind"]}
+        reps = int(cfg["reps"])
         master_seed = int(cfg["seed"])
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{sidecar}: not a `sample` sidecar: {exc!r}") from exc
@@ -194,27 +202,31 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
     with Path(path).open() as fh:
         if fh.readline().strip() != SPECTRA_HEADER:
             raise ValueError(f"{path}: header is not {SPECTRA_HEADER!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
-            try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: not a `sample` CSV: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                               dtype=[("r", np.int64), ("i", np.int64), ("v", float)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a `sample` CSV: {exc}") from exc
     if len(table) == 0:
         raise ValueError(f"{path}: no eigenvalue rows below the header")
-    k = np.arange(len(table))
-    if (len(table) % n or table.shape[1] != 3
-            or not np.array_equal(table[:, 0], k // n) or not np.array_equal(table[:, 1], k % n)):
+    if (len(table) % n
+            or not (table["r"].reshape(-1, n) == np.arange(len(table) // n)[:, None]).all()
+            or not (table["i"].reshape(-1, n) == np.arange(n)).all()):
         raise ValueError(f"{path}: rows must run replicate 0, 1, ... with index 0..{n - 1} "
                          "each, as `sample` writes them")
-    values = table[:, 2].reshape(-1, n)
+    values = table["v"].reshape(-1, n)
+    if len(values) != reps:
+        raise ValueError(f"{path} holds {len(values)} replicates, but its sidecar {sidecar} "
+                         f"records --reps {reps}")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: eigenvalues must be finite")
     return values, master_seed, stream
 
 
 def cmd_density(args) -> int:
-    clock = _Stages("reference", "read+bin" if args.input else "sample+count", "write")
+    clock = _Stages("reference", *(("read", "bin") if args.input else ("sample+count",)), "write")
     params = _params(args)
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
         raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
@@ -245,10 +257,11 @@ def cmd_density(args) -> int:
     stream = STREAM_LAYOUT
     if args.input:
         values, master_seed, stream = _read_spectra(args.input, params)
+        clock.lap("read")
         # the sidecar records the spectra's seed, count and layout, not the flags
         args.seed, args.reps = master_seed, len(values)
         d = estimate_density(list(values), params, grid, regime)
-        clock.lap("read+bin")
+        clock.lap("bin")
     else:
         args.reps = 100 if args.reps is None else args.reps
         args.seed = 0 if args.seed is None else args.seed

@@ -56,9 +56,11 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     shifts), the routine behind scipy's ``eigh_tridiagonal(...,
     lapack_driver="stev")``; with no eigenvectors it ends in ``dsterf``, which
     returns each row in ascending order.  Like that wrapper, the block is
-    first checked for infs and NaNs.  Non-convergence raises EigenvalueError
-    naming the failing replicate (its row) and its matrix rather than
-    returning silently.
+    first checked for infs and NaNs.  Each row of a C-contiguous float64
+    copy of the block is a contiguous float64 view, which ``dstev`` with
+    ``overwrite_d`` solves in place, so the loop reads only ``info``.
+    Non-convergence raises EigenvalueError naming the failing replicate (its
+    row) and its matrix rather than returning silently.
     """
     diag = np.asarray(diag, dtype=float)
     sub = np.asarray(sub, dtype=float)
@@ -66,11 +68,11 @@ def eigenvalues_block(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
         raise ValueError(f"need diag (R, n) and sub (R, n-1), got {diag.shape} and {sub.shape}")
     if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
         raise ValueError("array must not contain infs or NaNs")
-    w = diag.copy()  # dstev overwrites its inputs: w with the eigenvalues, e with scratch
+    w = diag.copy()  # C-contiguous; dstev overwrites its inputs: w with the eigenvalues
     if w.shape[1] > 1:
-        e = sub.copy()
-        for r in range(len(w)):
-            w[r], _, info = dstev(w[r], e[r], compute_v=0, overwrite_d=1, overwrite_e=1)
+        e = sub.copy()  # and e with scratch
+        for r, (wr, er) in enumerate(zip(w, e)):
+            info = dstev(wr, er, 0, 1, 1)[2]  # compute_v=0, overwrite_d=1, overwrite_e=1
             if info != 0:
                 raise EigenvalueError(
                     f"QL iteration did not converge for replicate {r} of the block, n={w.shape[1]} "

@@ -363,7 +363,8 @@ class TestDensity:
 
     @pytest.mark.parametrize("edit", [
         "swap_rows", "drop_index", "non_numeric", "ragged", "header_only", "bad_header",
-        "extra_column", "nan_eigenvalue",
+        "extra_column", "nan_eigenvalue", "float_key", "key_of_2_63", "truncated",
+        "extra_replicate",
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, edit):
         spectra = tmp_path / "s.csv"
@@ -385,6 +386,14 @@ class TestDensity:
             lines[0] = "rep,idx,value"
         elif edit == "extra_column":
             lines = [line + ",0" for line in lines]
+        elif edit == "float_key":  # keys are integers, as `sample` writes them
+            lines[1] = "0.0" + lines[1][1:]
+        elif edit == "key_of_2_63":  # one past int64
+            lines[1] = str(2**63) + lines[1][1:]
+        elif edit == "truncated":  # cut inside the last replicate
+            lines = lines[:-1]
+        elif edit == "extra_replicate":  # a replicate the sidecar does not record
+            lines += [f"3,{i},0.5" for i in range(3)]
         else:
             lines[2] = "0,1,nan"
         spectra.write_text("\n".join(lines) + "\n")
@@ -392,8 +401,58 @@ class TestDensity:
         rc = run(["density", "--input", str(spectra), "--n", "3", "--beta", "2",
                   "--output", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {spectra}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kept, recorded", [(3, 6), (6, 3)])
+    def test_input_replicate_count_must_equal_the_sidecars(self, tmp_path, capsys, kept,
+                                                           recorded):
+        # a CSV cut to its first replicates, or a sidecar that records fewer, is refused
+        spectra = tmp_path / "s.csv"
+        assert run(["sample", "--n", "4", "--beta", "2", "--reps", "6", "--seed", "2",
+                    "--output", str(spectra)]) == 0
+        capsys.readouterr()  # the sample's own stage lines
+        lines = spectra.read_text().splitlines(keepends=True)
+        spectra.write_text("".join(lines[:1 + 4 * kept]))
+        meta = tmp_path / "s.csv.json"
+        sidecar = json.loads(meta.read_text())
+        sidecar["config"]["reps"] = recorded
+        meta.write_text(json.dumps(sidecar))
+        out = tmp_path / "d.csv"
+        rc = run(["density", "--input", str(spectra), "--n", "4", "--beta", "2",
+                  "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {spectra} holds {kept} replicates")
+        assert f"{meta} records --reps {recorded}" in err[0]
+        assert not out.exists()
+
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape,
+                             elements=st.floats(allow_nan=False, allow_infinity=False))))
+    @example(np.array([[-0.0, 5e-324], [1e16, 1e-05]]))
+    @settings(max_examples=200, deadline=None)
+    def test_written_spectra_read_back_bit_for_bit(self, values):
+        # what `_spectra_lines` writes, `_read_spectra` reads as csv.reader and float() do
+        from betahermite.cli import SPECTRA_HEADER, _read_spectra, _spectra_lines
+        from betahermite.ensemble import EnsembleParams
+
+        R, n = values.shape
+        with tempfile.TemporaryDirectory() as work:
+            path = f"{work}/s.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(SPECTRA_HEADER + "\r\n" + _spectra_lines(0, values))
+            with open(f"{path}.json", "w") as fh:
+                json.dump({"config": {"n": n, "beta": 2.0, "kind": "gaussian", "reps": R,
+                                      "seed": 0}}, fh)
+            got, seed, stream = _read_spectra(path, EnsembleParams(n, 2.0))
+            with open(path, newline="") as fh:
+                body = list(csv.reader(fh))[1:]
+        want = np.array([float(v) for _, _, v in body]).reshape(R, n)
+        assert (seed, stream) == (0, None)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(want.view(np.uint64), values.view(np.uint64))
 
     @pytest.mark.parametrize("flags", [["--n", "400"], ["--beta", "4"],
                                        ["--kind", "fixed-trace"], ["--reps", "5"],
@@ -477,7 +536,7 @@ class TestDensity:
         assert run([*args, "--input", str(spectra)]) == 0
         read = stage_seconds(capsys.readouterr().err)
         assert list(sampled) == ["reference", "sample+count", "write"]
-        assert list(read) == ["reference", "read+bin", "write"]
+        assert list(read) == ["reference", "read", "bin", "write"]
         assert all(s >= 0.0 for s in [*sampled.values(), *read.values()])
         assert "time" not in out.read_text() + out.with_suffix(".csv.json").read_text()
 

@@ -263,6 +263,28 @@ def test_block_solver_equals_scipy_stev_row_by_row(rng, n):
             assert np.array_equal(solve_one(d, e), w)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "every_other_row", "integer"])
+def test_block_solver_writes_each_row_in_place_whatever_the_input_layout(rng, layout):
+    # dstev solves each row of the block's C-contiguous float64 copy in place, so a
+    # non-C, strided or integer input must still give scipy's stev spectrum row by row
+    import scipy.linalg
+
+    diag, sub = 2.0 * rng.standard_normal((40, 7)), 2.0 * rng.standard_normal((40, 6))
+    if layout == "fortran":
+        diag, sub = np.asfortranarray(diag), np.asfortranarray(sub)
+    elif layout == "every_other_row":
+        diag, sub = diag[::2], sub[::2]
+    else:
+        diag, sub = rng.integers(-9, 10, (40, 7)), rng.integers(-9, 10, (40, 6))
+    before = diag.copy(), sub.copy()
+    got = eigenvalues_block(diag, sub)
+    assert got.shape == diag.shape
+    for d, e, w in zip(diag, sub, got):
+        want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="stev")
+        assert np.array_equal(w, want)
+    assert np.array_equal(diag, before[0]) and np.array_equal(sub, before[1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diag", "sub"])
 def test_block_solver_rejects_non_finite(bad, where):
@@ -335,7 +357,7 @@ class TestInvariants:
 def test_nonconvergence_reports_matrix(monkeypatch):
     from betahermite import tridiag
 
-    def stalled_stev(d, e, **kwargs):
+    def stalled_stev(d, e, *args, **kwargs):
         return d, None, 2  # LAPACK info > 0: the QL iteration did not converge
 
     monkeypatch.setattr(tridiag, "dstev", stalled_stev)
