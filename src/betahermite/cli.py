@@ -204,6 +204,9 @@ def _read_spectra(path, params) -> tuple[np.ndarray, int, object]:
             raise ValueError(f"{path}: header is not {SPECTRA_HEADER!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        # a numpy that still parses a non-integer key such as 0.5 as a float truncates it
+        # and only warns; as an error the key is refused like any unparsable field
+        warnings.simplefilter("error", DeprecationWarning)
         try:
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
                                dtype=[("r", np.int64), ("i", np.int64), ("v", float)])
