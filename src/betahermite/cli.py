@@ -53,9 +53,13 @@ from .tridiag import eigenvalues_block
 USAGE_ERROR = 2
 SPECTRA_HEADER = "replicate,index,eigenvalue"
 MAX_TABLE_ROWS = 1_000_000  # rows one `density` or `special` table may hold
-# the regime whose coordinate each `density --reference` column is in: the semicircle
-# is the bulk density in u, aibeta the soft-edge density in t
-_REFERENCE_REGIME = {"semicircle": Regime.BULK, "aibeta": Regime.EDGE}
+# each `density --reference`: the regime of its coordinate (semicircle: bulk u; aibeta: edge t,
+# at the bin midpoints), and its column on a grid's bins at a beta, looked up when it is built
+_REFERENCES = {
+    "semicircle": (Regime.BULK, lambda grid, beta: semicircle_bins(grid)),
+    "aibeta": (Regime.EDGE,
+               lambda grid, beta: edge_density_closed(beta, 0.5 * (grid[1:] + grid[:-1]))),
+}
 
 
 def _params(args) -> EnsembleParams:
@@ -234,7 +238,7 @@ def cmd_density(args) -> int:
     if not 0 < args.grid_hi - args.grid_lo < np.inf:
         raise ValueError("--grid-lo and --grid-hi must be finite, with --grid-hi above --grid-lo")
     regime = Regime(args.regime)
-    want = _REFERENCE_REGIME.get(args.reference, regime)
+    want, column = _REFERENCES.get(args.reference, (regime, None))
     if want is not regime:
         raise ValueError(f"--reference {args.reference} is the {want.value} density; "
                          f"it needs --regime {want.value}, not {regime.value}")
@@ -251,11 +255,7 @@ def cmd_density(args) -> int:
                          "replicates and seed of its spectra")
     out = _output_path(args.output)
     # the reference first: a beta or grid it cannot be evaluated on is refused before sampling
-    ref = {}
-    if args.reference == "semicircle":
-        ref = {"semicircle": semicircle_bins(grid)}
-    elif args.reference == "aibeta":
-        ref = {"aibeta": edge_density_closed(params.beta, 0.5 * (grid[1:] + grid[:-1]))}
+    ref = {args.reference: column(grid, params.beta)} if column else {}
     clock.lap("reference")
     stream = STREAM_LAYOUT
     if args.input:
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--grid-lo", type=float, default=-1.2)
     pd.add_argument("--grid-hi", type=float, default=1.2)
     pd.add_argument("--bins", type=int, default=60)
-    pd.add_argument("--reference", choices=list(_REFERENCE_REGIME), default=None)
+    pd.add_argument("--reference", choices=list(_REFERENCES), default=None)
     pd.add_argument("--output", default="density.csv")
     pd.set_defaults(func=cmd_density)
 

@@ -20,7 +20,6 @@ log domain.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import ceil, inf, isfinite, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -91,7 +90,6 @@ def _rho_gauss_n2(beta: float, xs: np.ndarray) -> np.ndarray:
 _N3_BETA_MAX = 113.0  # Gamma(3 beta/2 + 1) in the Laguerre weights overflows past beta ~ 113.7
 
 
-@lru_cache(maxsize=8)
 def _n3_rules(beta: float):
     """(nodes, log weights) of the n = 3 rules: Jacobi(beta, beta) with 30 nodes and
     generalized Laguerre(3 beta/2) with 40 for the Gaussian side, and Jacobi(beta,
@@ -103,10 +101,7 @@ def _n3_rules(beta: float):
     xi, wj = scipy.special.roots_jacobi(30, beta, beta)
     t, wl = scipy.special.roots_genlaguerre(40, 1.5 * beta)
     arc, wa = scipy.special.roots_jacobi(20 + ceil(3.0 * sqrt(beta)), beta, beta)
-    rules = ((xi, np.log(wj)), (t, np.log(wl)), (arc, np.log(wa) - beta * np.log1p(-arc * arc)))
-    for arr in (a for rule in rules for a in rule):
-        arr.flags.writeable = False
-    return rules
+    return (xi, np.log(wj)), (t, np.log(wl)), (arc, np.log(wa) - beta * np.log1p(-arc * arc))
 
 
 def _rho_gauss_n3(beta: float, xs: np.ndarray) -> np.ndarray:
@@ -283,21 +278,13 @@ def hermite_zeros(n: int) -> np.ndarray:
     return scipy.special.roots_hermite(n)[0]
 
 
-@lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs j < k, in `np.triu_indices` order."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def log_vandermonde_sq(points) -> float | np.ndarray:
     """log prod_{j<k} (x_j - x_k)^2 over the last axis, -inf where two coordinates tie.
 
     A float for one point set, an array of one value per row for a stack of them.
     """
     x = np.asarray(points, dtype=float)
-    rows, cols = _upper_pairs(x.shape[-1])
+    rows, cols = np.triu_indices(x.shape[-1], k=1)
     diffs = np.abs(x[..., rows] - x[..., cols])
     with np.errstate(divide="ignore"):
         out = 2.0 * np.sum(np.log(diffs), axis=-1)

@@ -31,7 +31,7 @@ Evaluation routes:
   integrals, each a sum of M(j, m) over odd j.  M is summed on Gauss panels
   in u, and the error follows the reduction's rule, max(1e-10, 2 N u
   sum|term|) over the N nodes; a value or error that is not finite (u^j
-  overflows a double from 4/beta ~ 280) carries converged=False.  Any other
+  overflows a double from 4/beta ~ 280) carries an infinite error.  Any other
   n >= 2 and beta raises ValueError before any integral is evaluated.
 """
 
@@ -71,8 +71,12 @@ class KontsevichResult:
 
     value: float
     error: float
-    converged: bool
     route: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether both the value and its error estimate are finite."""
+        return math.isfinite(self.value) and math.isfinite(self.error)
 
 
 def _vandermonde_power_poly(n: int, power: int) -> dict[tuple[int, ...], float]:
@@ -214,9 +218,8 @@ def _k_quadrature(n: int, beta: float, x: float) -> KontsevichResult:
     else:
         raise ValueError(f"no quadrature backend for n={n}, beta={beta}")
     error = max(AIRY_ERROR, 2.0 * nodes * _UNIT_ROUNDOFF * magnitude)
-    converged = math.isfinite(value) and math.isfinite(error)
-    return KontsevichResult(value=float(value), error=float(error) if converged else math.inf,
-                            converged=converged, route=route)
+    res = KontsevichResult(value=float(value), error=float(error), route=route)
+    return res if res.converged else replace(res, error=math.inf)
 
 
 def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> KontsevichResult:
@@ -233,8 +236,8 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
     2^{-1/3}/pi times the integral of u^(4/beta) Ai over u > 0 (route
     "quadrature-airy"), K_{4,4} a Pfaffian of such integrals
     ("quadrature-pfaffian").  Its error is max(1e-10, 2 N u sum|term|) over
-    the N Gauss nodes; a value or error that is not finite carries
-    converged=False.
+    the N Gauss nodes; a value or error that is not finite carries an
+    infinite error, so the result is not ``converged``.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got x={x}")
@@ -247,12 +250,10 @@ def kontsevich_k(n: int, beta: float, x: float, route: str = "auto") -> Kontsevi
     if route not in ("auto", "reduction", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
     if n == 1:
-        return KontsevichResult(
-            value=-float(airy_ai(float(x))), error=1e-13, converged=True, route="closed"
-        )
+        return KontsevichResult(value=-float(airy_ai(float(x))), error=1e-13, route="closed")
     if route == "reduction" or (route == "auto" and _even_power(beta) is not None):
         value, error = _k_reduction(n, beta, float(x))
-        return KontsevichResult(value=value, error=error, converged=True, route="reduction")
+        return KontsevichResult(value=value, error=error, route="reduction")
     return _k_quadrature(n, beta, float(x))
 
 
@@ -278,8 +279,8 @@ def kontsevich_edge_density(beta: int, x: float) -> KontsevichResult:
 
     Returns `kontsevich_k` of K_{beta,beta}(x) with its value and error scaled
     by `edge_prefactor(beta)`, in the edge coordinate of the closed forms.  A
-    quadrature that did not converge keeps converged=False and an infinite
-    error.  beta may be an integral float such as 4.0.
+    quadrature that did not converge keeps its infinite error, so the result
+    is still not ``converged``.  beta may be an integral float such as 4.0.
     """
     beta = _even_beta(beta, "kontsevich_edge_density")
     res = kontsevich_k(beta, float(beta), float(x))

@@ -279,7 +279,6 @@ class TestEvenBetaTrapezoid:
         # 10001 distinct |s| of 6 arcs of up to 52 nodes each: evaluated in one
         # array this held 187 (beta=2) to 385 MiB (beta=113)
         s = np.linspace(-0.999, 0.999, 20001)
-        exact._n3_rules(beta)
         tracemalloc.start()
         try:
             exact._rho_fte1(3, beta, s)

@@ -282,11 +282,9 @@ class TestEquivalence:
 
     def test_mixed_degree(self):
         # a_1^2 a_2^2 b_4^2 at n = 5, beta = 3: degree 6, the top subdiagonal entry
-        rep = verify_moment_equivalence(
-            EnsembleParams(5, 3.0), MomentIndex((2, 2, 0, 0, 0), (0, 0, 0, 2)),
-            40_000, 7,
-        )
-        assert rep.s == 6 and rep.exact_ratio == moment_ratio_sphere(5, 3.0, 6)
+        idx = MomentIndex((2, 2, 0, 0, 0), (0, 0, 0, 2))
+        rep = verify_moment_equivalence(EnsembleParams(5, 3.0), idx, 40_000, 7)
+        assert idx.s == 6 and rep.exact_ratio == moment_ratio_sphere(5, 3.0, 6)
         assert rep.within_3_sigma, (rep.mc_ratio, rep.exact_ratio, rep.std_error)
 
     @pytest.mark.parametrize("idx", [MomentIndex.single_a(6, 1, 1),
