@@ -22,7 +22,8 @@ that is a directory, or whose directory does not exist, before it samples,
 tabulates or runs a check (`_output_path`).  A command refuses its input by
 raising ValueError, and `main` alone maps that, and any OSError (a missing
 input, an --output that cannot be written), to an "error:" line and exit
-status 2.
+status 2.  `special` refuses a flag that its --fn or --x does not read (--beta,
+--kn, an x range), so its sidecar records only the flags that shaped its table.
 Exit status: 0 all good, 1 check failure or unconverged quadrature, 2 usage
 error.
 """
@@ -286,6 +287,19 @@ def cmd_density(args) -> int:
 
 
 def cmd_special(args) -> int:
+    # a flag that --fn or --x does not read is refused, not dropped; one that is read takes
+    # its default when not given, so the sidecar records only the flags that shaped the table
+    ranged = args.x is None
+    flags = {"beta": (2.0, args.fn in ("aibeta", "kontsevich")), "kn": (2, args.fn == "kontsevich"),
+             "x_lo": (-5.0, ranged), "x_hi": (3.0, ranged), "x_step": (0.25, ranged)}
+    unread = [f"--{k.replace('_', '-')}" for k, (_, read) in flags.items()
+              if getattr(args, k) is not None and not read]
+    if unread:
+        raise ValueError(f"{' and '.join(unread)} would be ignored by "
+                         f"`special --fn {args.fn}{'' if ranged else ' --x'}`")
+    for k, (default, read) in flags.items():
+        if read and getattr(args, k) is None:
+            setattr(args, k, default)
     if args.x is None and not (args.x_step > 0 and args.x_lo <= args.x_hi):
         raise ValueError("--x-step must be positive and --x-lo must not exceed --x-hi")
     if not np.isfinite([args.x_lo, args.x_hi] if args.x is None else [args.x]).all():
@@ -389,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("special", help="tabulate the limiting special functions")
     pf.add_argument("--fn", choices=["ai", "ai-prime", "ai-tail", "aibeta", "kontsevich"],
                     required=True)
-    pf.add_argument("--beta", type=float, default=2.0)
-    pf.add_argument("--kn", type=int, default=2, metavar="N",
-                    help="number of integration variables for --fn kontsevich")
-    pf.add_argument("--x", type=float, default=None)
-    pf.add_argument("--x-lo", type=float, default=-5.0)
-    pf.add_argument("--x-hi", type=float, default=3.0)
-    pf.add_argument("--x-step", type=float, default=0.25)
+    pf.add_argument("--beta", type=float, default=None, help="aibeta, kontsevich (default 2)")
+    pf.add_argument("--kn", type=int, default=None, metavar="N",
+                    help="number of integration variables for --fn kontsevich (default 2)")
+    pf.add_argument("--x", type=float, default=None, help="one point, instead of a table")
+    pf.add_argument("--x-lo", type=float, default=None, help="table start (default -5)")
+    pf.add_argument("--x-hi", type=float, default=None, help="table end (default 3)")
+    pf.add_argument("--x-step", type=float, default=None, help="table step (default 0.25)")
     pf.add_argument("--output", default=None)
     pf.set_defaults(func=cmd_special)
 

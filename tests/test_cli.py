@@ -665,6 +665,24 @@ class TestSpecial:
         rows = out.read_text().splitlines()
         assert rows[0] == "x,value,error_estimate"
         assert len(rows) == 6
+        # the sidecar records the flags that shaped the table, not --beta or --kn
+        config = json.loads((tmp_path / "ai.csv.json").read_text())["config"]
+        assert set(config) == {"command", "fn", "x_lo", "x_hi", "x_step", "output"}
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--fn", "ai", "--x", "0", "--x-lo", "5", "--x-step=-1"], ["--x-lo", "--x-step"]),
+        (["--fn", "ai", "--kn", "3", "--x", "0"], ["--kn"]),
+        (["--fn", "ai-tail", "--beta", "7", "--x", "0"], ["--beta"]),
+        (["--fn", "aibeta", "--kn", "3"], ["--kn"]),
+    ], ids=["x-range-with-x", "kn-with-ai", "beta-with-ai-tail", "kn-with-aibeta"])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, unread):
+        # a flag that --fn or --x does not read is refused before any table or file,
+        # rather than silently dropped
+        assert run(["special", *argv, "--output", str(tmp_path / "t.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and all(f in captured.err for f in unread)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [["--x-step", "0"], ["--x-step", "-0.25"],
                                      ["--x-step", "nan"], ["--x-lo", "1", "--x-hi", "0"],
@@ -993,8 +1011,9 @@ def _argv(draw):
 
     command = draw(st.sampled_from(["sample", "density", "special"]))
     if command == "special":
-        argv = ["special", "--fn", draw(st.sampled_from(["ai", "ai-prime", "ai-tail", "aibeta"])),
-                flt("beta", _BETAS)]
+        fn = draw(st.sampled_from(["ai", "ai-prime", "ai-tail", "aibeta"]))
+        # only aibeta reads --beta; the other functions refuse it
+        argv = ["special", "--fn", fn, *([flt("beta", _BETAS)] if fn == "aibeta" else [])]
         if draw(st.booleans()):
             return [*argv, flt("x")]
         return [*argv, flt("x-lo"), flt("x-hi"),

@@ -179,24 +179,25 @@ def test_run_checks_calls_the_module_attribute(name, monkeypatch):
     assert results and all(r is stub for r in results)
 
 
-def test_verify_all_writes_the_benchmark_check_count(tmp_path, monkeypatch):
-    # the verify-all workload wants exactly VERIFY_CHECKS passing entries, so a
-    # check added to `verify --check all` breaks the benchmark
-    mod = _load(BENCHMARK / "workloads.py", monkeypatch)
-    (cmd,) = mod.verify_all(0)
-    monkeypatch.chdir(tmp_path)
-    assert main(list(cmd.argv)) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert len(report["checks"]) == mod.VERIFY_CHECKS == 20
-    assert cmd.check(tmp_path, 0) is None
-
-
-@pytest.mark.parametrize("workload", ["edge-n400", "pipeline-n20"])
+@pytest.mark.parametrize("workload", ["edge-n400", "pipeline-n20", "verify-all"])
 def test_workload_outputs_pass_the_benchmark_checks(workload, tmp_path, monkeypatch):
     # each command's output passes the check the benchmark holds it to, so a change
-    # that the benchmark would report as incorrect fails here first
+    # that the benchmark would report as incorrect fails here first; verify-all's
+    # check wants exactly VERIFY_CHECKS passing entries, so a check added to
+    # `verify --check all` breaks the benchmark
     mod = _load(BENCHMARK / "workloads.py", monkeypatch)
+    assert mod.VERIFY_CHECKS == 20
     monkeypatch.chdir(tmp_path)
     for cmd in mod.WORKLOADS[workload].commands(0):
         assert main(list(cmd.argv)) == 0
         assert cmd.check(tmp_path, 0) is None
+
+
+def test_workflow_python_compiles():
+    # the CI workflow cannot run offline, so its inline `python3 - <<'EOF'` blocks are
+    # at least compiled here, where a syntax error would otherwise wait for CI
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    blocks = re.findall(r"python3 - .*?<<'EOF'\n(.*?)^ *EOF$", text, re.S | re.M)
+    assert blocks and len(blocks) == text.count("<<'EOF'")
+    for i, block in enumerate(blocks):
+        compile(textwrap.dedent(block), f"tier1.yml python block {i}", "exec")

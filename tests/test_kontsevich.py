@@ -11,7 +11,7 @@ import scipy.special
 
 from betahermite import kontsevich
 from betahermite.airy import AiryAccuracyWarning, ai_derivatives, airy_tail, edge_density_closed
-from betahermite.kontsevich import (_vandermonde_power_poly, edge_prefactor,
+from betahermite.kontsevich import (KontsevichResult, _vandermonde_power_poly, edge_prefactor,
                                     kontsevich_edge_density, kontsevich_k)
 
 K22_AT_0 = 0.1339749675593280  # 2 * Ai'(0)^2
@@ -192,6 +192,13 @@ class TestQuadratureRoute:
         # p = 4/0.021 ~ 190 stays finite
         assert kontsevich_k(2, 0.021, 0.0).converged
 
+    def test_closed_form_that_is_nan_is_not_converged(self):
+        # Ai has lost its phase at x = -1e10 and reads NaN; the closed route used to
+        # report it as converged
+        with pytest.warns(AiryAccuracyWarning):
+            r = kontsevich_k(1, 2.0, -1e10)
+        assert math.isnan(r.value) and not r.converged
+
     @pytest.mark.parametrize("route", ["auto", "reduction", "quadrature"])
     @pytest.mark.parametrize("n, beta", [(1, 2.0), (2, 2.0), (2, 0.7), (4, 4.0)])
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -278,3 +285,13 @@ class TestEdgeDensity:
             edge_prefactor(3.5)
         with pytest.raises(ValueError, match="beta=3.5"):
             kontsevich_edge_density(3.5, 0.0)
+
+
+@pytest.mark.parametrize("value, error", [(1.0, math.inf), (math.nan, 1e-10)])
+def test_converged_follows_value_and_error(value, error):
+    # converged is derived from the numbers, so no result can claim it beside an
+    # infinite error or a NaN value, and the constructor takes no flag
+    assert not KontsevichResult(value, error, "r").converged
+    assert KontsevichResult(1.0, 1e-10, "r").converged
+    with pytest.raises(TypeError):
+        KontsevichResult(1.0, 1e-10, "r", converged=True)

@@ -10,7 +10,7 @@ import scipy.integrate as si
 
 from betahermite.ensemble import (EnsembleKind, EnsembleParams, big_l, replicate_blocks,
                                   sample_block)
-from betahermite.moments import (MomentIndex, gaussian_moment_exact, moment_mc,
+from betahermite.moments import (EquivalenceReport, MomentIndex, gaussian_moment_exact, moment_mc,
                                  moment_ratio_exact, moment_ratio_sphere,
                                  verify_moment_equivalence)
 
@@ -262,6 +262,14 @@ class TestSphereSamplingGuard:
 
 
 class TestEquivalence:
+    @pytest.mark.parametrize("exact, within", [(1.25, True), (1.35, False)])
+    def test_within_3_sigma_follows_the_ratios(self, exact, within):
+        # the verdict is derived from the two ratios and the standard error, and the
+        # constructor takes no verdict of its own
+        assert EquivalenceReport(1.0, 0.1, exact).within_3_sigma is within
+        with pytest.raises(TypeError):
+            EquivalenceReport(1.0, 0.1, 1.25, within_3_sigma=False)
+
     def test_n10_beta2_within_3_sigma(self):
         rep = verify_moment_equivalence(
             EnsembleParams(10, 2.0), MomentIndex.single_a(10, 1, 2),
