@@ -300,18 +300,18 @@ def cmd_special(args) -> int:
     for k, (default, read) in flags.items():
         if read and getattr(args, k) is None:
             setattr(args, k, default)
-    if args.x is None and not (args.x_step > 0 and args.x_lo <= args.x_hi):
+    if ranged and not (args.x_step > 0 and args.x_lo <= args.x_hi):
         raise ValueError("--x-step must be positive and --x-lo must not exceed --x-hi")
-    if not np.isfinite([args.x_lo, args.x_hi] if args.x is None else [args.x]).all():
+    if not np.isfinite([args.x_lo, args.x_hi] if ranged else [args.x]).all():
         raise ValueError("--x, --x-lo and --x-hi must be finite")
-    if args.x is None:
+    if ranged:
         # the length np.arange gives, counted before anything is allocated
         count = np.ceil((args.x_hi + 1e-12 - args.x_lo) / args.x_step)
         if not count <= MAX_TABLE_ROWS:
             raise ValueError(f"--x-lo, --x-hi and --x-step give {count:g} points, "
                              f"over the cap of {MAX_TABLE_ROWS}")
     out = _output_path(args.output) if args.output else None
-    xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if args.x is None else np.array([args.x])
+    xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if ranged else np.array([args.x])
     rows = []
     if args.fn == "kontsevich":
         for x in xs.tolist():
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("special", help="tabulate the limiting special functions")
     pf.add_argument("--fn", choices=["ai", "ai-prime", "ai-tail", "aibeta", "kontsevich"],
                     required=True)
-    pf.add_argument("--beta", type=float, default=None, help="aibeta, kontsevich (default 2)")
+    pf.add_argument("--beta", type=float, default=None, help="for aibeta, kontsevich (default 2)")
     pf.add_argument("--kn", type=int, default=None, metavar="N",
                     help="number of integration variables for --fn kontsevich (default 2)")
     pf.add_argument("--x", type=float, default=None, help="one point, instead of a table")
