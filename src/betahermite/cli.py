@@ -24,8 +24,8 @@ raising ValueError, and `main` alone maps that, and any OSError (a missing
 input, an --output that cannot be written), to an "error:" line and exit
 status 2.  `special` refuses a flag that its --fn or --x does not read (--beta,
 --kn, an x range), so its sidecar records only the flags that shaped its table.
-Exit status: 0 all good, 1 check failure or unconverged quadrature, 2 usage
-error.
+Exit status: 0 all good, 1 check failure or a `special` value (or its error
+estimate) that is not finite, with no table written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -313,11 +313,13 @@ def cmd_special(args) -> int:
     out = _output_path(args.output) if args.output else None
     xs = np.arange(args.x_lo, args.x_hi + 1e-12, args.x_step) if ranged else np.array([args.x])
     rows = []
+    # a value or error that is not finite is a failed evaluation: exit 1, no table
     if args.fn == "kontsevich":
         for x in xs.tolist():
             r = kontsevich_k(args.kn, args.beta, x)
             if not r.converged:
-                print(f"error: quadrature did not converge at x={x}", file=sys.stderr)
+                print(f"error: --fn kontsevich is not finite at x={x} on the {r.route} route "
+                      f"(value {r.value!r}, error {r.error!r})", file=sys.stderr)
                 return 1
             rows.append((x, r.value, r.error))
     else:
@@ -327,7 +329,12 @@ def cmd_special(args) -> int:
             "ai-tail": airy_tail,
             "aibeta": lambda x: edge_density_closed(args.beta, x),
         }[args.fn]
-        rows = [(x, v, None) for x, v in zip(xs.tolist(), fn(xs).tolist())]
+        values = fn(xs)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            print(f"error: --fn {args.fn} is not finite at x={xs[bad[0]].item()}", file=sys.stderr)
+            return 1
+        rows = [(x, v, None) for x, v in zip(xs.tolist(), values.tolist())]
     header = ("x", "value", "error_estimate")
     if out is not None:
         with out.open("w", newline="") as fh:

@@ -72,10 +72,12 @@ class DensityEstimate:
     The estimate also records where its ``n_values`` values fell: ``below``
     the first edge, ``above`` the last one or on it, and how its counts were
     made, when known (``count_route``): ``{"route": "histogram"}`` from eigenvalues, or
-    ``{"route": "sturm", "pivot_rows": ..., "full_rows": ..., "fallbacks": ...}``
-    from `tridiag.sturm_count`, with the pivot rows it ran, out of the
-    replicates times n of the full recurrence per call, and the replicates
-    whose tail certificate failed, so that their chunk of edges ran every row.
+    ``{"route": "sturm", "pivot_rows": ..., "full_rows": ..., "edge_pairs": ...,
+    "full_edge_pairs": ..., "fallbacks": ...}`` from `tridiag.sturm_count`, with the
+    pivot rows it ran, out of the replicates times n of the full recurrence per
+    call, the (edge, replicate) pairs it ran the recurrence at, out of the edges
+    times the replicates, and the replicates whose tail certificate failed, so
+    that their chunk of edges ran every row.
     """
 
     grid: np.ndarray
@@ -213,8 +215,9 @@ def sample_density(
     the grid's eigenvalue-axis edges, give its half-open bins [lo, hi), at O(n)
     per edge and replicate, or less: near a soft edge
     `tridiag.sturm_count` skips the trailing rows whose pivots it can prove
-    negative in floating point, and the estimate's ``count_route`` says how
-    many rows ran.  The edges go to it at most 1024 at a time, so that a
+    negative in floating point, and edges outside a block's spectrum are
+    filled in once two end checks hold; the estimate's ``count_route`` says
+    how many rows and edges ran.  The edges go to it at most 1024 at a time, so that a
     block's counts stay bounded whatever the bin count.  The estimate equals
     `estimate_density` of the `stev` spectra count for count, since both count
     at the same edges, up to where `stev` and the Sturm recurrence round an
@@ -233,6 +236,7 @@ def sample_density(
             below_edge[lo:lo + c.shape[1]] += c.sum(axis=0)
         del diag, sub, sub_sq, c  # free this block before the next one is drawn
     route = {"route": "sturm", "pivot_rows": work.rows, "full_rows": work.full_rows,
+             "edge_pairs": work.pairs, "full_edge_pairs": work.full_pairs,
              "fallbacks": work.fallbacks}
     return _binned(below_edge, grid, regime, reps, reps * params.n, route)
 

@@ -102,6 +102,13 @@ def moment_mc(
     fixed-trace row lies on the sampler's sphere tr H^2 = `trace_sphere`(n);
     its entries are multiplied by the constant sqrt(2L / trace_sphere(n)), so
     the moment is the one on the sphere tr H^2 = 2L.
+
+    Each row's moment is the product over its whole row of the entries
+    raised to their exponents, np.prod((a c)**eta_a) times the same over b,
+    but the powers are taken only where the exponent is nonzero
+    (`_entry_powers`); elsewhere the factor is an exact 1.0, as x**0.0 is.
+    The product keeps every column, so it associates as before, and the
+    estimate is the same float for every index.
     """
     if n_reps < 100:
         raise ValueError("n_reps must be >= 100")
@@ -113,10 +120,28 @@ def moment_mc(
     c = sqrt(2.0 * big_l(params.n, params.beta) / trace_sphere(params.n)) if fixed else 1.0
     # sub[:, ::-1] indexes b bottom-up
     v = np.concatenate([
-        np.prod((a * c) ** ea, axis=1) * np.prod((sub[:, ::-1] * c) ** eb, axis=1)
+        np.prod(_entry_powers(a, c, ea), axis=1) * np.prod(_entry_powers(sub[:, ::-1], c, eb), axis=1)
         for _, a, sub in replicate_blocks(params, master_seed, n_reps)
     ])
     return MomentEstimate(*_mean_and_std_error(v))
+
+
+def _entry_powers(x: np.ndarray, c: float, e: np.ndarray) -> np.ndarray:
+    """(x c)**e, column by column, with the powers taken only where ``e`` is nonzero.
+
+    The other columns hold 1.0, which is what x**0.0 gives.  numpy's power
+    loop takes a shortcut (x * x for 2.0) when the exponent does not move
+    along the loop, which a one-column broadcast exponent would give; the
+    full-width expression never takes it, so the exponent is tiled to the
+    columns' shape, and each power is the same float.  A one-column row has
+    nothing to skip and is the expression itself.
+    """
+    if len(e) < 2:
+        return (x * c) ** e
+    out = np.ones(x.shape)
+    cols = np.flatnonzero(e)
+    out[:, cols] = np.power(x[:, cols] * c, np.tile(e[cols], (len(x), 1)))
+    return out
 
 
 def _mean_and_std_error(v: np.ndarray) -> tuple[float, float]:

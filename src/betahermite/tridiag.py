@@ -15,8 +15,14 @@ axis; it guards zero pivots with one min(|q|) per row and counts negative
 pivots in a uint8 array flushed every 255 rows.  Near a soft edge it runs
 only the leading rows: a certified tail, rows whose pivots it proves
 negative in floating point, adds its length to the count, and a chunk in
-which any matrix's certificate fails runs the tail rows as well (`SturmWork`
-tallies the rows run).  `sample_spectrum` is one replicate's spectrum.
+which any matrix's certificate fails runs the tail rows as well.  Every
+step of the recurrence is monotone in the query point, so pivots all
+non-negative at one point stay so at every point below it, and pivots all
+negative stay so above it: on a sorted grid that reaches past the block's
+Gershgorin interval it runs only from the last point below that interval
+to the first above, checks those two ends, and gives the points beyond
+them 0 and n, or runs them too when a check fails (`SturmWork` tallies the
+rows and points run).  `sample_spectrum` is one replicate's spectrum.
 """
 
 from __future__ import annotations
@@ -88,12 +94,16 @@ _SCAN_PAIRS = 1 << 14  # (row, matrix) pairs per pass of the tail scan
 
 @dataclass
 class SturmWork:
-    """Pivot rows `sturm_count` ran, summed over calls: ``rows`` of the ``full_rows``
-    (matrices times n) that the full recurrence runs, and the ``fallbacks``, matrices
-    whose tail certificate failed, so that the tail rows ran for every matrix."""
+    """Work `sturm_count` did, summed over calls: ``rows``, the pivot rows run, of the
+    ``full_rows`` (matrices times n) that the full recurrence runs; ``pairs``, the
+    (query point, matrix) pairs run, of the ``full_pairs`` asked for; and the
+    ``fallbacks``, matrices whose tail certificate failed, so that the tail rows ran
+    for every matrix."""
 
     rows: int = 0
     full_rows: int = 0
+    pairs: int = 0
+    full_pairs: int = 0
     fallbacks: int = 0
 
 
@@ -190,6 +200,65 @@ def _pivot_rows(diag, sub_sq, rows, xt, tiny, q):
     return count
 
 
+def _run_range(x, d_lo, d_hi, s_max, sub_sq):
+    """The query points [lo, hi) that `sturm_count` runs the recurrence at.
+
+    Every eigenvalue of the block lies in its Gershgorin interval, from the
+    least ``d_lo - 2 sqrt(s_max)`` to the largest ``d_hi + 2 sqrt(s_max)``
+    (``d_lo``, ``d_hi`` and ``s_max`` are (R,) row minima and maxima of
+    ``diag`` and ``sub_sq``).  When ``x`` is strictly increasing, the range
+    runs from the last point below that interval to the first one above it;
+    the points beyond those two are skipped.  Anything else (an unsorted
+    ``x``, no point outside the interval, a non-finite bound, which a
+    non-finite entry gives, or a negative ``sub_sq`` entry) runs every point.
+    Only the last test reads the whole block, and it runs only when points
+    would be skipped.
+    """
+    k = len(x)
+    with np.errstate(invalid="ignore"):  # a NaN or negative s_max gives a NaN bound
+        radius = 2.0 * np.sqrt(s_max)
+        below = (d_lo - radius).min(initial=np.inf)
+        above = (d_hi + radius).max(initial=-np.inf)
+    lo = max(int(np.searchsorted(x, below)) - 1, 0)
+    hi = min(int(np.searchsorted(x, above, side="right")) + 1, k)
+    if lo == 0 and hi == k:
+        return 0, k
+    if not (np.isfinite(below) and np.isfinite(above) and (x[1:] > x[:-1]).all()
+            and sub_sq.min(initial=0.0) >= 0.0):
+        return 0, k
+    return lo, hi
+
+
+def _count_points(diag, sub_sq, x, tiny, fell_back):
+    """The recurrence at the query points ``x``: their (k, R) counts, and the
+    pivot rows run per matrix, the leading rows or n when some chunk of query
+    points ran the tail rows as well.
+
+    Marks in ``fell_back`` the matrices whose tail certificate failed.  The
+    counts are made after the certificate, so that its scan's temporaries
+    and the counts are never held at once.
+    """
+    R, n = diag.shape
+    tail, c, ok = _certified_tail(diag, sub_sq, x.min(initial=np.inf), tiny.max(initial=0.0))
+    rows = tail
+    count = np.empty((len(x), R), dtype=np.int64)
+    step = max(1, _PASS_PAIRS // max(R, 1))
+    for lo in range(0, len(x), step):
+        xt = np.repeat(x[lo:lo + step, None], R, axis=1)  # a (k, 1) broadcast runs ~10% slower
+        q = np.empty_like(xt)
+        part = _pivot_rows(diag, sub_sq, range(tail), xt, tiny, q)
+        if tail < n:
+            sure = ok & (q <= -c).all(axis=0)
+            if sure.all():
+                part += n - tail
+            else:
+                fell_back |= ~sure
+                rows = n
+                part += _pivot_rows(diag, sub_sq, range(tail, n), xt, tiny, q)
+        count[lo:lo + step] = part
+    return count, rows
+
+
 def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
                 work: SturmWork | None = None) -> np.ndarray:
     """Eigenvalues strictly below each query point, for a batch of matrices.
@@ -200,7 +269,8 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     ValueError.  Returns the (R, k) int64 counts, each in O(n) by the LDL^T
     pivot recurrence q_i = (d_i - x) - b_i^2 / q_{i-1}, which is monotone in x
     in floating point (Demmel, Dhillon & Ren 1995); the count is the number of
-    negative q_i.  ``work``, when given, adds up the pivot rows run.
+    negative q_i.  ``work``, when given, adds up the pivot rows and the
+    (query point, matrix) pairs run.
 
     The pivots are held as (k, R) arrays, so that every pass runs over the
     long replicate axis: row i's diagonal and squared-subdiagonal column are
@@ -213,6 +283,21 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     rules that out for a whole row, so the per-element test runs only when the
     min falls below it.  Negative pivots are counted in a uint8 array flushed
     into the int64 counts every 255 rows.
+
+    Query points outside the spectrum are run only when they must be.  Each
+    step of the recurrence is monotone in x for finite entries and
+    b_i^2 >= 0: fl(d_i - x); the guard, which sends |q| < tiny to -tiny when
+    q < 0 and to +tiny otherwise (0 and -0.0 alike); fl(b_i^2 / q), falling
+    in q on either side of 0; and fl(u - t).  So if every pivot at x_a is
+    non-negative, the pivots at any x <= x_a are at least as large, and none
+    is negative; if every pivot at x_b is negative, those at any x >= x_b are
+    at most as large.  When ``x`` is strictly increasing, the recurrence runs
+    from the last point below the block's Gershgorin interval to the first
+    one above it (`_run_range`, whose bounds come from the row maxima and
+    minima ``tiny`` reads anyway).  The points below get count 0 when no
+    matrix has a negative pivot at the lowest point run, and those above get
+    n when every matrix has n negative pivots at the highest; a side whose
+    end check fails runs its points as well.
 
     Rows below the eigenvalues near the smallest query point x0 are run only
     when they must be (a certified tail).  From a row K down, every matrix has
@@ -234,31 +319,32 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     x = x.reshape(-1)
     R, n = diag.shape
     k = len(x)
+    d_hi, d_lo = diag.max(axis=1), diag.min(axis=1)
+    s_max = sub_sq.max(axis=1, initial=0.0)
     # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero;
     # max |d| as max(max d, -min d), with no (R, n) temporary
-    d_max = np.maximum(diag.max(axis=1), -diag.min(axis=1))
-    tiny = np.finfo(float).tiny * (d_max + sub_sq.max(axis=1, initial=0.0) + 1.0) + 1e-300
-    tail, c, ok = _certified_tail(diag, sub_sq, x.min(initial=np.inf), tiny.max(initial=0.0))
-    count = np.empty((k, R), dtype=np.int64)  # returned as its (R, k) transpose
+    tiny = np.finfo(float).tiny * (np.maximum(d_hi, -d_lo) + s_max + 1.0) + 1e-300
+    lo, hi = _run_range(x, d_lo, d_hi, s_max, sub_sq)
     fell_back = np.zeros(R, dtype=bool)
-    step = max(1, _PASS_PAIRS // max(R, 1))
-    for lo in range(0, k, step):
-        xt = np.repeat(x[lo:lo + step, None], R, axis=1)  # a (k, 1) broadcast runs ~10% slower
-        q = np.empty_like(xt)
-        part = _pivot_rows(diag, sub_sq, range(tail), xt, tiny, q)
-        if tail < n:
-            sure = ok & (q <= -c).all(axis=0)
-            if sure.all():
-                part += n - tail
-            else:
-                fell_back |= ~sure
-                part += _pivot_rows(diag, sub_sq, range(tail, n), xt, tiny, q)
-        count[lo:lo + step] = part
+    count, rows = _count_points(diag, sub_sq, x[lo:hi], tiny, fell_back)
+    pairs = hi - lo
+    if lo > 0 or hi < k:
+        below = np.zeros((lo, R), dtype=np.int64)
+        above = np.full((k - hi, R), n, dtype=np.int64)
+        if count[0].any():  # a negative pivot at the lowest point run: run the points below
+            below, r = _count_points(diag, sub_sq, x[:lo], tiny, fell_back)
+            rows, pairs = max(rows, r), pairs + lo
+        if (count[-1] != n).any():  # a pivot not negative at the highest: run those above
+            above, r = _count_points(diag, sub_sq, x[hi:], tiny, fell_back)
+            rows, pairs = max(rows, r), pairs + k - hi
+        count = np.concatenate([below, count, above])
     if work is not None:
-        work.rows += tail * R + (n - tail) * R * bool(fell_back.any())
+        work.rows += rows * R
         work.full_rows += R * n
+        work.pairs += pairs * R
+        work.full_pairs += k * R
         work.fallbacks += int(np.count_nonzero(fell_back))
-    return count.T
+    return count.T  # (R, k)
 
 
 def eigenvalues_bisect(diag, sub) -> np.ndarray:

@@ -338,21 +338,32 @@ class TestDensity:
     @pytest.mark.parametrize("regime, grid, engaged", [
         ("edge", ["--grid-lo", "-5", "--grid-hi", "2", "--bins", "28"], True),
         ("bulk", [], False),
+        ("raw", ["--grid-lo", "-80", "--grid-hi", "80", "--bins", "40"], False),
     ])
     def test_sampled_sidecar_counts_the_pivot_rows(self, tmp_path, regime, grid, engaged):
         # the edge-n400 command at seed 0: near the soft edge the certified tail
         # skips more than half of the rows with no fallback, while the default bulk
-        # grid starts below the spectrum and runs every row
+        # grid starts below the spectrum and runs every row.  Both grids lie inside
+        # every block's Gershgorin interval, so every edge runs; the raw grid reaches
+        # twice as far as the spectrum (+-40), and at least its 5 edges on each side
+        # beyond +-60, outside every block's Gershgorin interval, are filled in
         out = tmp_path / "d.csv"
         assert run(["density", "--n", "400", "--beta", "2", "--reps", "2000", "--seed", "0",
                     "--regime", regime, *grid, "--output", str(out)]) == 0
-        route = json.loads(out.with_suffix(".csv.json").read_text())["count_route"]
-        assert set(route) == {"route", "pivot_rows", "full_rows", "fallbacks"}
+        meta = json.loads(out.with_suffix(".csv.json").read_text())
+        route, edges = meta["count_route"], meta["bins"] + 1
+        assert set(route) == {"route", "pivot_rows", "full_rows", "edge_pairs", "full_edge_pairs",
+                              "fallbacks"}
         assert (route["route"], route["full_rows"], route["fallbacks"]) == ("sturm", 800_000, 0)
+        assert route["full_edge_pairs"] == 2000 * edges
         if engaged:
             assert route["pivot_rows"] <= 400_000
         else:
             assert route["pivot_rows"] == 800_000
+        if regime == "raw":
+            assert route["edge_pairs"] <= 2000 * (edges - 10)
+        else:
+            assert route["edge_pairs"] == 2000 * edges
 
     def test_sampled_density_sidecar_records_the_stream_layout(self, tmp_path):
         from betahermite.ensemble import STREAM_LAYOUT
@@ -741,6 +752,22 @@ class TestSpecial:
                     "--x", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "nan" not in captured.out
+
+    @pytest.mark.parametrize("fn", [["ai"], ["ai-prime"], ["aibeta", "--beta", "2"],
+                                    ["kontsevich", "--kn", "1"]])
+    def test_value_that_is_not_finite_fails(self, tmp_path, capsys, fn):
+        # Ai and Ai' read NaN from about x = -1e7, where their phase is lost: exit 1,
+        # one error line naming the function and the first such x, and no table
+        out = tmp_path / "t.csv"
+        with pytest.warns(UserWarning, match="loses double precision"):
+            rc = run(["special", "--fn", *fn, "--x-lo=-3e7", "--x-hi", "0", "--x-step", "1e7",
+                      "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: --fn {fn[0]} is not finite at x=-30000000.0")
+        if fn[0] == "kontsevich":  # the closed form -Ai, not a quadrature
+            assert "on the closed route" in errors[0]
 
     def test_kontsevich_without_backend_is_usage_error(self, capsys):
         assert run(["special", "--fn", "kontsevich", "--kn", "3", "--beta", "1.5",

@@ -7,9 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from betahermite.ensemble import (EnsembleKind, EnsembleParams, big_l, replicate_blocks,
-                                  sample_block)
+from betahermite.ensemble import (REPLICATE_CHUNK, EnsembleKind, EnsembleParams, big_l,
+                                  replicate_blocks, sample_block, trace_sphere)
 from betahermite.moments import (EquivalenceReport, MomentIndex, gaussian_moment_exact, moment_mc,
                                  moment_ratio_exact, moment_ratio_sphere,
                                  verify_moment_equivalence)
@@ -67,8 +69,6 @@ class TestMomentMc:
         # the block estimator against a replicate-by-replicate recomputation,
         # across a chunk boundary: same products, same exactly rounded sum.
         # A fixed-trace row of sample_block is on tr H^2 = n(n-1)/2, scaled to 2L.
-        from betahermite.ensemble import REPLICATE_CHUNK
-
         p = EnsembleParams(6, 2.0, kind)
         idx = MomentIndex((2, 0, 1, 0, 0, 0), (0, 2, 0, 0, 1))
         reps = REPLICATE_CHUNK + 3
@@ -82,6 +82,43 @@ class TestMomentMc:
             products.append(float(np.prod(a ** np.array(idx.eta_a, dtype=float))
                                   * np.prod(b ** np.array(idx.eta_b, dtype=float))))
         assert m.mean == fsum(products) / reps
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind), ids=[k.value for k in EnsembleKind])
+    @given(n=st.sampled_from([1, 2, 3, 10, 40]),
+           pattern=st.sampled_from(["zero", "one-a", "one-b", "several"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_powers_where_nonzero_equal_the_full_row_expression(self, kind, n, pattern, seed):
+        # the powers moment_mc skips are exact 1.0s, so every row product, and the
+        # estimate, is the float of the expression that raises every entry
+        from betahermite.moments import _entry_powers, _mean_and_std_error
+
+        assume(n > 1 or kind is EnsembleKind.GAUSSIAN)  # the trace sphere needs n >= 2
+        rng = np.random.default_rng(seed)
+        ea, eb = np.zeros(n, dtype=int), np.zeros(n - 1, dtype=int)
+        if pattern == "one-a":
+            ea[rng.integers(n)] = rng.integers(1, 7)
+        elif pattern == "one-b" and n > 1:
+            eb[rng.integers(n - 1)] = rng.integers(1, 7)
+        elif pattern == "several":
+            for e in (ea, eb):
+                cols = rng.choice(len(e), min(len(e), rng.integers(2, 6)), replace=False)
+                e[cols] = rng.integers(1, 7, len(cols))
+        idx = MomentIndex(tuple(ea.tolist()), tuple(eb.tolist()))
+        p = EnsembleParams(n, 2.0, kind)
+        reps = REPLICATE_CHUNK + 88  # two stream blocks
+        fixed = kind is EnsembleKind.FIXED_TRACE
+        c = sqrt(2.0 * big_l(n, 2.0) / trace_sphere(n)) if fixed else 1.0
+        ea, eb = ea.astype(float), eb.astype(float)
+        old, new = [], []
+        for _, a, sub in replicate_blocks(p, seed, reps):
+            old.append(np.prod((a * c) ** ea, axis=1) * np.prod((sub[:, ::-1] * c) ** eb, axis=1))
+            new.append(np.prod(_entry_powers(a, c, ea), axis=1)
+                       * np.prod(_entry_powers(sub[:, ::-1], c, eb), axis=1))
+        old, new = np.concatenate(old), np.concatenate(new)
+        assert np.array_equal(old.view(np.int64), new.view(np.int64))
+        m = moment_mc(p, idx, reps, seed)
+        assert (m.mean, m.std_error) == _mean_and_std_error(old)
 
     def test_draws_each_stream_block_once(self, monkeypatch):
         # replicates 0..999 lie in stream blocks 0 and 1, and each is drawn once

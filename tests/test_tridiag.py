@@ -248,6 +248,79 @@ class TestSturmCountOracle:
         assert got[:, -1].tolist() == [600, 600]
 
 
+class TestPointsOutsideTheSpectrum:
+    """`sturm_count` on grids that start below and end above every spectrum of the
+    block: the points beyond its Gershgorin interval are filled in with 0 and n,
+    count for count as the reference runs them."""
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 20, 300]),
+        reps=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-150, 1e150]),
+        kind=st.sampled_from(["random", "zero-sub", "path", "neg-zero"]),
+        query=st.sampled_from(["grid", "eigenvalues", "unsorted", "end-check-fails"]),
+    )
+    @example(n=1, reps=1, seed=0, scale=1.0, kind="random", query="grid")
+    @example(n=2, reps=3, seed=1, scale=1e-150, kind="zero-sub", query="eigenvalues")
+    @example(n=20, reps=4, seed=2, scale=1e150, kind="neg-zero", query="end-check-fails")
+    @example(n=3, reps=2, seed=3, scale=1.0, kind="path", query="eigenvalues")
+    @example(n=300, reps=2, seed=4, scale=1.0, kind="random", query="unsorted")
+    @settings(max_examples=60, deadline=None)
+    def test_trimmed_counts_equal_the_reference(self, n, reps, seed, scale, kind, query):
+        from unittest import mock
+
+        from betahermite import tridiag
+
+        diag, sub_sq, _ = sturm_case(n, reps, 1, seed, scale, kind, "()")
+        # the block's Gershgorin ends, the same floats as sturm_count's, are query points
+        radius = 2.0 * np.sqrt(sub_sq.max(axis=1, initial=0.0))
+        lo, hi = (diag.min(axis=1) - radius).min(), (diag.max(axis=1) + radius).max()
+        w = max(hi - lo, scale)
+        x = np.unique(np.concatenate([lo - w * np.array([3.0, 2.0, 1.0]), np.linspace(lo, hi, 9),
+                                      hi + w * np.array([1.0, 2.0, 3.0])]))  # lo may be hi
+        run = (2, len(x) - 2)  # from the last point below the interval to the first above
+        if query == "eigenvalues":  # every dstev eigenvalue of the first matrix, 0 and -0.0
+            ev = eigenvalues_block(diag[:1], np.sqrt(sub_sq[:1]))[0]
+            x = np.unique(np.concatenate([x, ev, [0.0, -0.0]]))
+            run = (int(np.searchsorted(x, lo)) - 1, int(np.searchsorted(x, hi, side="right")) + 1)
+        elif query == "unsorted":  # the highest point first and the lowest last
+            x[[0, -1]], run = x[[-1, 0]], (0, len(x))
+        want = sturm_count_reference(diag, sub_sq, x)
+        work = SturmWork()
+        with mock.patch.object(tridiag, "_run_range", wraps=tridiag._run_range) as ranged:
+            if query == "end-check-fails":  # both ends inside the interval, 7 points at n = 1
+                m = min(4, (len(x) - 1) // 2)
+                run = (m, len(x) - m)
+                ranged.side_effect = lambda *args: run
+            got = sturm_count(diag, sub_sq, x, work)
+        assert ranged.call_count == 1
+        assert np.array_equal(got, want)
+        k = len(x)
+        ran = run[1] - run[0]
+        ran += run[0] if want[:, run[0]].any() else 0  # the lower end check fails
+        ran += k - run[1] if (want[:, run[1] - 1] != n).any() else 0  # the upper one
+        assert (work.pairs, work.full_pairs) == (reps * ran, reps * k)
+        assert work.rows <= work.full_rows == reps * n
+        if query != "unsorted":
+            assert work.pairs < work.full_pairs or query == "end-check-fails"
+
+    @pytest.mark.parametrize("where, bad", [("diag", np.inf), ("diag", np.nan),
+                                            ("sub_sq", np.inf), ("sub_sq", -1.0)])
+    def test_a_block_it_cannot_bound_runs_every_point(self, where, bad):
+        # a non-finite entry, or a negative squared subdiagonal, voids the monotone
+        # steps, so every point of a grid far beyond the spectrum is run
+        diag, sub = sample_block(EnsembleParams(6, 2.0), 3, 0, 4)
+        sub_sq = np.square(sub)
+        (diag if where == "diag" else sub_sq)[2, 3] = bad
+        x = np.linspace(-50.0, 50.0, 11)
+        work = SturmWork()
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = sturm_count(diag, sub_sq, x, work)
+            assert np.array_equal(got, sturm_count_reference(diag, sub_sq, x))
+        assert work.pairs == work.full_pairs == 4 * 11
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 150])
 def test_block_solver_equals_scipy_stev_row_by_row(rng, n):
     import scipy.linalg
