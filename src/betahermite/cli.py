@@ -12,17 +12,26 @@ through `_read_spectra`: the header on its own, then the body in one typed
 refused unless its replicate count is its sidecar's.  A density sidecar
 records its grid in the regime's coordinate and on the eigenvalue axis
 (`lambda_lo`, `lambda_hi`).  `sample` and `density` walk the replicates with
-`ensemble.replicate_blocks`, one stream block at a time, so memory stays
-bounded at any --reps; the sidecars record the stream layout as "stream".
-`sample`, `density` and `verify` print one "[time] <stage> <seconds> s" line
-per stage (per check for `verify`; `density --input` times its read and its
-binning apart) on stderr, never in a file, and only after every stage has run,
-so a refusal's stderr starts with "error:".  Every command refuses an --output
-that is a directory, or whose directory does not exist, before it samples,
-tabulates or runs a check (`_output_path`).  A command refuses its input by
-raising ValueError, and `main` alone maps that, and any OSError (a missing
-input, an --output that cannot be written), to an "error:" line and exit
-status 2.  `special` refuses a flag that its --fn or --x does not read (--beta,
+`ensemble.replicate_blocks`, one stream block at a time (`sample` starts the
+walk at each block in the process that solves and formats it), so memory
+stays bounded at any --reps; the sidecars record the stream layout as
+"stream".  `sample`'s blocks and `verify`'s checks run on one process per
+usable core (`_fan_out`, processes forked from this one; no option sets the
+count), with at most two blocks or checks per process in flight, and their
+outputs are byte for byte those of one process; one block, one check or one
+usable core runs in this process and starts none.  `sample`, `density` and
+`verify` print one "[time] <stage> <seconds> s" line per stage (per check for
+`verify`; `density --input` times its read and its binning apart) on stderr,
+never in a file, and only after every stage has run, so a refusal's stderr
+starts with "error:".  A stage's seconds are those its work took in the
+process that ran it, summed over the processes, not wall time; `sample` and
+`verify` follow them with one "[workers] <N>" line, the processes that ran.
+Every command refuses an --output that is a directory, or whose directory
+does not exist, before it samples, tabulates or runs a check (`_output_path`).
+A command refuses its input by raising ValueError, and `main` alone maps
+that, and any OSError (a missing input, an --output that cannot be written),
+to an "error:" line and exit status 2; a worker's exception reaches `main`
+with its type.  `special` refuses a flag that its --fn or --x does not read (--beta,
 --kn, an x range), so its sidecar records only the flags that shaped its table.
 Exit status: 0 all good, 1 check failure or a `special` value (or its error
 estimate) that is not finite, with no table written, 2 usage error.
@@ -34,8 +43,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import warnings
+from collections import deque
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
@@ -47,7 +60,8 @@ from .airy import airy_ai, airy_ai_prime, airy_tail, edge_density_closed
 from .checks import CHECK_NAMES, run_checks, validate_flags
 from .density import (DensityEstimate, Regime, estimate_density, grid_to_lambda, sample_density,
                       semicircle_bins)
-from .ensemble import STREAM_LAYOUT, EnsembleKind, EnsembleParams, replicate_blocks
+from .ensemble import (REPLICATE_CHUNK, STREAM_LAYOUT, EnsembleKind, EnsembleParams,
+                       replicate_blocks)
 from .kontsevich import kontsevich_k
 from .tridiag import eigenvalues_block
 
@@ -109,9 +123,65 @@ class _Stages:
         self.seconds[stage] += now - self._last
         self._last = now
 
-    def report(self) -> None:
+    def add(self, seconds: dict) -> None:
+        """Add a worker's seconds per stage, and start the next lap now: the wait for
+        the worker counts in no stage."""
+        for stage, s in seconds.items():
+            self.seconds[stage] += s
+        self._last = perf_counter()
+
+    def report(self, workers: int | None = None) -> None:
         for stage, seconds in self.seconds.items():
             print(f"[time] {stage} {seconds:.3f} s", file=sys.stderr)
+        if workers is not None:
+            print(f"[workers] {workers}", file=sys.stderr)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return 1
+
+
+def _workers(jobs: int) -> int:
+    """The processes `_fan_out` runs ``jobs`` items on: one per usable core, at most one
+    per item."""
+    return max(1, min(_usable_cores(), jobs))
+
+
+def _fan_out(fn, items):
+    """Yield ``fn(item)`` for each of ``items``, a sized iterable, in its order.
+
+    The items run on `_workers` processes, forked from this one; ``fn``, the
+    items and the results pass between them pickled, so ``fn`` is a
+    module-level function or a partial of one.  With one worker (one item,
+    or one usable core) ``fn`` runs here, in `map`, and no process starts.
+    At most 2 x workers items are in flight, so the results held stay
+    bounded at any number of items.  A worker's exception is raised here
+    with its type, and a worker that dies raises BrokenProcessPool rather
+    than leaving its item unanswered.  The pool is shut down and its
+    processes joined before the generator ends, whether it is exhausted,
+    raises or is closed early.
+    """
+    workers = _workers(len(items))
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    import multiprocessing  # here, not at the top: an import costs every command
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        source = iter(items)
+        window = deque(pool.submit(fn, item) for item in islice(source, 2 * workers))
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, item) for item in islice(source, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _density_fields(d: DensityEstimate, params: EnsembleParams) -> dict:
@@ -152,25 +222,39 @@ def _spectra_lines(start: int, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
+def _block_lines(params: EnsembleParams, seed: int, reps: int, first: int) -> tuple[str, dict]:
+    """The spectra CSV lines of the stream block that starts at replicate ``first``
+    (of ``reps``), drawn, solved and formatted, and the seconds of those three
+    stages."""
+    clock = _Stages("sample", "solve", "write")
+    _, diag, sub = next(replicate_blocks(params, seed, reps, first))  # the walk's block there
+    clock.lap("sample")
+    values = eigenvalues_block(diag, sub)
+    clock.lap("solve")
+    lines = _spectra_lines(first, values)
+    clock.lap("write")
+    return lines, clock.seconds
+
+
 def cmd_sample(args) -> int:
     params = _params(args)
     if args.reps < 1:
         raise ValueError("need at least one replicate")
     out = _output_path(args.output)
     clock = _Stages("sample", "solve", "write")
+    blocks = range(0, args.reps, REPLICATE_CHUNK)
     with out.open("w", newline="") as fh:
         fh.write(SPECTRA_HEADER + "\r\n")
         clock.lap("write")
-        for first, diag, sub in replicate_blocks(params, args.seed, args.reps):
-            clock.lap("sample")
-            values = eigenvalues_block(diag, sub)
-            clock.lap("solve")
-            fh.write(_spectra_lines(first, values))
+        for lines, seconds in _fan_out(partial(_block_lines, params, args.seed, args.reps),
+                                       blocks):
+            clock.add(seconds)
+            fh.write(lines)
             clock.lap("write")
     _write_sidecar(args, out, stream=STREAM_LAYOUT)
     clock.lap("write")
     print(f"wrote {args.reps} replicates ({params.n} eigenvalues each) to {out}")
-    clock.report()
+    clock.report(_workers(len(blocks)))
     return 0
 
 
@@ -345,6 +429,15 @@ def cmd_special(args) -> int:
     return 0
 
 
+def _check_results(master_seed: int, n: int | None, beta: float | None,
+                   name: str) -> tuple[list, dict]:
+    """The results of the check ``name`` (`run_checks`), and its seconds."""
+    clock = _Stages(name)
+    results = run_checks([name], master_seed=master_seed, n=n, beta=beta)
+    clock.lap(name)
+    return results, clock.seconds
+
+
 def cmd_verify(args) -> int:
     names = list(CHECK_NAMES) if args.check == "all" else [args.check]
     results = []
@@ -352,9 +445,9 @@ def cmd_verify(args) -> int:
     out = _output_path(args.output) if args.output else None
     # seconds go to stderr only: the report is a pure function of its flags
     clock = _Stages(*names)
-    for name in names:
-        results += run_checks([name], master_seed=args.seed, n=args.n, beta=args.beta)
-        clock.lap(name)
+    for found, seconds in _fan_out(partial(_check_results, args.seed, args.n, args.beta), names):
+        results += found
+        clock.add(seconds)
     report = {
         "seed": args.seed,
         "checks": [dataclasses.asdict(r) for r in results],
@@ -365,7 +458,7 @@ def cmd_verify(args) -> int:
         out.write_text(text + "\n")
     else:
         print(text)
-    clock.report()
+    clock.report(_workers(len(names)))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check_name} {r.params}: metric={r.metric:.3e} tol={r.tolerance:.3e}",

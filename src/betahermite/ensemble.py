@@ -14,9 +14,10 @@ call draws consecutive rows of one block as ``diag (R, n)`` and
 ``sub (R, n-1)`` arrays, and a row does not depend on the range it was
 requested in; a single matrix is a range of one.  `replicate_blocks` is the
 one walk over many replicates and the only loop over stream blocks: it yields
-replicates 0..count-1 one block at a time, so every caller's memory stays
-bounded at any replicate count.  `EnsembleParams` refuses a
-fixed-trace n = 1, whose trace sphere is the point 0.
+replicates 0..count-1 (or from a block's first replicate on) one block at a
+time, so every caller's memory stays bounded at any replicate count.
+`EnsembleParams` refuses a fixed-trace n = 1, whose trace sphere is the
+point 0.
 """
 
 from __future__ import annotations
@@ -179,14 +180,17 @@ def sample_block(
     return diag, sub
 
 
-def replicate_blocks(params: EnsembleParams, master_seed: int, count: int):
-    """Yield ``(first, diag, sub)`` over replicates 0..count-1, one stream block's
+def replicate_blocks(params: EnsembleParams, master_seed: int, count: int, start: int = 0):
+    """Yield ``(first, diag, sub)`` over replicates start..count-1, one stream block's
     rows at a time.
 
     Each chunk is one `sample_block` call over one whole stream block, the last
     one cut at ``count``, so every block is drawn once and a chunk holds at most
     REPLICATE_CHUNK rows.  ``first`` is the replicate of the chunk's first row.
+    ``start`` is the first replicate of a block, a multiple of REPLICATE_CHUNK,
+    so that the walk can begin at any block (one that does not begin a block
+    raises ValueError).
     """
-    for first in range(0, count, REPLICATE_CHUNK):
+    for first in range(start, count, REPLICATE_CHUNK):
         yield first, *sample_block(params, master_seed, first,
                                    min(REPLICATE_CHUNK, count - first))

@@ -19,10 +19,11 @@ which any matrix's certificate fails runs the tail rows as well.  Every
 step of the recurrence is monotone in the query point, so pivots all
 non-negative at one point stay so at every point below it, and pivots all
 negative stay so above it: on a sorted grid that reaches past the block's
-Gershgorin interval it runs only from the last point below that interval
-to the first above, checks those two ends, and gives the points beyond
-them 0 and n, or runs them too when a check fails (`SturmWork` tallies the
-rows and points run).  `sample_spectrum` is one replicate's spectrum.
+Gershgorin interval it runs only from the last point below the rows'
+Gershgorin discs to the first above them, checks those two ends, and gives
+the points beyond them 0 and n, or runs them too when a check fails
+(`SturmWork` tallies the rows and points run).  `sample_spectrum` is one
+replicate's spectrum.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _pivot_rows(diag, sub_sq, rows, xt, tiny, q):
     return count
 
 
-def _run_range(x, d_lo, d_hi, s_max, sub_sq):
+def _run_range(x, diag, d_lo, d_hi, s_max, sub_sq):
     """The query points [lo, hi) that `sturm_count` runs the recurrence at.
 
     Every eigenvalue of the block lies in its Gershgorin interval, from the
@@ -211,22 +212,34 @@ def _run_range(x, d_lo, d_hi, s_max, sub_sq):
     the points beyond those two are skipped.  Anything else (an unsorted
     ``x``, no point outside the interval, a non-finite bound, which a
     non-finite entry gives, or a negative ``sub_sq`` entry) runs every point.
-    Only the last test reads the whole block, and it runs only when points
-    would be skipped.
+    When points are skipped, the interval is narrowed to the union of the
+    rows' Gershgorin discs, d_i -+ (|b_{i-1}| + |b_i|), which skips the
+    points between the two as well.  Only these last steps read the whole
+    block, and they run only when points would be skipped.
     """
     k = len(x)
+
+    def ends(below, above):  # the last point below the interval, and past the first above
+        return (max(int(np.searchsorted(x, below)) - 1, 0),
+                min(int(np.searchsorted(x, above, side="right")) + 1, k))
+
     with np.errstate(invalid="ignore"):  # a NaN or negative s_max gives a NaN bound
         radius = 2.0 * np.sqrt(s_max)
         below = (d_lo - radius).min(initial=np.inf)
         above = (d_hi + radius).max(initial=-np.inf)
-    lo = max(int(np.searchsorted(x, below)) - 1, 0)
-    hi = min(int(np.searchsorted(x, above, side="right")) + 1, k)
+    lo, hi = ends(below, above)
     if lo == 0 and hi == k:
         return 0, k
     if not (np.isfinite(below) and np.isfinite(above) and (x[1:] > x[:-1]).all()
             and sub_sq.min(initial=0.0) >= 0.0):
         return 0, k
-    return lo, hi
+    b = np.sqrt(sub_sq)
+    reach = np.zeros_like(diag)  # |b_{i-1}| + |b_i|, the radius of row i's disc
+    reach[:, :-1] = b
+    reach[:, 1:] += b
+    below = (diag - reach).min(initial=np.inf)
+    reach += diag
+    return ends(below, reach.max(initial=-np.inf))
 
 
 def _count_points(diag, sub_sq, x, tiny, fell_back):
@@ -291,13 +304,14 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     in q on either side of 0; and fl(u - t).  So if every pivot at x_a is
     non-negative, the pivots at any x <= x_a are at least as large, and none
     is negative; if every pivot at x_b is negative, those at any x >= x_b are
-    at most as large.  When ``x`` is strictly increasing, the recurrence runs
-    from the last point below the block's Gershgorin interval to the first
-    one above it (`_run_range`, whose bounds come from the row maxima and
-    minima ``tiny`` reads anyway).  The points below get count 0 when no
-    matrix has a negative pivot at the lowest point run, and those above get
-    n when every matrix has n negative pivots at the highest; a side whose
-    end check fails runs its points as well.
+    at most as large.  When ``x`` is strictly increasing and reaches past the
+    block's Gershgorin interval, whose bounds come from the row maxima and
+    minima ``tiny`` reads anyway, the recurrence runs from the last point
+    below the rows' Gershgorin discs to the first one above them
+    (`_run_range`).  The points below get count 0 when no matrix has a
+    negative pivot at the lowest point run, and those above get n when every
+    matrix has n negative pivots at the highest; a side whose end check fails
+    runs its points as well.
 
     Rows below the eigenvalues near the smallest query point x0 are run only
     when they must be (a certified tail).  From a row K down, every matrix has
@@ -324,7 +338,7 @@ def sturm_count(diag: np.ndarray, sub_sq: np.ndarray, x: np.ndarray,
     # relative safeguard, per matrix, keeps the recurrence defined when a pivot hits zero;
     # max |d| as max(max d, -min d), with no (R, n) temporary
     tiny = np.finfo(float).tiny * (np.maximum(d_hi, -d_lo) + s_max + 1.0) + 1e-300
-    lo, hi = _run_range(x, d_lo, d_hi, s_max, sub_sq)
+    lo, hi = _run_range(x, diag, d_lo, d_hi, s_max, sub_sq)
     fell_back = np.zeros(R, dtype=bool)
     count, rows = _count_points(diag, sub_sq, x[lo:hi], tiny, fell_back)
     pairs = hi - lo

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from betahermite.checks import run_checks
+from betahermite.checks import CHECK_NAMES, run_checks
 from betahermite.cli import main
 
 
@@ -948,6 +950,182 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_checks", fake)
         rc = run(["verify", "--check", "stieltjes", "--output", str(tmp_path / "r.json")])
         assert rc == 1
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Force the usable core count that `cli._fan_out` sizes its pool by."""
+    from betahermite import cli
+
+    def force(count):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: count)
+
+    return force
+
+
+class _Counted:
+    """range(n) that counts the items pulled from it."""
+
+    def __init__(self, n):
+        self.n, self.pulled = n, 0
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for i in range(self.n):
+            self.pulled += 1
+            yield i
+
+
+def _fail_at_3(i):
+    if i == 3:
+        raise ValueError("item 3 is refused")
+    return i
+
+
+def _die_at_3(i):
+    if i == 3:
+        os._exit(3)
+    return i
+
+
+def _late_first(i):
+    """i and the process that ran it, later the lower i is."""
+    time.sleep(0.005 * (8 - i))
+    return i, os.getpid()
+
+
+class TestFanOut:
+    """`cli._fan_out`: results in item order, bounded look-ahead, no process left behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_come_back_in_item_order(self, cores, workers):
+        from betahermite.cli import _fan_out
+
+        cores(workers)
+        got = list(_fan_out(_late_first, range(8)))  # the first items finish last
+        assert [i for i, _ in got] == list(range(8))
+        pids = {pid for _, pid in got}
+        assert os.getpid() not in pids and len(pids) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_two_items_per_worker_are_pulled_ahead(self, cores, workers):
+        # and none is lost: every item's result comes back, once
+        from betahermite.cli import _fan_out
+
+        cores(workers)
+        items = _Counted(13)
+        for k, result in enumerate(_fan_out(abs, items), 1):
+            assert result == k - 1
+            assert items.pulled <= k + 2 * (workers if workers > 1 else 0)
+        assert k == items.pulled == 13
+
+    @pytest.mark.parametrize("workers, items", [(3, [7]), (1, range(5))],
+                             ids=["one item", "one core"])
+    def test_one_item_or_one_core_starts_no_process(self, cores, monkeypatch, workers, items):
+        import multiprocessing
+
+        from betahermite.cli import _fan_out
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        cores(workers)
+        assert list(_fan_out(_late_first, items)) == [(i, os.getpid()) for i in items]
+
+    def test_no_process_outlives_it(self, cores):
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool
+
+        from betahermite.cli import _fan_out
+
+        cores(2)
+        assert list(_fan_out(abs, range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="item 3 is refused"):  # the worker's type
+            list(_fan_out(_fail_at_3, range(8)))
+        assert multiprocessing.active_children() == []
+        with pytest.raises(BrokenProcessPool):  # a worker that dies leaves no item waiting
+            list(_fan_out(_die_at_3, range(8)))
+        assert multiprocessing.active_children() == []
+        results = _fan_out(abs, range(8))
+        assert next(results) == 0
+        assert multiprocessing.active_children() != []
+        results.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_value_error_exits_2_with_one_line(self, cores, monkeypatch, tmp_path,
+                                                       capfd):
+        # capfd, not capsys: the workers' stderr goes to the same descriptor
+        import multiprocessing
+
+        from betahermite import cli
+
+        def refuse_bound(names, master_seed=1, n=None, beta=None):
+            if names == ["bound"]:
+                raise ValueError("bound refused in a worker")
+            return []
+
+        monkeypatch.setattr(cli, "run_checks", refuse_bound)
+        cores(2)
+        out = tmp_path / "r.json"
+        assert run(["verify", "--check", "all", "--output", str(out)]) == 2
+        assert capfd.readouterr().err == "error: bound refused in a worker\n"
+        assert not out.exists() and multiprocessing.active_children() == []
+
+    def test_a_worker_eigenvalue_error_propagates(self, cores, monkeypatch, tmp_path):
+        import multiprocessing
+
+        from betahermite import cli
+        from betahermite.tridiag import EigenvalueError
+
+        def no_convergence(diag, sub):
+            raise EigenvalueError("QL iteration did not converge")
+
+        monkeypatch.setattr(cli, "eigenvalues_block", no_convergence)
+        cores(2)
+        with pytest.raises(EigenvalueError, match="did not converge"):
+            run(["sample", "--n", "4", "--beta", "2", "--reps", "1100",
+                 "--output", str(tmp_path / "s.csv")])
+        assert multiprocessing.active_children() == []
+
+
+def _stderr_workers(err):
+    return [line for line in err.splitlines() if line.startswith("[workers]")]
+
+
+@pytest.mark.parametrize("kind, n", [("gaussian", 1), ("gaussian", 7), ("fixed-trace", 2)])
+@pytest.mark.parametrize("reps", [1, 512, 513, 2600, 3600])
+def test_sample_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, cores, kind, n, reps):
+    # 2600 and 3600 replicates are 6 and 8 stream blocks, more than 2 x 2 and 2 x 3 in flight
+    out = tmp_path / "s.csv"
+    written = {}
+    for workers in (1, 2, 3):
+        cores(workers)
+        assert run(["sample", "--n", str(n), "--beta", "1.5", "--kind", kind, "--reps",
+                    str(reps), "--seed", "5", "--output", str(out)]) == 0
+        blocks = -(-reps // 512)
+        assert _stderr_workers(capsys.readouterr().err) == [f"[workers] {min(workers, blocks)}"]
+        written[workers] = out.read_bytes(), out.with_suffix(".csv.json").read_bytes()
+    assert written[2] == written[1] and written[3] == written[1]
+
+
+def test_verify_report_does_not_depend_on_the_worker_count(tmp_path, capsys, cores):
+    out = tmp_path / "r.json"
+    written = {}
+    for workers in (1, 2):
+        cores(workers)
+        assert run(["verify", "--check", "all", "--seed", "1", "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert _stderr_workers(err) == [f"[workers] {workers}"]
+        # after the [time] lines, one per check
+        lines = err.splitlines()
+        assert [line.split()[1] for line in lines[:5]] == list(CHECK_NAMES)
+        assert lines[5] == f"[workers] {workers}"
+        written[workers] = out.read_bytes()
+    assert written[2] == written[1]
 
 
 def test_usage_error_exit_code():

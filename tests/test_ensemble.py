@@ -206,6 +206,18 @@ class TestSampleBlock:
         assert np.array_equal(np.concatenate([d for _, d, _ in chunks]), want_diag)
         assert np.array_equal(np.concatenate([s for _, _, s in chunks]), want_sub)
 
+    def test_replicate_blocks_from_a_block_are_the_walk_from_there(self):
+        p = EnsembleParams(4, 2.0, EnsembleKind.FIXED_TRACE)
+        walk = list(replicate_blocks(p, 9, 1100))
+        for index, start in enumerate((0, REPLICATE_CHUNK, 2 * REPLICATE_CHUNK)):
+            tail = list(replicate_blocks(p, 9, 1100, start))
+            assert [first for first, _, _ in tail] == [first for first, _, _ in walk[index:]]
+            for (_, d, s), (_, want_d, want_s) in zip(tail, walk[index:]):
+                assert np.array_equal(d, want_d) and np.array_equal(s, want_s)
+        assert list(replicate_blocks(p, 9, 1100, 3 * REPLICATE_CHUNK)) == []
+        with pytest.raises(ValueError):  # not the first replicate of a block
+            next(replicate_blocks(p, 9, 1100, 5))
+
     def test_trace_sq_rows(self):
         diag, sub = sample_block(EnsembleParams(9, 2.0), 1, 0, 5)
         rows = trace_sq_rows(diag, sub)

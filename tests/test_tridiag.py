@@ -250,7 +250,7 @@ class TestSturmCountOracle:
 
 class TestPointsOutsideTheSpectrum:
     """`sturm_count` on grids that start below and end above every spectrum of the
-    block: the points beyond its Gershgorin interval are filled in with 0 and n,
+    block: the points beyond its rows' Gershgorin discs are filled in with 0 and n,
     count for count as the reference runs them."""
 
     @given(
@@ -279,12 +279,18 @@ class TestPointsOutsideTheSpectrum:
         w = max(hi - lo, scale)
         x = np.unique(np.concatenate([lo - w * np.array([3.0, 2.0, 1.0]), np.linspace(lo, hi, 9),
                                       hi + w * np.array([1.0, 2.0, 3.0])]))  # lo may be hi
-        run = (2, len(x) - 2)  # from the last point below the interval to the first above
         if query == "eigenvalues":  # every dstev eigenvalue of the first matrix, 0 and -0.0
             ev = eigenvalues_block(diag[:1], np.sqrt(sub_sq[:1]))[0]
             x = np.unique(np.concatenate([x, ev, [0.0, -0.0]]))
-            run = (int(np.searchsorted(x, lo)) - 1, int(np.searchsorted(x, hi, side="right")) + 1)
-        elif query == "unsorted":  # the highest point first and the lowest last
+        # points lie beyond the interval, so the run narrows to the rows' Gershgorin
+        # discs, the same floats as sturm_count's: from the last point below them to
+        # the first above
+        reach = np.zeros_like(diag)
+        reach[:, :-1] = np.sqrt(sub_sq)
+        reach[:, 1:] += np.sqrt(sub_sq)
+        run = (int(np.searchsorted(x, (diag - reach).min())) - 1,
+               int(np.searchsorted(x, (diag + reach).max(), side="right")) + 1)
+        if query == "unsorted":  # the highest point first and the lowest last
             x[[0, -1]], run = x[[-1, 0]], (0, len(x))
         want = sturm_count_reference(diag, sub_sq, x)
         work = SturmWork()
@@ -304,6 +310,17 @@ class TestPointsOutsideTheSpectrum:
         assert work.rows <= work.full_rows == reps * n
         if query != "unsorted":
             assert work.pairs < work.full_pairs or query == "end-check-fails"
+
+    def test_points_inside_the_interval_outside_every_disc_are_skipped(self):
+        # [[0, 5], [5, 10]]: the block interval is [-10, 20], its rows' discs [-5, 5] and
+        # [5, 15], and its eigenvalues 5 -+ sqrt(50); of the even points -14..24, the
+        # interval would run the 18 from -12 to 22 and the discs run the 12 from -6 to 16
+        diag, sub_sq = np.array([[0.0, 10.0]]), np.array([[25.0]])
+        x = np.arange(-14.0, 25.0, 2.0)
+        work = SturmWork()
+        assert np.array_equal(sturm_count(diag, sub_sq, x, work),
+                              sturm_count_reference(diag, sub_sq, x))
+        assert (work.pairs, work.full_pairs) == (12, 20)
 
     @pytest.mark.parametrize("where, bad", [("diag", np.inf), ("diag", np.nan),
                                             ("sub_sq", np.inf), ("sub_sq", -1.0)])
